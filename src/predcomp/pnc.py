@@ -63,7 +63,8 @@ class TraceRow:
 @dataclass
 class StreamDiagnostics:
     skipped_windows: list[int] = field(default_factory=list)
-    refits: list[tuple[int, bool]] = field(default_factory=list)  # (anchor, refitted)
+    # (anchor, replaced): False when the refit was skipped, failed or kept the same predictor
+    refits: list[tuple[int, bool]] = field(default_factory=list)
 
 
 class PncStream:

@@ -359,6 +359,9 @@ def refit_after_detection(predictor, values, located: int,
                           min_history: int = 50) -> tuple[object, bool]:
     """Refit ``predictor`` on values[located:]; keep it unchanged when the
     post-change history is shorter than ``min_history`` or the refit fails.
+
+    The flag is True only when a new predictor replaced the old one; kinds
+    whose ``refit`` returns the same object (naive, mean, LSTM) report False.
     """
     values = np.asarray(values, dtype=float)
     located = max(located, 0)
@@ -366,6 +369,7 @@ def refit_after_detection(predictor, values, located: int,
     if len(tail) < max(min_history, MIN_FIT):
         return predictor, False
     try:
-        return predictor.refit(tail), True
+        refitted = predictor.refit(tail)
     except (PredictorError, np.linalg.LinAlgError):
         return predictor, False
+    return refitted, refitted is not predictor

@@ -14,6 +14,27 @@ detector alarms when the posterior mass on run lengths <= r_min exceeds
 the threshold; it restarts from the prior after each alarm, and alarms
 are suppressed for the first r_min + 1 steps of each segment where short
 runs hold all the mass by construction.
+
+Storage.  ``mu``, ``beta`` and the log posterior are kept newest-first
+in preallocated buffers: run length r sits at ``buf[head + r]``, so the
+current state is the positive-stride slice ``buf[head:head + n]``.  A step
+writes the new r = 0 entry at ``head - 1`` and updates the grown entries
+in place, because run length r becomes r + 1 without moving.  When
+``head`` reaches zero the buffers double.
+
+Tables.  Every run receives the same sequence of ``+0.5`` (alpha) and
+``+1.0`` (kappa) increments, so alpha and kappa depend only on how many
+observations a run has absorbed.  They, and every predictive term built
+from them alone (the gammaln difference, the degrees of freedom and the
+constant factors), are tables computed once per prior by the same
+additions, and a step only slices them.
+
+Log-sum-exp.  ``_logsumexp`` transcribes the algorithm of
+``scipy.special.logsumexp`` (scipy 1.17, ``scipy/special/_logsumexp.py``):
+the maxima are left out of the shifted sum and counted.  A plain max-shift
+rounds differently; following scipy's steps keeps every result bit for bit
+equal to the direct recursion built on scipy while skipping its per-call
+overhead, which dominated the cost of a step.
 """
 
 from __future__ import annotations
@@ -21,7 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
+from scipy.special import gammaln
 
 from ..series import Detection, LabeledSeries
 
@@ -46,65 +67,158 @@ def student_t_logpdf(x, df, loc, scale2):
             - (df + 1) / 2 * np.log1p(z2 / df))
 
 
+def _logsumexp(a: np.ndarray):
+    """log(sum(exp(a))) of a non-empty 1-D array, rounded as scipy's is."""
+    i_max = a.argmax()
+    a_max = a[i_max]
+    if np.isfinite(a_max):
+        is_max = a == a_max
+        m = float(np.count_nonzero(is_max))
+        shifted = np.exp(a - a_max)
+        if m == 1:
+            shifted[i_max] = 0.0
+        else:
+            shifted[is_max] = 0.0
+        s = shifted.sum()
+        if s != 0:
+            s = s / m
+        out = np.log1p(s) + np.log(m) + a_max
+        if np.isfinite(out):
+            return out
+    # scipy falls back to the direct sum wherever its result is not finite
+    with np.errstate(divide="ignore", over="ignore"):
+        return np.log(np.sum(np.exp(a)))
+
+
+class _RunLengthTables:
+    """Terms of the predictive that depend only on the run length.
+
+    Entry j belongs to a run that has absorbed j observations; each
+    column is built by the additions the recursion itself would make.
+    """
+
+    def __init__(self, prior: NigPrior, size: int):
+        alpha = np.cumsum(np.concatenate(([prior.alpha0], np.full(size - 1, 0.5))))
+        self.kappa = np.cumsum(np.concatenate(([prior.kappa0], np.full(size - 1, 1.0))))
+        df = 2.0 * alpha
+        self.df = df
+        self.half_df1 = (df + 1) / 2
+        self.log_norm = gammaln((df + 1) / 2) - gammaln(df / 2)
+        self.df_pi = df * np.pi
+        self.kappa1 = self.kappa + 1.0
+        self.two_kappa1 = 2.0 * self.kappa1
+        self.alpha_kappa = alpha * self.kappa
+
+
 class BocpdState:
     """Posterior over run lengths with per-run NIG sufficient statistics."""
 
     def __init__(self, prior: NigPrior):
-        self.prior = prior
-        self.log_post = np.array([0.0])  # starts at r = 0 before any data
-        self.mu = np.array([prior.mu0])
-        self.kappa = np.array([prior.kappa0])
-        self.alpha = np.array([prior.alpha0])
-        self.beta = np.array([prior.beta0])
+        self.prior = p = prior
+        # the prior predictive and the r = 0 update, minus their x terms
+        df0 = 2.0 * p.alpha0
+        scale2 = p.beta0 * (p.kappa0 + 1.0) / (p.alpha0 * p.kappa0)
+        self._df0 = df0
+        self._scale0 = scale2
+        self._half_df0 = (df0 + 1) / 2
+        self._log_norm0 = (gammaln((df0 + 1) / 2) - gammaln(df0 / 2)
+                           - 0.5 * np.log(df0 * np.pi * scale2))
+        self._mu0_part = p.mu0 * p.kappa0 / (p.kappa0 + 1)
+        self._n = 0
+        self._head = 0
+        self._lp = self._mu = self._beta = np.empty(0)
+        self._grow(64)
+        self._reset()
+
+    def _grow(self, capacity: int) -> None:
+        """Room for ``capacity`` run lengths, keeping the current ones."""
+        n, h = self._n, self._head
+        head = capacity - n
+        bufs = []
+        for old in (self._lp, self._mu, self._beta):
+            buf = np.empty(capacity)
+            buf[head:] = old[h:h + n]
+            bufs.append(buf)
+        self._lp, self._mu, self._beta = bufs
+        self._head = head
+        self._tab = _RunLengthTables(self.prior, capacity + 1)
+
+    def _reserve(self, steps: int) -> None:
+        if steps > len(self._lp):
+            self._grow(steps)
+
+    def _reset(self) -> None:
+        """Back to the prior, before any data, keeping the buffers."""
+        h = len(self._lp) - 1
+        self._lp[h], self._mu[h], self._beta[h] = 0.0, self.prior.mu0, self.prior.beta0
+        self._head, self._n = h, 1
+        self._t0 = 0  # table entry of run length 0
         self.steps = 0
         self.log_evidence = 0.0
 
-    def predictive_logpdf(self, x: float) -> np.ndarray:
-        df = 2.0 * self.alpha
-        scale2 = self.beta * (self.kappa + 1.0) / (self.alpha * self.kappa)
-        return student_t_logpdf(x, df, self.mu, scale2)
+    @property
+    def log_post(self) -> np.ndarray:
+        """log P(r_t = r), r = 0..steps-1 (a copy)."""
+        return self._lp[self._head:self._head + self._n].copy()
 
     def step(self, x: float, hazard: float) -> None:
-        pred = self.predictive_logpdf(x)
+        if self.steps and self._head == 0:
+            self._grow(2 * len(self._lp))
+        h, n, tab, p = self._head, self._n, self._tab, self.prior
+        lp, mu, beta = (buf[h:h + n] for buf in (self._lp, self._mu, self._beta))
+        s = slice(self._t0, self._t0 + n)
+        sq = (x - mu) ** 2
+        scale2 = beta * tab.kappa1[s] / tab.alpha_kappa[s]
+        pred = (tab.log_norm[s] - 0.5 * np.log(tab.df_pi[s] * scale2)
+                - tab.half_df1[s] * np.log1p(sq / scale2 / tab.df[s]))
+        sq0 = (x - p.mu0) ** 2
         if self.steps == 0:
             # the first observation opens the first run; no transition yet
-            log_grow = pred + self.log_post
-            log_cp = np.array([-np.inf])
+            lp += pred
+            lo = h
         else:
-            joint = self.log_post + pred
-            log_grow = joint + np.log1p(-hazard) if hazard < 1.0 else np.full_like(joint, -np.inf)
             # a break makes x the first observation of a fresh segment, so
             # its likelihood is the prior predictive
-            p = self.prior
-            prior_pred = student_t_logpdf(x, 2.0 * p.alpha0, p.mu0,
-                                          p.beta0 * (p.kappa0 + 1.0) / (p.alpha0 * p.kappa0))
-            log_cp = np.array([logsumexp(self.log_post) + np.log(hazard) + prior_pred]) \
-                if hazard > 0 else np.array([-np.inf])
-        new_log_post = np.concatenate((log_cp, log_grow)) if self.steps else log_grow
-        norm = logsumexp(new_log_post)
+            log_cp = -np.inf
+            if hazard > 0:
+                prior_pred = self._log_norm0 - self._half_df0 * np.log1p(sq0 / self._scale0 / self._df0)
+                log_cp = _logsumexp(lp) + np.log(hazard) + prior_pred
+            lp += pred
+            if hazard < 1.0:
+                lp += np.log1p(-hazard)
+            else:
+                lp[:] = -np.inf
+            lo = h - 1
+            self._lp[lo] = log_cp
+        new = self._lp[lo:h + n]
+        norm = _logsumexp(new)
         self.log_evidence += norm
-        self.log_post = new_log_post - norm
-        # r = 0 entry restarts from the prior, grown entries absorb x
-        p = self.prior
-        mu_new = (self.kappa * self.mu + x) / (self.kappa + 1.0)
-        beta_new = self.beta + self.kappa * (x - self.mu) ** 2 / (2.0 * (self.kappa + 1.0))
+        new -= norm
+        # grown entries absorb x, the r = 0 entry restarts from the prior
+        k = tab.kappa[s]
+        beta += k * sq / tab.two_kappa1[s]
+        mu *= k
+        mu += x
+        mu /= tab.kappa1[s]
         if self.steps == 0:
-            self.mu, self.kappa = mu_new, self.kappa + 1.0
-            self.alpha, self.beta = self.alpha + 0.5, beta_new
+            self._t0 = 1
         else:
-            self.mu = np.concatenate(([p.mu0 * p.kappa0 / (p.kappa0 + 1) + x / (p.kappa0 + 1)], mu_new))
-            self.kappa = np.concatenate(([p.kappa0 + 1.0], self.kappa + 1.0))
-            self.alpha = np.concatenate(([p.alpha0 + 0.5], self.alpha + 0.5))
-            self.beta = np.concatenate(
-                ([p.beta0 + p.kappa0 * (x - p.mu0) ** 2 / (2.0 * (p.kappa0 + 1.0))], beta_new))
+            self._mu[lo] = self._mu0_part + x / (p.kappa0 + 1)
+            self._beta[lo] = p.beta0 + p.kappa0 * sq0 / (2.0 * (p.kappa0 + 1.0))
+            self._head, self._n = lo, n + 1
         self.steps += 1
 
     def run_length_posterior(self) -> np.ndarray:
         """P(r_t = r), r = 0..steps-1; sums to one."""
-        return np.exp(self.log_post)
+        return np.exp(self._lp[self._head:self._head + self._n])
 
     def map_run_length(self) -> int:
-        return int(np.argmax(self.log_post))
+        return int(np.argmax(self._lp[self._head:self._head + self._n]))
+
+    def _mass_below(self, count: int) -> float:
+        """``run_length_posterior()[:count].sum()``, exponentiating only that slice."""
+        h = self._head
+        return float(np.exp(self._lp[h:h + self._n][:count]).sum())
 
 
 def bocpd_detect(series, hazard: float, prior: NigPrior | None = None,
@@ -115,6 +229,7 @@ def bocpd_detect(series, hazard: float, prior: NigPrior | None = None,
     Returns (detections, info) where info holds the cumulative log
     evidence per segment and, when requested, the short-run probability
     path.  ``located_time`` of a detection is the start of the MAP run.
+    Raises ``ValueError`` on a NaN or infinite value.
     """
     if not 0.0 < hazard <= 1.0:
         raise ValueError("hazard must be in (0, 1]")
@@ -122,14 +237,17 @@ def bocpd_detect(series, hazard: float, prior: NigPrior | None = None,
         raise ValueError("threshold must be in (0, 1)")
     prior = prior or NigPrior()
     values = series.values if isinstance(series, LabeledSeries) else np.asarray(series, dtype=float)
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise ValueError(f"series value at index {bad[0]} is not finite ({values[bad[0]]})")
     detections = []
     info = {"segment_log_evidence": [], "short_run_prob": []}
     state = BocpdState(prior)
+    state._reserve(len(values))
     seg_start = 0
     for i, x in enumerate(values):
         state.step(float(x), hazard)
-        post = state.run_length_posterior()
-        p_short = float(post[:r_min + 1].sum())
+        p_short = state._mass_below(r_min + 1)
         if keep_posterior:
             info["short_run_prob"].append((i, p_short))
         if state.steps <= r_min + 1:
@@ -139,7 +257,7 @@ def bocpd_detect(series, hazard: float, prior: NigPrior | None = None,
             detections.append(Detection(detect_time=i, located_time=max(located, seg_start),
                                         detector="bocpd", stat_value=p_short))
             info["segment_log_evidence"].append((seg_start, i, state.log_evidence))
-            state = BocpdState(prior)
+            state._reset()
             seg_start = i + 1
     info["segment_log_evidence"].append((seg_start, len(values) - 1, state.log_evidence))
     return detections, info

@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from predcomp.cli import main
 from predcomp.io import read_detections_csv, read_series_csv
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 CONFIG = """\
@@ -247,4 +250,14 @@ lstm: {{nh: 24, nz: 6, hidden: 8, epochs: 10, batch_size: 16, learning_rate: 0.0
     rows = read_detections_csv(dets_csv)
     assert rows, "the 8-sigma step should be caught"
     assert rows[0][3].detect_time >= 599
+    capsys.readouterr()
+
+
+def test_committed_demo_metrics_are_current(tmp_path, capsys, monkeypatch):
+    # out/demo/metrics.csv must be what the current code writes for the demo
+    monkeypatch.delenv("PREDCOMP_SEED", raising=False)
+    assert main(["grid", "-c", str(ROOT / "configs" / "demo.yaml"),
+                 "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "metrics.csv").read_bytes() == \
+        (ROOT / "out" / "demo" / "metrics.csv").read_bytes()
     capsys.readouterr()

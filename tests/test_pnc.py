@@ -219,3 +219,20 @@ def test_bad_direction_surfaces_at_first_window():
     vals = np.zeros(120)
     with pytest.raises(ValueError):
         run_stream(ZeroOracle(), PncConfig(50, 25, 5.0, 0.5, direction="sideways"), vals)
+
+
+def test_refit_that_keeps_the_predictor_is_not_reported_done():
+    # an LSTM's refit returns the same model, so nothing was refitted
+    from predcomp.lstm import LstmPredictor, init_lstm
+    rng = spawn_rng(4, "refit-lstm")
+    x = rng.normal(0.0, 1.0, size=400)
+    x[200:] += 5.0
+    pred = LstmPredictor(init_lstm(24, 6, hidden=4, seed=0))
+    cfg = PncConfig(24, 6, 5.0, 0.5, refit="on_detection", min_refit_history=10)
+    dets, stream = run_stream(pred, cfg, x)
+    assert dets[0].detect_time == 201
+    refits = stream.diagnostics.refits
+    # the first refit has 26 post-change points, above min_refit_history
+    assert refits[0] == (226, False)
+    assert all(not ok for _, ok in refits)
+    assert stream.predictor is pred

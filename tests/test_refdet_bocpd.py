@@ -6,6 +6,11 @@ with k breaks has prior weight H^k (1-H)^(n-1-k) and each segment
 contributes its Normal-Inverse-Gamma marginal likelihood.  Both the
 total evidence and the final run-length posterior must agree to machine
 precision.
+
+The preallocated implementation is also checked for exact equality (``==``)
+against the direct recursion kept below as a plain reference: it rebuilds
+the run-length statistics with ``np.concatenate`` at every step and
+normalizes with ``scipy.special.logsumexp``.
 """
 
 from __future__ import annotations
@@ -16,8 +21,87 @@ import numpy as np
 import pytest
 from scipy.special import gammaln, logsumexp
 
-from predcomp.refdet.bocpd import BocpdState, NigPrior, bocpd_detect, student_t_logpdf
+from predcomp.refdet.bocpd import (BocpdState, NigPrior, _logsumexp, bocpd_detect,
+                                   student_t_logpdf)
 from predcomp.seeding import spawn_rng
+from predcomp.series import Detection
+
+
+class ReferenceState:
+    """The direct run-length recursion, one array per statistic."""
+
+    def __init__(self, prior: NigPrior):
+        self.prior = prior
+        self.log_post = np.array([0.0])
+        self.mu = np.array([prior.mu0])
+        self.kappa = np.array([prior.kappa0])
+        self.alpha = np.array([prior.alpha0])
+        self.beta = np.array([prior.beta0])
+        self.steps = 0
+        self.log_evidence = 0.0
+
+    def step(self, x: float, hazard: float) -> None:
+        p = self.prior
+        df = 2.0 * self.alpha
+        scale2 = self.beta * (self.kappa + 1.0) / (self.alpha * self.kappa)
+        pred = student_t_logpdf(x, df, self.mu, scale2)
+        if self.steps == 0:
+            log_grow = pred + self.log_post
+            log_cp = np.array([-np.inf])
+        else:
+            joint = self.log_post + pred
+            log_grow = joint + np.log1p(-hazard) if hazard < 1.0 else np.full_like(joint, -np.inf)
+            prior_pred = student_t_logpdf(x, 2.0 * p.alpha0, p.mu0,
+                                          p.beta0 * (p.kappa0 + 1.0) / (p.alpha0 * p.kappa0))
+            log_cp = np.array([logsumexp(self.log_post) + np.log(hazard) + prior_pred]) \
+                if hazard > 0 else np.array([-np.inf])
+        new_log_post = np.concatenate((log_cp, log_grow)) if self.steps else log_grow
+        norm = logsumexp(new_log_post)
+        self.log_evidence += norm
+        self.log_post = new_log_post - norm
+        mu_new = (self.kappa * self.mu + x) / (self.kappa + 1.0)
+        beta_new = self.beta + self.kappa * (x - self.mu) ** 2 / (2.0 * (self.kappa + 1.0))
+        if self.steps == 0:
+            self.mu, self.kappa = mu_new, self.kappa + 1.0
+            self.alpha, self.beta = self.alpha + 0.5, beta_new
+        else:
+            self.mu = np.concatenate(([p.mu0 * p.kappa0 / (p.kappa0 + 1) + x / (p.kappa0 + 1)], mu_new))
+            self.kappa = np.concatenate(([p.kappa0 + 1.0], self.kappa + 1.0))
+            self.alpha = np.concatenate(([p.alpha0 + 0.5], self.alpha + 0.5))
+            self.beta = np.concatenate(
+                ([p.beta0 + p.kappa0 * (x - p.mu0) ** 2 / (2.0 * (p.kappa0 + 1.0))], beta_new))
+        self.steps += 1
+
+
+def reference_detect(values, hazard, prior, r_min, threshold):
+    detections = []
+    info = {"segment_log_evidence": [], "short_run_prob": []}
+    state = ReferenceState(prior)
+    seg_start = 0
+    for i, x in enumerate(values):
+        state.step(float(x), hazard)
+        p_short = float(np.exp(state.log_post)[:r_min + 1].sum())
+        info["short_run_prob"].append((i, p_short))
+        if state.steps <= r_min + 1:
+            continue
+        if p_short > threshold:
+            located = i - int(np.argmax(state.log_post))
+            detections.append(Detection(detect_time=i, located_time=max(located, seg_start),
+                                        detector="bocpd", stat_value=p_short))
+            info["segment_log_evidence"].append((seg_start, i, state.log_evidence))
+            state = ReferenceState(prior)
+            seg_start = i + 1
+    info["segment_log_evidence"].append((seg_start, len(values) - 1, state.log_evidence))
+    return detections, info
+
+
+def shifted_series(seed: int, n: int = 600) -> np.ndarray:
+    """N(0,1) noise whose mean jumps by 3 to 5 every 100 steps."""
+    rng = spawn_rng(seed, "bocpd-oracle")
+    y = rng.normal(0.0, 1.0, size=n)
+    for start in range(100, n, 100):
+        y[start:] += rng.choice([-1.0, 1.0]) * rng.uniform(3.0, 5.0)
+    return y
 
 
 def seg_log_marginal(x, p: NigPrior) -> float:
@@ -145,3 +229,57 @@ def test_parameter_validation():
         bocpd_detect(y, hazard=0.1, threshold=1.0)
     with pytest.raises(ValueError):
         NigPrior(0.0, -1.0, 1.0, 1.0)
+
+
+def test_logsumexp_equals_scipy():
+    rng = spawn_rng(8, "bocpd-lse")
+    cases = [np.array([0.3]), np.array([-np.inf]), np.array([-np.inf, -np.inf]),
+             np.array([2.0, 2.0, -1.0]), np.array([-np.inf, 1.5, 1.5, 1.5])]
+    for n in (2, 7, 8, 9, 100, 1001):
+        for scale in (1e-3, 1.0, 50.0):
+            a = rng.normal(0.0, scale, size=n)
+            a[rng.integers(n)] = -np.inf
+            cases.append(a)
+            tied = a.copy()
+            tied[rng.integers(n)] = tied.max()  # two or more maxima
+            cases.append(tied)
+    for a in cases:
+        assert _logsumexp(a) == logsumexp(a)
+
+
+@pytest.mark.parametrize("hazard", [0.005, 0.1, 1.0])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_detect_equals_reference_recursion(seed, hazard):
+    y = shifted_series(seed)
+    prior = NigPrior()
+    ref_dets, ref_info = reference_detect(y, hazard, prior, r_min=5, threshold=0.5)
+    dets, info = bocpd_detect(y, hazard, prior, r_min=5, threshold=0.5, keep_posterior=True)
+    assert len(ref_dets) >= 5
+    assert dets == ref_dets
+    assert info["short_run_prob"] == ref_info["short_run_prob"]
+    assert info["segment_log_evidence"] == ref_info["segment_log_evidence"]
+
+
+def test_state_equals_reference_across_buffer_growth():
+    # 5,000 steps outgrow the initial buffers several times over
+    rng = spawn_rng(7, "bocpd-long")
+    y = rng.normal(0.0, 1.0, size=5000)
+    y[1800:] += 2.0
+    y[3500:] -= 3.0
+    prior = NigPrior(0.5, 2.0, 1.5, 0.7)
+    state, ref = BocpdState(prior), ReferenceState(prior)
+    for v in y:
+        state.step(float(v), 0.01)
+        ref.step(float(v), 0.01)
+        assert np.array_equal(state.log_post, ref.log_post)
+        assert state.log_evidence == ref.log_evidence
+    assert state.steps == 5000
+    assert state.map_run_length() == int(np.argmax(ref.log_post))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_input_rejected(bad):
+    y = np.zeros(30)
+    y[17] = bad
+    with pytest.raises(ValueError, match="index 17"):
+        bocpd_detect(y, hazard=0.1)
