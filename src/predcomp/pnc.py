@@ -19,13 +19,14 @@ Every decision about index s uses only observations with index <= s.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .cusum import CusumChart
 from .predictors import PredictorError, refit_after_detection
-from .series import Detection, LabeledSeries
+from .series import Detection, LabeledSeries, non_finite_error
 
 
 @dataclass(frozen=True)
@@ -72,6 +73,13 @@ class PncStream:
 
     Replaying a stored stream through ``push`` is exactly equivalent to
     :func:`run_stream`, which is implemented on top of this class.
+
+    The observations are kept in one preallocated float64 buffer that
+    doubles when full, so a push costs the same at any stream length.
+    The predictor sees read-only views into that buffer: the input window
+    ``buf[t-l:t]`` at each anchor t and, for a refit, the history
+    ``buf[:t]``; nothing is copied.  A non-finite observation raises
+    ``ValueError`` and leaves the stream as it was.
     """
 
     def __init__(self, predictor, cfg: PncConfig, name: str = "pnc",
@@ -82,36 +90,44 @@ class PncStream:
         self.keep_trace = keep_trace
         self.diagnostics = StreamDiagnostics()
         self.trace: list[TraceRow] = []
-        self._buf: list[float] = []
+        self._buf = np.empty(1024)
+        self._n = 0
         self._origin = 0
-        self._targets: np.ndarray | None = None
+        self._targets: list[float] | None = None
         self._anchor = -1
         self._chart: CusumChart | None = None
         self._pending_refit_from: int | None = None
 
     def _begin_window(self, t: int) -> None:
         cfg = self.cfg
-        values = np.asarray(self._buf)
+        history = self._buf[:t]
+        history.flags.writeable = False
         if self._pending_refit_from is not None:
             self.predictor, ok = refit_after_detection(
-                self.predictor, values[:t], self._pending_refit_from, cfg.min_refit_history)
+                self.predictor, history, self._pending_refit_from, cfg.min_refit_history)
             self.diagnostics.refits.append((t, ok))
             self._pending_refit_from = None
         self._anchor = t
         try:
-            yhat = np.asarray(self.predictor.forecast(values[t - cfg.window_len:t], cfg.horizon),
+            yhat = np.asarray(self.predictor.forecast(history[t - cfg.window_len:], cfg.horizon),
                               dtype=float)
             if yhat.shape != (cfg.horizon,) or not np.all(np.isfinite(yhat)):
                 raise PredictorError("forecast is not a finite horizon-length vector")
-            self._targets = yhat
+            self._targets = yhat.tolist()
         except PredictorError:
             self._targets = None
             self.diagnostics.skipped_windows.append(t)
 
     def push(self, x: float) -> Detection | None:
         cfg = self.cfg
-        self._buf.append(float(x))
-        i = len(self._buf) - 1
+        x = float(x)
+        i = self._n
+        if not math.isfinite(x):
+            raise non_finite_error(i, x)
+        if i == len(self._buf):
+            self._buf = np.concatenate((self._buf, np.empty(i)))
+        self._buf[i] = x
+        self._n = i + 1
         first = self._origin + cfg.window_len
         if i < first:
             return None
@@ -121,10 +137,10 @@ class PncStream:
                 self._chart = CusumChart(cfg.threshold, cfg.allowance, cfg.direction, start=first)
         if self._targets is None:
             return None  # predictor failed on this window; state preserved
-        target = float(self._targets[i - self._anchor])
-        alarm = self._chart.step(float(x), target)
+        target = self._targets[i - self._anchor]
+        alarm = self._chart.step(x, target)
         if self.keep_trace:
-            self.trace.append(TraceRow(i, float(x), target, self._chart.value, alarm))
+            self.trace.append(TraceRow(i, x, target, self._chart.value, alarm))
         if not alarm:
             return None
         det = Detection(detect_time=i, located_time=self._chart.located(),

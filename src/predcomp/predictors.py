@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize, signal
 
 MAX_P = 5
 MAX_D = 2
@@ -148,14 +147,15 @@ class ArPredictor:
 # ARIMA by conditional sum of squares
 
 def _pacf_to_coef(pacf: np.ndarray) -> np.ndarray:
-    """Durbin-Levinson map from partial autocorrelations to AR coefficients."""
-    p = len(pacf)
-    phi = np.zeros(p)
-    for k in range(p):
-        prev = phi[:k].copy()
-        phi[:k] = prev - pacf[k] * prev[::-1]
-        phi[k] = pacf[k]
-    return phi
+    """Durbin-Levinson map from partial autocorrelations to AR coefficients.
+
+    Runs on Python floats: at these lengths (p <= 5) that is faster than
+    numpy slices, and each step is the same multiply-then-subtract.
+    """
+    phi: list[float] = []
+    for r in pacf.tolist():
+        phi = [phi[i] - r * phi[-1 - i] for i in range(len(phi))] + [r]
+    return np.array(phi)
 
 
 def _unconstrained_to_poly(raw: np.ndarray) -> np.ndarray:
@@ -168,6 +168,8 @@ def css_innovations(w: np.ndarray, phi: np.ndarray, theta: np.ndarray,
 
     Zero initial conditions: pre-sample w - mu and e are taken as 0.
     """
+    from scipy import signal  # imported here: scipy.signal costs about a second to load
+
     centered = w - intercept
     b = np.concatenate(([1.0], -np.asarray(phi, dtype=float)))
     a = np.concatenate(([1.0], np.asarray(theta, dtype=float)))
@@ -212,6 +214,8 @@ class ArimaPredictor:
 
     @classmethod
     def _fit_order(cls, history: np.ndarray, p: int, d: int, q: int) -> "ArimaPredictor":
+        from scipy import optimize  # imported here, like scipy.signal in css_innovations
+
         w = np.diff(history, n=d) if d else history.copy()
         n = len(w)
         if n < p + q + 3:

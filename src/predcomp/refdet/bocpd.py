@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from ..series import Detection, LabeledSeries
+from ..series import Detection, finite_values
 
 
 @dataclass(frozen=True)
@@ -236,10 +236,7 @@ def bocpd_detect(series, hazard: float, prior: NigPrior | None = None,
     if not 0.0 < threshold < 1.0:
         raise ValueError("threshold must be in (0, 1)")
     prior = prior or NigPrior()
-    values = series.values if isinstance(series, LabeledSeries) else np.asarray(series, dtype=float)
-    bad = np.flatnonzero(~np.isfinite(values))
-    if bad.size:
-        raise ValueError(f"series value at index {bad[0]} is not finite ({values[bad[0]]})")
+    values = finite_values(series)
     detections = []
     info = {"segment_log_evidence": [], "short_run_prob": []}
     state = BocpdState(prior)

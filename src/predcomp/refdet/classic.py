@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..cusum import CusumChart
-from ..series import Detection, LabeledSeries
+from ..series import Detection, finite_values
 
 
 def classic_cusum_detect(series, threshold: float, allowance: float = 0.5,
@@ -31,8 +31,10 @@ def classic_cusum_detect(series, threshold: float, allowance: float = 0.5,
             overrides the running mean.
         start: first monitored index; defaults to ``target_window`` (the
             warm-up equals the window) or 0 with explicit targets.
+
+    Raises ``ValueError`` on a NaN or infinite observation.
     """
-    values = series.values if isinstance(series, LabeledSeries) else np.asarray(series, dtype=float)
+    values = finite_values(series)
     n = len(values)
     if targets is not None:
         targets = np.asarray(targets, dtype=float)

@@ -31,7 +31,7 @@ from importlib import resources
 
 import numpy as np
 
-from ..series import Detection, LabeledSeries
+from ..series import Detection, finite_values
 
 _TABLE = None
 
@@ -64,14 +64,17 @@ def mosum_detect(series, min_hist: int = 100, hist_fact: float = 0.5,
                  harmonics: int = 0, period: float = 0.0,
                  monitor_from: int | None = None, cap_factor: int = 4,
                  keep_trace: bool = False):
-    """Returns (detections, trace rows (index, mosum, bound))."""
+    """Returns (detections, trace rows (index, mosum, bound)).
+
+    Raises ``ValueError`` on a NaN or infinite value.
+    """
     if not 0 < hist_fact <= 1:
         raise ValueError("hist_fact must be in (0, 1]")
     if not 0 < h_band <= 1:
         raise ValueError("h_band must be in (0, 1]")
     if harmonics > 0 and period <= 0:
         raise ValueError("harmonic terms need a positive period")
-    values = series.values if isinstance(series, LabeledSeries) else np.asarray(series, dtype=float)
+    values = finite_values(series)
     n = len(values)
     if monitor_from is None:
         monitor_from = 2 * min_hist

@@ -20,18 +20,21 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..series import Detection, LabeledSeries
+from ..series import Detection, finite_values
 
 
 def ocd_detect(series, diag: float, off_diag: float | None = None,
                h_tail: int = 50, baseline_window: int = 100,
                keep_trace: bool = False):
-    """Returns (detections, trace rows (index, statistic, best_tau))."""
+    """Returns (detections, trace rows (index, statistic, best_tau)).
+
+    Raises ``ValueError`` on a NaN or infinite value.
+    """
     if diag <= 0:
         raise ValueError("diag must be positive")
     if h_tail < 1 or baseline_window < 2:
         raise ValueError("h_tail >= 1 and baseline_window >= 2 required")
-    values = series.values if isinstance(series, LabeledSeries) else np.asarray(series, dtype=float)
+    values = finite_values(series)
     n = len(values)
     detections = []
     trace = []

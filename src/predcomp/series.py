@@ -118,6 +118,23 @@ class LabeledSeries:
                              self.name if name is None else name)
 
 
+def non_finite_error(index: int, value: float) -> ValueError:
+    """The error a detector raises on the first NaN or infinite observation."""
+    return ValueError(f"series value at index {index} is not finite ({value})")
+
+
+def finite_values(series) -> np.ndarray:
+    """Observations of a LabeledSeries or array as float64, all finite.
+
+    Raises the :func:`non_finite_error` of the first NaN or infinite value.
+    """
+    values = series.values if isinstance(series, LabeledSeries) else np.asarray(series, dtype=float)
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise non_finite_error(int(bad[0]), values[bad[0]])
+    return values
+
+
 def hop_grid(window_len: int, horizon: int, series_len: int) -> list[int]:
     """Anchors of the hopping grid: t = window_len + horizon*m, t < series_len.
 

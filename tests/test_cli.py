@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -261,3 +264,14 @@ def test_committed_demo_metrics_are_current(tmp_path, capsys, monkeypatch):
     assert (tmp_path / "metrics.csv").read_bytes() == \
         (ROOT / "out" / "demo" / "metrics.csv").read_bytes()
     capsys.readouterr()
+
+
+def test_cli_import_leaves_out_scipy_optimize_and_signal():
+    # together about a second of every CLI start; only ARIMA fitting needs them
+    code = ("import sys, predcomp.cli; "
+            "print(sorted(m for m in ('scipy.optimize', 'scipy.signal') if m in sys.modules))")
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "[]"

@@ -5,10 +5,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from predcomp.pnc import PncConfig, PncStream, run_stream
-from predcomp.predictors import PredictorError, fit_predictor
+from predcomp.cusum import CusumChart
+from predcomp.pnc import PncConfig, PncStream, TraceRow, run_stream
+from predcomp.predictors import PredictorError, fit_predictor, refit_after_detection
 from predcomp.refdet.classic import classic_cusum_detect
 from predcomp.seeding import spawn_rng
+from predcomp.series import Detection
 
 
 class ZeroOracle:
@@ -236,3 +238,164 @@ def test_refit_that_keeps_the_predictor_is_not_reported_done():
     assert refits[0] == (226, False)
     assert all(not ok for _, ok in refits)
     assert stream.predictor is pred
+
+
+class ListStream(PncStream):
+    """The stream as it was with a Python-list history: every anchor
+    converts the whole list to an array.  Reference for the buffer."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._list = []
+
+    def _begin_window(self, t):
+        cfg = self.cfg
+        values = np.asarray(self._list)
+        if self._pending_refit_from is not None:
+            self.predictor, ok = refit_after_detection(
+                self.predictor, values[:t], self._pending_refit_from, cfg.min_refit_history)
+            self.diagnostics.refits.append((t, ok))
+            self._pending_refit_from = None
+        self._anchor = t
+        try:
+            yhat = np.asarray(self.predictor.forecast(values[t - cfg.window_len:t], cfg.horizon),
+                              dtype=float)
+            if yhat.shape != (cfg.horizon,) or not np.all(np.isfinite(yhat)):
+                raise PredictorError("forecast is not a finite horizon-length vector")
+            self._targets = yhat
+        except PredictorError:
+            self._targets = None
+            self.diagnostics.skipped_windows.append(t)
+
+    def push(self, x):
+        cfg = self.cfg
+        self._list.append(float(x))
+        i = len(self._list) - 1
+        first = self._origin + cfg.window_len
+        if i < first:
+            return None
+        if (i - first) % cfg.horizon == 0:
+            self._begin_window(i)
+            if self._chart is None:
+                self._chart = CusumChart(cfg.threshold, cfg.allowance, cfg.direction, start=first)
+        if self._targets is None:
+            return None
+        target = float(self._targets[i - self._anchor])
+        alarm = self._chart.step(float(x), target)
+        if self.keep_trace:
+            self.trace.append(TraceRow(i, float(x), target, self._chart.value, alarm))
+        if not alarm:
+            return None
+        det = Detection(detect_time=i, located_time=self._chart.located(),
+                        detector=self.name, stat_value=self._chart.value)
+        if cfg.refit == "on_detection":
+            self._pending_refit_from = det.located_time
+        self._origin = i + 1
+        self._targets = None
+        self._chart = None
+        return det
+
+
+class Recorder:
+    """An AR predictor that logs a copy of every window and history it gets."""
+
+    kind = "recorder"
+
+    def __init__(self, inner, log):
+        self.inner = inner
+        self.log = log
+
+    def forecast(self, window, steps):
+        self.log.append(("forecast", np.array(window)))
+        return self.inner.forecast(window, steps)
+
+    def refit(self, history):
+        self.log.append(("refit", np.array(history)))
+        return Recorder(self.inner.refit(history), self.log)
+
+
+def _staircase(n=3000, seed=11):
+    # an upward step every 400 points: several alarms, each followed by a refit
+    rng = spawn_rng(seed, "staircase")
+    x = rng.normal(0.0, 1.0, size=n)
+    for cp in range(400, n, 400):
+        x[cp:] += 3.0
+    return x
+
+
+def test_buffer_matches_list_history_exactly():
+    x = _staircase()
+    cfg = PncConfig(50, 10, 6.0, 0.5, refit="on_detection", min_refit_history=20)
+    runs = []
+    for cls in (PncStream, ListStream):
+        log = []
+        pred = Recorder(fit_predictor({"kind": "ar", "p": 3}, x[:300]), log)
+        stream = cls(pred, cfg, keep_trace=True)
+        dets = [d for d in (stream.push(v) for v in x) if d is not None]
+        runs.append((log, dets, stream))
+    (log, dets, stream), (ref_log, ref_dets, ref_stream) = runs
+    # the stream outgrows the initial buffer, alarms repeatedly and refits
+    assert len(x) > 1024
+    assert len(dets) >= 5
+    assert sum(ok for _, ok in stream.diagnostics.refits) >= 5
+    assert [kind for kind, _ in log] == [kind for kind, _ in ref_log]
+    for (_, got), (_, want) in zip(log, ref_log):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert dets == ref_dets
+    assert stream.trace == ref_stream.trace
+    assert stream.diagnostics == ref_stream.diagnostics
+
+
+class WindowWriter:
+    """A window-mean forecaster that first tries to overwrite its inputs."""
+
+    kind = "writer"
+
+    def __init__(self):
+        self.calls = 0
+        self.refused = 0
+
+    def _try_write(self, values):
+        self.calls += 1
+        try:
+            values[-1] += 1e6
+        except ValueError:
+            self.refused += 1
+
+    def forecast(self, window, steps):
+        self._try_write(window)
+        return np.full(steps, float(np.mean(window)))
+
+    def refit(self, history):
+        self._try_write(history)
+        return WindowWriter()
+
+
+def test_predictor_cannot_write_into_the_stream():
+    x = _staircase(n=1500)
+    cfg = PncConfig(50, 10, 6.0, 0.5, refit="on_detection", min_refit_history=20)
+    writer = WindowWriter()
+    dets, stream = run_stream(writer, cfg, x, keep_trace=True)
+    ref_dets, ref_stream = run_stream(fit_predictor({"kind": "mean"}, x[:300]),
+                                      PncConfig(50, 10, 6.0, 0.5), x, keep_trace=True)
+    # every attempt is refused, on the original and on the refitted writers
+    assert len(dets) >= 3 and len(stream.diagnostics.refits) >= 3
+    assert writer.calls > 0 and writer.refused == writer.calls
+    assert stream.predictor.refused == stream.predictor.calls > 0
+    assert dets == ref_dets
+    assert stream.trace == ref_stream.trace
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_push_rejected_and_stream_unchanged(bad):
+    x = _staircase(n=1500)
+    cfg = PncConfig(50, 10, 6.0, 0.5)
+    clean, _ = run_stream(ZeroOracle(), cfg, x)
+    stream = PncStream(ZeroOracle(), cfg)
+    dets = [d for d in (stream.push(v) for v in x[:420]) if d is not None]
+    with pytest.raises(ValueError, match=r"index 420 is not finite"):
+        stream.push(bad)
+    dets += [d for d in (stream.push(v) for v in x[420:]) if d is not None]
+    assert dets == clean
+    with pytest.raises(ValueError, match=r"index 20 is not finite"):
+        run_stream(ZeroOracle(), cfg, np.concatenate((x[:20], [bad], x[20:])))

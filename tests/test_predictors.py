@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from predcomp.predictors import (ArimaPredictor, ArPredictor, ConstantPredictor,
+from predcomp.predictors import (MAX_P, ArimaPredictor, ArPredictor, ConstantPredictor,
                                  MeanPredictor, NaivePredictor, PredictorError,
-                                 css_innovations, fit_predictor, predictor_from_dict,
-                                 refit_after_detection)
+                                 _pacf_to_coef, css_innovations, fit_predictor,
+                                 predictor_from_dict, refit_after_detection)
 from predcomp.seeding import spawn_rng
 
 
@@ -167,3 +167,27 @@ def test_refit_after_detection_keeps_short_history():
     assert not refitted and same is m
     new, refitted = refit_after_detection(m, x, located=100, min_history=50)
     assert refitted and new is not m
+
+
+def _pacf_to_coef_numpy(pacf):
+    """The Durbin-Levinson map on numpy slices; reference for the float version."""
+    p = len(pacf)
+    phi = np.zeros(p)
+    for k in range(p):
+        prev = phi[:k].copy()
+        phi[:k] = prev - pacf[k] * prev[::-1]
+        phi[k] = pacf[k]
+    return phi
+
+
+def test_pacf_to_coef_matches_numpy_recursion():
+    rng = spawn_rng(0, "pacf")
+    for _ in range(3000):
+        p = int(rng.integers(0, MAX_P + 1))
+        pacf = np.tanh(rng.normal(0.0, 3.0, p))
+        # entries within 1e-1 .. 1e-15 of +-1, where cancellation is worst
+        near = rng.random(p) < 0.3
+        pacf[near] = rng.choice([-1.0, 1.0], near.sum()) * (1 - 10 ** -rng.uniform(1, 15, near.sum()))
+        got, want = _pacf_to_coef(pacf), _pacf_to_coef_numpy(pacf)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)

@@ -88,3 +88,12 @@ def test_null_false_positive_rate_is_low():
                                        target_window=50)
         quiet += not dets
     assert quiet >= 85
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_input_rejected(bad):
+    # before, one NaN silently ended every later alarm
+    x = _shifted()
+    x[120] = bad
+    with pytest.raises(ValueError, match=r"index 120 is not finite"):
+        classic_cusum_detect(x, threshold=5.0)

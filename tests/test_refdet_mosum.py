@@ -152,3 +152,15 @@ def test_parameter_validation():
 def test_short_series_yields_nothing():
     dets, trace = mosum_detect(np.zeros(150), min_hist=100, keep_trace=True)
     assert dets == [] and trace == []
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_input_rejected(bad):
+    # before, one NaN silently ended every later alarm
+    rng = spawn_rng(6, "mosum-null")
+    t = np.arange(1200, dtype=float)
+    y = 5.0 + 0.01 * t + rng.normal(0.0, 1.0, size=1200)
+    y[700:] += 0.04 * (t[700:] - 700)
+    y[600] = bad
+    with pytest.raises(ValueError, match=r"index 600 is not finite"):
+        mosum_detect(y, min_hist=250, level=0.05)

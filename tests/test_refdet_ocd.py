@@ -98,3 +98,12 @@ def test_parameter_validation():
         ocd_detect(x, diag=1.0, h_tail=0)
     with pytest.raises(ValueError):
         ocd_detect(x, diag=1.0, baseline_window=1)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_input_rejected(bad):
+    # before, one NaN silently ended every later alarm
+    x = _shifted()
+    x[120] = bad
+    with pytest.raises(ValueError, match=r"index 120 is not finite"):
+        ocd_detect(x, diag=5.0)
