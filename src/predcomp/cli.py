@@ -13,17 +13,15 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import lstm as lstm_mod
 from .config import ConfigError, load_config
-from .evaluate import (DetectorGrid, EvalRecord, Winner, average_max_fpc, find_target,
-                       params_id, render_report, run_grid, select_best)
-from .io import (DataError, load_model, read_detections_csv, read_labels_csv,
-                 read_series_csv, save_model, write_detections_csv, write_metrics_csv,
-                 write_series_csv, write_trace_csv, write_trace_svg)
+from .evaluate import (DetectorGrid, EvalRecord, average_max_fpc, find_target, params_id,
+                       render_report, run_grid, select_best)
+from .io import (DataError, load_model, read_labels_csv, read_series_csv, replacing, save_model,
+                 write_detections_csv, write_metrics_csv, write_series_csv, write_text,
+                 write_trace_csv, write_trace_svg)
 from .pnc import PncConfig, run_stream
-from .predictors import fit_predictor, predictor_from_dict
+from .predictors import fit_predictor
 from .refdet import NigPrior, bocpd_detect, classic_cusum_detect, mosum_detect, ocd_detect
 from .refdet.baseline import random_baseline
 from .series import LabeledSeries
@@ -204,7 +202,7 @@ def cmd_simulate(args) -> int:
                                      "labels": [[lab.time + 1, lab.key()] for lab in series.cp_labels],
                                      "source": ds["source"]})
         print(f"wrote {path} ({len(series)} rows)")
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=1, sort_keys=True) + "\n")
+    write_text(out / "manifest.json", json.dumps(manifest, indent=1, sort_keys=True) + "\n")
     return 0
 
 
@@ -233,7 +231,9 @@ def cmd_detect(args) -> int:
             predictor = fit_predictor(spec, prefix)
         cfg = PncConfig(window_len=int(params.get("l", 50)), horizon=int(params.get("b", 25)),
                         threshold=float(params["desInt"]), allowance=float(params.get("k", 0.5)),
-                        refit=params.get("refit", "never"))
+                        direction=params.get("direction", "up"),
+                        refit=params.get("refit", "never"),
+                        min_refit_history=int(params.get("min_refit_history", 50)))
         detections, stream = run_stream(predictor, cfg, series, name=det_cfg["id"],
                                         keep_trace=need_trace)
         trace = [(r.index, r.value, r.target, r.stat, cfg.threshold, r.alarm)
@@ -280,7 +280,7 @@ def cmd_train_lstm(args) -> int:
     result = lstm_mod.train_lstm(X, Y, cfg)
     save_model(args.out, result.net.to_dict())
     if args.loss:
-        with open(args.loss, "w") as fh:
+        with replacing(args.loss) as fh:
             fh.write("epoch,train_loss,val_loss\n")
             for e, tl in enumerate(result.train_loss, start=1):
                 vl = result.val_loss[e - 1] if e - 1 < len(result.val_loss) else ""
@@ -350,7 +350,7 @@ def cmd_eval(args) -> int:
         lines.append(_baseline_section(doc, records, base_cfg))
     text = "\n".join(lines)
     if args.out:
-        Path(args.out).write_text(text)
+        write_text(args.out, text)
         print(f"wrote {args.out}")
     else:
         print(text, end="")
@@ -390,7 +390,7 @@ def cmd_report(args) -> int:
     text = render_report(winners, title=f"{scope} winners"
                          + (" (reversed rule)" if args.reversed else ""))
     if args.out:
-        Path(args.out).write_text(text)
+        write_text(args.out, text)
         print(f"wrote {args.out}")
     else:
         print(text, end="")

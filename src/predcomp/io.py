@@ -12,12 +12,18 @@ inline labels.
 Detections CSV: ``dataset,detector,params,detect_time,located_time``.
 Metrics CSV: one row per scored run.  Models: JSON with a schema_version
 and a kind tag; arrays are stored flat next to their shapes.
+
+Every writer writes a temporary file next to its target and renames it
+over the target only once it is complete (:func:`replacing`), so a write
+that fails leaves the old file as it was, or no file, never a truncated one.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import os
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +39,27 @@ class DataError(ValueError):
     """Malformed data file (CLI exit code 2)."""
 
 
+@contextmanager
+def replacing(path, newline: str | None = None):
+    """Open a text file that replaces ``path`` when the block ends without
+    an error; on an error the partial file is removed and ``path`` is
+    left untouched."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", newline=newline) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def write_text(path, text: str) -> None:
+    with replacing(path) as fh:
+        fh.write(text)
+
+
 def _fmt(x: float) -> str:
     if x == int(x) and abs(x) < 1e15:
         return str(int(x))
@@ -42,7 +69,7 @@ def _fmt(x: float) -> str:
 def write_series_csv(path, series: LabeledSeries) -> None:
     tags = series.phase_tags()
     by_time = {lab.time: lab for lab in series.cp_labels}
-    with open(path, "w", newline="") as fh:
+    with replacing(path, newline="") as fh:
         w = csv.writer(fh)
         w.writerow(SERIES_HEADER)
         for i, v in enumerate(series.values):
@@ -116,7 +143,7 @@ def read_labels_csv(path) -> list[CpLabel]:
 
 def write_detections_csv(path, rows: list[tuple[str, str, str, Detection]]) -> None:
     """rows: (dataset_id, detector_id, params_id, detection)."""
-    with open(path, "w", newline="") as fh:
+    with replacing(path, newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["dataset", "detector", "params", "detect_time", "located_time"])
         for ds, det, pid, d in rows:
@@ -145,7 +172,7 @@ def read_detections_csv(path) -> list[tuple[str, str, str, Detection]]:
 
 
 def write_metrics_csv(path, records: list[EvalRecord]) -> None:
-    with open(path, "w", newline="") as fh:
+    with replacing(path, newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["dataset", "detector", "params", "n_detections", "fpc",
                     "target_found", "arlp", "detect_time", "located_time", "valid"])
@@ -163,7 +190,7 @@ def write_metrics_csv(path, records: list[EvalRecord]) -> None:
 def save_model(path, payload: dict) -> None:
     doc = {"schema_version": MODEL_SCHEMA_VERSION}
     doc.update(payload)
-    with open(path, "w") as fh:
+    with replacing(path) as fh:
         json.dump(doc, fh, indent=1, sort_keys=True)
         fh.write("\n")
 
@@ -180,7 +207,7 @@ def load_model(path) -> dict:
 
 def write_trace_csv(path, rows) -> None:
     """Chart trajectory for plotting: one row per monitored step."""
-    with open(path, "w", newline="") as fh:
+    with replacing(path, newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["time", "value", "target", "stat", "threshold", "alarm"])
         for (i, value, target, stat, threshold, alarm) in rows:
@@ -212,4 +239,4 @@ def write_trace_svg(path, rows, width: int = 900, height: int = 300) -> None:
     parts.append(f'<text x="40" y="15" font-size="11">chart statistic (black) vs threshold (red); '
                  f'{len(alarms)} alarm(s)</text>')
     parts.append("</svg>")
-    Path(path).write_text("\n".join(parts) + "\n")
+    write_text(path, "\n".join(parts) + "\n")

@@ -100,6 +100,9 @@ class PncStream:
 
     def _begin_window(self, t: int) -> None:
         cfg = self.cfg
+        # no targets until this window's forecast succeeds, so that a refit
+        # or forecast that raises leaves nothing to chart against
+        self._targets = None
         history = self._buf[:t]
         history.flags.writeable = False
         if self._pending_refit_from is not None:
@@ -107,16 +110,15 @@ class PncStream:
                 self.predictor, history, self._pending_refit_from, cfg.min_refit_history)
             self.diagnostics.refits.append((t, ok))
             self._pending_refit_from = None
-        self._anchor = t
         try:
             yhat = np.asarray(self.predictor.forecast(history[t - cfg.window_len:], cfg.horizon),
                               dtype=float)
             if yhat.shape != (cfg.horizon,) or not np.all(np.isfinite(yhat)):
                 raise PredictorError("forecast is not a finite horizon-length vector")
-            self._targets = yhat.tolist()
         except PredictorError:
-            self._targets = None
             self.diagnostics.skipped_windows.append(t)
+            return
+        self._anchor, self._targets = t, yhat.tolist()
 
     def push(self, x: float) -> Detection | None:
         cfg = self.cfg

@@ -10,10 +10,17 @@ filtered with zero initial conditions, and the Nelder-Mead search runs in
 a transformed space (tanh plus the Durbin-Levinson recursion) that keeps
 the AR polynomial stationary and the MA polynomial invertible.  The auto
 order search scans p <= 5, d <= 2, q <= 5 by corrected AIC.
+
+The search is :func:`_nelder_mead`, an in-repo transcription of scipy's
+``minimize(method="Nelder-Mead")`` that takes the same steps in the same
+floating-point order but calls the objective directly, without scipy's
+per-call wrapper; the innovations come from the compiled filter behind
+``scipy.signal.lfilter``.  Fits are bit for bit those of the scipy calls.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -146,34 +153,168 @@ class ArPredictor:
 # ---------------------------------------------------------------------------
 # ARIMA by conditional sum of squares
 
-def _pacf_to_coef(pacf: np.ndarray) -> np.ndarray:
+def _pacf_list(pacf: list[float]) -> list[float]:
     """Durbin-Levinson map from partial autocorrelations to AR coefficients.
 
     Runs on Python floats: at these lengths (p <= 5) that is faster than
-    numpy slices, and each step is the same multiply-then-subtract.
+    numpy slices.  Step k sets phi[i] = phi[i] - r * phi[k-1-i] for every
+    i at once, in place, by mirrored pairs; each new value is the same
+    multiply-then-subtract of two old values.
     """
     phi: list[float] = []
-    for r in pacf.tolist():
-        phi = [phi[i] - r * phi[-1 - i] for i in range(len(phi))] + [r]
-    return np.array(phi)
+    for r in pacf:
+        i, j = 0, len(phi) - 1
+        while i < j:
+            a, b = phi[i], phi[j]
+            phi[i], phi[j] = a - r * b, b - r * a
+            i += 1
+            j -= 1
+        if i == j:
+            phi[i] -= r * phi[i]
+        phi.append(r)
+    return phi
 
 
-def _unconstrained_to_poly(raw: np.ndarray) -> np.ndarray:
-    return _pacf_to_coef(np.tanh(raw))
+def _pacf_to_coef(pacf: np.ndarray) -> np.ndarray:
+    """:func:`_pacf_list` from and to float64 arrays."""
+    return np.array(_pacf_list(pacf.tolist()))
 
 
-def css_innovations(w: np.ndarray, phi: np.ndarray, theta: np.ndarray,
-                    intercept: float) -> np.ndarray:
+_linear_filter = None
+
+
+def css_innovations(w: np.ndarray, phi, theta, intercept: float) -> np.ndarray:
     """Innovations e_t of (1 - phi(L))(w_t - mu) = (1 + theta(L)) e_t.
 
     Zero initial conditions: pre-sample w - mu and e are taken as 0.
+    ``phi`` and ``theta`` are float sequences (lists or arrays).  This is
+    ``scipy.signal.lfilter(b, a, w - mu)`` without its argument checks:
+    with no MA part it takes lfilter's own ``len(a) == 1`` path, a
+    truncated convolution, and otherwise it calls the compiled filter
+    that lfilter calls.
     """
-    from scipy import signal  # imported here: scipy.signal costs about a second to load
-
+    global _linear_filter
     centered = w - intercept
-    b = np.concatenate(([1.0], -np.asarray(phi, dtype=float)))
-    a = np.concatenate(([1.0], np.asarray(theta, dtype=float)))
-    return signal.lfilter(b, a, centered)
+    b = np.array([1.0] + [-c for c in phi])
+    if len(theta) == 0:
+        return np.convolve(b, centered)[:len(centered)]
+    if _linear_filter is None:
+        # imported on first use: scipy.signal costs about a second to load
+        try:
+            from scipy.signal._sigtools import _linear_filter
+        except ImportError:  # the private module moved; lfilter takes the same arguments
+            from scipy.signal import lfilter as _linear_filter
+    return _linear_filter(b, np.array([1.0] + list(theta)), centered, -1)
+
+
+class _MaxFevReached(Exception):
+    pass
+
+
+def _nelder_mead(func, x0: np.ndarray, xatol: float, fatol: float, maxiter: int,
+                 maxfev: int) -> tuple[np.ndarray, int]:
+    """Minimize ``func`` from ``x0``; returns (x, number of evaluations).
+
+    A transcription of scipy 1.17's ``minimize(func, x0,
+    method="Nelder-Mead", options={...})`` for the non-adaptive, unbounded
+    case: the same initial simplex, numpy expressions, argsort/take
+    reorders and maxiter/maxfev accounting, so x and the evaluation count
+    are bit for bit scipy's.  ``func`` is called directly on a row or a
+    fresh point, without scipy's per-call copy and result checks; it must
+    return a float and must not modify its argument.
+    """
+    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
+    nonzdelt, zdelt = 0.05, 0.00025
+    x0 = np.asarray(x0, dtype=float).flatten()
+    N = len(x0)
+    sim = np.empty((N + 1, N), dtype=x0.dtype)
+    sim[0] = x0
+    for k in range(N):
+        y = np.array(x0, copy=True)
+        if y[k] != 0:
+            y[k] = (1 + nonzdelt) * y[k]
+        else:
+            y[k] = zdelt
+        sim[k + 1] = y
+    one2np1 = list(range(1, N + 1))
+    fsim = np.full((N + 1,), np.inf, dtype=float)
+    nfev = 0
+
+    def f(x):
+        nonlocal nfev
+        if nfev >= maxfev:
+            raise _MaxFevReached
+        nfev += 1
+        return func(x)
+
+    try:
+        for k in range(N + 1):
+            fsim[k] = f(sim[k])
+    except _MaxFevReached:
+        pass
+    finally:
+        ind = np.argsort(fsim)
+        sim = np.take(sim, ind, 0)
+        fsim = np.take(fsim, ind, 0)
+
+    ind = np.argsort(fsim)
+    fsim = np.take(fsim, ind, 0)
+    sim = np.take(sim, ind, 0)
+
+    iterations = 1
+    while nfev < maxfev and iterations < maxiter:
+        try:
+            if (np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= xatol and
+                    np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+                break
+            xbar = np.add.reduce(sim[:-1], 0) / N
+            xr = (1 + rho) * xbar - rho * sim[-1]
+            fxr = f(xr)
+            doshrink = 0
+            if fxr < fsim[0]:
+                xe = (1 + rho * chi) * xbar - rho * chi * sim[-1]
+                fxe = f(xe)
+                if fxe < fxr:
+                    sim[-1] = xe
+                    fsim[-1] = fxe
+                else:
+                    sim[-1] = xr
+                    fsim[-1] = fxr
+            elif fxr < fsim[-2]:
+                sim[-1] = xr
+                fsim[-1] = fxr
+            else:
+                if fxr < fsim[-1]:
+                    xc = (1 + psi * rho) * xbar - psi * rho * sim[-1]
+                    fxc = f(xc)
+                    if fxc <= fxr:
+                        sim[-1] = xc
+                        fsim[-1] = fxc
+                    else:
+                        doshrink = 1
+                else:
+                    xcc = (1 - psi) * xbar + psi * sim[-1]
+                    fxcc = f(xcc)
+                    if fxcc < fsim[-1]:
+                        sim[-1] = xcc
+                        fsim[-1] = fxcc
+                    else:
+                        doshrink = 1
+                if doshrink:
+                    for j in one2np1:
+                        sim[j] = sim[0] + sigma * (sim[j] - sim[0])
+                        fsim[j] = f(sim[j])
+            iterations += 1
+        except _MaxFevReached:
+            pass
+        ind = np.argsort(fsim)
+        sim = np.take(sim, ind, 0)
+        fsim = np.take(fsim, ind, 0)
+    return sim[0], nfev
+
+
+def _differenced(history: np.ndarray, d: int) -> np.ndarray:
+    return np.diff(history, n=d) if d else history.copy()
 
 
 def _aicc(ssr: float, n: int, n_params: int) -> float:
@@ -210,39 +351,35 @@ class ArimaPredictor:
             raise PredictorError(f"order {order} outside the supported grid")
         if len(history) < max(MIN_FIT, d + p + q + 4):
             raise PredictorError(f"history too short for ARIMA{order}")
-        return cls._fit_order(history, p, d, q)
+        return cls._fit_order(_differenced(history, d), p, d, q)
 
     @classmethod
-    def _fit_order(cls, history: np.ndarray, p: int, d: int, q: int) -> "ArimaPredictor":
-        from scipy import optimize  # imported here, like scipy.signal in css_innovations
-
-        w = np.diff(history, n=d) if d else history.copy()
+    def _fit_order(cls, w: np.ndarray, p: int, d: int, q: int) -> "ArimaPredictor":
+        """CSS fit of ARIMA(p, d, q); ``w`` is the history differenced d times."""
         n = len(w)
         if n < p + q + 3:
             raise PredictorError("differenced series too short")
         mean_w = float(np.mean(w))
+        pq = p + q
 
         def objective(raw: np.ndarray) -> float:
-            phi = _unconstrained_to_poly(raw[:p]) if p else np.empty(0)
-            theta = -_unconstrained_to_poly(raw[p:p + q]) if q else np.empty(0)
-            e = css_innovations(w, phi, theta, raw[-1])
+            coef = np.tanh(raw[:pq]).tolist()
+            theta = [-c for c in _pacf_list(coef[p:])]
+            e = css_innovations(w, _pacf_list(coef[:p]), theta, raw[-1])
             ssr = float(np.dot(e, e))
-            if not np.isfinite(ssr):
-                return 1e12
-            return ssr
+            return ssr if math.isfinite(ssr) else 1e12
 
-        start = np.zeros(p + q + 1)
+        start = np.zeros(pq + 1)
         start[-1] = mean_w
-        if p + q == 0:
+        if pq == 0:
             # intercept-only: CSS optimum is the plain mean
             best_raw = start
         else:
-            res = optimize.minimize(objective, start, method="Nelder-Mead",
-                                    options={"xatol": 1e-8, "fatol": 1e-8,
-                                             "maxiter": 4000, "maxfev": 8000})
-            best_raw = res.x
-        phi = _unconstrained_to_poly(best_raw[:p]) if p else np.empty(0)
-        theta = -_unconstrained_to_poly(best_raw[p:p + q]) if q else np.empty(0)
+            best_raw, _ = _nelder_mead(objective, start, xatol=1e-8, fatol=1e-8,
+                                       maxiter=4000, maxfev=8000)
+        pacf = np.tanh(best_raw[:pq])
+        phi = _pacf_to_coef(pacf[:p])
+        theta = -_pacf_to_coef(pacf[p:])
         intercept = float(best_raw[-1])
         e = css_innovations(w, phi, theta, intercept)
         ssr = float(np.dot(e, e))
@@ -259,12 +396,13 @@ class ArimaPredictor:
              for q in range(MAX_Q + 1)),
             key=lambda o: (o[0] + o[1] + o[2], o[0], o[1], o[2]),
         )
+        diffs = [_differenced(history, d) for d in range(MAX_D + 1)]
         best = None
         for p, d, q in orders:
             if len(history) < max(MIN_FIT, d + p + q + 4):
                 continue
             try:
-                cand = cls._fit_order(history, p, d, q)
+                cand = cls._fit_order(diffs[d], p, d, q)
             except (PredictorError, np.linalg.LinAlgError):
                 continue
             if best is None or cand.aicc < best.aicc - 1e-10:

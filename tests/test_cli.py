@@ -275,3 +275,43 @@ def test_cli_import_leaves_out_scipy_optimize_and_signal():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
     assert out.stdout.strip() == "[]"
+
+
+DOWN_CONFIG = """\
+schema_version: 1
+seed: 4
+output_dir: {out}
+train_prefix: 300
+datasets:
+  - id: down
+    source: {{kind: step, pre_mean: 0.0, post_mean: -3.0, sigma: 1.0, cp_at: 500, n: 800}}
+detectors:
+  - id: pnc_down
+    kind: pnc
+    predictor: {{kind: ar, p: 2}}
+    params: {{l: 100, b: 25, k: 0.5, direction: down, refit: on_detection,
+              min_refit_history: 20}}
+    grid: {{desInt: [4, 8]}}
+"""
+
+
+def test_detect_and_grid_agree_on_a_downward_pnc(tmp_path, capsys):
+    from predcomp.cli import build_dataset, build_detector, prepare_series
+    from predcomp.config import load_config
+    cfg = tmp_path / "down.yaml"
+    cfg.write_text(DOWN_CONFIG.format(out=tmp_path / "out"))
+    doc = load_config(cfg)
+    series = prepare_series(doc, build_dataset(doc["datasets"][0], doc["seed"]))
+    grid = build_detector(doc["detectors"][0], doc)
+    assert main(["grid", "-c", str(cfg)]) == 0
+    metrics = (tmp_path / "out" / "metrics.csv").read_text().splitlines()[1:]
+    for des_int in (4, 8):
+        dets_csv = tmp_path / f"dets_{des_int}.csv"
+        assert main(["detect", "-c", str(cfg), "--dataset", "down", "--detector", "pnc_down",
+                     "--set", f"desInt={des_int}", "--out", str(dets_csv)]) == 0
+        got = [(d.detect_time, d.located_time) for *_, d in read_detections_csv(dets_csv)]
+        want = [(d.detect_time, d.located_time) for d in grid.runner(series, desInt=des_int)]
+        assert got == want and any(t >= 499 for t, _ in got)
+        row = next(r.split(",") for r in metrics if f"desInt={des_int}" in r)
+        assert int(row[3]) == len(got)
+    capsys.readouterr()

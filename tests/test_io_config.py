@@ -16,6 +16,7 @@ from predcomp.io import (
     write_detections_csv,
     write_metrics_csv,
     write_series_csv,
+    write_text,
     write_trace_csv,
     write_trace_svg,
 )
@@ -267,3 +268,34 @@ def test_config_section_validation(tmp_path):
     ok = load_config(_write_config(
         tmp_path, "schema_version: 1\nlstm: {nh: 24, nz: 6, epochs: 10}\n"))
     assert ok["lstm"]["epochs"] == 10
+
+
+def _series_with_nan():
+    vals = np.linspace(0.0, 1.0, 600)
+    vals[300] = np.nan  # the value formatter fails on row 301
+    return LabeledSeries(vals, [], name="nan")
+
+
+@pytest.mark.parametrize("write, bad", [
+    (write_series_csv, _series_with_nan()),
+    (save_model, {"kind": "x", "weights": [0.5] * 500 + [object()]}),
+    (write_trace_csv, [(i, 0.5, 0.0, 1.0, 5.0, False) for i in range(500)]
+     + [(500, "not a number", 0.0, 1.0, 5.0, False)]),
+])
+def test_failed_write_leaves_the_old_file(tmp_path, write, bad):
+    old = tmp_path / "old.out"
+    old.write_bytes(b"old contents\n")
+    with pytest.raises((ValueError, TypeError)):
+        write(old, bad)
+    assert old.read_bytes() == b"old contents\n"
+    with pytest.raises((ValueError, TypeError)):
+        write(tmp_path / "new.out", bad)
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["old.out"]
+
+
+def test_write_text_replaces_the_file(tmp_path):
+    p = tmp_path / "t.txt"
+    write_text(p, "first\n")
+    write_text(p, "second\n")
+    assert p.read_text() == "second\n"
+    assert [f.name for f in tmp_path.iterdir()] == ["t.txt"]

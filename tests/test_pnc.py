@@ -399,3 +399,34 @@ def test_non_finite_push_rejected_and_stream_unchanged(bad):
     assert dets == clean
     with pytest.raises(ValueError, match=r"index 20 is not finite"):
         run_stream(ZeroOracle(), cfg, np.concatenate((x[:20], [bad], x[20:])))
+
+
+class RaisesOnSecondCall:
+    """Forecasts the call number; the second call raises a non-predictor error."""
+
+    kind = "raising"
+
+    def __init__(self):
+        self.calls = 0
+
+    def forecast(self, window, steps):
+        self.calls += 1
+        if self.calls == 2:
+            raise RuntimeError("predictor bug")
+        return np.full(steps, float(self.calls))
+
+
+def test_window_whose_forecast_raises_is_not_charted_against_old_targets():
+    cfg = PncConfig(10, 5, 1e9, 0.5)
+    stream = PncStream(RaisesOnSecondCall(), cfg, keep_trace=True)
+    x = np.arange(30.0)
+    for i, v in enumerate(x):
+        if i == 15:  # the second anchor
+            with pytest.raises(RuntimeError):
+                stream.push(v)
+        else:
+            stream.push(v)
+    targets = {r.index: r.target for r in stream.trace}
+    assert not any(i in targets for i in range(16, 20))
+    assert [targets[i] for i in range(10, 15)] == [1.0] * 5
+    assert [targets[i] for i in range(20, 30)] == [3.0] * 5 + [4.0] * 5

@@ -3,8 +3,8 @@ import pytest
 
 from predcomp.predictors import (MAX_P, ArimaPredictor, ArPredictor, ConstantPredictor,
                                  MeanPredictor, NaivePredictor, PredictorError,
-                                 _pacf_to_coef, css_innovations, fit_predictor,
-                                 predictor_from_dict, refit_after_detection)
+                                 _differenced, _nelder_mead, _pacf_to_coef, css_innovations,
+                                 fit_predictor, predictor_from_dict, refit_after_detection)
 from predcomp.seeding import spawn_rng
 
 
@@ -191,3 +191,128 @@ def test_pacf_to_coef_matches_numpy_recursion():
         got, want = _pacf_to_coef(pacf), _pacf_to_coef_numpy(pacf)
         assert got.dtype == want.dtype and got.shape == want.shape
         assert np.array_equal(got, want)
+
+
+# ---------------------------------------------------------------------------
+# the in-repo Nelder-Mead and filter against the scipy calls they replace
+
+NM_OPTIONS = {"xatol": 1e-8, "fatol": 1e-8, "maxiter": 4000, "maxfev": 8000}
+
+
+def _scipy_nelder_mead(func, x0, **options):
+    from scipy import optimize
+    res = optimize.minimize(func, x0, method="Nelder-Mead", options=options)
+    return res.x, res.nfev
+
+
+def _seeded_objective(n, seed):
+    """A rotated, shifted quadratic with a quartic term: smooth, not separable."""
+    rng = spawn_rng(seed, "nm")
+    A = rng.normal(0.0, 1.0, (n, n))
+    c = rng.normal(0.0, 1.0, n)
+
+    def f(x):
+        z = A @ (x - c)
+        return float(z @ z + 0.1 * np.sum(x ** 4))
+    return f, rng.normal(0.0, 1.0, n) * (rng.random(n) < 0.7)  # some zero starts
+
+
+@pytest.mark.parametrize("n", range(1, 12))
+def test_nelder_mead_matches_scipy(n):
+    f, x0 = _seeded_objective(n, n)
+    got = _nelder_mead(f, x0, **NM_OPTIONS)
+    want = _scipy_nelder_mead(f, x0, **NM_OPTIONS)
+    assert np.array_equal(got[0], want[0]) and got[1] == want[1]
+
+
+@pytest.mark.parametrize("maxfev, maxiter", [(3, 4000), (60, 4000), (8000, 12)])
+def test_nelder_mead_matches_scipy_at_its_limits(maxfev, maxiter):
+    # maxfev inside the first simplex, maxfev mid-run, and maxiter
+    f, x0 = _seeded_objective(5, 20)
+    options = dict(NM_OPTIONS, maxfev=maxfev, maxiter=maxiter)
+    got = _nelder_mead(f, x0, **options)
+    want = _scipy_nelder_mead(f, x0, **options)
+    assert np.array_equal(got[0], want[0]) and got[1] == want[1]
+    assert got[1] <= maxfev
+
+
+def test_nelder_mead_matches_scipy_on_tied_values():
+    # staircases: most comparisons are ties and most steps end in a shrink;
+    # the second one shrinks vertices on both sides of zero, where the
+    # shrink's rounding shows in the result; a flat objective only shrinks
+    def stair(scale):
+        return lambda x: float(np.floor(scale * np.sum(x ** 2)))
+    for f, x0 in ((stair(4.0), [0.3, 0.0, -1.2, 2.0]), (stair(300.0), [0.2, 0.0, 0.0, 0.5]),
+                  (lambda x: 1.0, [0.3, 0.0, -1.2, 2.0])):
+        x0 = np.array(x0)
+        got = _nelder_mead(f, x0, **NM_OPTIONS)
+        want = _scipy_nelder_mead(f, x0, **NM_OPTIONS)
+        assert np.array_equal(got[0], want[0]) and got[1] == want[1]
+
+
+@pytest.mark.parametrize("p, q", [(3, 0), (0, 2), (0, 0), (5, 5)])
+def test_css_innovations_matches_lfilter(p, q):
+    from scipy import signal
+    rng = spawn_rng(p * 10 + q, "css-lfilter")
+    w = rng.normal(0.0, 1.0, 300)
+    phi, theta, mu = 0.3 * rng.normal(0.0, 1.0, p), 0.3 * rng.normal(0.0, 1.0, q), 0.4
+    want = signal.lfilter(np.concatenate(([1.0], -phi)), np.concatenate(([1.0], theta)), w - mu)
+    for args in ((phi, theta), (phi.tolist(), theta.tolist())):
+        got = css_innovations(w, *args, mu)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def _fit_order_scipy(history, p, d, q):
+    """The CSS fit as it was written on scipy's minimize and lfilter:
+    the reference for the in-repo optimizer and filter."""
+    from scipy import optimize, signal
+
+    def poly(raw):
+        phi = []
+        for r in np.tanh(raw).tolist():
+            phi = [phi[i] - r * phi[-1 - i] for i in range(len(phi))] + [r]
+        return np.array(phi)
+
+    def css(w, phi, theta, intercept):
+        b = np.concatenate(([1.0], -np.asarray(phi, dtype=float)))
+        a = np.concatenate(([1.0], np.asarray(theta, dtype=float)))
+        return signal.lfilter(b, a, w - intercept)
+
+    w = np.diff(history, n=d) if d else history.copy()
+    n = len(w)
+
+    def objective(raw):
+        phi = poly(raw[:p]) if p else np.empty(0)
+        theta = -poly(raw[p:p + q]) if q else np.empty(0)
+        e = css(w, phi, theta, raw[-1])
+        ssr = float(np.dot(e, e))
+        if not np.isfinite(ssr):
+            return 1e12
+        return ssr
+
+    start = np.zeros(p + q + 1)
+    start[-1] = float(np.mean(w))
+    if p + q == 0:
+        best_raw = start
+    else:
+        best_raw = optimize.minimize(objective, start, method="Nelder-Mead",
+                                     options=NM_OPTIONS).x
+    phi = poly(best_raw[:p]) if p else np.empty(0)
+    theta = -poly(best_raw[p:p + q]) if q else np.empty(0)
+    intercept = float(best_raw[-1])
+    e = css(w, phi, theta, intercept)
+    ssr = float(np.dot(e, e))
+    k = p + q + 2
+    aicc = n * np.log(max(ssr / n, 1e-300)) + 2 * k + 2 * k * (k + 1) / (n - k - 1)
+    return phi, theta, intercept, ssr / n, aicc
+
+
+@pytest.mark.parametrize("order", [(0, 0, 0), (1, 0, 0), (0, 1, 1), (2, 0, 1), (3, 1, 2),
+                                   (5, 2, 5)])
+def test_fit_order_matches_scipy_reference(order):
+    x = ar1(120, 0.6, 1.0, seed=11) + 0.02 * np.arange(120)
+    p, d, q = order
+    m = ArimaPredictor._fit_order(_differenced(x, d), p, d, q)
+    phi, theta, intercept, sigma2, aicc = _fit_order_scipy(x, p, d, q)
+    assert np.array_equal(m.phi, phi) and np.array_equal(m.theta, theta)
+    assert (m.intercept, m.sigma2, m.aicc) == (intercept, sigma2, aicc)
