@@ -7,13 +7,14 @@ between what the model expects and what arrives.
 
 Modules
 -------
-series        labeled series container, hopping window grid
+series        labeled series container, change labels, detections
 simulate      wear-out intensity generator, step series, noise suites
 standardize   power trend fit and Poisson-style score transform
 predictors    naive / mean / AR / ARIMA forecasters
 lstm          from-scratch LSTM forecaster with exact gradients
 cusum         decision-interval chart primitive
 pnc           predict-and-compare streaming detector
+detectors     the detector kinds: parameters, defaults, how each runs
 refdet        reference detectors (classic CUSUM, BOCPD, tail scan,
               moving-sum monitor, random baseline)
 evaluate      false-positive count / relative delay scoring, grid search
@@ -32,7 +33,7 @@ from .pnc import PncConfig, PncStream, run_stream
 from .predictors import (ArimaPredictor, ArPredictor, ConstantPredictor,
                          MeanPredictor, NaivePredictor, PredictorError,
                          fit_predictor, predictor_from_dict)
-from .series import CpLabel, Detection, LabeledSeries, hop_grid, window_slices
+from .series import CpLabel, Detection, LabeledSeries
 from .simulate import WearIntensity, sample_step_series, sample_wear_series, snr_suite
 from .standardize import (OnlineStandardizer, StandardizeResult, TrendFit,
                           TrendNotEstimable, estimate_trend, standardize)
@@ -46,7 +47,7 @@ __all__ = [
     "PncConfig", "PncStream", "PredictorError", "StandardizeResult",
     "TrendFit", "TrendNotEstimable", "WearIntensity", "Winner", "arlp",
     "attribute", "average_max_fpc", "estimate_trend", "find_target",
-    "hop_grid", "params_id", "render_report", "run_chart", "run_grid",
+    "params_id", "render_report", "run_chart", "run_grid",
     "run_stream", "sample_step_series", "sample_wear_series", "select_best",
-    "snr_suite", "standardize", "window_slices", "__version__",
+    "snr_suite", "standardize", "__version__",
 ]

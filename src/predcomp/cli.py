@@ -15,14 +15,12 @@ from pathlib import Path
 
 from . import lstm as lstm_mod
 from .config import ConfigError, load_config
+from .detectors import KINDS
 from .evaluate import (DetectorGrid, EvalRecord, average_max_fpc, find_target, params_id,
                        render_report, run_grid, select_best)
-from .io import (DataError, load_model, read_labels_csv, read_series_csv, replacing, save_model,
+from .io import (DataError, read_labels_csv, read_series_csv, replacing, save_model,
                  write_detections_csv, write_metrics_csv, write_series_csv, write_text,
                  write_trace_csv, write_trace_svg)
-from .pnc import PncConfig, run_stream
-from .predictors import fit_predictor
-from .refdet import NigPrior, bocpd_detect, classic_cusum_detect, mosum_detect, ocd_detect
 from .refdet.baseline import random_baseline
 from .series import LabeledSeries
 from .simulate import WearIntensity, sample_step_series, sample_wear_series
@@ -46,10 +44,8 @@ def build_dataset(ds_cfg: dict, seed: int) -> LabeledSeries:
     src = ds_cfg["source"]
     kind = src["kind"]
     if kind == "wear":
-        intensity = WearIntensity(a=src.get("a", 0.0), lam=src.get("lam", 1.0),
-                                  c=src.get("c", 0.0), d=src.get("d", 0.0),
-                                  t2=src.get("t2", 0),
-                                  decay_cutoff=src.get("decay_cutoff", 0.05))
+        intensity = WearIntensity(**{k: src[k] for k in ("a", "lam", "c", "d", "t2", "decay_cutoff")
+                                     if k in src})
         return sample_wear_series(intensity, int(src["n"]), seed,
                                   stream=ds_cfg["id"], name=ds_cfg["id"],
                                   scale=float(src.get("scale", 1.0)))
@@ -71,71 +67,10 @@ def prepare_series(doc: dict, series: LabeledSeries) -> LabeledSeries:
     return res.scores
 
 
-def _pnc_runner(det_cfg: dict, doc: dict):
-    spec = det_cfg["predictor"]
-    train_prefix = int(doc.get("train_prefix", 600))
-    cache: dict[str, object] = {}
-
-    def runner(series: LabeledSeries, **params):
-        fixed = dict(det_cfg.get("params", {}))
-        fixed.update(params)
-        cfg = PncConfig(window_len=int(fixed.get("l", 50)), horizon=int(fixed.get("b", 25)),
-                        threshold=float(fixed["desInt"]), allowance=float(fixed.get("k", 0.5)),
-                        direction=fixed.get("direction", "up"),
-                        refit=fixed.get("refit", "never"),
-                        min_refit_history=int(fixed.get("min_refit_history", 50)))
-        key = series.name or str(id(series))
-        if key not in cache:
-            prefix = series.values[:min(train_prefix, len(series))]
-            if spec["kind"] == "lstm":
-                doc_model = load_model(spec["model_path"])
-                cache[key] = lstm_mod.LstmPredictor(lstm_mod.LstmNet.from_dict(doc_model))
-            else:
-                cache[key] = fit_predictor(spec, prefix)
-        detections, _ = run_stream(cache[key], cfg, series, name=det_cfg["id"])
-        return detections
-
-    return runner
-
-
 def build_detector(det_cfg: dict, doc: dict) -> DetectorGrid:
-    kind = det_cfg["kind"]
-    fixed = dict(det_cfg.get("params", {}))
-    grid = dict(det_cfg.get("grid", {}))
-    if kind == "pnc":
-        return DetectorGrid(det_cfg["id"], _pnc_runner(det_cfg, doc), grid)
-
-    def runner(series: LabeledSeries, **params):
-        p = dict(fixed)
-        p.update(params)
-        if kind == "cusum":
-            dets, _ = classic_cusum_detect(series, threshold=float(p["desInt"]),
-                                           allowance=float(p.get("k", 0.5)),
-                                           target_window=int(p.get("window", 50)))
-        elif kind == "bocpd":
-            prior = NigPrior(float(p.get("mu0", 0.0)), float(p.get("kappa0", 1.0)),
-                             float(p.get("alpha0", 1.0)), float(p.get("beta0", 1.0)))
-            dets, _ = bocpd_detect(series, hazard=float(p["hazard"]), prior=prior,
-                                   r_min=int(p.get("r_min", 5)),
-                                   threshold=float(p.get("cpthreshold", 0.5)))
-        elif kind == "ocd":
-            dets, _ = ocd_detect(series, diag=float(p["diag"]),
-                                 off_diag=p.get("offDiag"),
-                                 h_tail=int(p.get("h_tail", 50)),
-                                 baseline_window=int(p.get("baseline_window", 100)))
-        elif kind == "mosum":
-            dets, _ = mosum_detect(series, min_hist=int(p.get("minHist", 100)),
-                                   hist_fact=float(p.get("histFact", 0.5)),
-                                   h_band=float(p.get("h", 0.25)),
-                                   level=float(p.get("level", 0.05)),
-                                   harmonics=int(p.get("harmonics", 0)),
-                                   period=float(p.get("period", 0.0)),
-                                   monitor_from=p.get("monitor_from"))
-        else:
-            raise ConfigError(f"unknown detector kind {kind!r}")
-        return dets
-
-    return DetectorGrid(det_cfg["id"], runner, grid)
+    run = KINDS[det_cfg["kind"]].build(det_cfg, doc)
+    return DetectorGrid(det_cfg["id"], lambda series, **params: run(series, params)[0],
+                        dict(det_cfg.get("grid", {})))
 
 
 def _fixed_params(det_cfg: dict, overrides: list[str] | None = None) -> dict:
@@ -150,45 +85,27 @@ def _fixed_params(det_cfg: dict, overrides: list[str] | None = None) -> dict:
         if not sep or not key:
             raise UsageError(f"--set expects key=value, got {item!r}")
         pinned[key] = _yaml.safe_load(raw)
-    params = dict(det_cfg.get("params", {}))
-    for key, vals in det_cfg.get("grid", {}).items():
-        if key in pinned:
-            continue
-        if len(vals) != 1:
+    grid = det_cfg.get("grid", {})
+    for key, vals in grid.items():
+        if len(vals) != 1 and key not in pinned:
             raise ConfigError(f"detector {det_cfg['id']!r}: `detect` needs a single value "
                               f"for {key}, got {len(vals)}; pin it with --set {key}=...")
-        params[key] = vals[0]
-    params.update(pinned)
-    return params
+    return {**det_cfg.get("params", {}), **{k: v[0] for k, v in grid.items()}, **pinned}
 
 
-def _select_cfg(doc: dict, key: str, args_value, default):
-    return args_value if args_value is not None else doc.get("evaluation", {}).get(key, default)
-
-
-def _load_doc(args) -> dict:
-    return load_config(args.config)
-
-
-def _dataset_cfg(doc: dict, dataset_id: str) -> dict:
-    for ds in doc.get("datasets", []):
-        if ds["id"] == dataset_id:
-            return ds
-    raise UsageError(f"unknown dataset id {dataset_id!r}")
-
-
-def _detector_cfg(doc: dict, detector_id: str) -> dict:
-    for det in doc.get("detectors", []):
-        if det["id"] == detector_id:
-            return det
-    raise UsageError(f"unknown detector id {detector_id!r}")
+def _entry(doc: dict, section: str, entry_id: str) -> dict:
+    """The entry of ``datasets`` or ``detectors`` with this id."""
+    for entry in doc.get(section, []):
+        if entry["id"] == entry_id:
+            return entry
+    raise UsageError(f"unknown {section[:-1]} id {entry_id!r}")
 
 
 # ---------------------------------------------------------------------------
 # commands
 
 def cmd_simulate(args) -> int:
-    doc = _load_doc(args)
+    doc = load_config(args.config)
     out = Path(args.out or doc["output_dir"])
     out.mkdir(parents=True, exist_ok=True)
     manifest = {"seed": doc["seed"], "datasets": []}
@@ -217,35 +134,15 @@ def cmd_standardize(args) -> int:
 
 
 def cmd_detect(args) -> int:
-    doc = _load_doc(args)
-    series = prepare_series(doc, build_dataset(_dataset_cfg(doc, args.dataset), doc["seed"]))
-    det_cfg = _detector_cfg(doc, args.detector)
+    doc = load_config(args.config)
+    series = prepare_series(doc, build_dataset(_entry(doc, "datasets", args.dataset), doc["seed"]))
+    det_cfg = _entry(doc, "detectors", args.detector)
     params = _fixed_params(det_cfg, args.set)
-    need_trace = bool(args.trace or args.svg)
-    if det_cfg["kind"] == "pnc":
-        spec = det_cfg["predictor"]
-        prefix = series.values[:min(int(doc.get("train_prefix", 600)), len(series))]
-        if spec["kind"] == "lstm":
-            predictor = lstm_mod.LstmPredictor(lstm_mod.LstmNet.from_dict(load_model(spec["model_path"])))
-        else:
-            predictor = fit_predictor(spec, prefix)
-        cfg = PncConfig(window_len=int(params.get("l", 50)), horizon=int(params.get("b", 25)),
-                        threshold=float(params["desInt"]), allowance=float(params.get("k", 0.5)),
-                        direction=params.get("direction", "up"),
-                        refit=params.get("refit", "never"),
-                        min_refit_history=int(params.get("min_refit_history", 50)))
-        detections, stream = run_stream(predictor, cfg, series, name=det_cfg["id"],
-                                        keep_trace=need_trace)
-        trace = [(r.index, r.value, r.target, r.stat, cfg.threshold, r.alarm)
-                 for r in stream.trace]
-    else:
-        grid = build_detector(det_cfg, doc)
-        detections = grid.runner(series, **params)
-        trace = []
-        if need_trace:
-            raise UsageError("--trace/--svg is only available for pnc detectors")
-    pid = params_id(params)
-    rows = [(series.name, det_cfg["id"], pid, d) for d in detections]
+    run = KINDS[det_cfg["kind"]].build(dict(det_cfg, params=params, grid={}), doc)
+    detections, trace = run(series, params, bool(args.trace or args.svg))
+    if trace is None and (args.trace or args.svg):
+        raise UsageError(f"--trace/--svg: {det_cfg['kind']} detectors have no chart trace")
+    rows = [(series.name, det_cfg["id"], params_id(params), d) for d in detections]
     out = args.out or f"{det_cfg['id']}_{series.name}_detections.csv"
     write_detections_csv(out, rows)
     print(f"{len(detections)} detection(s); wrote {out}")
@@ -262,21 +159,19 @@ def cmd_detect(args) -> int:
 
 
 def cmd_train_lstm(args) -> int:
-    doc = _load_doc(args)
+    doc = load_config(args.config)
     if "lstm" not in doc:
         raise ConfigError("config lacks an lstm section")
     lcfg = doc["lstm"]
-    series = prepare_series(doc, build_dataset(_dataset_cfg(doc, args.dataset), doc["seed"]))
-    prefix = series.values[:min(int(doc.get("train_prefix", 600)), len(series))]
+    series = prepare_series(doc, build_dataset(_entry(doc, "datasets", args.dataset), doc["seed"]))
+    prefix = series.values[:min(int(doc["train_prefix"]), len(series))]
     X, Y = lstm_mod.training_windows(prefix, int(lcfg["nh"]), int(lcfg["nz"]),
                                      int(lcfg.get("max_windows", 500)))
-    cfg = lstm_mod.TrainConfig(hidden=int(lcfg.get("hidden", 32)),
-                               epochs=int(lcfg.get("epochs", 200)),
-                               batch_size=int(lcfg.get("batch_size", 32)),
-                               learning_rate=float(lcfg.get("learning_rate", 1e-3)),
-                               clip_norm=float(lcfg.get("clip_norm", 5.0)),
-                               validation_fraction=float(lcfg.get("validation_fraction", 0.2)),
-                               seed=doc["seed"])
+    # each setting of the section, typed as its TrainConfig default
+    train = {key: type(getattr(lstm_mod.TrainConfig, key))(lcfg[key]) for key in
+             ("hidden", "epochs", "batch_size", "learning_rate", "clip_norm",
+              "validation_fraction") if key in lcfg}
+    cfg = lstm_mod.TrainConfig(seed=doc["seed"], **train)
     result = lstm_mod.train_lstm(X, Y, cfg)
     save_model(args.out, result.net.to_dict())
     if args.loss:
@@ -290,16 +185,11 @@ def cmd_train_lstm(args) -> int:
     return 0
 
 
-def _build_all(doc: dict):
+def cmd_grid(args) -> int:
+    doc = load_config(args.config)
     datasets = [prepare_series(doc, build_dataset(ds, doc["seed"]))
                 for ds in doc.get("datasets", [])]
     detectors = [build_detector(det, doc) for det in doc.get("detectors", [])]
-    return datasets, detectors
-
-
-def cmd_grid(args) -> int:
-    doc = _load_doc(args)
-    datasets, detectors = _build_all(doc)
     if not datasets or not detectors:
         raise ConfigError("grid needs at least one dataset and one detector")
     target_key = doc.get("evaluation", {}).get("target", "K>A")
@@ -332,29 +222,22 @@ def _read_metrics(path) -> list[EvalRecord]:
 
 
 def cmd_eval(args) -> int:
-    doc = _load_doc(args)
+    doc = load_config(args.config)
     records = _read_metrics(args.metrics)
     ev = doc.get("evaluation", {})
     lines = []
-    for scope, cap_key, cap_default in (("per_dataset", "fpc_cap", 10),
-                                        ("overall", "overall_cap", 150)):
-        winners = select_best(records, scope=scope, fpc_cap=ev.get(cap_key, cap_default))
+    for scope, cap_key in (("per_dataset", "fpc_cap"), ("overall", "overall_cap")):
+        winners = select_best(records, scope=scope, fpc_cap=ev.get(cap_key))
         lines.append(render_report(winners, title=f"{scope} winners"))
     subset = ev.get("subset") or []
     if subset:
-        winners = select_best(records, scope="subset", fpc_cap=ev.get("subset_cap", 30),
+        winners = select_best(records, scope="subset", fpc_cap=ev.get("subset_cap"),
                               datasets=subset)
         lines.append(render_report(winners, title=f"subset winners ({', '.join(subset)})"))
     base_cfg = ev.get("baseline")
     if base_cfg:
         lines.append(_baseline_section(doc, records, base_cfg))
-    text = "\n".join(lines)
-    if args.out:
-        write_text(args.out, text)
-        print(f"wrote {args.out}")
-    else:
-        print(text, end="")
-    return 0
+    return _emit(args.out, "\n".join(lines))
 
 
 def _baseline_section(doc: dict, records: list[EvalRecord], base_cfg: dict) -> str:
@@ -387,11 +270,15 @@ def cmd_report(args) -> int:
         kwargs["datasets"] = args.datasets.split(",")
     winners = select_best(records, scope=scope, fpc_cap=args.cap,
                           reversed_rule=args.reversed, **kwargs)
-    text = render_report(winners, title=f"{scope} winners"
-                         + (" (reversed rule)" if args.reversed else ""))
-    if args.out:
-        write_text(args.out, text)
-        print(f"wrote {args.out}")
+    return _emit(args.out, render_report(winners, title=f"{scope} winners"
+                                         + (" (reversed rule)" if args.reversed else "")))
+
+
+def _emit(out, text: str) -> int:
+    """Write ``text`` to the file ``out``, or to stdout when there is none."""
+    if out:
+        write_text(out, text)
+        print(f"wrote {out}")
     else:
         print(text, end="")
     return 0

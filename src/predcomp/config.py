@@ -2,9 +2,10 @@
 
 YAML with a mandatory ``schema_version: 1``.  Unknown keys are rejected
 so typos fail loudly.  Detector parameters keep the names used in the
-experiments (desInt, k, l, b, nh, nz, minHist, histFact, h, level,
-cpthreshold, diag, offDiag, hazard); the full key reference lives in the
-README.  The environment variable ``PREDCOMP_SEED`` overrides ``seed``.
+experiments (desInt, k, l, b, minHist, histFact, h, level, cpthreshold,
+diag, offDiag, hazard); their types and defaults are the table in
+:mod:`predcomp.detectors`, and the full key reference lives in the README.
+The environment variable ``PREDCOMP_SEED`` overrides ``seed``.
 
 Skeleton::
 
@@ -38,6 +39,8 @@ from pathlib import Path
 
 import yaml
 
+from .detectors import KINDS, REQUIRED
+
 SCHEMA_VERSION = 1
 SEED_ENV = "PREDCOMP_SEED"
 
@@ -65,22 +68,14 @@ _SOURCE_KEYS = {
     "csv": {"kind", "path", "labels"},
 }
 
-_DETECTOR_PARAM_KEYS = {
-    "pnc": {"l", "b", "desInt", "k", "refit", "min_refit_history", "direction"},
-    "cusum": {"desInt", "k", "window"},
-    "bocpd": {"hazard", "cpthreshold", "r_min", "mu0", "kappa0", "alpha0", "beta0"},
-    "ocd": {"diag", "offDiag", "h_tail", "baseline_window"},
-    "mosum": {"minHist", "histFact", "h", "level", "harmonics", "period", "monitor_from"},
-}
-
-_PREDICTOR_KEYS = {"kind", "p", "order", "auto", "model_path", "nh", "nz"}
+_PREDICTOR_KEYS = {"kind", "p", "order", "auto", "model_path"}
 
 
 def _check_detector(d: dict, where: str) -> None:
     _check_keys(d, {"id", "kind", "predictor", "params", "grid"}, where, {"id", "kind"})
     kind = d["kind"]
-    _require(kind in _DETECTOR_PARAM_KEYS, f"{where}: unknown detector kind {kind!r}")
-    allowed = _DETECTOR_PARAM_KEYS[kind]
+    _require(kind in KINDS, f"{where}: unknown detector kind {kind!r}")
+    allowed = set(KINDS[kind].params)
     for sect in ("params", "grid"):
         if sect in d:
             _check_keys(d[sect], allowed, f"{where}.{sect}")
@@ -90,11 +85,44 @@ def _check_detector(d: dict, where: str) -> None:
                              f"{where}.grid.{key}: expected a non-empty list")
     if kind == "pnc":
         _require("predictor" in d, f"{where}: pnc detector needs a predictor")
-        _check_keys(d["predictor"], _PREDICTOR_KEYS, f"{where}.predictor", {"kind"})
-        _require(d["predictor"]["kind"] in ("naive", "mean", "ar", "arima", "lstm"),
-                 f"{where}.predictor: unknown kind {d['predictor']['kind']!r}")
+        pred = d["predictor"]
+        _check_keys(pred, _PREDICTOR_KEYS, f"{where}.predictor", {"kind"})
+        _require(pred["kind"] in ("naive", "mean", "ar", "arima", "lstm"),
+                 f"{where}.predictor: unknown kind {pred['kind']!r}")
+        _require(pred["kind"] != "lstm" or "model_path" in pred,
+                 f"{where}.predictor: an lstm predictor needs a model_path")
     else:
         _require("predictor" not in d, f"{where}: only pnc detectors take a predictor")
+
+
+def param_values(det_cfg: dict, key: str) -> list:
+    """Every value of a detector parameter over the grid, typed: its grid
+    list, else its ``params`` value, else its default.  A required key
+    with none of these, or a value its type cannot read, is a ConfigError."""
+    typ, default = KINDS[det_cfg["kind"]].params[key]
+    where = f"detector {det_cfg['id']!r}"
+    if key not in det_cfg.get("grid", {}) and key not in det_cfg.get("params", {}):
+        _require(default is not REQUIRED,
+                 f"{where}: {key} has no default; set it under params or grid")
+        return [default]
+    out = []
+    for value in det_cfg.get("grid", {}).get(key) or [det_cfg["params"][key]]:
+        try:
+            out.append(typ(value))
+        except (TypeError, ValueError):
+            raise ConfigError(f"{where}: {key} must be {typ.__name__}, got {value!r}") from None
+    return out
+
+
+def resolve_params(det_cfg: dict, point: dict) -> dict:
+    """A detector's typed parameters at one point: ``point`` over its
+    ``params``, with every other key at its table default."""
+    params = {**det_cfg.get("params", {}), **point}
+    table = KINDS[det_cfg["kind"]].params
+    unknown = set(params) - set(table)
+    _require(not unknown, f"detector {det_cfg['id']!r}: unknown parameters {sorted(unknown)}")
+    pinned = dict(det_cfg, params=params, grid={})
+    return {key: param_values(pinned, key)[0] for key in table}
 
 
 def load_config(path) -> dict:
@@ -141,6 +169,8 @@ def load_config(path) -> dict:
         _check_detector(det, where)
         _require(det["id"] not in det_ids, f"{where}: duplicate id {det['id']!r}")
         det_ids.add(det["id"])
+        for key in KINDS[det["kind"]].params:
+            param_values(det, key)
     if "evaluation" in doc:
         _check_keys(doc["evaluation"],
                     {"target", "fpc_cap", "overall_cap", "subset", "subset_cap", "baseline"},

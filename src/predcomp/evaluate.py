@@ -195,40 +195,24 @@ def select_best(records: list[EvalRecord], scope: str = "per_dataset",
     if datasets:
         records = [r for r in records if r.dataset_id in datasets]
     cand = [r for r in records if r.valid and r.target_found]
-    winners: list[Winner] = []
     if scope == "per_dataset":
         cap = 10 if fpc_cap is None else fpc_cap
-        cand = [r for r in cand if r.fpc <= cap]
-        groups: dict[tuple[str, str], list[EvalRecord]] = {}
+        rows = [(r.dataset_id, r.detector_id, r.params_id, r.fpc, r.arlp) for r in cand]
+    else:
+        cap = (150 if scope == "overall" else 30) if fpc_cap is None else fpc_cap
+        ds_ids = sorted({r.dataset_id for r in records})
+        runs: dict[tuple[str, str], list[EvalRecord]] = {}
         for r in cand:
-            groups.setdefault((r.dataset_id, r.detector_id), []).append(r)
-        for (ds, det), rs in sorted(groups.items()):
-            key = (lambda r: (r.arlp, r.fpc, r.params_id)) if reversed_rule \
-                else (lambda r: (r.fpc, r.arlp, r.params_id))
-            best = min(rs, key=key)
-            winners.append(Winner(scope, ds, det, best.params_id, best.fpc, best.arlp))
-        return winners
-    cap = (150 if scope == "overall" else 30) if fpc_cap is None else fpc_cap
-    ds_ids = sorted({r.dataset_id for r in records})
-    groups2: dict[tuple[str, str], list[EvalRecord]] = {}
-    for r in cand:
-        groups2.setdefault((r.detector_id, r.params_id), []).append(r)
-    agg = []
-    for (det, pid), rs in groups2.items():
-        if sorted({r.dataset_id for r in rs}) != ds_ids:
-            continue  # the target must be found on every dataset in scope
-        fpc_sum = float(sum(r.fpc for r in rs))
-        arlp_avg = float(np.mean([r.arlp for r in rs]))
-        if fpc_sum <= cap:
-            agg.append((det, pid, fpc_sum, arlp_avg))
-    by_det: dict[str, list] = {}
-    for det, pid, f, a in agg:
-        by_det.setdefault(det, []).append((det, pid, f, a))
-    for det in sorted(by_det):
-        key = (lambda t: (t[3], t[2], t[1])) if reversed_rule else (lambda t: (t[2], t[3], t[1]))
-        best = min(by_det[det], key=key)
-        winners.append(Winner(scope, "", det, best[1], best[2], best[3]))
-    return winners
+            runs.setdefault((r.detector_id, r.params_id), []).append(r)
+        # the target must be found on every dataset in scope
+        rows = [("", det, pid, float(sum(r.fpc for r in rs)), float(np.mean([r.arlp for r in rs])))
+                for (det, pid), rs in runs.items() if sorted({r.dataset_id for r in rs}) == ds_ids]
+    rank = (lambda w: (w[4], w[3], w[2])) if reversed_rule else (lambda w: (w[3], w[4], w[2]))
+    best: dict[tuple[str, str], tuple] = {}
+    for row in rows:
+        if row[3] <= cap and (row[:2] not in best or rank(row) < rank(best[row[:2]])):
+            best[row[:2]] = row
+    return [Winner(scope, *best[key]) for key in sorted(best)]
 
 
 def average_max_fpc(records: list[EvalRecord]) -> float:

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 from contextlib import contextmanager
 from pathlib import Path
@@ -84,11 +85,18 @@ def _parse_cp(token: str, where: str) -> tuple[str, str]:
     return frm.strip(), to.strip()
 
 
+def _open_input(path):
+    try:
+        return open(path, newline="")
+    except OSError as exc:
+        raise DataError(f"{path}: cannot read: {exc.strerror}") from None
+
+
 def read_series_csv(path, name: str | None = None) -> LabeledSeries:
     path = Path(path)
     values = []
     labels = []
-    with open(path, newline="") as fh:
+    with _open_input(path) as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or [h.strip() for h in header] != SERIES_HEADER:
@@ -102,6 +110,8 @@ def read_series_csv(path, name: str | None = None) -> LabeledSeries:
                 v = float(v_raw)
             except ValueError as exc:
                 raise DataError(f"{path}:{ln}: bad time or value: {exc}") from None
+            if not math.isfinite(v):
+                raise DataError(f"{path}:{ln}: value {v_raw!r} is not finite")
             if t != len(values) + 1:
                 raise DataError(f"{path}:{ln}: time must be contiguous 1-based, got {t}")
             if phase and phase not in ("B", "E", "K", "A", "V"):
@@ -122,7 +132,7 @@ def read_labels_csv(path) -> list[CpLabel]:
     """Sidecar labels: header time,from,to with 1-based times."""
     path = Path(path)
     labels = []
-    with open(path, newline="") as fh:
+    with _open_input(path) as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or [h.strip() for h in header] != ["time", "from", "to"]:
@@ -154,7 +164,7 @@ def write_detections_csv(path, rows: list[tuple[str, str, str, Detection]]) -> N
 def read_detections_csv(path) -> list[tuple[str, str, str, Detection]]:
     path = Path(path)
     out = []
-    with open(path, newline="") as fh:
+    with _open_input(path) as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != ["dataset", "detector", "params", "detect_time", "located_time"]:
@@ -196,10 +206,13 @@ def save_model(path, payload: dict) -> None:
 
 
 def load_model(path) -> dict:
-    with open(path) as fh:
-        doc = json.load(fh)
-    if doc.get("schema_version") != MODEL_SCHEMA_VERSION:
-        raise DataError(f"{path}: unsupported model schema_version {doc.get('schema_version')!r}")
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise DataError(f"{path}: cannot read the model: {exc}") from None
+    if not isinstance(doc, dict) or doc.get("schema_version") != MODEL_SCHEMA_VERSION:
+        raise DataError(f"{path}: not a model file of schema_version {MODEL_SCHEMA_VERSION}")
     if "kind" not in doc:
         raise DataError(f"{path}: model file lacks a kind tag")
     return doc

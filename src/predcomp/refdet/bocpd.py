@@ -35,6 +35,9 @@ the maxima are left out of the shifted sum and counted.  A plain max-shift
 rounds differently; following scipy's steps keeps every result bit for bit
 equal to the direct recursion built on scipy while skipping its per-call
 overhead, which dominated the cost of a step.
+
+``gammaln`` is imported where it is used, so that importing this module
+does not load scipy.special (about 0.3 s, paid by every CLI command).
 """
 
 from __future__ import annotations
@@ -42,7 +45,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from ..series import Detection, finite_values
 
@@ -61,6 +63,7 @@ class NigPrior:
 
 def student_t_logpdf(x, df, loc, scale2):
     """log density of the location-scale Student-t (scale2 = squared scale)."""
+    from scipy.special import gammaln
     z2 = (x - loc) ** 2 / scale2
     return (gammaln((df + 1) / 2) - gammaln(df / 2)
             - 0.5 * np.log(df * np.pi * scale2)
@@ -98,6 +101,7 @@ class _RunLengthTables:
     """
 
     def __init__(self, prior: NigPrior, size: int):
+        from scipy.special import gammaln
         alpha = np.cumsum(np.concatenate(([prior.alpha0], np.full(size - 1, 0.5))))
         self.kappa = np.cumsum(np.concatenate(([prior.kappa0], np.full(size - 1, 1.0))))
         df = 2.0 * alpha
@@ -114,6 +118,7 @@ class BocpdState:
     """Posterior over run lengths with per-run NIG sufficient statistics."""
 
     def __init__(self, prior: NigPrior):
+        from scipy.special import gammaln
         self.prior = p = prior
         # the prior predictive and the r = 0 update, minus their x terms
         df0 = 2.0 * p.alpha0

@@ -1,18 +1,13 @@
-"""Series containers, change point labels and hop-window arithmetic.
+"""Series containers, change point labels and detections.
 
 Time convention: array indices are 0-based everywhere inside the package.
 File formats and rendered reports use 1-based times; the conversion lives
 in :mod:`predcomp.io` and nowhere else.
-
-An anchor ``t`` of the hopping grid owns the input window ``values[t-l:t]``
-(the last ``l`` observations) and the prediction window ``values[t:t+b]``.
-Equivalently, in 1-based terms the input window is {t-l+1..t} and the
-prediction window {t+1..t+b}.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -133,33 +128,3 @@ def finite_values(series) -> np.ndarray:
     if bad.size:
         raise non_finite_error(int(bad[0]), values[bad[0]])
     return values
-
-
-def hop_grid(window_len: int, horizon: int, series_len: int) -> list[int]:
-    """Anchors of the hopping grid: t = window_len + horizon*m, t < series_len.
-
-    Each anchor keeps at least one in-range prediction step; the final
-    prediction window may be truncated by the end of the series.
-    """
-    if window_len <= 0 or horizon <= 0:
-        raise ValueError("window_len and horizon must be positive")
-    return list(range(window_len, series_len, horizon))
-
-
-def window_slices(values: np.ndarray, anchor: int, window_len: int,
-                  horizon: int) -> tuple[np.ndarray, np.ndarray]:
-    """Input and target vectors for one anchor.
-
-    Returns (values[anchor-window_len:anchor], values[anchor:anchor+horizon]);
-    the target is truncated when the series ends inside the prediction window.
-    """
-    if anchor < window_len:
-        raise ValueError("anchor leaves no room for a full input window")
-    if anchor >= len(values):
-        raise ValueError("anchor has no prediction step left")
-    return values[anchor - window_len:anchor], values[anchor:anchor + horizon]
-
-
-def shift_labels(labels: list[CpLabel], offset: int) -> list[CpLabel]:
-    """Labels translated by ``offset`` (used when slicing series)."""
-    return [replace(lab, time=lab.time + offset) for lab in labels]

@@ -267,9 +267,9 @@ def test_committed_demo_metrics_are_current(tmp_path, capsys, monkeypatch):
 
 
 def test_cli_import_leaves_out_scipy_optimize_and_signal():
-    # together about a second of every CLI start; only ARIMA fitting needs them
-    code = ("import sys, predcomp.cli; "
-            "print(sorted(m for m in ('scipy.optimize', 'scipy.signal') if m in sys.modules))")
+    # together over a second of every CLI start; only ARIMA fitting and BOCPD need them
+    code = ("import sys, predcomp.cli; print(sorted(m for m in "
+            "('scipy.optimize', 'scipy.signal', 'scipy.special') if m in sys.modules))")
     path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
@@ -315,3 +315,36 @@ def test_detect_and_grid_agree_on_a_downward_pnc(tmp_path, capsys):
         row = next(r.split(",") for r in metrics if f"desInt={des_int}" in r)
         assert int(row[3]) == len(got)
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_non_finite_csv_exits_2_and_writes_nothing(tmp_path, capsys, bad):
+    src = tmp_path / "bad.csv"
+    src.write_text("time,value,phase,cp\n" + "".join(
+        f"{t},{bad if t == 201 else 1.0},,{'K>A' if t == 300 else ''}\n" for t in range(1, 401)))
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text(f"""\
+schema_version: 1
+output_dir: {tmp_path / 'out'}
+datasets:
+  - id: bad
+    source: {{kind: csv, path: {src}}}
+detectors:
+  - id: cusum
+    kind: cusum
+    grid: {{desInt: [5]}}
+""")
+    scores, dets = tmp_path / "scores.csv", tmp_path / "dets.csv"
+    assert main(["standardize", str(src), str(scores)]) == 2
+    assert main(["detect", "-c", str(cfg), "--dataset", "bad", "--detector", "cusum",
+                 "--out", str(dets)]) == 2
+    assert main(["grid", "-c", str(cfg)]) == 2
+    assert capsys.readouterr().err.count(f"error: {src}:202: value '{bad}' is not finite") == 3
+    assert not scores.exists() and not dets.exists() and not (tmp_path / "out").exists()
+
+
+def test_missing_input_file_exits_2(tmp_path, capsys):
+    missing = tmp_path / "missing.csv"
+    assert main(["standardize", str(missing), str(tmp_path / "scores.csv")]) == 2
+    assert f"error: {missing}: cannot read" in capsys.readouterr().err
+    assert not (tmp_path / "scores.csv").exists()

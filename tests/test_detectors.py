@@ -1,0 +1,228 @@
+"""The detector table: what config validation takes from it, the README
+reference drawn from it, and `detect` and `grid` running each kind alike."""
+
+from __future__ import annotations
+
+import csv
+import re
+from pathlib import Path
+
+import pytest
+
+from predcomp.cli import build_dataset, build_detector, main, prepare_series
+from predcomp.config import ConfigError, load_config
+from predcomp.detectors import KINDS, REQUIRED
+from predcomp.evaluate import params_id
+from predcomp.io import read_detections_csv, save_model
+from predcomp.lstm import init_lstm
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_readme_table_lists_each_kinds_parameters():
+    readme = (ROOT / "README.md").read_text()
+    listed: dict[str, list[tuple[str, str]]] = {}
+    for kind, name, default in re.findall(r"^\| `(\w+)` \| `(\w+)` \| ([^|]+) \|", readme, re.M):
+        listed.setdefault(kind, []).append((name, default.strip()))
+    assert sorted(listed) == sorted(KINDS)
+    for kind, entry in KINDS.items():
+        assert [name for name, _ in listed[kind]] == list(entry.params), kind
+        for name, cell in listed[kind]:
+            default = entry.params[name][1]
+            if default is REQUIRED:
+                assert cell == "required", (kind, name)
+            elif default is None:
+                assert cell.startswith("unset"), (kind, name)
+            else:
+                assert cell == f"`{default}`", (kind, name)
+
+
+AGREE_CONFIG = """\
+schema_version: 1
+seed: 4
+output_dir: {out}
+train_prefix: 300
+datasets:
+  - id: up
+    source: {{kind: step, pre_mean: 0.0, post_mean: 3.0, sigma: 1.0, cp_at: 500, n: 800}}
+  - id: down
+    source: {{kind: step, pre_mean: 0.0, post_mean: -3.0, sigma: 1.0, cp_at: 500, n: 800}}
+detectors:
+  - id: pnc_down
+    kind: pnc
+    predictor: {{kind: ar, p: 2}}
+    params: {{l: 100, b: 25, direction: down, refit: on_detection, min_refit_history: 20}}
+    grid: {{desInt: [4, 8]}}
+  - id: cusum
+    kind: cusum
+    grid: {{desInt: [5, 10], k: [0.5, 1.0]}}
+  - id: bocpd
+    kind: bocpd
+    params: {{hazard: 0.01}}
+    grid: {{cpthreshold: [0.5, 0.8]}}
+  - id: ocd
+    kind: ocd
+    grid: {{diag: [8.0, 16.0]}}
+  - id: mosum
+    kind: mosum
+    params: {{minHist: 150}}
+    grid: {{level: [0.05, 0.1]}}
+"""
+
+
+@pytest.fixture(scope="module")
+def agree_grid(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("agree")
+    cfg = tmp / "agree.yaml"
+    cfg.write_text(AGREE_CONFIG.format(out=tmp / "out"))
+    assert main(["grid", "-c", str(cfg)]) == 0
+    with open(tmp / "out" / "metrics.csv", newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    return cfg, load_config(cfg), rows
+
+
+@pytest.mark.parametrize("detector, dataset, pins", [
+    ("pnc_down", "down", {"desInt": 8}),
+    ("cusum", "up", {"desInt": 10, "k": 1.0}),
+    ("bocpd", "up", {"cpthreshold": 0.8}),
+    ("ocd", "up", {"diag": 16.0}),
+    ("mosum", "up", {"level": 0.1}),
+], ids=["pnc", "cusum", "bocpd", "ocd", "mosum"])
+def test_detect_and_grid_agree_for_every_kind(agree_grid, tmp_path, capsys, detector, dataset,
+                                              pins):
+    cfg, doc, rows = agree_grid
+    assert sorted(d["kind"] for d in doc["detectors"]) == sorted(KINDS)
+    det_cfg = next(d for d in doc["detectors"] if d["id"] == detector)
+    ds_cfg = next(d for d in doc["datasets"] if d["id"] == dataset)
+    series = prepare_series(doc, build_dataset(ds_cfg, doc["seed"]))
+    want = [(d.detect_time, d.located_time)
+            for d in build_detector(det_cfg, doc).runner(series, **pins)]
+    dets_csv = tmp_path / "dets.csv"
+    sets = [arg for key, value in pins.items() for arg in ("--set", f"{key}={value}")]
+    assert main(["detect", "-c", str(cfg), "--dataset", dataset, "--detector", detector,
+                 *sets, "--out", str(dets_csv)]) == 0
+    got = [(d.detect_time, d.located_time) for *_, d in read_detections_csv(dets_csv)]
+    assert got == want and any(t >= 499 for t, _ in got)
+    row = next(r for r in rows if r[:3] == [dataset, detector, params_id(pins)])
+    assert int(row[3]) == len(got)
+    capsys.readouterr()
+
+
+BAD_CONFIG = """\
+schema_version: 1
+seed: 1
+output_dir: {out}
+datasets:
+  - id: s
+    source: {{kind: step, pre_mean: 0.0, post_mean: 3.0, sigma: 1.0, cp_at: 300, n: 400}}
+detectors:
+  - {detector}
+"""
+
+
+@pytest.mark.parametrize("detector, message", [
+    ("{id: c, kind: cusum, params: {k: 0.5}}", "desInt has no default"),
+    ("{id: c, kind: bocpd, grid: {cpthreshold: [0.5]}}", "hazard has no default"),
+    ("{id: c, kind: ocd}", "diag has no default"),
+    ("{id: c, kind: pnc, predictor: {kind: mean}}", "desInt has no default"),
+    ("{id: c, kind: cusum, grid: {desInt: [5, abc]}}", "desInt must be float, got 'abc'"),
+    ("{id: c, kind: cusum, params: {desInt: 5, window: [50]}}", "window must be int"),
+    ("{id: c, kind: pnc, predictor: {kind: mean}, params: {desInt: 5, direction: sideways}}",
+     "direction must be up or down, got 'sideways'"),
+    ("{id: c, kind: mosum, params: {monitor_from: soon}}", "monitor_from must be int"),
+], ids=["cusum-desInt", "bocpd-hazard", "ocd-diag", "pnc-desInt", "grid-value", "params-value",
+        "choice", "monitor_from"])
+def test_missing_or_unreadable_parameter_exits_2(tmp_path, capsys, detector, message):
+    cfg = tmp_path / "bad.yaml"
+    cfg.write_text(BAD_CONFIG.format(out=tmp_path / "out", detector=detector))
+    with pytest.raises(ConfigError, match=re.escape(f"detector 'c': {message}")):
+        load_config(cfg)
+    assert main(["grid", "-c", str(cfg)]) == 2
+    assert f"detector 'c': {message}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("pins, message", [
+    (["desInt=abc"], "desInt must be float, got 'abc'"),
+    (["desInt=5", "bogus=1"], "unknown parameters ['bogus']"),
+], ids=["untyped", "unknown"])
+def test_detect_pin_is_checked_against_the_table(tmp_path, capsys, pins, message):
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text(BAD_CONFIG.format(out=tmp_path / "out",
+                                     detector="{id: c, kind: cusum, grid: {desInt: [5, 10]}}"))
+    out = tmp_path / "dets.csv"
+    sets = [arg for pin in pins for arg in ("--set", pin)]
+    assert main(["detect", "-c", str(cfg), "--dataset", "s", "--detector", "c", *sets,
+                 "--out", str(out)]) == 2
+    assert f"detector 'c': {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+LSTM_CONFIG = """\
+schema_version: 1
+seed: 1
+output_dir: {out}
+train_prefix: 200
+datasets:
+  - id: s
+    source: {{kind: step, pre_mean: 0.0, post_mean: 4.0, sigma: 0.5, cp_at: 300, n: 400}}
+detectors:
+  - id: pnc_lstm
+    kind: pnc
+    predictor: {predictor}
+    params: {params}
+    grid: {{desInt: [10]}}
+"""
+
+
+def _lstm_config(tmp_path, predictor, params="{l: 24, b: 6}"):
+    cfg = tmp_path / "lstm.yaml"
+    cfg.write_text(LSTM_CONFIG.format(out=tmp_path / "out", predictor=predictor, params=params))
+    return cfg
+
+
+def _detect(cfg, tmp_path, *extra):
+    return main(["detect", "-c", str(cfg), "--dataset", "s", "--detector", "pnc_lstm",
+                 "--out", str(tmp_path / "dets.csv"), *extra])
+
+
+def test_lstm_predictor_needs_a_model_path(tmp_path, capsys):
+    cfg = _lstm_config(tmp_path, "{kind: lstm}")
+    with pytest.raises(ConfigError, match="an lstm predictor needs a model_path"):
+        load_config(cfg)
+    assert _detect(cfg, tmp_path) == 2
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("contents", [None, "not json\n", "[1, 2]\n",
+                                      '{"schema_version": 1, "kind": "ar"}\n'],
+                         ids=["missing", "not-json", "not-an-object", "not-lstm"])
+def test_lstm_model_file_that_cannot_be_read_exits_2(tmp_path, capsys, contents):
+    model = tmp_path / "model.json"
+    if contents is not None:
+        model.write_text(contents)
+    cfg = _lstm_config(tmp_path, f"{{kind: lstm, model_path: {model}}}")
+    assert _detect(cfg, tmp_path) == 2
+    assert main(["grid", "-c", str(cfg)]) == 2
+    assert capsys.readouterr().err.count(f"error: {model}") == 2
+    assert not (tmp_path / "dets.csv").exists() and not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("params, pin, detect_ok, grid_ok", [
+    ("{l: 24, b: 6}", [], True, True),
+    ("{b: 6}", [], True, True),  # l at its default of 50
+    ("{l: 12, b: 6}", [], False, False),
+    ("{l: 24, b: 8}", [], False, False),
+    ("{l: 24, b: 6}", ["--set", "l=12"], False, True),
+], ids=["fits", "default-l", "short-window", "long-horizon", "pinned-short-window"])
+def test_lstm_window_and_horizon_are_checked_against_the_model(tmp_path, capsys, params, pin,
+                                                               detect_ok, grid_ok):
+    model = tmp_path / "model.json"
+    save_model(model, init_lstm(24, 6, hidden=4).to_dict())
+    cfg = _lstm_config(tmp_path, f"{{kind: lstm, model_path: {model}}}", params)
+    assert _detect(cfg, tmp_path, *pin) == (0 if detect_ok else 2)
+    assert main(["grid", "-c", str(cfg)]) == (0 if grid_ok else 2)
+    err = capsys.readouterr().err
+    assert (detect_ok and grid_ok) or "detector 'pnc_lstm': the model" in err
+    assert (tmp_path / "dets.csv").exists() == detect_ok
+    assert (tmp_path / "out" / "metrics.csv").exists() == grid_ok

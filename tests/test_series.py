@@ -1,46 +1,7 @@
 import numpy as np
 import pytest
 
-from predcomp.series import (CpLabel, Detection, LabeledSeries, hop_grid,
-                             shift_labels, window_slices)
-
-
-def test_hop_grid_basic():
-    assert hop_grid(10, 5, 26) == [10, 15, 20, 25]
-
-
-def test_hop_grid_large_case():
-    grid = hop_grid(600, 50, 15821)
-    assert len(grid) == 305
-    assert grid[0] == 600
-    assert grid[-1] == 15800
-
-
-def test_hop_grid_postcondition():
-    # every anchor must leave at least one future point to predict
-    for l, b, n in [(3, 1, 9), (5, 4, 21), (7, 7, 50), (10, 5, 26)]:
-        grid = hop_grid(l, b, n)
-        assert all(t + 1 <= n for t in grid)
-        assert all(t >= l for t in grid)
-        assert all(grid[i + 1] - grid[i] == b for i in range(len(grid) - 1))
-
-
-def test_hop_grid_empty_when_too_short():
-    assert hop_grid(10, 5, 10) == []
-    assert hop_grid(10, 5, 11) == [10]
-
-
-def test_window_slices():
-    values = np.arange(30.0)
-    past, future = window_slices(values, anchor=10, window_len=4, horizon=5)
-    assert list(past) == [6.0, 7.0, 8.0, 9.0]
-    assert list(future) == [10.0, 11.0, 12.0, 13.0, 14.0]
-
-
-def test_window_slices_truncated_tail():
-    values = np.arange(12.0)
-    past, future = window_slices(values, anchor=10, window_len=4, horizon=5)
-    assert list(future) == [10.0, 11.0]
+from predcomp.series import CpLabel, Detection, LabeledSeries
 
 
 def test_cp_label_key():
@@ -83,12 +44,6 @@ def test_detection_attribution_time():
     assert d.attribution_time == 33
     d2 = Detection(detect_time=40, located_time=None, detector="x", stat_value=1.0)
     assert d2.attribution_time == 40
-
-
-def test_shift_labels():
-    labs = [CpLabel(5, "E", "K"), CpLabel(9, "K", "A")]
-    out = shift_labels(labs, -3)
-    assert [l.time for l in out] == [2, 6]
 
 
 def test_with_values_keeps_labels():
