@@ -9,7 +9,6 @@ the seed, so re-running with the same config produces identical bytes.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -18,9 +17,9 @@ from .config import ConfigError, load_config
 from .detectors import KINDS
 from .evaluate import (DetectorGrid, EvalRecord, average_max_fpc, find_target, params_id,
                        render_report, run_grid, select_best)
-from .io import (DataError, read_labels_csv, read_series_csv, replacing, save_model,
-                 write_detections_csv, write_metrics_csv, write_series_csv, write_text,
-                 write_trace_csv, write_trace_svg)
+from .io import (DataError, read_labels_csv, read_metrics_csv as _read_metrics, read_series_csv,
+                 save_model, time_field, write_detections_csv, write_loss_csv, write_manifest,
+                 write_metrics_csv, write_series_csv, write_text, write_trace_csv, write_trace_svg)
 from .refdet.baseline import random_baseline
 from .series import LabeledSeries
 from .simulate import WearIntensity, sample_step_series, sample_wear_series
@@ -108,18 +107,16 @@ def cmd_simulate(args) -> int:
     doc = load_config(args.config)
     out = Path(args.out or doc["output_dir"])
     out.mkdir(parents=True, exist_ok=True)
-    manifest = {"seed": doc["seed"], "datasets": []}
+    written = []
     for ds in doc.get("datasets", []):
         if args.only and ds["id"] != args.only:
             continue
         series = build_dataset(ds, doc["seed"])
         path = out / f"{ds['id']}.csv"
         write_series_csv(path, series)
-        manifest["datasets"].append({"id": ds["id"], "rows": len(series),
-                                     "labels": [[lab.time + 1, lab.key()] for lab in series.cp_labels],
-                                     "source": ds["source"]})
+        written.append((ds, series))
         print(f"wrote {path} ({len(series)} rows)")
-    write_text(out / "manifest.json", json.dumps(manifest, indent=1, sort_keys=True) + "\n")
+    write_manifest(out / "manifest.json", doc["seed"], written)
     return 0
 
 
@@ -147,8 +144,8 @@ def cmd_detect(args) -> int:
     write_detections_csv(out, rows)
     print(f"{len(detections)} detection(s); wrote {out}")
     for _, _, _, d in rows:
-        loc = "" if d.located_time is None else f" located={d.located_time + 1}"
-        print(f"  t={d.detect_time + 1}{loc}")
+        loc = "" if d.located_time is None else f" located={time_field(d.located_time)}"
+        print(f"  t={time_field(d.detect_time)}{loc}")
     if args.trace:
         write_trace_csv(args.trace, trace)
         print(f"wrote trace {args.trace}")
@@ -175,11 +172,7 @@ def cmd_train_lstm(args) -> int:
     result = lstm_mod.train_lstm(X, Y, cfg)
     save_model(args.out, result.net.to_dict())
     if args.loss:
-        with replacing(args.loss) as fh:
-            fh.write("epoch,train_loss,val_loss\n")
-            for e, tl in enumerate(result.train_loss, start=1):
-                vl = result.val_loss[e - 1] if e - 1 < len(result.val_loss) else ""
-                fh.write(f"{e},{tl!r},{vl!r}\n")
+        write_loss_csv(args.loss, result.train_loss, result.val_loss)
     print(f"trained on {len(X)} windows; final train loss {result.train_loss[-1]:.6g}; "
           f"wrote {args.out}")
     return 0
@@ -199,26 +192,6 @@ def cmd_grid(args) -> int:
     write_metrics_csv(out / "metrics.csv", records)
     print(f"wrote {out / 'metrics.csv'} ({len(records)} runs)")
     return 0
-
-
-def _read_metrics(path) -> list[EvalRecord]:
-    import csv as _csv
-    records = []
-    with open(path, newline="") as fh:
-        reader = _csv.reader(fh)
-        header = next(reader, None)
-        if not header or header[0] != "dataset":
-            raise DataError(f"{path}: not a metrics file")
-        for row in reader:
-            (ds, det, pid, n_det, fpc, found, arlp_s, dt, loc, valid) = row
-            records.append(EvalRecord(
-                dataset_id=ds, detector_id=det, params_id=pid, params={},
-                n_detections=int(n_det), fpc=int(fpc), target_found=bool(int(found)),
-                arlp=float(arlp_s) if arlp_s else None,
-                detect_time=int(dt) - 1 if dt else None,
-                located_time=int(loc) - 1 if loc else None,
-                valid=bool(int(valid))))
-    return records
 
 
 def cmd_eval(args) -> int:

@@ -39,7 +39,7 @@ from pathlib import Path
 
 import yaml
 
-from .detectors import KINDS, REQUIRED
+from .detectors import KINDS, REQUIRED, OutOfRange
 
 SCHEMA_VERSION = 1
 SEED_ENV = "PREDCOMP_SEED"
@@ -97,8 +97,8 @@ def _check_detector(d: dict, where: str) -> None:
 
 def param_values(det_cfg: dict, key: str) -> list:
     """Every value of a detector parameter over the grid, typed: its grid
-    list, else its ``params`` value, else its default.  A required key
-    with none of these, or a value its type cannot read, is a ConfigError."""
+    list, else its ``params`` value, else its default.  A required key with
+    none of these, or a value its type cannot read or rejects, is a ConfigError."""
     typ, default = KINDS[det_cfg["kind"]].params[key]
     where = f"detector {det_cfg['id']!r}"
     if key not in det_cfg.get("grid", {}) and key not in det_cfg.get("params", {}):
@@ -109,8 +109,9 @@ def param_values(det_cfg: dict, key: str) -> list:
     for value in det_cfg.get("grid", {}).get(key) or [det_cfg["params"][key]]:
         try:
             out.append(typ(value))
-        except (TypeError, ValueError):
-            raise ConfigError(f"{where}: {key} must be {typ.__name__}, got {value!r}") from None
+        except (TypeError, ValueError) as exc:
+            need = exc if isinstance(exc, OutOfRange) else typ.__name__
+            raise ConfigError(f"{where}: {key} must be {need}, got {value!r}") from None
     return out
 
 

@@ -1,13 +1,15 @@
 """Detector kinds: each one's parameters and how it runs.
 
 ``KINDS[kind].params`` maps every parameter name to ``(type, default)``,
-with ``REQUIRED`` where there is no default.  ``KINDS[kind].build(det_cfg,
-doc)`` returns ``run(series, params, keep_trace) -> (detections, trace)``,
-where ``params`` is one point over the detector's ``params`` section
-(:func:`predcomp.config.resolve_params` types it and fills in defaults) and
-``trace`` is the chart for ``pnc``, None for the other kinds.  Config
-validation, ``grid`` and ``detect`` all read this table; a build imports
-its detector module, so importing this one loads none.
+with ``REQUIRED`` where there is no default; a type rejects the values its
+detector raises ValueError on (:class:`OutOfRange`), so they fail at load.
+``KINDS[kind].build(det_cfg, doc)`` returns ``run(series, params,
+keep_trace) -> (detections, trace)``, where ``params`` is one point over
+the detector's ``params`` section (:func:`predcomp.config.resolve_params`
+types it and fills in defaults) and ``trace`` is the chart for ``pnc``,
+None for the other kinds.  Config validation, ``grid`` and ``detect`` all
+read this table; a build imports its detector module, so importing this
+one loads none.
 """
 
 from __future__ import annotations
@@ -25,6 +27,26 @@ def _choice(*options):
         return value
     choice.__name__ = " or ".join(options)
     return choice
+
+
+class OutOfRange(ValueError):
+    """A parameter value of the right type that its detector does not run with."""
+
+
+def _range(typ, rule: str, bad):
+    """``typ``, with an OutOfRange naming ``rule`` where ``bad(value)``."""
+    def check(value):
+        if bad(value := typ(value)):
+            raise OutOfRange(f"{typ.__name__} {rule}")
+        return value
+    check.__name__ = typ.__name__
+    return check
+
+
+_POSITIVE_INT = _range(int, "> 0", lambda v: v <= 0)
+_POSITIVE = _range(float, "> 0", lambda v: v <= 0)
+_NON_NEGATIVE = _range(float, ">= 0", lambda v: v < 0)
+_UNIT = _range(float, "in (0, 1]", lambda v: not 0 < v <= 1)
 
 
 class Kind(NamedTuple):
@@ -86,25 +108,29 @@ def _reference(module: str, call):
 
 
 KINDS: dict[str, Kind] = {
-    "pnc": Kind({"l": (int, 50), "b": (int, 25), "desInt": (float, REQUIRED),
-                 "k": (float, 0.5), "direction": (_choice("up", "down"), "up"),
+    "pnc": Kind({"l": (_POSITIVE_INT, 50), "b": (_POSITIVE_INT, 25),
+                 "desInt": (_POSITIVE, REQUIRED), "k": (_NON_NEGATIVE, 0.5),
+                 "direction": (_choice("up", "down"), "up"),
                  "refit": (_choice("never", "on_detection"), "never"),
                  "min_refit_history": (int, 50)}, _build_pnc),
-    "cusum": Kind({"desInt": (float, REQUIRED), "k": (float, 0.5), "window": (int, 50)},
+    "cusum": Kind({"desInt": (_POSITIVE, REQUIRED), "k": (_NON_NEGATIVE, 0.5),
+                   "window": (_POSITIVE_INT, 50)},
                   _reference(".refdet.classic", lambda m, x, p: m.classic_cusum_detect(
                       x, threshold=p["desInt"], allowance=p["k"], target_window=p["window"]))),
-    "bocpd": Kind({"hazard": (float, REQUIRED), "cpthreshold": (float, 0.5), "r_min": (int, 5),
-                   "mu0": (float, 0.0), "kappa0": (float, 1.0), "alpha0": (float, 1.0),
-                   "beta0": (float, 1.0)},
+    "bocpd": Kind({"hazard": (_UNIT, REQUIRED),
+                   "cpthreshold": (_range(float, "in (0, 1)", lambda v: not 0 < v < 1), 0.5),
+                   "r_min": (int, 5), "mu0": (float, 0.0), "kappa0": (_POSITIVE, 1.0),
+                   "alpha0": (_POSITIVE, 1.0), "beta0": (_POSITIVE, 1.0)},
                   _reference(".refdet.bocpd", lambda m, x, p: m.bocpd_detect(
                       x, hazard=p["hazard"], threshold=p["cpthreshold"], r_min=p["r_min"],
                       prior=m.NigPrior(p["mu0"], p["kappa0"], p["alpha0"], p["beta0"])))),
-    "ocd": Kind({"diag": (float, REQUIRED), "offDiag": (float, None),
-                 "h_tail": (int, 50), "baseline_window": (int, 100)},
+    "ocd": Kind({"diag": (_POSITIVE, REQUIRED), "offDiag": (float, None),
+                 "h_tail": (_range(int, ">= 1", lambda v: v < 1), 50),
+                 "baseline_window": (_range(int, ">= 2", lambda v: v < 2), 100)},
                 _reference(".refdet.ocd", lambda m, x, p: m.ocd_detect(
                     x, diag=p["diag"], off_diag=p["offDiag"], h_tail=p["h_tail"],
                     baseline_window=p["baseline_window"]))),
-    "mosum": Kind({"minHist": (int, 100), "histFact": (float, 0.5), "h": (float, 0.25),
+    "mosum": Kind({"minHist": (int, 100), "histFact": (_UNIT, 0.5), "h": (_UNIT, 0.25),
                    "level": (float, 0.05), "harmonics": (int, 0), "period": (float, 0.0),
                    "monitor_from": (int, None)},
                   _reference(".refdet.mosum", lambda m, x, p: m.mosum_detect(

@@ -1,17 +1,29 @@
 """File formats.
 
-All on-disk times are 1-based; the shift to the package's 0-based indices
-happens here and only here.  Floats are written with ``repr`` (shortest
-round-trip form), so identical data always produces identical bytes.
+All on-disk times are 1-based: :func:`time_field` and :func:`time_index`
+shift them to and from the package's 0-based indices, and no other code
+does.  Floats are written with ``repr`` (shortest round-trip form), so
+identical data always produces identical bytes.
 
-Series CSV: header ``time,value,phase,cp``; ``phase`` is one of B/E/K/A/V
-or empty, ``cp`` is empty except on change rows, where it reads
-``FROM>TO``.  A sidecar label file (header ``time,from,to``) can replace
-inline labels.
+CSV files, each with a header row and ``\\r\\n`` line ends; an empty field
+stands for None:
 
-Detections CSV: ``dataset,detector,params,detect_time,located_time``.
-Metrics CSV: one row per scored run.  Models: JSON with a schema_version
-and a kind tag; arrays are stored flat next to their shapes.
+- series ``time,value,phase,cp``: ``phase`` is one of B/E/K/A/V or empty;
+  ``cp`` reads ``FROM>TO`` on change rows and is empty elsewhere;
+- labels ``time,from,to``: a sidecar that can replace inline labels;
+- detections ``dataset,detector,params,detect_time,located_time``;
+- metrics :data:`METRICS_HEADER`: one row per scored run;
+- trace ``time,value,target,stat,threshold,alarm``: a chart, one row per
+  monitored step, which :func:`write_trace_svg` also draws;
+- loss ``epoch,train_loss,val_loss``: the LSTM training history, with
+  ``val_loss`` empty when there is no validation split.
+
+A reader turns a missing file, another header, a row of another width or a
+field it cannot read into a :class:`DataError` naming ``file:line``.
+
+JSON files, with sorted keys: a model (schema_version, kind tag, arrays
+flat next to their shapes) and the ``simulate`` manifest (the seed and,
+per dataset, its id, rows, 1-based labels and source).
 
 Every writer writes a temporary file next to its target and renames it
 over the target only once it is complete (:func:`replacing`), so a write
@@ -25,19 +37,33 @@ import json
 import math
 import os
 from contextlib import contextmanager
+from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
 
 from .evaluate import EvalRecord
-from .series import CpLabel, Detection, LabeledSeries
+from .series import PHASES, CpLabel, Detection, LabeledSeries
 
 SERIES_HEADER = ["time", "value", "phase", "cp"]
+DETECTIONS_HEADER = ["dataset", "detector", "params", "detect_time", "located_time"]
+METRICS_HEADER = ["dataset", "detector", "params", "n_detections", "fpc", "target_found",
+                  "arlp", "detect_time", "located_time", "valid"]
 MODEL_SCHEMA_VERSION = 1
 
 
 class DataError(ValueError):
     """Malformed data file (CLI exit code 2)."""
+
+
+def time_field(index: int | None):
+    """The 1-based time field of a 0-based index; empty for None."""
+    return "" if index is None else index + 1
+
+
+def time_index(field: str, optional: bool = False) -> int | None:
+    """The 0-based index of a 1-based time field; None for an empty optional one."""
+    return None if optional and field == "" else int(field) - 1
 
 
 @contextmanager
@@ -61,148 +87,117 @@ def write_text(path, text: str) -> None:
         fh.write(text)
 
 
+def write_json(path, doc: dict) -> None:
+    write_text(path, json.dumps(doc, indent=1, sort_keys=True) + "\n")
+
+
+def _write_rows(path, header: list[str], rows) -> None:
+    with replacing(path, newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
+
+
+def _read_rows(path, header: list[str]):
+    """Each data row of the CSV file ``path`` with its ``file:line``."""
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            if [h.strip() for h in next(reader, [])] != header:
+                raise DataError(f"{path}: expected header {','.join(header)}")
+            for row in reader:
+                where = f"{path}:{reader.line_num}"
+                if len(row) != len(header):
+                    raise DataError(f"{where}: expected {len(header)} columns")
+                yield where, row
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise DataError(f"{path}: cannot read: {getattr(exc, 'strerror', None) or exc}") from None
+
+
+def _parse(where: str, read):
+    """``read()``, with a ValueError as the DataError of ``where``."""
+    try:
+        return read()
+    except ValueError as exc:
+        raise DataError(f"{where}: {exc}") from None
+
+
 def _fmt(x: float) -> str:
-    if x == int(x) and abs(x) < 1e15:
-        return str(int(x))
-    return repr(float(x))
+    return str(int(x)) if x == int(x) and abs(x) < 1e15 else repr(float(x))
 
 
 def write_series_csv(path, series: LabeledSeries) -> None:
     tags = series.phase_tags()
-    by_time = {lab.time: lab for lab in series.cp_labels}
-    with replacing(path, newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(SERIES_HEADER)
-        for i, v in enumerate(series.values):
-            lab = by_time.get(i)
-            w.writerow([i + 1, _fmt(float(v)), tags[i], lab.key() if lab else ""])
-
-
-def _parse_cp(token: str, where: str) -> tuple[str, str]:
-    if ">" not in token:
-        raise DataError(f"{where}: cp must look like FROM>TO, got {token!r}")
-    frm, to = token.split(">", 1)
-    return frm.strip(), to.strip()
-
-
-def _open_input(path):
-    try:
-        return open(path, newline="")
-    except OSError as exc:
-        raise DataError(f"{path}: cannot read: {exc.strerror}") from None
+    keys = {lab.time: lab.key() for lab in series.cp_labels}
+    _write_rows(path, SERIES_HEADER, ([time_field(i), _fmt(float(v)), tags[i], keys.get(i, "")]
+                                      for i, v in enumerate(series.values)))
 
 
 def read_series_csv(path, name: str | None = None) -> LabeledSeries:
     path = Path(path)
-    values = []
-    labels = []
-    with _open_input(path) as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != SERIES_HEADER:
-            raise DataError(f"{path}: expected header {','.join(SERIES_HEADER)}")
-        for ln, row in enumerate(reader, start=2):
-            if len(row) != 4:
-                raise DataError(f"{path}:{ln}: expected 4 columns")
-            t_raw, v_raw, phase, cp = row
-            try:
-                t = int(t_raw)
-                v = float(v_raw)
-            except ValueError as exc:
-                raise DataError(f"{path}:{ln}: bad time or value: {exc}") from None
-            if not math.isfinite(v):
-                raise DataError(f"{path}:{ln}: value {v_raw!r} is not finite")
-            if t != len(values) + 1:
-                raise DataError(f"{path}:{ln}: time must be contiguous 1-based, got {t}")
-            if phase and phase not in ("B", "E", "K", "A", "V"):
-                raise DataError(f"{path}:{ln}: unknown phase {phase!r}")
-            values.append(v)
-            if cp:
-                frm, to = _parse_cp(cp, f"{path}:{ln}")
-                labels.append(CpLabel(t - 1, frm, to))
+    values, labels = [], []
+    for where, (t, v_raw, phase, cp) in _read_rows(path, SERIES_HEADER):
+        v = _parse(where, lambda: float(v_raw))
+        if not math.isfinite(v):
+            raise DataError(f"{where}: value {v_raw!r} is not finite")
+        if _parse(where, lambda: time_index(t)) != len(values):
+            raise DataError(f"{where}: time must be contiguous 1-based, got {t}")
+        if phase and phase not in PHASES:
+            raise DataError(f"{where}: unknown phase {phase!r}")
+        if cp:
+            frm, sep, to = cp.partition(">")
+            if not sep:
+                raise DataError(f"{where}: cp must look like FROM>TO, got {cp!r}")
+            labels.append(_parse(where, lambda: CpLabel(len(values), frm.strip(), to.strip())))
+        values.append(v)
     if not values:
         raise DataError(f"{path}: no data rows")
-    try:
-        return LabeledSeries(np.asarray(values), labels, name=name or path.stem)
-    except ValueError as exc:
-        raise DataError(f"{path}: {exc}") from None
+    return _parse(path, lambda: LabeledSeries(np.asarray(values), labels, name or path.stem))
 
 
 def read_labels_csv(path) -> list[CpLabel]:
-    """Sidecar labels: header time,from,to with 1-based times."""
-    path = Path(path)
-    labels = []
-    with _open_input(path) as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["time", "from", "to"]:
-            raise DataError(f"{path}: expected header time,from,to")
-        for ln, row in enumerate(reader, start=2):
-            if len(row) != 3:
-                raise DataError(f"{path}:{ln}: expected 3 columns")
-            try:
-                t = int(row[0])
-            except ValueError:
-                raise DataError(f"{path}:{ln}: bad time {row[0]!r}") from None
-            try:
-                labels.append(CpLabel(t - 1, row[1].strip(), row[2].strip()))
-            except ValueError as exc:
-                raise DataError(f"{path}:{ln}: {exc}") from None
-    return labels
+    """Sidecar labels, one change point per row."""
+    return [_parse(where, lambda: CpLabel(time_index(t), frm.strip(), to.strip()))
+            for where, (t, frm, to) in _read_rows(path, ["time", "from", "to"])]
 
 
 def write_detections_csv(path, rows: list[tuple[str, str, str, Detection]]) -> None:
     """rows: (dataset_id, detector_id, params_id, detection)."""
-    with replacing(path, newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["dataset", "detector", "params", "detect_time", "located_time"])
-        for ds, det, pid, d in rows:
-            w.writerow([ds, det, pid, d.detect_time + 1,
-                        "" if d.located_time is None else d.located_time + 1])
+    _write_rows(path, DETECTIONS_HEADER,
+                ([ds, det, pid, time_field(d.detect_time), time_field(d.located_time)]
+                 for ds, det, pid, d in rows))
 
 
 def read_detections_csv(path) -> list[tuple[str, str, str, Detection]]:
-    path = Path(path)
-    out = []
-    with _open_input(path) as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["dataset", "detector", "params", "detect_time", "located_time"]:
-            raise DataError(f"{path}: bad detections header")
-        for ln, row in enumerate(reader, start=2):
-            if len(row) != 5:
-                raise DataError(f"{path}:{ln}: expected 5 columns")
-            try:
-                dt = int(row[3]) - 1
-                loc = None if row[4] == "" else int(row[4]) - 1
-            except ValueError as exc:
-                raise DataError(f"{path}:{ln}: {exc}") from None
-            out.append((row[0], row[1], row[2], Detection(dt, loc, detector=row[1])))
-    return out
+    return [(ds, det, pid, _parse(where, lambda: Detection(
+                time_index(dt), time_index(loc, optional=True), detector=det)))
+            for where, (ds, det, pid, dt, loc) in _read_rows(path, DETECTIONS_HEADER)]
 
 
 def write_metrics_csv(path, records: list[EvalRecord]) -> None:
-    with replacing(path, newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["dataset", "detector", "params", "n_detections", "fpc",
-                    "target_found", "arlp", "detect_time", "located_time", "valid"])
-        for r in records:
-            w.writerow([
-                r.dataset_id, r.detector_id, r.params_id, r.n_detections, r.fpc,
-                int(r.target_found),
-                "" if r.arlp is None else repr(round(r.arlp, 6)),
-                "" if r.detect_time is None else r.detect_time + 1,
-                "" if r.located_time is None else r.located_time + 1,
-                int(r.valid),
-            ])
+    _write_rows(path, METRICS_HEADER, (
+        [r.dataset_id, r.detector_id, r.params_id, r.n_detections, r.fpc, int(r.target_found),
+         "" if r.arlp is None else repr(round(r.arlp, 6)), time_field(r.detect_time),
+         time_field(r.located_time), int(r.valid)] for r in records))
+
+
+def read_metrics_csv(path) -> list[EvalRecord]:
+    return [_parse(where, lambda: EvalRecord(
+                ds, det, pid, {}, int(n_det), int(fpc), bool(int(found)),
+                float(arlp) if arlp else None, time_index(dt, optional=True),
+                time_index(loc, optional=True), bool(int(valid))))
+            for where, (ds, det, pid, n_det, fpc, found, arlp, dt, loc, valid)
+            in _read_rows(path, METRICS_HEADER)]
+
+
+def write_loss_csv(path, train_loss: list[float], val_loss: list[float]) -> None:
+    _write_rows(path, ["epoch", "train_loss", "val_loss"], (
+        [e, repr(float(tl)), "" if vl is None else repr(float(vl))]
+        for e, (tl, vl) in enumerate(zip_longest(train_loss, val_loss), start=1)))
 
 
 def save_model(path, payload: dict) -> None:
-    doc = {"schema_version": MODEL_SCHEMA_VERSION}
-    doc.update(payload)
-    with replacing(path) as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_json(path, {"schema_version": MODEL_SCHEMA_VERSION, **payload})
 
 
 def load_model(path) -> dict:
@@ -218,23 +213,27 @@ def load_model(path) -> dict:
     return doc
 
 
+def write_manifest(path, seed: int, datasets: list[tuple[dict, LabeledSeries]]) -> None:
+    """The record of ``simulate``: each (dataset config, series) it wrote."""
+    write_json(path, {"seed": seed, "datasets": [
+        {"id": ds["id"], "rows": len(series), "source": ds["source"],
+         "labels": [[time_field(lab.time), lab.key()] for lab in series.cp_labels]}
+        for ds, series in datasets]})
+
+
 def write_trace_csv(path, rows) -> None:
     """Chart trajectory for plotting: one row per monitored step."""
-    with replacing(path, newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["time", "value", "target", "stat", "threshold", "alarm"])
-        for (i, value, target, stat, threshold, alarm) in rows:
-            w.writerow([i + 1, repr(float(value)), repr(float(target)),
-                        repr(float(stat)), repr(float(threshold)), int(alarm)])
+    _write_rows(path, ["time", "value", "target", "stat", "threshold", "alarm"], (
+        [time_field(i), *(repr(float(x)) for x in (value, target, stat, threshold)), int(alarm)]
+        for i, value, target, stat, threshold, alarm in rows))
 
 
 def write_trace_svg(path, rows, width: int = 900, height: int = 300) -> None:
     """Minimal standalone SVG of the chart statistic vs its threshold."""
     if not rows:
         raise DataError("empty trace")
-    xs = [r[0] + 1 for r in rows]
-    stat = [r[3] for r in rows]
-    thr = [r[4] for r in rows]
+    xs = [time_field(r[0]) for r in rows]
+    stat, thr = [r[3] for r in rows], [r[4] for r in rows]
     alarms = [(x, s) for x, s, r in zip(xs, stat, rows) if r[5]]
     lo = min(0.0, min(stat))
     hi = max(max(stat), max(thr)) * 1.05 or 1.0

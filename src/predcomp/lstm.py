@@ -20,6 +20,10 @@ import numpy as np
 from .seeding import spawn_rng
 from .predictors import PredictorError
 
+#: Adam's decay rates and denominator guard; the half-width of the uniform init
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+INIT_SCALE = 0.08
+
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     out = np.empty_like(z)
@@ -57,7 +61,7 @@ class LstmNet:
 
 
 def init_lstm(nh: int, nz: int, hidden: int = 32, seed: int = 0,
-              scale: float = 0.08) -> LstmNet:
+              scale: float = INIT_SCALE) -> LstmNet:
     rng = spawn_rng(seed, "lstm-init")
     H = hidden
     W = rng.uniform(-scale, scale, size=(4 * H, 1 + H))
@@ -179,13 +183,9 @@ class TrainConfig:
     epochs: int = 200
     batch_size: int = 32
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     clip_norm: float = 5.0
     validation_fraction: float = 0.2
     seed: int = 0
-    init_scale: float = 0.08
 
 
 @dataclass
@@ -211,7 +211,7 @@ def train_lstm(X: np.ndarray, Y: np.ndarray, cfg: TrainConfig) -> TrainResult:
     n_val = min(max(n_val, 0), len(X) - 1)
     X_tr, Y_tr = X[:len(X) - n_val], Y[:len(X) - n_val]
     X_va, Y_va = X[len(X) - n_val:], Y[len(X) - n_val:]
-    net = init_lstm(X.shape[1], Y.shape[1], cfg.hidden, cfg.seed, cfg.init_scale)
+    net = init_lstm(X.shape[1], Y.shape[1], cfg.hidden, cfg.seed)
     m = {k: np.zeros_like(v) for k, v in net.params().items()}
     v = {k: np.zeros_like(v_) for k, v_ in net.params().items()}
     rng = spawn_rng(cfg.seed, "lstm-batches")
@@ -228,11 +228,11 @@ def train_lstm(X: np.ndarray, Y: np.ndarray, cfg: TrainConfig) -> TrainResult:
             step += 1
             params = net.params()
             for key, p in params.items():
-                m[key] = cfg.beta1 * m[key] + (1 - cfg.beta1) * grads[key]
-                v[key] = cfg.beta2 * v[key] + (1 - cfg.beta2) * grads[key] ** 2
-                m_hat = m[key] / (1 - cfg.beta1 ** step)
-                v_hat = v[key] / (1 - cfg.beta2 ** step)
-                p -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.eps)
+                m[key] = BETA1 * m[key] + (1 - BETA1) * grads[key]
+                v[key] = BETA2 * v[key] + (1 - BETA2) * grads[key] ** 2
+                m_hat = m[key] / (1 - BETA1 ** step)
+                v_hat = v[key] / (1 - BETA2 ** step)
+                p -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + EPS)
             epoch_loss += loss
             n_batches += 1
         result.train_loss.append(epoch_loss / max(n_batches, 1))

@@ -1,8 +1,9 @@
 """Series containers, change point labels and detections.
 
 Time convention: array indices are 0-based everywhere inside the package.
-File formats and rendered reports use 1-based times; the conversion lives
-in :mod:`predcomp.io` and nowhere else.
+File formats and printed times are 1-based; the conversion is
+:func:`predcomp.io.time_field` and :func:`predcomp.io.time_index` and
+nowhere else.
 """
 
 from __future__ import annotations

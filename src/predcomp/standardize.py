@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .series import LabeledSeries
+from .series import LabeledSeries, finite_values, non_finite_error
 
 #: lam_hat below this is treated as zero: the score is clamped to 0 and flagged.
 LAM_FLOOR = 1e-9
@@ -127,15 +127,13 @@ def standardize(series: LabeledSeries | np.ndarray, t0: int = 0,
 
     Indices where no trend is estimable keep the raw value (identity
     fallback) and are flagged; indices with lam_hat below the floor get a
-    zero score and are flagged.
+    zero score and are flagged.  A NaN or infinite count raises its
+    :func:`~predcomp.series.non_finite_error`.
     """
     if mode not in ("offline", "online"):
         raise ValueError("mode must be 'offline' or 'online'")
-    if isinstance(series, LabeledSeries):
-        values, wrap = series.values, series
-    else:
-        values = np.asarray(series, dtype=float)
-        wrap = LabeledSeries(values)
+    values = finite_values(series)
+    wrap = series if isinstance(series, LabeledSeries) else LabeledSeries(values)
     n = len(values)
     flags: list[int] = []
     scores = np.empty(n)
@@ -179,6 +177,8 @@ class OnlineStandardizer:
         self.flagged: list[int] = []
 
     def push(self, x: float) -> float:
+        if not np.isfinite(x):
+            raise non_finite_error(self._n, x)
         if self._n == len(self._buf):
             self._buf = np.concatenate([self._buf, np.empty(self._n)])
         i = self._n

@@ -178,6 +178,33 @@ def test_grid_eval_report_pipeline(config_path, tmp_path, capsys):
     capsys.readouterr()
 
 
+METRICS_HEADER = ("dataset,detector,params,n_detections,fpc,target_found,arlp,detect_time,"
+                  "located_time,valid\n")
+
+
+@pytest.mark.parametrize("contents, message", [
+    (None, "metrics.csv: cannot read"),
+    ("dataset,detector,params,detect_time,located_time\ns,c,desInt=5,301,290\n",
+     "metrics.csv: expected header dataset,detector,params,n_detections"),
+    (METRICS_HEADER + "a,d,h=1,2,1,1,8.7,301\n", "metrics.csv:2: expected 10 columns"),
+    (METRICS_HEADER + "a,d,h=1,2,1,1,8.7,301,,1\na,d,h=2,two,0,0,,,,1\n",
+     "metrics.csv:3: invalid literal for int()"),
+    (b"\xff\xfe\x00\x01", "metrics.csv: cannot read"),
+], ids=["missing", "header", "short-row", "count", "undecodable"])
+def test_bad_metrics_file_exits_2_and_writes_nothing(config_path, tmp_path, capsys, contents,
+                                                     message):
+    metrics = tmp_path / "metrics.csv"
+    if isinstance(contents, bytes):
+        metrics.write_bytes(contents)
+    elif contents is not None:
+        metrics.write_text(contents)
+    out = tmp_path / "report.txt"
+    for command in (["eval", "-c", str(config_path)], ["report"]):
+        assert main([*command, "--metrics", str(metrics), "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_grid_is_deterministic(config_path, tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["grid", "-c", str(config_path)]) == 0
@@ -222,6 +249,14 @@ lstm: {{nh: 12, nz: 4, hidden: 6, epochs: 5, batch_size: 16, learning_rate: 0.01
     lines = loss.read_text().splitlines()
     assert lines[0] == "epoch,train_loss,val_loss"
     assert len(lines) == 6
+    assert all(line.split(",")[2] for line in lines[1:])
+    # without a validation split the val_loss field is empty
+    cfg.write_text(cfg.read_text().replace("0.01}", "0.01, validation_fraction: 0}"))
+    assert main(["train-lstm", "-c", str(cfg), "--dataset", "s",
+                 "--out", str(model), "--loss", str(loss)]) == 0
+    data = loss.read_bytes()
+    assert data.count(b"\r\n") == 6  # line ends as in every other CSV
+    assert [line.split(",")[2] for line in data.decode().splitlines()] == ["val_loss"] + [""] * 5
     capsys.readouterr()
 
 
@@ -263,6 +298,18 @@ def test_committed_demo_metrics_are_current(tmp_path, capsys, monkeypatch):
                  "--out", str(tmp_path)]) == 0
     assert (tmp_path / "metrics.csv").read_bytes() == \
         (ROOT / "out" / "demo" / "metrics.csv").read_bytes()
+    capsys.readouterr()
+
+
+def test_committed_demo_series_are_current(tmp_path, capsys, monkeypatch):
+    # out/demo/manifest.json and wear_*.csv must be what `simulate` writes for the demo
+    monkeypatch.delenv("PREDCOMP_SEED", raising=False)
+    assert main(["simulate", "-c", str(ROOT / "configs" / "demo.yaml"),
+                 "--out", str(tmp_path)]) == 0
+    committed = sorted(p.name for p in (ROOT / "out" / "demo").iterdir() if p.name != "metrics.csv")
+    assert committed == sorted(p.name for p in tmp_path.iterdir())
+    for name in committed:
+        assert (tmp_path / name).read_bytes() == (ROOT / "out" / "demo" / name).read_bytes(), name
     capsys.readouterr()
 
 

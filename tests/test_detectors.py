@@ -130,8 +130,41 @@ detectors:
     ("{id: c, kind: pnc, predictor: {kind: mean}, params: {desInt: 5, direction: sideways}}",
      "direction must be up or down, got 'sideways'"),
     ("{id: c, kind: mosum, params: {monitor_from: soon}}", "monitor_from must be int"),
+    # values of the right type that the detector would reject when it runs
+    ("{id: c, kind: pnc, predictor: {kind: mean}, params: {desInt: 5, l: 0}}",
+     "l must be int > 0, got 0"),
+    ("{id: c, kind: pnc, predictor: {kind: mean}, params: {desInt: 5}, grid: {b: [5, -1]}}",
+     "b must be int > 0, got -1"),
+    ("{id: c, kind: pnc, predictor: {kind: mean}, params: {desInt: 0}}",
+     "desInt must be float > 0, got 0"),
+    ("{id: c, kind: pnc, predictor: {kind: mean}, params: {desInt: 5, k: -0.5}}",
+     "k must be float >= 0, got -0.5"),
+    ("{id: c, kind: cusum, grid: {desInt: [5, -5]}}", "desInt must be float > 0, got -5"),
+    ("{id: c, kind: cusum, params: {desInt: 5, k: -1}}", "k must be float >= 0, got -1"),
+    ("{id: c, kind: cusum, params: {desInt: 5, window: 0}}", "window must be int > 0, got 0"),
+    ("{id: c, kind: bocpd, params: {hazard: 0}}", "hazard must be float in (0, 1], got 0"),
+    ("{id: c, kind: bocpd, params: {hazard: 1.5}}", "hazard must be float in (0, 1], got 1.5"),
+    ("{id: c, kind: bocpd, params: {hazard: 0.01, cpthreshold: 1.0}}",
+     "cpthreshold must be float in (0, 1), got 1.0"),
+    ("{id: c, kind: bocpd, params: {hazard: 0.01}, grid: {cpthreshold: [0.5, 0]}}",
+     "cpthreshold must be float in (0, 1), got 0"),
+    ("{id: c, kind: bocpd, params: {hazard: 0.01, kappa0: 0}}", "kappa0 must be float > 0, got 0"),
+    ("{id: c, kind: bocpd, params: {hazard: 0.01, alpha0: -1}}",
+     "alpha0 must be float > 0, got -1"),
+    ("{id: c, kind: bocpd, params: {hazard: 0.01, beta0: 0.0}}",
+     "beta0 must be float > 0, got 0.0"),
+    ("{id: c, kind: ocd, params: {diag: -1}}", "diag must be float > 0, got -1"),
+    ("{id: c, kind: ocd, params: {diag: 8, h_tail: 0}}", "h_tail must be int >= 1, got 0"),
+    ("{id: c, kind: ocd, params: {diag: 8, baseline_window: 1}}",
+     "baseline_window must be int >= 2, got 1"),
+    ("{id: c, kind: mosum, params: {histFact: 0}}", "histFact must be float in (0, 1], got 0"),
+    ("{id: c, kind: mosum, grid: {h: [0.25, 1.5]}}", "h must be float in (0, 1], got 1.5"),
 ], ids=["cusum-desInt", "bocpd-hazard", "ocd-diag", "pnc-desInt", "grid-value", "params-value",
-        "choice", "monitor_from"])
+        "choice", "monitor_from", "pnc-l", "pnc-b", "pnc-desInt-range", "pnc-k",
+        "cusum-desInt-range", "cusum-k", "cusum-window", "bocpd-hazard-0", "bocpd-hazard-1.5",
+        "bocpd-cpthreshold-1", "bocpd-cpthreshold-0", "bocpd-kappa0", "bocpd-alpha0",
+        "bocpd-beta0", "ocd-diag-range", "ocd-h_tail", "ocd-baseline_window", "mosum-histFact",
+        "mosum-h"])
 def test_missing_or_unreadable_parameter_exits_2(tmp_path, capsys, detector, message):
     cfg = tmp_path / "bad.yaml"
     cfg.write_text(BAD_CONFIG.format(out=tmp_path / "out", detector=detector))

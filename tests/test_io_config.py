@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from predcomp.io import (
     load_model,
     read_detections_csv,
     read_labels_csv,
+    read_metrics_csv,
     read_series_csv,
     save_model,
     write_detections_csv,
@@ -131,6 +134,22 @@ def test_metrics_csv_layout(tmp_path):
                         "arlp,detect_time,located_time,valid")
     assert lines[1] == "a,d,h=1,2,1,1,8.739709,3477,,1"
     assert lines[2] == "a,d,h=2,0,0,0,,,,0"
+
+
+def test_metrics_round_trip(tmp_path):
+    p, again = tmp_path / "m.csv", tmp_path / "again.csv"
+    rec = EvalRecord(dataset_id="a", detector_id="d", params_id="h=1", params={},
+                     n_detections=2, fpc=1, target_found=True, arlp=8.7397086,
+                     detect_time=3476, located_time=3470, valid=True)
+    miss = EvalRecord(dataset_id="a", detector_id="d", params_id="h=2", params={},
+                      n_detections=0, fpc=0, target_found=False, arlp=None,
+                      detect_time=None, located_time=None, valid=False)
+    write_metrics_csv(p, [rec, miss])
+    back = read_metrics_csv(p)
+    # arlp comes back rounded to 6 decimals, empty fields as None
+    assert back == [dataclasses.replace(rec, arlp=8.739709), miss]
+    write_metrics_csv(again, back)
+    assert again.read_bytes() == p.read_bytes()
 
 
 def test_model_round_trip(tmp_path):

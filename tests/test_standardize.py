@@ -151,3 +151,18 @@ def test_divergent_tail_raises_score_mean():
 def test_mode_validation():
     with pytest.raises(ValueError):
         standardize(np.ones(10), mode="batch")
+
+
+@pytest.mark.parametrize("mode", ["offline", "online", "streaming"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_count_rejected(mode, bad):
+    # a NaN would give identity scores and an inf a RuntimeWarning
+    x = spawn_rng(3, "nonfinite").poisson(5.0, 60).astype(float)
+    x[20] = bad
+    with pytest.raises(ValueError, match=r"index 20 is not finite"):
+        if mode == "streaming":
+            st = OnlineStandardizer()
+            for v in x:
+                st.push(v)
+        else:
+            standardize(LabeledSeries(x), mode=mode)
