@@ -33,9 +33,9 @@ class CusumChart:
     start: int = 0
 
     def __post_init__(self) -> None:
-        if self.threshold <= 0:
+        if not self.threshold > 0:
             raise ValueError("threshold must be positive")
-        if self.allowance < 0:
+        if not self.allowance >= 0:
             raise ValueError("allowance must be non-negative")
         if self.direction not in ("up", "down"):
             raise ValueError("direction must be 'up' or 'down'")

@@ -62,8 +62,13 @@ def time_field(index: int | None):
 
 
 def time_index(field: str, optional: bool = False) -> int | None:
-    """The 0-based index of a 1-based time field; None for an empty optional one."""
-    return None if optional and field == "" else int(field) - 1
+    """The 0-based index of a 1-based time field; None for an empty optional
+    one.  A field below 1 is a ValueError."""
+    if optional and field == "":
+        return None
+    if (time := int(field)) < 1:
+        raise ValueError(f"time must be >= 1, got {field}")
+    return time - 1
 
 
 @contextmanager

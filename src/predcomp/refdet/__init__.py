@@ -1,17 +1,26 @@
-"""Reference detectors run against the prediction-assisted chart."""
+"""Reference detectors run against the prediction-assisted chart.
 
-from .classic import classic_cusum_detect
-from .bocpd import NigPrior, bocpd_detect
-from .ocd import ocd_detect
-from .mosum import mosum_detect
+Each ``*_detect`` is the one-threshold case of its ``*_sweep``, which runs
+many thresholds at once and shares every segment their runs have in common
+(:mod:`predcomp.refdet.sweep`).
+"""
+
+from .classic import classic_cusum_detect, classic_cusum_sweep
+from .bocpd import NigPrior, bocpd_detect, bocpd_sweep
+from .ocd import ocd_detect, ocd_sweep
+from .mosum import mosum_detect, mosum_sweep
 from .baseline import BaselineResult, random_baseline
 
 __all__ = [
     "classic_cusum_detect",
+    "classic_cusum_sweep",
     "NigPrior",
     "bocpd_detect",
+    "bocpd_sweep",
     "ocd_detect",
+    "ocd_sweep",
     "mosum_detect",
+    "mosum_sweep",
     "BaselineResult",
     "random_baseline",
 ]

@@ -36,17 +36,26 @@ rounds differently; following scipy's steps keeps every result bit for bit
 equal to the direct recursion built on scipy while skipping its per-call
 overhead, which dominated the cost of a step.
 
+Sweeps.  The state does not depend on the threshold, and after an alarm
+the detector restarts from the prior, so :func:`bocpd_sweep` steps one
+state through each segment start once, for every threshold that restarts
+there, until the highest of them has fired; the lower ones fire on the
+way (:func:`predcomp.refdet.sweep.sweep`).  :func:`bocpd_detect` is its
+one-threshold case.
+
 ``gammaln`` is imported where it is used, so that importing this module
 does not load scipy.special (about 0.3 s, paid by every CLI command).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..series import Detection, finite_values
+from .sweep import require_single, sweep
 
 
 @dataclass(frozen=True)
@@ -57,8 +66,10 @@ class NigPrior:
     beta0: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.kappa0 <= 0 or self.alpha0 <= 0 or self.beta0 <= 0:
-            raise ValueError("kappa0, alpha0, beta0 must be positive")
+        if not all(0 < v < np.inf for v in (self.kappa0, self.alpha0, self.beta0)):
+            raise ValueError("kappa0, alpha0, beta0 must be finite and positive")
+        if not np.isfinite(self.mu0):
+            raise ValueError("mu0 must be finite")
 
 
 def student_t_logpdf(x, df, loc, scale2):
@@ -236,30 +247,60 @@ def bocpd_detect(series, hazard: float, prior: NigPrior | None = None,
     path.  ``located_time`` of a detection is the start of the MAP run.
     Raises ``ValueError`` on a NaN or infinite value.
     """
+    info = {"segment_log_evidence": [], "short_run_prob": []}
+    (detections,) = bocpd_sweep(series, hazard, [threshold], prior, r_min,
+                                evidence=info["segment_log_evidence"],
+                                posterior=info["short_run_prob"] if keep_posterior else None)
+    return detections, info
+
+
+def bocpd_sweep(series, hazard: float, thresholds, prior: NigPrior | None = None,
+                r_min: int = 5, evidence: list | None = None,
+                posterior: list | None = None) -> list[list[Detection]]:
+    """The detections of :func:`bocpd_detect` at each threshold.
+
+    One state steps through each segment until the highest threshold that
+    restarts there has fired.  With a single threshold, ``evidence`` and
+    ``posterior`` receive the ``segment_log_evidence`` and
+    ``short_run_prob`` rows of :func:`bocpd_detect`.
+    """
+    require_single(thresholds, evidence)
+    require_single(thresholds, posterior)
     if not 0.0 < hazard <= 1.0:
         raise ValueError("hazard must be in (0, 1]")
-    if not 0.0 < threshold < 1.0:
+    if not all(0.0 < threshold < 1.0 for threshold in thresholds):
         raise ValueError("threshold must be in (0, 1)")
     prior = prior or NigPrior()
     values = finite_values(series)
-    detections = []
-    info = {"segment_log_evidence": [], "short_run_prob": []}
+    n = len(values)
     state = BocpdState(prior)
-    state._reserve(len(values))
-    seg_start = 0
-    for i, x in enumerate(values):
-        state.step(float(x), hazard)
-        p_short = state._mass_below(r_min + 1)
-        if keep_posterior:
-            info["short_run_prob"].append((i, p_short))
-        if state.steps <= r_min + 1:
-            continue  # all mass is on short runs this early, by construction
-        if p_short > threshold:
-            located = i - state.map_run_length()
-            detections.append(Detection(detect_time=i, located_time=max(located, seg_start),
-                                        detector="bocpd", stat_value=p_short))
-            info["segment_log_evidence"].append((seg_start, i, state.log_evidence))
-            state._reset()
-            seg_start = i + 1
-    info["segment_log_evidence"].append((seg_start, len(values) - 1, state.log_evidence))
-    return detections, info
+    state._reserve(n)
+
+    def scan(start: int, group: list[int]) -> list[Detection | None]:
+        order = sorted(group, key=lambda j: thresholds[j])
+        levels = [thresholds[j] for j in order]
+        found, done = {}, 0
+        state._reset()
+        for i in range(start, n):
+            state.step(float(values[i]), hazard)
+            p_short = state._mass_below(r_min + 1)
+            if posterior is not None:
+                posterior.append((i, p_short))
+            if state.steps <= r_min + 1:
+                continue  # all mass is on short runs this early, by construction
+            fired = bisect_left(levels, p_short, done)  # thresholds below p_short
+            if fired > done:
+                det = Detection(detect_time=i, located_time=max(i - state.map_run_length(), start),
+                                detector="bocpd", stat_value=p_short)
+                found.update(dict.fromkeys(order[done:fired], det))
+                if evidence is not None:
+                    evidence.append((start, i, state.log_evidence))
+                done = fired
+                if done == len(order):
+                    break
+        else:
+            if evidence is not None:
+                evidence.append((start, n - 1, state.log_evidence))
+        return [found.get(j) for j in group]
+
+    return sweep(scan, len(thresholds))

@@ -21,6 +21,12 @@ History protocol: at the initial segment the history is the
 clamp(ceil(hist_fact * monitor_from), min_hist, cap * min_hist) is fitted.
 After each detection the model refits once ``min_hist`` fresh points have
 accumulated, then monitoring resumes.
+
+The moving sums and their bounds are computed as array operations over
+blocks of ``_ROWS`` steps, each entry by the same expression as the
+step-by-step definition, so every value keeps its bits.  A sweep over
+levels (:func:`mosum_sweep`) fits and sums each segment once for every
+level that restarts there (:func:`predcomp.refdet.sweep.sweep`).
 """
 
 from __future__ import annotations
@@ -32,8 +38,12 @@ from importlib import resources
 import numpy as np
 
 from ..series import Detection, finite_values
+from .sweep import require_single, sweep
 
 _TABLE = None
+
+#: steps of one block of the monitoring statistic
+_ROWS = 512
 
 
 def boundary_constant(h_band: float, level: float) -> float:
@@ -68,6 +78,21 @@ def mosum_detect(series, min_hist: int = 100, hist_fact: float = 0.5,
 
     Raises ``ValueError`` on a NaN or infinite value.
     """
+    trace = []
+    (detections,) = mosum_sweep(series, [level], min_hist, hist_fact, h_band, harmonics, period,
+                                monitor_from, cap_factor, trace=trace if keep_trace else None)
+    return detections, trace
+
+
+def mosum_sweep(series, levels, min_hist: int = 100, hist_fact: float = 0.5,
+                h_band: float = 0.25, harmonics: int = 0, period: float = 0.0,
+                monitor_from: int | None = None, cap_factor: int = 4,
+                trace: list | None = None) -> list[list[Detection]]:
+    """The detections of :func:`mosum_detect` at each ``level``.
+
+    ``trace``, with a single level, receives its rows.
+    """
+    require_single(levels, trace)
     if not 0 < hist_fact <= 1:
         raise ValueError("hist_fact must be in (0, 1]")
     if not 0 < h_band <= 1:
@@ -78,15 +103,14 @@ def mosum_detect(series, min_hist: int = 100, hist_fact: float = 0.5,
     n = len(values)
     if monitor_from is None:
         monitor_from = 2 * min_hist
-    c = boundary_constant(h_band, level)
-    detections = []
-    trace = []
-    seg_start = 0
-    mon_start = min(monitor_from, n)
-    while mon_start < n:
+    cs = [boundary_constant(h_band, level) for level in levels]
+
+    def scan(seg_start: int, group: list[int]) -> list[Detection | None]:
+        found = {}
+        mon_start = min(monitor_from, n) if seg_start == 0 else seg_start + min_hist
         avail = mon_start - seg_start
-        if avail < min_hist:
-            break
+        if mon_start >= n or avail < min_hist:
+            return [None] * len(group)
         length = int(min(max(min_hist, math.ceil(hist_fact * avail)),
                          cap_factor * min_hist, avail))
         hist_lo = mon_start - length
@@ -101,22 +125,29 @@ def mosum_detect(series, min_hist: int = 100, hist_fact: float = 0.5,
         resid_mon = values[mon_start:] - _design(t_mon, harmonics, period) @ beta
         resid = np.concatenate((resid_hist, resid_mon))
         csum = np.concatenate(([0.0], np.cumsum(resid)))
-        alarm_at = -1
-        for j in range(len(t_mon)):
-            pos = length + j  # position in the residual vector
-            lo = max(pos + 1 - band, 0)
-            mosum = csum[pos + 1] - csum[lo]
-            bound = c * sd * np.sqrt(length) * (1.0 + (j + 1) / length)
-            idx = mon_start + j
-            if keep_trace:
-                trace.append((idx, float(mosum), float(bound)))
-            if abs(mosum) > bound:
-                detections.append(Detection(detect_time=idx, located_time=None,
-                                            detector="mosum", stat_value=float(mosum)))
-                alarm_at = idx
-                break
-        if alarm_at < 0:
-            break
-        seg_start = alarm_at + 1
-        mon_start = seg_start + min_hist
-    return detections, trace
+        scale = {j: cs[j] * sd * np.sqrt(length) for j in group}
+        pending = list(group)
+        j0 = 0
+        while pending and j0 < len(t_mon):
+            js = np.arange(j0, min(j0 + _ROWS, len(t_mon)))  # steps into monitoring
+            pos = length + js  # positions in the residual vector
+            mosum = csum[pos + 1] - csum[np.maximum(pos + 1 - band, 0)]
+            size = np.abs(mosum)
+            growth = 1.0 + (js + 1) / length
+            end = len(js)
+            for j in pending[:]:
+                hits = np.flatnonzero(size > scale[j] * growth)
+                if hits.size:
+                    k = int(hits[0])
+                    found[j] = Detection(detect_time=mon_start + j0 + k, located_time=None,
+                                         detector="mosum", stat_value=float(mosum[k]))
+                    pending.remove(j)
+                    end = k + 1
+            if trace is not None:
+                bound = scale[group[0]] * growth
+                trace.extend((mon_start + j0 + k, float(mosum[k]), float(bound[k]))
+                             for k in range(end))
+            j0 += len(js)
+        return [found.get(j) for j in group]
+
+    return sweep(scan, len(levels))

@@ -14,6 +14,13 @@ multivariate method; with a single coordinate that statistic is the empty
 sum, identically zero, so the parameter is accepted but has no effect.
 
 The baseline is re-estimated from scratch after every detection.
+
+The statistic of a segment is computed as array operations over blocks of
+steps by ages, each entry by the same expression as the step-by-step
+definition, so every value keeps its bits; a block holds at most
+``_CELLS`` entries, which bounds the temporaries however long the segment.
+A sweep over thresholds (:func:`ocd_sweep`) computes each segment once for
+every threshold that restarts there (:func:`predcomp.refdet.sweep.sweep`).
 """
 
 from __future__ import annotations
@@ -21,6 +28,10 @@ from __future__ import annotations
 import numpy as np
 
 from ..series import Detection, finite_values
+from .sweep import require_single, sweep
+
+#: entries of one block of the statistic: 512 steps of 64 ages, 256 KiB
+_CELLS = 512 * 64
 
 
 def ocd_detect(series, diag: float, off_diag: float | None = None,
@@ -30,49 +41,75 @@ def ocd_detect(series, diag: float, off_diag: float | None = None,
 
     Raises ``ValueError`` on a NaN or infinite value.
     """
-    if diag <= 0:
+    trace = []
+    (detections,) = ocd_sweep(series, [diag], off_diag, h_tail, baseline_window,
+                              trace=trace if keep_trace else None)
+    return detections, trace
+
+
+def _baseline(values: np.ndarray, start: int, window: int):
+    """(end, mean, sd) of the baseline opening at ``start``, extended while
+    its sample sd is zero; None when no step is left to monitor after it."""
+    n = len(values)
+    end = start + window
+    while end < n:
+        base = values[start:end]
+        sd = float(np.std(base, ddof=1))
+        if sd > 0:
+            return end, float(np.mean(base)), sd
+        end += 1
+    return None
+
+
+def ocd_sweep(series, diags, off_diag: float | None = None, h_tail: int = 50,
+              baseline_window: int = 100, trace: list | None = None) -> list[list[Detection]]:
+    """The detections of :func:`ocd_detect` at each ``diag`` threshold.
+
+    ``trace``, with a single threshold, receives its rows.
+    """
+    require_single(diags, trace)
+    if not all(diag > 0 for diag in diags):
         raise ValueError("diag must be positive")
     if h_tail < 1 or baseline_window < 2:
         raise ValueError("h_tail >= 1 and baseline_window >= 2 required")
     values = finite_values(series)
-    n = len(values)
-    detections = []
-    trace = []
-    seg_start = 0
-    i = 0
-    while i < n:
-        # establish the baseline; extend it while the sample sd is zero
-        base_end = seg_start + baseline_window
-        sd = 0.0
-        while base_end <= n:
-            base = values[seg_start:base_end]
-            mean = float(np.mean(base))
-            sd = float(np.std(base, ddof=1))
-            if sd > 0:
-                break
-            base_end += 1
-        if base_end > n or sd == 0.0:
-            break  # not enough variation left to monitor
+
+    def scan(start: int, group: list[int]) -> list[Detection | None]:
+        found = {}
+        base = _baseline(values, start, baseline_window)
+        if base is None:
+            return [None] * len(group)  # not enough variation left to monitor
+        base_end, mean, sd = base
         dev_cum = np.concatenate(([0.0], np.cumsum(values[base_end:] - mean)))
-        alarm_at = -1
-        for j in range(len(dev_cum) - 1):
-            upto = j + 1
-            taus = np.arange(1, min(h_tail, upto) + 1)
-            sums = dev_cum[upto] - dev_cum[upto - taus]
-            stats = np.abs(sums) / (sd * np.sqrt(taus))
-            best = int(np.argmax(stats))
-            stat = float(stats[best])
-            idx = base_end + j
-            if keep_trace:
-                trace.append((idx, stat, int(taus[best])))
-            if stat > diag:
-                detections.append(Detection(detect_time=idx,
-                                            located_time=idx - int(taus[best]) + 1,
-                                            detector="ocd", stat_value=stat))
-                alarm_at = idx
-                break
-        if alarm_at < 0:
-            break
-        seg_start = alarm_at + 1
-        i = seg_start
-    return detections, trace
+        steps = len(dev_cum) - 1
+        taus = np.arange(1, min(h_tail, steps) + 1)
+        scale = sd * np.sqrt(taus)
+        rows = max(_CELLS // len(taus), 1)
+        pending = list(group)
+        j0 = 0
+        while pending and j0 < steps:
+            # step j sees the tails ending at dev_cum[j + 1]; ages past the
+            # segment's own length stay out of the maximum
+            upto = np.arange(j0 + 1, min(j0 + rows, steps) + 1)
+            back = upto[:, None] - taus
+            stats = np.abs(dev_cum[upto][:, None] - dev_cum[np.maximum(back, 0)]) / scale
+            stats[back < 0] = -np.inf
+            best = stats.argmax(axis=1)
+            stat = stats[np.arange(len(upto)), best]
+            end = len(upto)
+            for j in pending[:]:
+                hits = np.flatnonzero(stat > diags[j])
+                if hits.size:
+                    k = int(hits[0])
+                    idx = base_end + j0 + k
+                    found[j] = Detection(detect_time=idx, located_time=idx - int(best[k]),
+                                         detector="ocd", stat_value=float(stat[k]))
+                    pending.remove(j)
+                    end = k + 1
+            if trace is not None:
+                trace.extend((base_end + j0 + k, float(stat[k]), int(best[k]) + 1)
+                             for k in range(end))
+            j0 += len(upto)
+        return [found.get(j) for j in group]
+
+    return sweep(scan, len(diags))

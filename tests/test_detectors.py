@@ -15,6 +15,8 @@ from predcomp.detectors import KINDS, REQUIRED
 from predcomp.evaluate import params_id
 from predcomp.io import read_detections_csv, save_model
 from predcomp.lstm import init_lstm
+from predcomp.seeding import spawn_rng
+from predcomp.series import LabeledSeries
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -108,6 +110,40 @@ def test_detect_and_grid_agree_for_every_kind(agree_grid, tmp_path, capsys, dete
     capsys.readouterr()
 
 
+def _level_series(seed: int, name: str) -> LabeledSeries:
+    """600 points around 5 * seed whose mean rises by 3 at index 450."""
+    y = spawn_rng(seed, "cache").normal(5.0 * seed, 1.0, size=600)
+    y[450:] += 3.0
+    return LabeledSeries(y, name=name)
+
+
+@pytest.mark.parametrize("det_cfg, outside", [
+    ({"id": "p", "kind": "pnc", "predictor": {"kind": "ar", "p": 2},
+      "params": {"l": 100, "b": 25}, "grid": {"desInt": [4.0, 8.0]}}, 6.0),
+    ({"id": "c", "kind": "cusum", "grid": {"desInt": [5.0, 10.0]}}, 7.0),
+    ({"id": "b", "kind": "bocpd", "params": {"hazard": 0.01}, "grid": {"cpthreshold": [0.5, 0.8]}},
+     0.6),
+    ({"id": "o", "kind": "ocd", "grid": {"diag": [8.0, 16.0]}}, 12.0),
+    ({"id": "m", "kind": "mosum", "grid": {"level": [0.05, 0.1]}}, 0.2),
+], ids=["pnc", "cusum", "bocpd", "ocd", "mosum"])
+def test_a_run_keeps_what_it_fits_or_sweeps_to_its_own_series(det_cfg, outside):
+    """Unnamed series run in turn, whose ids may be reused, and series that
+    share a name each get what a fresh build gives them, at the configured
+    thresholds and at one outside them."""
+    doc = {"train_prefix": 300}
+    key = KINDS[det_cfg["kind"]].threshold or "desInt"
+    run = KINDS[det_cfg["kind"]].build(det_cfg, doc)
+    got = []
+    for seed, name in [(0, ""), (1, ""), (2, ""), (1, "same"), (2, "same")]:
+        series = _level_series(seed, name)
+        for value in [*det_cfg["grid"][key], outside]:
+            pinned = dict(det_cfg, params={**det_cfg.get("params", {}), key: value}, grid={})
+            fresh = KINDS[det_cfg["kind"]].build(pinned, doc)(series, {key: value})[0]
+            assert run(series, {key: value})[0] == fresh, (seed, name, value)
+            got.append(fresh)
+    assert len({tuple(d.detect_time for d in dets) for dets in got}) > 1
+
+
 BAD_CONFIG = """\
 schema_version: 1
 seed: 1
@@ -141,6 +177,9 @@ detectors:
      "k must be float >= 0, got -0.5"),
     ("{id: c, kind: cusum, grid: {desInt: [5, -5]}}", "desInt must be float > 0, got -5"),
     ("{id: c, kind: cusum, params: {desInt: 5, k: -1}}", "k must be float >= 0, got -1"),
+    ("{id: c, kind: cusum, grid: {desInt: [5, .nan, 10]}}", "desInt must be float > 0, got nan"),
+    ("{id: c, kind: ocd, params: {diag: .nan}}", "diag must be float > 0, got nan"),
+    ("{id: c, kind: cusum, params: {desInt: 5, k: .nan}}", "k must be float >= 0, got nan"),
     ("{id: c, kind: cusum, params: {desInt: 5, window: 0}}", "window must be int > 0, got 0"),
     ("{id: c, kind: bocpd, params: {hazard: 0}}", "hazard must be float in (0, 1], got 0"),
     ("{id: c, kind: bocpd, params: {hazard: 1.5}}", "hazard must be float in (0, 1], got 1.5"),
@@ -153,6 +192,13 @@ detectors:
      "alpha0 must be float > 0, got -1"),
     ("{id: c, kind: bocpd, params: {hazard: 0.01, beta0: 0.0}}",
      "beta0 must be float > 0, got 0.0"),
+    ("{id: c, kind: bocpd, params: {hazard: 0.01, alpha0: .inf}}",
+     "alpha0 must be finite, got inf"),
+    ("{id: c, kind: bocpd, params: {hazard: 0.01}, grid: {kappa0: [1.0, .inf]}}",
+     "kappa0 must be finite, got inf"),
+    ("{id: c, kind: bocpd, params: {hazard: 0.01, beta0: .nan}}", "beta0 must be finite, got nan"),
+    ("{id: c, kind: bocpd, params: {hazard: 0.01, mu0: -.inf}}", "mu0 must be finite, got -inf"),
+    ("{id: c, kind: bocpd, params: {hazard: 0.01, mu0: abc}}", "mu0 must be float, got 'abc'"),
     ("{id: c, kind: ocd, params: {diag: -1}}", "diag must be float > 0, got -1"),
     ("{id: c, kind: ocd, params: {diag: 8, h_tail: 0}}", "h_tail must be int >= 1, got 0"),
     ("{id: c, kind: ocd, params: {diag: 8, baseline_window: 1}}",
@@ -161,10 +207,12 @@ detectors:
     ("{id: c, kind: mosum, grid: {h: [0.25, 1.5]}}", "h must be float in (0, 1], got 1.5"),
 ], ids=["cusum-desInt", "bocpd-hazard", "ocd-diag", "pnc-desInt", "grid-value", "params-value",
         "choice", "monitor_from", "pnc-l", "pnc-b", "pnc-desInt-range", "pnc-k",
-        "cusum-desInt-range", "cusum-k", "cusum-window", "bocpd-hazard-0", "bocpd-hazard-1.5",
+        "cusum-desInt-range", "cusum-k", "cusum-desInt-nan", "ocd-diag-nan", "cusum-k-nan",
+        "cusum-window", "bocpd-hazard-0", "bocpd-hazard-1.5",
         "bocpd-cpthreshold-1", "bocpd-cpthreshold-0", "bocpd-kappa0", "bocpd-alpha0",
-        "bocpd-beta0", "ocd-diag-range", "ocd-h_tail", "ocd-baseline_window", "mosum-histFact",
-        "mosum-h"])
+        "bocpd-beta0", "bocpd-alpha0-inf", "bocpd-kappa0-inf", "bocpd-beta0-nan", "bocpd-mu0-inf",
+        "bocpd-mu0-untyped", "ocd-diag-range", "ocd-h_tail", "ocd-baseline_window",
+        "mosum-histFact", "mosum-h"])
 def test_missing_or_unreadable_parameter_exits_2(tmp_path, capsys, detector, message):
     cfg = tmp_path / "bad.yaml"
     cfg.write_text(BAD_CONFIG.format(out=tmp_path / "out", detector=detector))
@@ -173,6 +221,35 @@ def test_missing_or_unreadable_parameter_exits_2(tmp_path, capsys, detector, mes
     assert main(["grid", "-c", str(cfg)]) == 2
     assert f"detector 'c': {message}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("detector, pins, message", [
+    ("{id: c, kind: mosum, grid: {level: [0.05, 0.3]}}", None,
+     "level 0.3 not calibrated; available: [0.01, 0.05, 0.1, 0.2]"),
+    ("{id: c, kind: mosum, params: {harmonics: 1}}", None,
+     "harmonics > 0 need a period > 0, got harmonics [1], period [0.0]"),
+    ("{id: c, kind: mosum, grid: {level: [0.05, 0.1]}}", ["level=0.07"],
+     "level 0.07 not calibrated"),
+    ("{id: c, kind: mosum, params: {period: 50.0}, grid: {harmonics: [0, 2]}}",
+     ["harmonics=2", "period=-1"],
+     "harmonics > 0 need a period > 0, got harmonics [2], period [-1.0]"),
+], ids=["grid-level", "grid-harmonics", "detect-level", "detect-period"])
+def test_mosum_setting_the_table_cannot_check_exits_2(tmp_path, capsys, detector, pins, message):
+    """A level missing from the calibration table, or harmonic terms without
+    a period, fail when the detector is built, before any run."""
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text(BAD_CONFIG.format(out=tmp_path / "out", detector=detector))
+    load_config(cfg)  # each value on its own is in range
+    if pins is None:
+        assert main(["grid", "-c", str(cfg)]) == 2
+        assert not (tmp_path / "out").exists()
+    else:
+        out = tmp_path / "dets.csv"
+        sets = [arg for pin in pins for arg in ("--set", pin)]
+        assert main(["detect", "-c", str(cfg), "--dataset", "s", "--detector", "c", *sets,
+                     "--out", str(out)]) == 2
+        assert not out.exists()
+    assert f"detector 'c': {message}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("pins, message", [

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -150,6 +151,25 @@ def test_metrics_round_trip(tmp_path):
     assert back == [dataclasses.replace(rec, arlp=8.739709), miss]
     write_metrics_csv(again, back)
     assert again.read_bytes() == p.read_bytes()
+
+
+@pytest.mark.parametrize("row", ["s,c,desInt=5,0,-3", "s,c,desInt=5,4,-1", "s,c,desInt=5,-2,"],
+                         ids=["detect-0", "located-negative", "detect-negative"])
+def test_detections_reader_rejects_times_below_1(tmp_path, row):
+    p = tmp_path / "d.csv"
+    p.write_text("dataset,detector,params,detect_time,located_time\n" + row + "\n")
+    with pytest.raises(DataError, match=f"^{re.escape(str(p))}:2: time must be >= 1"):
+        read_detections_csv(p)
+
+
+@pytest.mark.parametrize("times", ["0,", "5,-4", ",0"],
+                         ids=["detect-0", "located-negative", "located-0"])
+def test_metrics_reader_rejects_times_below_1(tmp_path, times):
+    p = tmp_path / "m.csv"
+    p.write_text("dataset,detector,params,n_detections,fpc,target_found,arlp,detect_time,"
+                 f"located_time,valid\na,d,h=1,1,0,1,2.5,{times},1\n")
+    with pytest.raises(DataError, match=f"^{re.escape(str(p))}:2: time must be >= 1"):
+        read_metrics_csv(p)
 
 
 def test_model_round_trip(tmp_path):
