@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from . import lstm as lstm_mod
-from .config import ConfigError, load_config
+from .config import ConfigError, check_t0, load_config
 from .detectors import KINDS
 from .evaluate import (DetectorGrid, EvalRecord, average_max_fpc, find_target, params_id,
                        render_report, run_grid, select_best)
@@ -62,7 +62,7 @@ def prepare_series(doc: dict, series: LabeledSeries) -> LabeledSeries:
     std = doc.get("standardize")
     if not std or not std.get("enabled", False):
         return series
-    res = standardize(series, t0=int(std.get("t0", 0)), mode=std.get("mode", "offline"))
+    res = standardize(series, t0=std.get("t0", 0), mode=std.get("mode", "offline"))
     return res.scores
 
 
@@ -121,8 +121,9 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_standardize(args) -> int:
+    t0 = check_t0(args.t0, "--t0")
     series = read_series_csv(args.input)
-    res = standardize(series, t0=args.t0, mode=args.mode)
+    res = standardize(series, t0=t0, mode=args.mode)
     write_series_csv(args.output, res.scores)
     fit = res.fit
     print(f"wrote {args.output}; flagged {len(res.flagged)} of {len(series)} scores"

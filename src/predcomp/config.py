@@ -71,6 +71,17 @@ _SOURCE_KEYS = {
 _PREDICTOR_KEYS = {"kind", "p", "order", "auto", "model_path"}
 
 
+def check_t0(value, where: str = "standardize.t0") -> int:
+    """The standardization start t0 as an int; a value int() cannot read,
+    or one below 0, is a ConfigError naming ``where``."""
+    try:
+        t0 = int(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{where} must be int, got {value!r}") from None
+    _require(t0 >= 0, f"{where} must be int >= 0, got {value!r}")
+    return t0
+
+
 def _check_detector(d: dict, where: str) -> None:
     _check_keys(d, {"id", "kind", "predictor", "params", "grid"}, where, {"id", "kind"})
     kind = d["kind"]
@@ -150,6 +161,7 @@ def load_config(path) -> dict:
             raise ConfigError(f"{SEED_ENV} must be an integer") from None
     if "standardize" in doc:
         _check_keys(doc["standardize"], {"enabled", "t0", "mode"}, "standardize")
+        doc["standardize"]["t0"] = check_t0(doc["standardize"].get("t0", 0))
         mode = doc["standardize"].get("mode", "offline")
         _require(mode in ("offline", "online"), f"standardize.mode: bad value {mode!r}")
     ids = set()

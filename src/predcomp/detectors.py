@@ -2,7 +2,8 @@
 
 ``KINDS[kind].params`` maps every parameter name to ``(type, default)``,
 with ``REQUIRED`` where there is no default; a type rejects the values its
-detector raises ValueError on (:class:`OutOfRange`), so they fail at load.
+detector raises ValueError on, and an infinite alarm threshold, which would
+never alarm (:class:`OutOfRange`), so they fail at load.
 ``KINDS[kind].build(det_cfg, doc)`` returns ``run(series, params,
 keep_trace) -> (detections, trace)``, where ``params`` is one point over
 the detector's ``params`` section (:func:`predcomp.config.resolve_params`
@@ -64,6 +65,17 @@ _POSITIVE = _range(float, "> 0", lambda v: not v > 0)  # NaN included
 _FINITE_POSITIVE = _range(_finite, "> 0", lambda v: v <= 0)
 _NON_NEGATIVE = _range(float, ">= 0", lambda v: not v >= 0)
 _UNIT = _range(float, "in (0, 1]", lambda v: not 0 < v <= 1)
+
+
+def _threshold(value) -> float:
+    """A float > 0, as for ``_POSITIVE`` (NaN fails there), and finite: an
+    infinite alarm threshold loads but never alarms."""
+    if math.isinf(value := _POSITIVE(value)):
+        raise OutOfRange("finite")
+    return value
+
+
+_threshold.__name__ = "float"
 
 
 class Kind(NamedTuple):
@@ -166,11 +178,11 @@ def _reference(module: str, sweep, check=None):
 
 KINDS: dict[str, Kind] = {
     "pnc": Kind({"l": (_POSITIVE_INT, 50), "b": (_POSITIVE_INT, 25),
-                 "desInt": (_POSITIVE, REQUIRED), "k": (_NON_NEGATIVE, 0.5),
+                 "desInt": (_threshold, REQUIRED), "k": (_NON_NEGATIVE, 0.5),
                  "direction": (_choice("up", "down"), "up"),
                  "refit": (_choice("never", "on_detection"), "never"),
                  "min_refit_history": (int, 50)}, _build_pnc),
-    "cusum": Kind({"desInt": (_POSITIVE, REQUIRED), "k": (_NON_NEGATIVE, 0.5),
+    "cusum": Kind({"desInt": (_threshold, REQUIRED), "k": (_NON_NEGATIVE, 0.5),
                    "window": (_POSITIVE_INT, 50)},
                   _reference(".refdet.classic", lambda m, x, ts, p: m.classic_cusum_sweep(
                       x, ts, allowance=p["k"], target_window=p["window"])), "desInt"),
@@ -182,7 +194,7 @@ KINDS: dict[str, Kind] = {
                       x, p["hazard"], ts, r_min=p["r_min"],
                       prior=m.NigPrior(p["mu0"], p["kappa0"], p["alpha0"], p["beta0"]))),
                   "cpthreshold"),
-    "ocd": Kind({"diag": (_POSITIVE, REQUIRED), "offDiag": (float, None),
+    "ocd": Kind({"diag": (_threshold, REQUIRED), "offDiag": (float, None),
                  "h_tail": (_range(int, ">= 1", lambda v: v < 1), 50),
                  "baseline_window": (_range(int, ">= 2", lambda v: v < 2), 100)},
                 _reference(".refdet.ocd", lambda m, x, ts, p: m.ocd_sweep(

@@ -16,10 +16,18 @@ for a Poisson stream with that rate they are approximately standard.
 Offline mode fits once on the whole series; online mode re-estimates the
 pair (nu_hat, b_hat) at every step from the data seen so far, so the two
 modes coincide at the final step.  Natural logarithms throughout.
+
+Every fit is one `_fit_step` on per-time terms that no end time changes:
+online mode builds them once, :class:`OnlineStandardizer` appends to them
+one push at a time, and each step writes its temporaries into reused work
+rows.  A step is linear in the history (nu_hat moves every step, so the
+sums cannot be carried over exactly) and nothing is rebuilt.  Online
+scores and flags are then computed for all times at once.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -70,33 +78,50 @@ def _trend_terms(values: np.ndarray, t0: int):
     log_s = np.log(np.arange(t0 + 1, t0 + len(x) + 1, dtype=float))
     cum = np.cumsum(x)
     kept = cum > 0
-    kept_log_s, kept_log_cum = log_s[kept], np.log(cum[kept])
+    # once L > 0 it stays so for non-negative counts: the kept ln s are then
+    # a view of ln s, which a step reads anyway, and its working set shrinks
+    first = len(kept) - np.count_nonzero(kept)
+    kept_log_s = log_s[first:] if kept[first:].all() else log_s[kept]
+    kept_log_cum = np.log(cum[kept])
     return (x, log_s, np.cumsum(kept), kept_log_s, kept_log_cum,
             np.cumsum(kept_log_s), np.cumsum(kept_log_cum))
 
 
-def _fit_terms(terms, t0: int, t: int) -> TrendFit:
-    """The fit on (t0, t] from the terms `_trend_terms` built for (t0, n], t <= n."""
-    if t <= t0 + 1 or t < 2:
-        raise TrendNotEstimable(f"need at least two observations past t0, got (t0={t0}, t={t})")
+def _work_rows(m: int) -> list[np.ndarray]:
+    """Scratch rows of m floats for `_fit_step`: the centred ln s, the
+    centred ln L, the exponent argument nu_hat * ln s and u."""
+    return list(np.empty((4, m)))
+
+
+def _fit_step(terms, m: int, work: list[np.ndarray]) -> tuple[float, float]:
+    """(nu_hat, b_hat) on the first m times of ``terms`` (built by `_trend_terms`).
+
+    The temporaries go into the rows of ``work`` (`_work_rows`, at least m
+    long), so a step allocates no array of its length.  Each step first
+    swaps the rows of the centred ln s and of the exponent argument, so the
+    centred ln s goes where only this thread wrote and read last step: the
+    BLAS threads of the dot products read the other rows, and rewriting
+    those right away is slower (measured with two OpenBLAS threads).
+    """
     x, log_s, n_kept, kept_log_s, kept_log_cum, sum_log_s, sum_log_cum = terms
-    m = t - t0
     k = int(n_kept[m - 1])
     if k < 2:
         raise TrendNotEstimable("fewer than two times with a positive cumulative count")
+    work[0], work[2] = work[2], work[0]
+    dx_row, dy_row, arg_row, u_row = work
     # centring on running-sum means is inexact only to second order in
     # the OLS slope, since both coordinates are centred
-    dx = kept_log_s[:k] - sum_log_s[k - 1] / k
-    nu = float(np.dot(dx, kept_log_cum[:k] - sum_log_cum[k - 1] / k) / np.dot(dx, dx)) - 1.0
-    x = x[:m]
-    u = np.exp(nu * log_s[:m])
+    dx = np.subtract(kept_log_s[:k], sum_log_s[k - 1] / k, out=dx_row[:k])
+    dy = np.subtract(kept_log_cum[:k], sum_log_cum[k - 1] / k, out=dy_row[:k])
+    nu = float(np.dot(dx, dy) / np.dot(dx, dx)) - 1.0
+    u = np.exp(np.multiply(log_s[:m], nu, out=arg_row[:m]), out=u_row[:m])
     denom = float(np.dot(u, u))
-    if denom <= 0 or not np.isfinite(denom):
+    if denom <= 0 or not math.isfinite(denom):
         raise TrendNotEstimable("degenerate regressor")
-    slope = float(np.dot(x, u)) / denom
-    if not np.isfinite(slope):
+    slope = float(np.dot(x[:m], u)) / denom
+    if not math.isfinite(slope):
         raise TrendNotEstimable("non-finite counts")
-    return TrendFit(nu, slope, t0, t)
+    return nu, slope
 
 
 def estimate_trend(values, t0: int = 0, t: int | None = None) -> TrendFit:
@@ -111,7 +136,10 @@ def estimate_trend(values, t0: int = 0, t: int | None = None) -> TrendFit:
         t = len(values)
     if t > len(values):
         raise ValueError("t beyond the end of the series")
-    return _fit_terms(_trend_terms(values[:t], t0), t0, t)
+    terms = _trend_terms(values[:t], t0)
+    if t <= t0 + 1 or t < 2:
+        raise TrendNotEstimable(f"need at least two observations past t0, got (t0={t0}, t={t})")
+    return TrendFit(*_fit_step(terms, t - t0, _work_rows(t - t0)), t0, t)
 
 
 def _score_one(x: float, lam: float, flags: list[int], idx: int) -> float:
@@ -119,6 +147,47 @@ def _score_one(x: float, lam: float, flags: list[int], idx: int) -> float:
         flags.append(idx)
         return 0.0
     return (x - lam) / np.sqrt(lam)
+
+
+def _scores(values: np.ndarray, lam: np.ndarray, fitted: np.ndarray):
+    """Scores (X - lam) / sqrt(lam) and the flagged indices: the raw value
+    where no trend is ``fitted``, zero where lam is below the floor or not
+    finite, both flagged."""
+    ok = fitted & np.isfinite(lam) & (lam >= LAM_FLOOR)
+    scores = np.where(fitted, 0.0, values)
+    scores[ok] = (values[ok] - lam[ok]) / np.sqrt(lam[ok])
+    return scores, np.flatnonzero(~ok).tolist()
+
+
+def _power(s: np.ndarray, nu: np.ndarray) -> np.ndarray:
+    """s ** nu elementwise, as `TrendFit.lam` gives it at one time s: numpy
+    takes the exponents -1 and 0.5 as 1/s and sqrt(s), which can differ
+    from pow in the last bit."""
+    p = np.power(s, nu)
+    for exponent, exact in ((-1.0, np.reciprocal), (0.5, np.sqrt)):
+        at = nu == exponent
+        p[at] = exact(s[at])
+    return p
+
+
+def _online(values: np.ndarray, t0: int):
+    """The last fit, and at every time s lam_hat(s) from the fit on
+    (t0, s] and whether that fit exists: one `_fit_step` per time on shared
+    terms and work rows, then lam for all times at once."""
+    n = len(values)
+    terms = _trend_terms(values, t0)
+    work = _work_rows(len(terms[0]))
+    nu, slope = np.full(n, np.nan), np.full(n, np.nan)
+    for i in range(t0 + 1, n):  # s = i + 1 needs two times past t0
+        try:
+            nu[i], slope[i] = _fit_step(terms, i + 1 - t0, work)
+        except TrendNotEstimable:
+            pass
+    fitted = ~np.isnan(slope)
+    at = np.flatnonzero(fitted)
+    fit = TrendFit(float(nu[at[-1]]), float(slope[at[-1]]), t0, int(at[-1]) + 1) \
+        if len(at) else None
+    return fit, slope * _power(np.arange(1.0, n + 1), nu), fitted
 
 
 def standardize(series: LabeledSeries | np.ndarray, t0: int = 0,
@@ -135,58 +204,80 @@ def standardize(series: LabeledSeries | np.ndarray, t0: int = 0,
     values = finite_values(series)
     wrap = series if isinstance(series, LabeledSeries) else LabeledSeries(values)
     n = len(values)
-    flags: list[int] = []
-    scores = np.empty(n)
-    if mode == "offline":
+    if mode == "online":
+        fit, lam, fitted = _online(values, t0)
+    else:
         try:
             fit = estimate_trend(values, t0=t0, t=n)
         except TrendNotEstimable:
-            flags.extend(range(n))
-            return StandardizeResult(wrap.with_values(values.copy()), None, mode, flags)
-        lam = fit.lam(np.arange(1, n + 1))
-        for i in range(n):
-            scores[i] = _score_one(values[i], lam[i], flags, i)
-        return StandardizeResult(wrap.with_values(scores), fit, mode, flags)
-    terms = _trend_terms(values, t0)
-    fit = None
-    for i in range(n):
-        s = i + 1
-        try:
-            fit = _fit_terms(terms, t0, s)
-        except TrendNotEstimable:
-            scores[i] = values[i]
-            flags.append(i)
-            continue
-        scores[i] = _score_one(values[i], float(fit.lam(s)), flags, i)
-    return StandardizeResult(wrap.with_values(scores), fit, mode, flags)
+            fit = None
+        lam = fit.lam(np.arange(1, n + 1)) if fit else np.full(n, np.nan)
+        fitted = np.full(n, fit is not None)
+    scores, flagged = _scores(values, lam, fitted)
+    return StandardizeResult(wrap.with_values(scores), fit, mode, flagged)
 
 
 class OnlineStandardizer:
     """Streaming wrapper around the online mode: push one count, get one score.
 
-    Re-estimates the trend from all data seen so far at each step (the
-    estimate of nu changes every step, so the regression sums cannot be
-    carried over exactly; the per-step cost is linear in the history).
+    A push appends the count's terms (ln s, the running count and the
+    running sums of the kept ln s and ln L) to rows that double when full,
+    and runs the online mode's fit step once, so scores and flags are the
+    online mode's bit for bit.  The estimate of nu changes every step, so
+    the regression cannot be carried over exactly: a push costs one step,
+    linear in the history, and rebuilds nothing.
     """
 
     def __init__(self, t0: int = 0):
+        if t0 < 0:
+            raise ValueError("t0 must be non-negative")
         self.t0 = t0
-        self._buf = np.empty(64)
-        self._n = 0
+        self._n = 0  # counts pushed
+        self._m = self._k = 0  # times past t0, and those with L > 0
+        self._cum = 0.0
+        self._rows = np.empty((7, 0))
+        self._grow()
         self.fit: TrendFit | None = None
         self.flagged: list[int] = []
+
+    def _grow(self) -> None:
+        """Double the rows: the seven terms of `_trend_terms`, and the work rows."""
+        old = self._rows.shape[1]
+        rows = np.empty((7, max(64, 2 * old)))
+        rows[:, :old] = self._rows
+        rows[1] = np.log(np.arange(self.t0 + 1, self.t0 + rows.shape[1] + 1, dtype=float))
+        self._rows, self._terms, self._work = rows, tuple(rows), _work_rows(rows.shape[1])
+
+    def _append(self, x: float) -> None:
+        if self._m == self._rows.shape[1]:
+            self._grow()
+        j, (xs, log_s, n_kept, kept_log_s, kept_log_cum, sum_log_s, sum_log_cum) = \
+            self._m, self._terms
+        xs[j] = x
+        self._cum += x  # sequential sums: np.cumsum's bits
+        if self._cum > 0:
+            k = self._k
+            kept_log_s[k], kept_log_cum[k] = log_s[j], np.log(self._cum)
+            sum_log_s[k] = (sum_log_s[k - 1] if k else 0.0) + kept_log_s[k]
+            sum_log_cum[k] = (sum_log_cum[k - 1] if k else 0.0) + kept_log_cum[k]
+            self._k += 1
+        n_kept[j] = self._k
+        self._m += 1
 
     def push(self, x: float) -> float:
         if not np.isfinite(x):
             raise non_finite_error(self._n, x)
-        if self._n == len(self._buf):
-            self._buf = np.concatenate([self._buf, np.empty(self._n)])
+        x = float(x)
         i = self._n
-        self._buf[i] = x
         self._n += 1
-        try:
-            self.fit = estimate_trend(self._buf[:self._n], t0=self.t0)
-        except TrendNotEstimable:
-            self.flagged.append(i)
-            return float(x)
-        return _score_one(float(x), float(self.fit.lam(i + 1)), self.flagged, i)
+        if i >= self.t0:
+            self._append(x)
+            try:  # one time past t0 has k < 2 too
+                nu, slope = _fit_step(self._terms, self._m, self._work)
+            except TrendNotEstimable:
+                pass
+            else:
+                self.fit = TrendFit(nu, slope, self.t0, i + 1)
+                return _score_one(x, float(self.fit.lam(i + 1)), self.flagged, i)
+        self.flagged.append(i)
+        return x

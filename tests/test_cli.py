@@ -395,3 +395,24 @@ def test_missing_input_file_exits_2(tmp_path, capsys):
     assert main(["standardize", str(missing), str(tmp_path / "scores.csv")]) == 2
     assert f"error: {missing}: cannot read" in capsys.readouterr().err
     assert not (tmp_path / "scores.csv").exists()
+
+
+@pytest.mark.parametrize("config_t0, cli_t0, message", [
+    ("-1", None, "standardize.t0 must be int >= 0, got -1"),
+    ("abc", None, "standardize.t0 must be int, got 'abc'"),
+    (None, "-1", "--t0 must be int >= 0, got -1"),
+], ids=["config-negative", "config-untyped", "cli-negative"])
+def test_bad_t0_exits_2_and_writes_nothing(tmp_path, capsys, config_t0, cli_t0, message):
+    """t0 is checked where it enters: in a config at load, and as --t0."""
+    out = tmp_path / "out"
+    if config_t0 is not None:
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text(CONFIG.format(out=out)
+                       + f"standardize: {{enabled: true, t0: {config_t0}}}\n")
+        assert main(["grid", "-c", str(cfg)]) == 2
+    else:
+        src = tmp_path / "raw.csv"
+        src.write_text("time,value\n" + "".join(f"{t},{t % 4}\n" for t in range(1, 101)))
+        assert main(["standardize", str(src), str(out), "--t0", cli_t0]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()

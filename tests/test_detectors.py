@@ -205,6 +205,11 @@ detectors:
      "baseline_window must be int >= 2, got 1"),
     ("{id: c, kind: mosum, params: {histFact: 0}}", "histFact must be float in (0, 1], got 0"),
     ("{id: c, kind: mosum, grid: {h: [0.25, 1.5]}}", "h must be float in (0, 1], got 1.5"),
+    # an infinite threshold would load and never alarm
+    ("{id: c, kind: pnc, predictor: {kind: mean}, params: {desInt: .inf}}",
+     "desInt must be finite, got inf"),
+    ("{id: c, kind: cusum, grid: {desInt: [5, .inf]}}", "desInt must be finite, got inf"),
+    ("{id: c, kind: ocd, params: {diag: .inf}}", "diag must be finite, got inf"),
 ], ids=["cusum-desInt", "bocpd-hazard", "ocd-diag", "pnc-desInt", "grid-value", "params-value",
         "choice", "monitor_from", "pnc-l", "pnc-b", "pnc-desInt-range", "pnc-k",
         "cusum-desInt-range", "cusum-k", "cusum-desInt-nan", "ocd-diag-nan", "cusum-k-nan",
@@ -212,7 +217,7 @@ detectors:
         "bocpd-cpthreshold-1", "bocpd-cpthreshold-0", "bocpd-kappa0", "bocpd-alpha0",
         "bocpd-beta0", "bocpd-alpha0-inf", "bocpd-kappa0-inf", "bocpd-beta0-nan", "bocpd-mu0-inf",
         "bocpd-mu0-untyped", "ocd-diag-range", "ocd-h_tail", "ocd-baseline_window",
-        "mosum-histFact", "mosum-h"])
+        "mosum-histFact", "mosum-h", "pnc-desInt-inf", "cusum-desInt-inf", "ocd-diag-inf"])
 def test_missing_or_unreadable_parameter_exits_2(tmp_path, capsys, detector, message):
     cfg = tmp_path / "bad.yaml"
     cfg.write_text(BAD_CONFIG.format(out=tmp_path / "out", detector=detector))

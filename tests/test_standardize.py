@@ -3,7 +3,7 @@ import pytest
 
 from predcomp.seeding import spawn_rng
 from predcomp.series import CpLabel, LabeledSeries
-from predcomp.standardize import (LAM_FLOOR, OnlineStandardizer, TrendNotEstimable,
+from predcomp.standardize import (LAM_FLOOR, OnlineStandardizer, TrendFit, TrendNotEstimable,
                                   estimate_trend, standardize)
 
 
@@ -166,3 +166,119 @@ def test_non_finite_count_rejected(mode, bad):
                 st.push(v)
         else:
             standardize(LabeledSeries(x), mode=mode)
+
+
+# The per-step loop the online mode ran before its fit step wrote into
+# reused work rows: the terms built with fresh arrays, a fit at every s with
+# fresh temporaries, then one score at a time.  The online mode, the
+# streaming wrapper and the offline scores must equal it bit for bit.
+
+def _reference_terms(values: np.ndarray, t0: int):
+    x = values[t0:]
+    log_s = np.log(np.arange(t0 + 1, t0 + len(x) + 1, dtype=float))
+    cum = np.cumsum(x)
+    kept = cum > 0
+    kept_log_s, kept_log_cum = log_s[kept], np.log(cum[kept])
+    return (x, log_s, np.cumsum(kept), kept_log_s, kept_log_cum,
+            np.cumsum(kept_log_s), np.cumsum(kept_log_cum))
+
+
+def _reference_fit(terms, t0: int, t: int) -> TrendFit | None:
+    if t <= t0 + 1 or t < 2:
+        return None
+    x, log_s, n_kept, kept_log_s, kept_log_cum, sum_log_s, sum_log_cum = terms
+    m = t - t0
+    k = int(n_kept[m - 1])
+    if k < 2:
+        return None
+    dx = kept_log_s[:k] - sum_log_s[k - 1] / k
+    nu = float(np.dot(dx, kept_log_cum[:k] - sum_log_cum[k - 1] / k) / np.dot(dx, dx)) - 1.0
+    u = np.exp(nu * log_s[:m])
+    denom = float(np.dot(u, u))
+    if denom <= 0 or not np.isfinite(denom):
+        return None
+    slope = float(np.dot(x[:m], u)) / denom
+    return TrendFit(nu, slope, t0, t) if np.isfinite(slope) else None
+
+
+def _reference_score(x: float, lam: float, flags: list[int], idx: int) -> float:
+    if not np.isfinite(lam) or lam < LAM_FLOOR:
+        flags.append(idx)
+        return 0.0
+    return (x - lam) / np.sqrt(lam)
+
+
+def _reference_online(values: np.ndarray, t0: int):
+    terms = _reference_terms(values, t0)
+    scores, flags = np.empty(len(values)), []
+    for i in range(len(values)):
+        fit = _reference_fit(terms, t0, i + 1)
+        if fit is None:
+            scores[i] = values[i]
+            flags.append(i)
+        else:
+            scores[i] = _reference_score(values[i], float(fit.lam(i + 1)), flags, i)
+    return scores, flags
+
+
+def _reference_offline(values: np.ndarray, t0: int):
+    n = len(values)
+    fit = _reference_fit(_reference_terms(values, t0), t0, n)
+    if fit is None:
+        return values.copy(), list(range(n))
+    lam, flags = fit.lam(np.arange(1, n + 1)), []
+    return np.array([_reference_score(values[i], lam[i], flags, i) for i in range(n)]), flags
+
+
+def _reference_streams() -> dict:
+    rng = spawn_rng(11, "reference")
+    streams = {
+        "leading-zeros": (np.r_[np.zeros(30), rng.poisson(2.0, 600)], 0),
+        "t0": (rng.poisson(3.0, 600), 40),
+        "t0-leading-zeros": (np.r_[np.zeros(60), rng.poisson(0.5, 400)], 25),
+        # slope about 1e-12 over the tiny values, so lam falls below the floor
+        "below-floor": (np.r_[np.zeros(10), np.full(10, 1e-12), rng.poisson(1.0, 80)], 0),
+        # L(0, s) = 1 after the lone count: nu_hat is exactly -1, where numpy
+        # takes s ** nu as 1/s
+        "lone-count": (np.r_[np.zeros(5), 1.0, np.zeros(300)], 0),
+        # L(0, s) falls to 0 and rises again, so the kept times have a gap
+        "negative-counts": (np.r_[2.0, -3.0, rng.poisson(1.0, 300)], 0),
+        # past the 10,000 elements from which OpenBLAS splits a dot product
+        "long": (rng.poisson(4.0 + 0.001 * np.arange(12000)), 0),
+    }
+    return {name: (np.asarray(x, dtype=float), t0) for name, (x, t0) in streams.items()}
+
+
+STREAMS = _reference_streams()
+
+
+@pytest.mark.parametrize("name", list(STREAMS))
+def test_online_mode_matches_the_per_step_reference(name):
+    x, t0 = STREAMS[name]
+    want_scores, want_flags = _reference_online(x, t0)
+    on = standardize(x, t0=t0, mode="online")
+    assert np.array_equal(on.scores.values, want_scores)
+    assert on.flagged == want_flags
+    st = OnlineStandardizer(t0=t0)
+    assert np.array_equal([st.push(v) for v in x], want_scores)
+    assert st.flagged == want_flags
+    assert st.fit == on.fit
+
+
+def test_reference_streams_reach_their_cases():
+    x, t0 = STREAMS["below-floor"]
+    scores, flags = _reference_online(x, t0)
+    assert any(scores[i] == 0.0 and x[i] != 0.0 for i in flags)  # clamped, not identity
+    assert standardize(STREAMS["lone-count"][0], mode="online").fit.nu == -1.0
+    kept = np.cumsum(STREAMS["negative-counts"][0]) > 0
+    assert kept[0] and not kept[1] and kept[-1]
+    assert len(STREAMS["long"][0]) > 10_000
+
+
+@pytest.mark.parametrize("name", list(STREAMS))
+def test_offline_scores_match_the_per_element_reference(name):
+    x, t0 = STREAMS[name]
+    want_scores, want_flags = _reference_offline(x, t0)
+    off = standardize(x, t0=t0, mode="offline")
+    assert np.array_equal(off.scores.values, want_scores)
+    assert off.flagged == want_flags
