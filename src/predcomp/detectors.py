@@ -53,13 +53,17 @@ def _range(typ, rule: str, bad):
     return check
 
 
-def _finite(value) -> float:
-    if not math.isfinite(value := float(value)):
-        raise OutOfRange("finite")
-    return value
+def _finite_of(typ):
+    """``typ``, with an OutOfRange "finite" where the value is infinite or NaN."""
+    def check(value):
+        if not math.isfinite(value := typ(value)):
+            raise OutOfRange("finite")
+        return value
+    check.__name__ = typ.__name__
+    return check
 
 
-_finite.__name__ = "float"
+_finite = _finite_of(float)
 _POSITIVE_INT = _range(int, "> 0", lambda v: v <= 0)
 _POSITIVE = _range(float, "> 0", lambda v: not v > 0)  # NaN included
 _FINITE_POSITIVE = _range(_finite, "> 0", lambda v: v <= 0)
@@ -67,15 +71,8 @@ _NON_NEGATIVE = _range(float, ">= 0", lambda v: not v >= 0)
 _UNIT = _range(float, "in (0, 1]", lambda v: not 0 < v <= 1)
 
 
-def _threshold(value) -> float:
-    """A float > 0, as for ``_POSITIVE`` (NaN fails there), and finite: an
-    infinite alarm threshold loads but never alarms."""
-    if math.isinf(value := _POSITIVE(value)):
-        raise OutOfRange("finite")
-    return value
-
-
-_threshold.__name__ = "float"
+# an infinite alarm threshold loads but never alarms; NaN fails _POSITIVE first
+_threshold = _finite_of(_POSITIVE)
 
 
 class Kind(NamedTuple):

@@ -18,11 +18,10 @@ pair (nu_hat, b_hat) at every step from the data seen so far, so the two
 modes coincide at the final step.  Natural logarithms throughout.
 
 Every fit is one `_fit_step` on per-time terms that no end time changes:
-online mode builds them once, :class:`OnlineStandardizer` appends to them
-one push at a time, and each step writes its temporaries into reused work
-rows.  A step is linear in the history (nu_hat moves every step, so the
-sums cannot be carried over exactly) and nothing is rebuilt.  Online
-scores and flags are then computed for all times at once.
+online mode builds them once and runs one step per time, writing the
+step's temporaries into reused work rows.  A step is linear in the history
+(nu_hat moves every step, so the sums cannot be carried over exactly).
+Scores and flags are then computed for all times at once.
 """
 
 from __future__ import annotations
@@ -51,7 +50,14 @@ class TrendFit:
 
     def lam(self, s):
         """lam_hat(s) = slope * s^nu for 1-based times s."""
-        return self.slope * np.asarray(s, dtype=float) ** self.nu
+        return _lam(self.nu, self.slope, s)
+
+
+def _lam(nu: float, slope: float, s):
+    # numpy takes the exponents -1 and 0.5 as 1/s and sqrt(s) here, which
+    # np.power over an array of exponents does not: online mode therefore
+    # calls this once per time rather than once for all times
+    return slope * np.asarray(s, dtype=float) ** nu
 
 
 @dataclass
@@ -159,35 +165,22 @@ def _scores(values: np.ndarray, lam: np.ndarray, fitted: np.ndarray):
     return scores, np.flatnonzero(~ok).tolist()
 
 
-def _power(s: np.ndarray, nu: np.ndarray) -> np.ndarray:
-    """s ** nu elementwise, as `TrendFit.lam` gives it at one time s: numpy
-    takes the exponents -1 and 0.5 as 1/s and sqrt(s), which can differ
-    from pow in the last bit."""
-    p = np.power(s, nu)
-    for exponent, exact in ((-1.0, np.reciprocal), (0.5, np.sqrt)):
-        at = nu == exponent
-        p[at] = exact(s[at])
-    return p
-
-
 def _online(values: np.ndarray, t0: int):
     """The last fit, and at every time s lam_hat(s) from the fit on
     (t0, s] and whether that fit exists: one `_fit_step` per time on shared
-    terms and work rows, then lam for all times at once."""
+    terms and work rows."""
     n = len(values)
     terms = _trend_terms(values, t0)
     work = _work_rows(len(terms[0]))
-    nu, slope = np.full(n, np.nan), np.full(n, np.nan)
+    lam, fitted, last = np.full(n, np.nan), np.zeros(n, dtype=bool), None
     for i in range(t0 + 1, n):  # s = i + 1 needs two times past t0
         try:
-            nu[i], slope[i] = _fit_step(terms, i + 1 - t0, work)
+            nu, slope = _fit_step(terms, i + 1 - t0, work)
         except TrendNotEstimable:
-            pass
-    fitted = ~np.isnan(slope)
-    at = np.flatnonzero(fitted)
-    fit = TrendFit(float(nu[at[-1]]), float(slope[at[-1]]), t0, int(at[-1]) + 1) \
-        if len(at) else None
-    return fit, slope * _power(np.arange(1.0, n + 1), nu), fitted
+            continue
+        lam[i], fitted[i], last = _lam(nu, slope, i + 1), True, (nu, slope, i + 1)
+    fit = TrendFit(last[0], last[1], t0, last[2]) if last else None
+    return fit, lam, fitted
 
 
 def standardize(series: LabeledSeries | np.ndarray, t0: int = 0,
@@ -220,64 +213,33 @@ def standardize(series: LabeledSeries | np.ndarray, t0: int = 0,
 class OnlineStandardizer:
     """Streaming wrapper around the online mode: push one count, get one score.
 
-    A push appends the count's terms (ln s, the running count and the
-    running sums of the kept ln s and ln L) to rows that double when full,
-    and runs the online mode's fit step once, so scores and flags are the
-    online mode's bit for bit.  The estimate of nu changes every step, so
-    the regression cannot be carried over exactly: a push costs one step,
-    linear in the history, and rebuilds nothing.
+    Re-estimates the trend from all data seen so far at each step, with the
+    online mode's fit, so scores and flags are the online mode's bit for
+    bit (the estimate of nu changes every step, so the regression sums
+    cannot be carried over exactly; the per-step cost is linear in the
+    history).
     """
 
     def __init__(self, t0: int = 0):
         if t0 < 0:
             raise ValueError("t0 must be non-negative")
         self.t0 = t0
-        self._n = 0  # counts pushed
-        self._m = self._k = 0  # times past t0, and those with L > 0
-        self._cum = 0.0
-        self._rows = np.empty((7, 0))
-        self._grow()
+        self._buf = np.empty(64)
+        self._n = 0
         self.fit: TrendFit | None = None
         self.flagged: list[int] = []
-
-    def _grow(self) -> None:
-        """Double the rows: the seven terms of `_trend_terms`, and the work rows."""
-        old = self._rows.shape[1]
-        rows = np.empty((7, max(64, 2 * old)))
-        rows[:, :old] = self._rows
-        rows[1] = np.log(np.arange(self.t0 + 1, self.t0 + rows.shape[1] + 1, dtype=float))
-        self._rows, self._terms, self._work = rows, tuple(rows), _work_rows(rows.shape[1])
-
-    def _append(self, x: float) -> None:
-        if self._m == self._rows.shape[1]:
-            self._grow()
-        j, (xs, log_s, n_kept, kept_log_s, kept_log_cum, sum_log_s, sum_log_cum) = \
-            self._m, self._terms
-        xs[j] = x
-        self._cum += x  # sequential sums: np.cumsum's bits
-        if self._cum > 0:
-            k = self._k
-            kept_log_s[k], kept_log_cum[k] = log_s[j], np.log(self._cum)
-            sum_log_s[k] = (sum_log_s[k - 1] if k else 0.0) + kept_log_s[k]
-            sum_log_cum[k] = (sum_log_cum[k - 1] if k else 0.0) + kept_log_cum[k]
-            self._k += 1
-        n_kept[j] = self._k
-        self._m += 1
 
     def push(self, x: float) -> float:
         if not np.isfinite(x):
             raise non_finite_error(self._n, x)
-        x = float(x)
+        if self._n == len(self._buf):
+            self._buf = np.concatenate([self._buf, np.empty(self._n)])
         i = self._n
+        self._buf[i] = x
         self._n += 1
-        if i >= self.t0:
-            self._append(x)
-            try:  # one time past t0 has k < 2 too
-                nu, slope = _fit_step(self._terms, self._m, self._work)
-            except TrendNotEstimable:
-                pass
-            else:
-                self.fit = TrendFit(nu, slope, self.t0, i + 1)
-                return _score_one(x, float(self.fit.lam(i + 1)), self.flagged, i)
-        self.flagged.append(i)
-        return x
+        try:
+            self.fit = estimate_trend(self._buf[:self._n], t0=self.t0)
+        except TrendNotEstimable:
+            self.flagged.append(i)
+            return float(x)
+        return _score_one(float(x), float(self.fit.lam(i + 1)), self.flagged, i)
