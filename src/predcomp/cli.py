@@ -13,16 +13,16 @@ import sys
 from pathlib import Path
 
 from . import lstm as lstm_mod
-from .config import ConfigError, check_t0, load_config
+from .config import STANDARDIZE, TRAIN, ConfigError, load_config, source, typed
 from .detectors import KINDS
 from .evaluate import (DetectorGrid, EvalRecord, average_max_fpc, find_target, params_id,
                        render_report, run_grid, select_best)
-from .io import (DataError, read_labels_csv, read_metrics_csv as _read_metrics, read_series_csv,
-                 save_model, time_field, write_detections_csv, write_loss_csv, write_manifest,
+from .io import (DataError, read_metrics_csv as _read_metrics, read_series_csv, save_model,
+                 time_field, write_detections_csv, write_loss_csv, write_manifest,
                  write_metrics_csv, write_series_csv, write_text, write_trace_csv, write_trace_svg)
+from .predictors import PredictorError
 from .refdet.baseline import random_baseline
 from .series import LabeledSeries
-from .simulate import WearIntensity, sample_step_series, sample_wear_series
 from .standardize import standardize
 
 
@@ -40,36 +40,19 @@ class _Parser(argparse.ArgumentParser):
 # config-driven builders
 
 def build_dataset(ds_cfg: dict, seed: int) -> LabeledSeries:
-    src = ds_cfg["source"]
-    kind = src["kind"]
-    if kind == "wear":
-        intensity = WearIntensity(**{k: src[k] for k in ("a", "lam", "c", "d", "t2", "decay_cutoff")
-                                     if k in src})
-        return sample_wear_series(intensity, int(src["n"]), seed,
-                                  stream=ds_cfg["id"], name=ds_cfg["id"],
-                                  scale=float(src.get("scale", 1.0)))
-    if kind == "step":
-        return sample_step_series(src.get("pre_mean", 0.0), src.get("post_mean", 1.0),
-                                  src.get("sigma", 1.0), int(src.get("cp_at", 1)),
-                                  int(src["n"]), seed, stream=ds_cfg["id"], name=ds_cfg["id"])
-    series = read_series_csv(src["path"], name=ds_cfg["id"])
-    if src.get("labels"):
-        series = LabeledSeries(series.values, read_labels_csv(src["labels"]), name=ds_cfg["id"])
-    return series
+    entry, src = source(ds_cfg["source"], f"dataset {ds_cfg['id']!r}: source")
+    return entry.build(src, ds_cfg["id"], seed)
 
 
 def prepare_series(doc: dict, series: LabeledSeries) -> LabeledSeries:
-    std = doc.get("standardize")
-    if not std or not std.get("enabled", False):
-        return series
-    res = standardize(series, t0=std.get("t0", 0), mode=std.get("mode", "offline"))
-    return res.scores
+    std = doc["standardize"]
+    return standardize(series, t0=std["t0"], mode=std["mode"]).scores if std["enabled"] else series
 
 
 def build_detector(det_cfg: dict, doc: dict) -> DetectorGrid:
     run = KINDS[det_cfg["kind"]].build(det_cfg, doc)
     return DetectorGrid(det_cfg["id"], lambda series, **params: run(series, params)[0],
-                        dict(det_cfg.get("grid", {})))
+                        dict(det_cfg["grid"]))
 
 
 def _fixed_params(det_cfg: dict, overrides: list[str] | None = None) -> dict:
@@ -84,17 +67,17 @@ def _fixed_params(det_cfg: dict, overrides: list[str] | None = None) -> dict:
         if not sep or not key:
             raise UsageError(f"--set expects key=value, got {item!r}")
         pinned[key] = _yaml.safe_load(raw)
-    grid = det_cfg.get("grid", {})
+    grid = det_cfg["grid"]
     for key, vals in grid.items():
         if len(vals) != 1 and key not in pinned:
             raise ConfigError(f"detector {det_cfg['id']!r}: `detect` needs a single value "
                               f"for {key}, got {len(vals)}; pin it with --set {key}=...")
-    return {**det_cfg.get("params", {}), **{k: v[0] for k, v in grid.items()}, **pinned}
+    return {**det_cfg["params"], **{k: v[0] for k, v in grid.items()}, **pinned}
 
 
 def _entry(doc: dict, section: str, entry_id: str) -> dict:
     """The entry of ``datasets`` or ``detectors`` with this id."""
-    for entry in doc.get(section, []):
+    for entry in doc[section]:
         if entry["id"] == entry_id:
             return entry
     raise UsageError(f"unknown {section[:-1]} id {entry_id!r}")
@@ -105,12 +88,11 @@ def _entry(doc: dict, section: str, entry_id: str) -> dict:
 
 def cmd_simulate(args) -> int:
     doc = load_config(args.config)
+    datasets = [_entry(doc, "datasets", args.only)] if args.only else doc["datasets"]
     out = Path(args.out or doc["output_dir"])
     out.mkdir(parents=True, exist_ok=True)
     written = []
-    for ds in doc.get("datasets", []):
-        if args.only and ds["id"] != args.only:
-            continue
+    for ds in datasets:
         series = build_dataset(ds, doc["seed"])
         path = out / f"{ds['id']}.csv"
         write_series_csv(path, series)
@@ -121,7 +103,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_standardize(args) -> int:
-    t0 = check_t0(args.t0, "--t0")
+    t0 = typed({"--t0": args.t0}, {"--t0": STANDARDIZE["t0"]}, "", "")["--t0"]
     series = read_series_csv(args.input)
     res = standardize(series, t0=t0, mode=args.mode)
     write_series_csv(args.output, res.scores)
@@ -158,19 +140,14 @@ def cmd_detect(args) -> int:
 
 def cmd_train_lstm(args) -> int:
     doc = load_config(args.config)
-    if "lstm" not in doc:
-        raise ConfigError("config lacks an lstm section")
     lcfg = doc["lstm"]
+    if lcfg is None:
+        raise ConfigError("config lacks an lstm section")
     series = prepare_series(doc, build_dataset(_entry(doc, "datasets", args.dataset), doc["seed"]))
-    prefix = series.values[:min(int(doc["train_prefix"]), len(series))]
-    X, Y = lstm_mod.training_windows(prefix, int(lcfg["nh"]), int(lcfg["nz"]),
-                                     int(lcfg.get("max_windows", 500)))
-    # each setting of the section, typed as its TrainConfig default
-    train = {key: type(getattr(lstm_mod.TrainConfig, key))(lcfg[key]) for key in
-             ("hidden", "epochs", "batch_size", "learning_rate", "clip_norm",
-              "validation_fraction") if key in lcfg}
-    cfg = lstm_mod.TrainConfig(seed=doc["seed"], **train)
-    result = lstm_mod.train_lstm(X, Y, cfg)
+    X, Y = lstm_mod.training_windows(series.values[:doc["train_prefix"]], lcfg["nh"], lcfg["nz"],
+                                     lcfg["max_windows"])
+    result = lstm_mod.train_lstm(X, Y, lstm_mod.TrainConfig(
+        seed=doc["seed"], **{key: lcfg[key] for key in TRAIN}))
     save_model(args.out, result.net.to_dict())
     if args.loss:
         write_loss_csv(args.loss, result.train_loss, result.val_loss)
@@ -181,13 +158,15 @@ def cmd_train_lstm(args) -> int:
 
 def cmd_grid(args) -> int:
     doc = load_config(args.config)
-    datasets = [prepare_series(doc, build_dataset(ds, doc["seed"]))
-                for ds in doc.get("datasets", [])]
-    detectors = [build_detector(det, doc) for det in doc.get("detectors", [])]
+    target = doc["evaluation"]["target"]
+    datasets = [prepare_series(doc, build_dataset(ds, doc["seed"])) for ds in doc["datasets"]]
+    for series in datasets:
+        if find_target(series, target) is None:
+            raise ConfigError(f"dataset {series.name!r} has no {target} label (evaluation.target)")
+    detectors = [build_detector(det, doc) for det in doc["detectors"]]
     if not datasets or not detectors:
         raise ConfigError("grid needs at least one dataset and one detector")
-    target_key = doc.get("evaluation", {}).get("target", "K>A")
-    records = run_grid(datasets, detectors, target_key=target_key)
+    records = run_grid(datasets, detectors, target_key=target)
     out = Path(args.out or doc["output_dir"])
     out.mkdir(parents=True, exist_ok=True)
     write_metrics_csv(out / "metrics.csv", records)
@@ -198,36 +177,32 @@ def cmd_grid(args) -> int:
 def cmd_eval(args) -> int:
     doc = load_config(args.config)
     records = _read_metrics(args.metrics)
-    ev = doc.get("evaluation", {})
+    ev = doc["evaluation"]
     lines = []
     for scope, cap_key in (("per_dataset", "fpc_cap"), ("overall", "overall_cap")):
-        winners = select_best(records, scope=scope, fpc_cap=ev.get(cap_key))
+        winners = select_best(records, scope=scope, fpc_cap=ev[cap_key])
         lines.append(render_report(winners, title=f"{scope} winners"))
-    subset = ev.get("subset") or []
-    if subset:
-        winners = select_best(records, scope="subset", fpc_cap=ev.get("subset_cap"),
-                              datasets=subset)
-        lines.append(render_report(winners, title=f"subset winners ({', '.join(subset)})"))
-    base_cfg = ev.get("baseline")
-    if base_cfg:
-        lines.append(_baseline_section(doc, records, base_cfg))
+    if ev["subset"]:
+        winners = select_best(records, scope="subset", fpc_cap=ev["subset_cap"],
+                              datasets=ev["subset"])
+        lines.append(render_report(winners, title=f"subset winners ({', '.join(ev['subset'])})"))
+    if ev["baseline"] is not None:
+        lines.append(_baseline_section(doc, records, ev["baseline"]))
     return _emit(args.out, "\n".join(lines))
 
 
 def _baseline_section(doc: dict, records: list[EvalRecord], base_cfg: dict) -> str:
-    target_key = doc.get("evaluation", {}).get("target", "K>A")
-    reps = int(base_cfg.get("repetitions", 100))
-    budgets = base_cfg.get("n_fp", [0])
     out = ["random baseline", "===============", ""]
-    for ds_cfg in doc.get("datasets", []):
+    for ds_cfg in doc["datasets"]:
         series = prepare_series(doc, build_dataset(ds_cfg, doc["seed"]))
-        target = find_target(series, target_key)
+        target = find_target(series, doc["evaluation"]["target"])
         if target is None:
             continue
-        for budget in budgets:
+        for budget in base_cfg["n_fp"]:
             n_fp = int(round(average_max_fpc([r for r in records if r.dataset_id == series.name]))) \
-                if budget == "avg_max" else int(budget)
-            res = random_baseline(series, target, n_fp, repetitions=reps, seed=doc["seed"])
+                if budget == "avg_max" else budget
+            res = random_baseline(series, target, n_fp, repetitions=base_cfg["repetitions"],
+                                  seed=doc["seed"])
             label = f"avg_max={n_fp}" if budget == "avg_max" else str(n_fp)
             out.append(f"{series.name:<12} n_fp={label:<12} fpc={res.fpc_mean:>7.2f} "
                        f"arlp={res.arlp_mean:>8.2f}")
@@ -264,9 +239,10 @@ def build_parser() -> _Parser:
     p = _Parser(prog="predcomp",
                 description="Streaming change point detection with predictive monitoring.")
     sub = p.add_subparsers(dest="command", required=True)
+    cfg = argparse.ArgumentParser(add_help=False)
+    cfg.add_argument("-c", "--config", required=True)
 
-    sp = sub.add_parser("simulate", help="generate the configured datasets as CSV")
-    sp.add_argument("-c", "--config", required=True)
+    sp = sub.add_parser("simulate", parents=[cfg], help="generate the configured datasets as CSV")
     sp.add_argument("--only", help="only this dataset id")
     sp.add_argument("--out", help="output directory (default: config output_dir)")
     sp.set_defaults(func=cmd_simulate)
@@ -274,12 +250,11 @@ def build_parser() -> _Parser:
     sp = sub.add_parser("standardize", help="standardize a series CSV")
     sp.add_argument("input")
     sp.add_argument("output")
-    sp.add_argument("--t0", type=int, default=0)
-    sp.add_argument("--mode", choices=["offline", "online"], default="offline")
+    sp.add_argument("--t0", type=int, default=STANDARDIZE["t0"][1])
+    sp.add_argument("--mode", choices=["offline", "online"], default=STANDARDIZE["mode"][1])
     sp.set_defaults(func=cmd_standardize)
 
-    sp = sub.add_parser("detect", help="run one detector on one dataset")
-    sp.add_argument("-c", "--config", required=True)
+    sp = sub.add_parser("detect", parents=[cfg], help="run one detector on one dataset")
     sp.add_argument("--dataset", required=True)
     sp.add_argument("--detector", required=True)
     sp.add_argument("--set", action="append", metavar="KEY=VALUE",
@@ -289,20 +264,18 @@ def build_parser() -> _Parser:
     sp.add_argument("--svg", help="write a minimal SVG of the chart here")
     sp.set_defaults(func=cmd_detect)
 
-    sp = sub.add_parser("train-lstm", help="train the LSTM predictor on a dataset prefix")
-    sp.add_argument("-c", "--config", required=True)
+    sp = sub.add_parser("train-lstm", parents=[cfg],
+                        help="train the LSTM predictor on a dataset prefix")
     sp.add_argument("--dataset", required=True)
     sp.add_argument("--out", required=True, help="model JSON path")
     sp.add_argument("--loss", help="loss history CSV path")
     sp.set_defaults(func=cmd_train_lstm)
 
-    sp = sub.add_parser("grid", help="run the full detector x dataset grid")
-    sp.add_argument("-c", "--config", required=True)
+    sp = sub.add_parser("grid", parents=[cfg], help="run the full detector x dataset grid")
     sp.add_argument("--out", help="output directory (default: config output_dir)")
     sp.set_defaults(func=cmd_grid)
 
-    sp = sub.add_parser("eval", help="winners and random baseline from metrics.csv")
-    sp.add_argument("-c", "--config", required=True)
+    sp = sub.add_parser("eval", parents=[cfg], help="winners and random baseline from metrics.csv")
     sp.add_argument("--metrics", required=True)
     sp.add_argument("--out", help="write the evaluation text here (default: stdout)")
     sp.set_defaults(func=cmd_eval)
@@ -328,7 +301,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (ConfigError, DataError) as exc:
+    except (ConfigError, DataError, PredictorError) as exc:  # a model that cannot be fitted
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:

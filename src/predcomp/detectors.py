@@ -3,14 +3,14 @@
 ``KINDS[kind].params`` maps every parameter name to ``(type, default)``,
 with ``REQUIRED`` where there is no default; a type rejects the values its
 detector raises ValueError on, and an infinite alarm threshold, which would
-never alarm (:class:`OutOfRange`), so they fail at load.
+never alarm (:class:`OutOfRange`), so they fail at load; the other config
+sections (:mod:`predcomp.config`) use the same types.
 ``KINDS[kind].build(det_cfg, doc)`` returns ``run(series, params,
 keep_trace) -> (detections, trace)``, where ``params`` is one point over
 the detector's ``params`` section (:func:`predcomp.config.resolve_params`
 types it and fills in defaults) and ``trace`` is the chart for ``pnc``,
-None for the other kinds.  Config validation, ``grid`` and ``detect`` all
-read this table; a build imports its detector module, so importing this
-one loads none.
+None for the other kinds.  A build imports its detector module, so
+importing this one loads none.
 
 ``KINDS[kind].threshold`` names the key a reference kind (cusum, bocpd,
 ocd, mosum) sweeps.  The first time its ``run`` is asked for a series and
@@ -30,13 +30,22 @@ from typing import Callable, NamedTuple
 REQUIRED = object()
 
 
-def _choice(*options):
-    def choice(value):
-        if value not in options:
+def _type(name: str, bad, convert=lambda value: value):
+    """A type named ``name``: a ValueError where ``bad(value)``, else ``convert(value)``."""
+    def check(value):
+        if bad(value):
             raise ValueError(value)
-        return value
-    choice.__name__ = " or ".join(options)
-    return choice
+        return convert(value)
+    check.__name__ = name
+    return check
+
+
+def _choice(*options):
+    return _type(" or ".join(options), lambda v: v not in options)
+
+
+def _of(*types):
+    return _type(types[0].__name__, lambda v: not isinstance(v, types))
 
 
 class OutOfRange(ValueError):
@@ -63,12 +72,16 @@ def _finite_of(typ):
     return check
 
 
+_int = _type("int", lambda v: isinstance(v, bool) or isinstance(v, float) and not v.is_integer(),
+             int)
 _finite = _finite_of(float)
-_POSITIVE_INT = _range(int, "> 0", lambda v: v <= 0)
+_POSITIVE_INT = _range(_int, "> 0", lambda v: v <= 0)
+_NON_NEGATIVE_INT = _range(_int, ">= 0", lambda v: v < 0)
 _POSITIVE = _range(float, "> 0", lambda v: not v > 0)  # NaN included
 _FINITE_POSITIVE = _range(_finite, "> 0", lambda v: v <= 0)
 _NON_NEGATIVE = _range(float, ">= 0", lambda v: not v >= 0)
 _UNIT = _range(float, "in (0, 1]", lambda v: not 0 < v <= 1)
+_OPEN_UNIT = _range(float, "in (0, 1)", lambda v: not 0 < v < 1)
 
 
 # an infinite alarm threshold loads but never alarms; NaN fails _POSITIVE first
@@ -95,18 +108,23 @@ def _cached(cache: list, series, key, make):
 
 
 def _build_pnc(det_cfg: dict, doc: dict):
-    from .config import resolve_params
+    from .config import ConfigError, resolve_params
     from .pnc import PncConfig, run_stream
-    from .predictors import fit_predictor
+    from .predictors import PredictorError, fit_predictor
     spec, fitted = det_cfg["predictor"], []
     lstm = _lstm_predictor(det_cfg) if spec["kind"] == "lstm" else None
+
+    def fit(series):
+        try:
+            return fit_predictor(spec, series.values[:doc["train_prefix"]])
+        except PredictorError as exc:
+            raise ConfigError(f"detector {det_cfg['id']!r}: train_prefix: {exc}") from None
 
     def run(series, params, keep_trace=False):
         p = resolve_params(det_cfg, params)
         cfg = PncConfig(p["l"], p["b"], p["desInt"], p["k"], p["direction"], p["refit"],
                         p["min_refit_history"])
-        predictor = _cached(fitted, series, None, lambda: lstm or fit_predictor(
-            spec, series.values[:min(int(doc["train_prefix"]), len(series))]))
+        predictor = _cached(fitted, series, None, lambda: lstm or fit(series))
         detections, stream = run_stream(predictor, cfg, series, name=det_cfg["id"],
                                         keep_trace=keep_trace)
         return detections, [(r.index, r.value, r.target, r.stat, cfg.threshold, r.alarm)
@@ -178,28 +196,28 @@ KINDS: dict[str, Kind] = {
                  "desInt": (_threshold, REQUIRED), "k": (_NON_NEGATIVE, 0.5),
                  "direction": (_choice("up", "down"), "up"),
                  "refit": (_choice("never", "on_detection"), "never"),
-                 "min_refit_history": (int, 50)}, _build_pnc),
+                 "min_refit_history": (_int, 50)}, _build_pnc),
     "cusum": Kind({"desInt": (_threshold, REQUIRED), "k": (_NON_NEGATIVE, 0.5),
                    "window": (_POSITIVE_INT, 50)},
                   _reference(".refdet.classic", lambda m, x, ts, p: m.classic_cusum_sweep(
                       x, ts, allowance=p["k"], target_window=p["window"])), "desInt"),
     "bocpd": Kind({"hazard": (_UNIT, REQUIRED),
-                   "cpthreshold": (_range(float, "in (0, 1)", lambda v: not 0 < v < 1), 0.5),
-                   "r_min": (int, 5), "mu0": (_finite, 0.0), "kappa0": (_FINITE_POSITIVE, 1.0),
+                   "cpthreshold": (_OPEN_UNIT, 0.5),
+                   "r_min": (_int, 5), "mu0": (_finite, 0.0), "kappa0": (_FINITE_POSITIVE, 1.0),
                    "alpha0": (_FINITE_POSITIVE, 1.0), "beta0": (_FINITE_POSITIVE, 1.0)},
                   _reference(".refdet.bocpd", lambda m, x, ts, p: m.bocpd_sweep(
                       x, p["hazard"], ts, r_min=p["r_min"],
                       prior=m.NigPrior(p["mu0"], p["kappa0"], p["alpha0"], p["beta0"]))),
                   "cpthreshold"),
     "ocd": Kind({"diag": (_threshold, REQUIRED), "offDiag": (float, None),
-                 "h_tail": (_range(int, ">= 1", lambda v: v < 1), 50),
-                 "baseline_window": (_range(int, ">= 2", lambda v: v < 2), 100)},
+                 "h_tail": (_range(_int, ">= 1", lambda v: v < 1), 50),
+                 "baseline_window": (_range(_int, ">= 2", lambda v: v < 2), 100)},
                 _reference(".refdet.ocd", lambda m, x, ts, p: m.ocd_sweep(
                     x, ts, off_diag=p["offDiag"], h_tail=p["h_tail"],
                     baseline_window=p["baseline_window"])), "diag"),
-    "mosum": Kind({"minHist": (int, 100), "histFact": (_UNIT, 0.5), "h": (_UNIT, 0.25),
-                   "level": (float, 0.05), "harmonics": (int, 0), "period": (float, 0.0),
-                   "monitor_from": (int, None)},
+    "mosum": Kind({"minHist": (_int, 100), "histFact": (_UNIT, 0.5), "h": (_UNIT, 0.25),
+                   "level": (float, 0.05), "harmonics": (_int, 0), "period": (float, 0.0),
+                   "monitor_from": (_int, None)},
                   _reference(".refdet.mosum", lambda m, x, ts, p: m.mosum_sweep(
                       x, ts, min_hist=p["minHist"], hist_fact=p["histFact"], h_band=p["h"],
                       harmonics=p["harmonics"], period=p["period"],

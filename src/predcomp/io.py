@@ -138,9 +138,9 @@ def write_series_csv(path, series: LabeledSeries) -> None:
                                       for i, v in enumerate(series.values)))
 
 
-def read_series_csv(path, name: str | None = None) -> LabeledSeries:
+def read_series_csv(path, name: str | None = None, labels=None) -> LabeledSeries:
     path = Path(path)
-    values, labels = [], []
+    values, cp_labels = [], []
     for where, (t, v_raw, phase, cp) in _read_rows(path, SERIES_HEADER):
         v = _parse(where, lambda: float(v_raw))
         if not math.isfinite(v):
@@ -153,10 +153,11 @@ def read_series_csv(path, name: str | None = None) -> LabeledSeries:
             frm, sep, to = cp.partition(">")
             if not sep:
                 raise DataError(f"{where}: cp must look like FROM>TO, got {cp!r}")
-            labels.append(_parse(where, lambda: CpLabel(len(values), frm.strip(), to.strip())))
+            cp_labels.append(_parse(where, lambda: CpLabel(len(values), frm.strip(), to.strip())))
         values.append(v)
     if not values:
         raise DataError(f"{path}: no data rows")
+    labels = read_labels_csv(labels) if labels else cp_labels
     return _parse(path, lambda: LabeledSeries(np.asarray(values), labels, name or path.stem))
 
 

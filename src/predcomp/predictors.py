@@ -457,25 +457,13 @@ class ArimaPredictor:
 # dispatch helpers
 
 def fit_predictor(spec: dict, history) -> object:
-    """Build a predictor from a spec dict ({"kind": ..., params}).
-
-    Kinds: naive, mean, ar (p), arima (order or auto).  The LSTM predictor
-    is constructed in :mod:`predcomp.lstm` because it trains on windows,
-    not on a raw history vector.
-    """
-    kind = spec.get("kind")
-    if kind == "naive":
-        return NaivePredictor()
-    if kind == "mean":
-        return MeanPredictor()
-    if kind == "ar":
-        return ArPredictor.fit(history, int(spec.get("p", 1)))
-    if kind == "arima":
-        if spec.get("auto", False) or spec.get("order", "auto") == "auto":
-            return ArimaPredictor.fit(history, auto=True)
-        order = tuple(int(v) for v in spec["order"])
-        return ArimaPredictor.fit(history, order)
-    raise PredictorError(f"unknown predictor kind {kind!r}")
+    """A predictor fitted to ``history`` from a spec dict ({"kind": ..., keys}), typed and
+    built by :data:`predcomp.config.PREDICTORS`; an LSTM trains on windows (:mod:`predcomp.lstm`)."""
+    from .config import PREDICTORS, kind_of
+    if spec.get("kind") not in [k for k, entry in PREDICTORS.items() if entry.build]:
+        raise PredictorError(f"unknown predictor kind {spec.get('kind')!r}")
+    kind, keys = kind_of(spec, PREDICTORS, "predictor")
+    return PREDICTORS[kind].build(keys, history)
 
 
 def predictor_from_dict(d: dict) -> object:

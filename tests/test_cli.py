@@ -416,3 +416,153 @@ def test_bad_t0_exits_2_and_writes_nothing(tmp_path, capsys, config_t0, cli_t0, 
         assert main(["standardize", str(src), str(out), "--t0", cli_t0]) == 2
     assert f"error: {message}" in capsys.readouterr().err
     assert not out.exists()
+
+
+DELETE = object()
+# one config for every bad value below: a step and a wear dataset, a pnc detector
+BOUND_CONFIG = {
+    "schema_version": 1, "seed": 1, "train_prefix": 200,
+    "datasets": [{"id": "s", "source": {"kind": "step", "post_mean": 3.0, "cp_at": 300, "n": 400}},
+                 {"id": "w", "source": {"kind": "wear", "a": 100.0, "lam": 0.02, "c": 3.0,
+                                        "d": 0.05, "t2": 300, "n": 400}}],
+    "detectors": [{"id": "p", "kind": "pnc", "predictor": {"kind": "ar", "p": 2},
+                   "params": {"l": 50, "b": 10}, "grid": {"desInt": [8]}}],
+    "evaluation": {"target": "K>A", "baseline": {"n_fp": [0], "repetitions": 5}},
+    "lstm": {"nh": 12, "nz": 4},
+}
+STEP, WEAR, DET = ("datasets", 0, "source"), ("datasets", 1, "source"), ("detectors", 0)
+
+
+def _bound_config(tmp_path, path, update):
+    import copy
+    import yaml
+    doc = copy.deepcopy(BOUND_CONFIG)
+    doc["output_dir"] = str(tmp_path / "out")
+    node = doc
+    for key in path:
+        node = node[key]
+    for key, value in update.items():
+        if value is DELETE:
+            del node[key]
+        else:
+            node[key] = value
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text(yaml.safe_dump(doc))
+    return cfg
+
+
+BAD_VALUES = [
+    (STEP, {"n": "lots"}, "datasets[0].source.n must be int"),
+    (STEP, {"n": 0}, "datasets[0].source.n must be int > 0"),
+    (STEP, {"n": 2.5}, "datasets[0].source.n must be int, got 2.5"),
+    (STEP, {"n": True}, "datasets[0].source.n must be int, got True"),
+    (STEP, {"cp_at": 11, "n": 10}, "datasets[0].source: cp_at must be <= n"),
+    (STEP, {"sigma": -1}, "datasets[0].source.sigma must be float >= 0"),
+    (STEP, {"sigma": float("nan")}, "datasets[0].source.sigma must be float >= 0"),
+    (STEP, {"pre_mean": float("inf")}, "datasets[0].source.pre_mean must be finite"),
+    (WEAR, {"n": DELETE}, "datasets[1].source.n has no default"),
+    (WEAR, {"n": "1e3"}, "datasets[1].source.n must be int, got '1e3'"),
+    (WEAR, {"lam": 0}, "datasets[1].source.lam must be float > 0"),
+    (WEAR, {"lam": float("nan")}, "datasets[1].source.lam must be finite"),
+    (WEAR, {"c": float("inf")}, "datasets[1].source.c must be finite"),
+    (WEAR, {"c": [1, 2]}, "datasets[1].source.c must be float"),
+    (WEAR, {"scale": -1}, "datasets[1].source.scale must be float >= 0"),
+    (WEAR, {"scale": float("nan")}, "datasets[1].source.scale must be float >= 0"),
+    (WEAR, {"t2": "abc", "d": 0.1}, "datasets[1].source.t2 must be int"),
+    (WEAR, {"a": 100, "lam": 0.001, "d": 0.1, "t2": 50}, "datasets[1].source: run-in ends"),
+    (DET, {"predictor": {"kind": "ar", "p": "lots"}}, "detectors[0].predictor.p must be int"),
+    (DET, {"predictor": {"kind": "ar", "p": 0}}, "detectors[0].predictor.p must be int > 0"),
+    (DET, {"predictor": {"kind": "ar", "p": 2.7}}, "detectors[0].predictor.p must be int"),
+    (DET, {"predictor": {"kind": "naive", "p": 3}}, "detectors[0].predictor: unknown parameters"),
+    (DET, {"predictor": {"kind": "arima", "order": [1, 2]}}, "detectors[0].predictor.order"),
+    (DET, {"predictor": {"kind": "arima", "order": "abc"}}, "detectors[0].predictor.order"),
+    (DET, {"predictor": {"kind": "arima", "order": [9, 0, 0]}}, "detectors[0].predictor.order"),
+    ((), {"seed": "abc"}, "seed must be int"),
+    ((), {"train_prefix": "lots"}, "train_prefix must be int"),
+    ((), {"train_prefix": 0}, "train_prefix must be int > 0"),
+    ((), {"standardize": {"enabled": "maybe"}}, "standardize.enabled must be bool"),
+    (("evaluation",), {"fpc_cap": "lots"}, "evaluation.fpc_cap must be float"),
+    (("evaluation", "baseline"), {"repetitions": "lots"},
+     "evaluation.baseline.repetitions must be int"),
+    (("evaluation", "baseline"), {"n_fp": ["bad"]}, "evaluation.baseline.n_fp must be"),
+    (("evaluation",), {"target": "XYZ"}, "evaluation.target must be"),
+    (("lstm",), {"nh": "lots"}, "lstm.nh must be int"),
+    (("lstm",), {"epochs": -1}, "lstm.epochs must be int > 0"),
+    (("lstm",), {"learning_rate": float("nan")}, "lstm.learning_rate must be finite"),
+]
+
+
+@pytest.mark.parametrize("path, update, message", BAD_VALUES,
+                         ids=[f"{'.'.join(map(str, path)) or 'top'}:"
+                              f"{ {k: 'deleted' if v is DELETE else v for k, v in update.items()} }"
+                              for path, update, _ in BAD_VALUES])
+def test_bad_config_value_exits_2_and_writes_nothing(tmp_path, capsys, path, update, message):
+    """Each value exits 2 at load, naming its key, with no file written;
+    before the config schema each one exited 3 or ran with the value
+    altered or ignored."""
+    cfg = _bound_config(tmp_path, path, update)
+    for command in (["simulate"], ["grid"]):
+        assert main([*command, "-c", str(cfg)]) == 2
+        assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("path, update", [
+    (STEP, {"n": 300.0}), (STEP, {"cp_at": 400}), (STEP, {"cp_at": 1}), (STEP, {"sigma": 0}),
+    (WEAR, {"scale": 0}), (WEAR, {"lam": 1e300}), (WEAR, {"a": 0}), (WEAR, {"decay_cutoff": 0.5}),
+    (DET, {"predictor": {"kind": "ar", "p": 2.0}}),
+    (DET, {"predictor": {"kind": "arima", "order": [1, 0, 0]}}),
+    ((), {"seed": 0}), ((), {"train_prefix": 10**6}),
+    (("evaluation",), {"fpc_cap": float("inf")}),
+], ids=lambda v: str(v))
+def test_values_inside_the_bounds_load_and_run(tmp_path, capsys, path, update):
+    cfg = _bound_config(tmp_path, path, update)
+    assert main(["grid", "-c", str(cfg)]) == 0
+    assert (tmp_path / "out" / "metrics.csv").exists()
+    capsys.readouterr()
+
+
+def test_simulate_only_an_unknown_id_exits_1_and_writes_nothing(config_path, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["simulate", "-c", str(config_path)]) == 0
+    manifest = (out / "manifest.json").read_bytes()
+    assert main(["simulate", "-c", str(config_path), "--only", "nope"]) == 1
+    assert "unknown dataset id 'nope'" in capsys.readouterr().err
+    assert (out / "manifest.json").read_bytes() == manifest
+    assert main(["simulate", "-c", str(config_path), "--out", str(tmp_path / "new"),
+                 "--only", "nope"]) == 1
+    assert not (tmp_path / "new").exists()
+    capsys.readouterr()
+
+
+def test_predictor_that_cannot_be_fitted_on_the_prefix_exits_2(tmp_path, capsys):
+    cfg = _bound_config(tmp_path, DET, {"predictor": {"kind": "arima", "order": [2, 0, 1]}})
+    cfg.write_text(cfg.read_text().replace("train_prefix: 200", "train_prefix: 4"))
+    dets = tmp_path / "dets.csv"
+    assert main(["grid", "-c", str(cfg)]) == 2
+    assert main(["detect", "-c", str(cfg), "--dataset", "s", "--detector", "p",
+                 "--out", str(dets)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("error: detector 'p': train_prefix: history too short for ARIMA(2, 0, 1)") == 2
+    assert not (tmp_path / "out").exists() and not dets.exists()
+
+
+def test_dataset_without_the_target_label_exits_2_before_any_run(tmp_path, capsys, monkeypatch):
+    import predcomp.cli as cli
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("a detector ran")
+
+    monkeypatch.setattr(cli, "run_grid", no_run)
+    cfg = _bound_config(tmp_path, ("evaluation",), {"target": "E>K"})
+    assert main(["grid", "-c", str(cfg)]) == 2
+    assert "error: dataset 's' has no E>K label (evaluation.target)" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_lstm_that_cannot_be_trained_on_the_prefix_exits_2(tmp_path, capsys):
+    cfg = _bound_config(tmp_path, (), {"train_prefix": 10})
+    model = tmp_path / "model.json"
+    assert main(["train-lstm", "-c", str(cfg), "--dataset", "s", "--out", str(model)]) == 2
+    assert "error: history too short for the requested windows" in capsys.readouterr().err
+    assert not model.exists()

@@ -338,3 +338,105 @@ def test_write_text_replaces_the_file(tmp_path):
     write_text(p, "second\n")
     assert p.read_text() == "second\n"
     assert [f.name for f in tmp_path.iterdir()] == ["t.txt"]
+
+
+def test_readme_tables_list_each_config_key():
+    """The README's source, predictor, standardize, evaluation and lstm tables
+    name every key of the code's tables, in order, with its default."""
+    from pathlib import Path
+
+    from predcomp.config import BASELINE, EVALUATION, LSTM, PREDICTORS, SOURCES, STANDARDIZE
+    from predcomp.detectors import REQUIRED
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    listed = [(name, cell.strip()) for name, cell in
+              re.findall(r"^\| `(\w+(?:\.\w+)+)` \| ([^|]+) \|", readme, re.M)]
+    tables = ([(kind, entry.params) for kind, entry in SOURCES.items()]
+              + [(kind, entry.params) for kind, entry in PREDICTORS.items()]
+              + [("standardize", STANDARDIZE), ("evaluation", EVALUATION),
+                 ("evaluation.baseline", BASELINE), ("lstm", LSTM)])
+    want = [(f"{prefix}.{key}", default) for prefix, table in tables
+            for key, (_, default) in table.items()]
+    assert [name for name, _ in listed] == [name for name, _ in want]
+    for (name, cell), (_, default) in zip(listed, want):
+        if default is REQUIRED:
+            assert cell == "required", name
+        elif default is None:
+            assert cell.startswith("unset"), name
+        else:
+            shown = (str(default).lower() if isinstance(default, bool)
+                     else str(list(default)) if isinstance(default, tuple) else str(default))
+            assert cell == f"`{shown}`", name
+
+
+def test_loaded_sections_are_typed_with_defaults(tmp_path):
+    from predcomp.lstm import TrainConfig
+    doc = load_config(_write_config(tmp_path, "schema_version: 1\nlstm: {nh: 24, nz: 6}\n"))
+    assert doc["standardize"] == {"enabled": False, "t0": 0, "mode": "offline"}
+    assert doc["evaluation"] == {"target": "K>A", "fpc_cap": None, "overall_cap": None,
+                                 "subset": None, "subset_cap": None, "baseline": None}
+    assert doc["lstm"]["epochs"] == TrainConfig.epochs and doc["lstm"]["max_windows"] == 500
+    assert list(doc["datasets"]) == [] and list(doc["detectors"]) == []
+    doc = load_config(_write_config(tmp_path, "schema_version: 1\nevaluation: {baseline: {}}\n"))
+    assert doc["lstm"] is None
+    assert doc["evaluation"]["baseline"] == {"n_fp": (0,), "repetitions": 100}
+    # null leaves a key that is unset by default unset, as leaving it out does
+    doc = load_config(_write_config(
+        tmp_path, "schema_version: 1\nevaluation: {fpc_cap: null, subset: ~, baseline: null}\n"
+                  "lstm: null\ndetectors:\n  - {id: o, kind: ocd, params: {diag: 8, offDiag: null}}\n"))
+    assert doc["evaluation"]["fpc_cap"] is None and doc["evaluation"]["subset"] is None
+    assert doc["evaluation"]["baseline"] is None and doc["lstm"] is None
+    with pytest.raises(ConfigError, match="seed must be int, got None"):
+        load_config(_write_config(tmp_path, "schema_version: 1\nseed: null\n"))
+
+
+def test_demo_config_loads_as_written():
+    """Every value the demo config sets loads as written (numbers equal,
+    sources the same mapping), the predictor spec and params included."""
+    import yaml
+    from pathlib import Path
+    path = Path(__file__).resolve().parents[1] / "configs" / "demo.yaml"
+    raw, doc = yaml.safe_load(path.read_text()), load_config(path)
+
+    def same(a, b, where):
+        if isinstance(a, dict):
+            for key in a:
+                same(a[key], b[key], f"{where}.{key}")
+        elif isinstance(a, list):
+            assert len(a) == len(b), where
+            for i, (x, y) in enumerate(zip(a, b)):
+                same(x, y, f"{where}[{i}]")
+        else:
+            assert a == b, where
+
+    same({k: v for k, v in raw.items() if k != "seed"}, doc, "doc")
+    assert [ds["source"] for ds in doc["datasets"]] == [ds["source"] for ds in raw["datasets"]]
+
+
+@pytest.mark.parametrize("key, value", [
+    ("window", 50.0), ("window", "50"), ("window", 50),
+], ids=["integral-float", "numeric-string", "int"])
+def test_integral_int_values_load(tmp_path, key, value):
+    from predcomp.config import resolve_params
+    doc = load_config(_write_config(
+        tmp_path, f"schema_version: 1\ndetectors:\n  - {{id: c, kind: cusum, "
+                  f"params: {{desInt: 5, {key}: {value!r}}}}}\n"))
+    assert resolve_params(doc["detectors"][0], {})[key] == 50
+
+
+@pytest.mark.parametrize("detector, message", [
+    ("{id: c, kind: cusum, params: {desInt: 5, window: 20.7}}", "window must be int, got 20.7"),
+    ("{id: c, kind: bocpd, params: {hazard: 0.01, r_min: true}}", "r_min must be int, got True"),
+    ("{id: c, kind: ocd, grid: {diag: [8], h_tail: [50, 2.5]}}", "h_tail must be int, got 2.5"),
+    ("{id: c, kind: mosum, params: {minHist: .inf}}", "minHist must be int, got inf"),
+], ids=["cusum-window", "bocpd-r_min", "ocd-h_tail", "mosum-minHist"])
+def test_detector_int_keys_refuse_fractions_and_booleans(tmp_path, detector, message):
+    with pytest.raises(ConfigError, match=re.escape(f"detector 'c': {message}")):
+        load_config(_write_config(tmp_path, f"schema_version: 1\ndetectors:\n  - {detector}\n"))
+
+
+def test_fit_predictor_refuses_keys_its_kind_ignores():
+    from predcomp.predictors import fit_predictor
+    with pytest.raises(ConfigError, match="predictor: unknown parameters"):
+        fit_predictor({"kind": "naive", "p": 3}, np.arange(100.0))
+    with pytest.raises(ConfigError, match=r"predictor\.p must be int, got 2\.7"):
+        fit_predictor({"kind": "ar", "p": 2.7}, np.arange(100.0))
