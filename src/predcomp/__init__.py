@@ -14,12 +14,12 @@ predictors    naive / mean / AR / ARIMA forecasters
 lstm          from-scratch LSTM forecaster with exact gradients
 cusum         decision-interval chart primitive
 pnc           predict-and-compare streaming detector
-detectors     the detector kinds: parameters, defaults, how each runs
 refdet        reference detectors (classic CUSUM, BOCPD, tail scan,
               moving-sum monitor, random baseline)
 evaluate      false-positive count / relative delay scoring, grid search
 io            CSV and JSON round trips, trace export
-config        YAML experiment configs
+config        YAML experiment configs: every section's keys, types and defaults,
+              and the source, predictor and detector kinds and how each runs
 cli           command line entry point
 """
 

@@ -12,9 +12,10 @@ import argparse
 import sys
 from pathlib import Path
 
+import yaml
+
 from . import lstm as lstm_mod
-from .config import STANDARDIZE, TRAIN, ConfigError, load_config, source, typed
-from .detectors import KINDS
+from .config import KINDS, SOURCES, STANDARDIZE, TRAIN, ConfigError, kind_of, load_config, typed
 from .evaluate import (DetectorGrid, EvalRecord, average_max_fpc, find_target, params_id,
                        render_report, run_grid, select_best)
 from .io import (DataError, read_metrics_csv as _read_metrics, read_series_csv, save_model,
@@ -40,8 +41,8 @@ class _Parser(argparse.ArgumentParser):
 # config-driven builders
 
 def build_dataset(ds_cfg: dict, seed: int) -> LabeledSeries:
-    entry, src = source(ds_cfg["source"], f"dataset {ds_cfg['id']!r}: source")
-    return entry.build(src, ds_cfg["id"], seed)
+    kind, src = kind_of(ds_cfg["source"], SOURCES, f"dataset {ds_cfg['id']!r}: source")
+    return SOURCES[kind].build(src, ds_cfg["id"], seed)
 
 
 def prepare_series(doc: dict, series: LabeledSeries) -> LabeledSeries:
@@ -60,13 +61,12 @@ def _fixed_params(det_cfg: dict, overrides: list[str] | None = None) -> dict:
 
     Grid lists must be singletons unless pinned with --set key=value.
     """
-    import yaml as _yaml
     pinned = {}
     for item in overrides or []:
         key, sep, raw = item.partition("=")
         if not sep or not key:
             raise UsageError(f"--set expects key=value, got {item!r}")
-        pinned[key] = _yaml.safe_load(raw)
+        pinned[key] = yaml.safe_load(raw)
     grid = det_cfg["grid"]
     for key, vals in grid.items():
         if len(vals) != 1 and key not in pinned:

@@ -239,6 +239,9 @@ def train_lstm(X: np.ndarray, Y: np.ndarray, cfg: TrainConfig) -> TrainResult:
         if len(X_va):
             Yp, _ = lstm_forward(net, X_va)
             result.val_loss.append(mse_loss(Yp, Y_va)[0])
+    if not all(np.isfinite(p).all() for p in net.params().values()):
+        raise PredictorError("training diverged: the weights are not finite; "
+                             "lower the learning rate")
     return result
 
 

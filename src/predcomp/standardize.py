@@ -148,13 +148,6 @@ def estimate_trend(values, t0: int = 0, t: int | None = None) -> TrendFit:
     return TrendFit(*_fit_step(terms, t - t0, _work_rows(t - t0)), t0, t)
 
 
-def _score_one(x: float, lam: float, flags: list[int], idx: int) -> float:
-    if not np.isfinite(lam) or lam < LAM_FLOOR:
-        flags.append(idx)
-        return 0.0
-    return (x - lam) / np.sqrt(lam)
-
-
 def _scores(values: np.ndarray, lam: np.ndarray, fitted: np.ndarray):
     """Scores (X - lam) / sqrt(lam) and the flagged indices: the raw value
     where no trend is ``fitted``, zero where lam is below the floor or not
@@ -239,7 +232,9 @@ class OnlineStandardizer:
         self._n += 1
         try:
             self.fit = estimate_trend(self._buf[:self._n], t0=self.t0)
+            lam, fitted = self.fit.lam(i + 1).reshape(1), True
         except TrendNotEstimable:
-            self.flagged.append(i)
-            return float(x)
-        return _score_one(float(x), float(self.fit.lam(i + 1)), self.flagged, i)
+            lam, fitted = np.full(1, np.nan), False
+        scores, flagged = _scores(self._buf[i:i + 1], lam, np.full(1, fitted))
+        self.flagged += [i] if flagged else []
+        return float(scores[0])

@@ -324,6 +324,35 @@ def test_cli_import_leaves_out_scipy_optimize_and_signal():
     assert out.stdout.strip() == "[]"
 
 
+# every module `import predcomp.cli` loads: no scipy module, and nothing else
+CLI_MODULES = ["predcomp", "predcomp.cli", "predcomp.config", "predcomp.cusum",
+               "predcomp.evaluate", "predcomp.io", "predcomp.lstm", "predcomp.pnc",
+               "predcomp.predictors", "predcomp.refdet", "predcomp.refdet.baseline",
+               "predcomp.refdet.bocpd", "predcomp.refdet.classic", "predcomp.refdet.mosum",
+               "predcomp.refdet.ocd", "predcomp.refdet.sweep", "predcomp.seeding",
+               "predcomp.series", "predcomp.simulate", "predcomp.standardize"]
+
+
+@pytest.mark.parametrize("code, loads", [
+    ("import predcomp.config", None),
+    ("import numpy, predcomp.predictors as p; p.fit_predictor({'kind': 'ar', 'p': 2}, "
+     "numpy.arange(100.0) % 7)", None),
+    ("import predcomp.refdet", None),
+    ("import predcomp.cli", CLI_MODULES),
+], ids=["config", "predictors", "refdet", "cli"])
+def test_each_module_imports_first_without_a_cycle(code, loads):
+    """In a fresh interpreter each module can be the first one imported;
+    `predcomp.cli` then loads exactly CLI_MODULES."""
+    code += ("; import sys; print(sorted(m for m in sys.modules "
+             "if m.split('.')[0] in ('predcomp', 'scipy')))")
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    if loads is not None:
+        assert out.stdout.strip() == str(loads)
+
+
 DOWN_CONFIG = """\
 schema_version: 1
 seed: 4
@@ -489,6 +518,10 @@ BAD_VALUES = [
     (("lstm",), {"nh": "lots"}, "lstm.nh must be int"),
     (("lstm",), {"epochs": -1}, "lstm.epochs must be int > 0"),
     (("lstm",), {"learning_rate": float("nan")}, "lstm.learning_rate must be finite"),
+    (WEAR, {"a": 1e300}, "datasets[1].source: the Poisson means"),
+    (WEAR, {"c": 1e300}, "datasets[1].source: the Poisson means"),
+    (WEAR, {"d": 1e300}, "datasets[1].source: the Poisson means"),
+    (WEAR, {"scale": 1e-10}, "datasets[1].source: the Poisson means"),
 ]
 
 
@@ -510,6 +543,7 @@ def test_bad_config_value_exits_2_and_writes_nothing(tmp_path, capsys, path, upd
 @pytest.mark.parametrize("path, update", [
     (STEP, {"n": 300.0}), (STEP, {"cp_at": 400}), (STEP, {"cp_at": 1}), (STEP, {"sigma": 0}),
     (WEAR, {"scale": 0}), (WEAR, {"lam": 1e300}), (WEAR, {"a": 0}), (WEAR, {"decay_cutoff": 0.5}),
+    (WEAR, {"c": 1e18}),
     (DET, {"predictor": {"kind": "ar", "p": 2.0}}),
     (DET, {"predictor": {"kind": "arima", "order": [1, 0, 0]}}),
     ((), {"seed": 0}), ((), {"train_prefix": 10**6}),
@@ -558,6 +592,14 @@ def test_dataset_without_the_target_label_exits_2_before_any_run(tmp_path, capsy
     assert main(["grid", "-c", str(cfg)]) == 2
     assert "error: dataset 's' has no E>K label (evaluation.target)" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_lstm_training_that_diverges_exits_2_and_writes_no_model(tmp_path, capsys):
+    cfg = _bound_config(tmp_path, ("lstm",), {"learning_rate": 1e300, "hidden": 4, "epochs": 2})
+    model = tmp_path / "model.json"
+    assert main(["train-lstm", "-c", str(cfg), "--dataset", "s", "--out", str(model)]) == 2
+    assert "error: training diverged: the weights are not finite" in capsys.readouterr().err
+    assert not model.exists()
 
 
 def test_lstm_that_cannot_be_trained_on_the_prefix_exits_2(tmp_path, capsys):

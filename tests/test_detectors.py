@@ -11,7 +11,7 @@ import pytest
 
 from predcomp.cli import build_dataset, build_detector, main, prepare_series
 from predcomp.config import ConfigError, load_config
-from predcomp.detectors import KINDS, REQUIRED
+from predcomp.config import KINDS, REQUIRED
 from predcomp.evaluate import params_id
 from predcomp.io import read_detections_csv, save_model
 from predcomp.lstm import init_lstm

@@ -346,7 +346,7 @@ def test_readme_tables_list_each_config_key():
     from pathlib import Path
 
     from predcomp.config import BASELINE, EVALUATION, LSTM, PREDICTORS, SOURCES, STANDARDIZE
-    from predcomp.detectors import REQUIRED
+    from predcomp.config import REQUIRED
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     listed = [(name, cell.strip()) for name, cell in
               re.findall(r"^\| `(\w+(?:\.\w+)+)` \| ([^|]+) \|", readme, re.M)]
