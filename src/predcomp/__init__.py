@@ -8,7 +8,7 @@ between what the model expects and what arrives.
 Modules
 -------
 series        labeled series container, change labels, detections
-simulate      wear-out intensity generator, step series, noise suites
+simulate      wear-out intensity generator, step series
 standardize   power trend fit and Poisson-style score transform
 predictors    naive / mean / AR / ARIMA forecasters
 lstm          from-scratch LSTM forecaster with exact gradients
@@ -32,9 +32,9 @@ from .evaluate import (Attribution, DetectorGrid, EvalRecord, Winner, arlp,
 from .pnc import PncConfig, PncStream, run_stream
 from .predictors import (ArimaPredictor, ArPredictor, ConstantPredictor,
                          MeanPredictor, NaivePredictor, PredictorError,
-                         fit_predictor, predictor_from_dict)
+                         fit_predictor)
 from .series import CpLabel, Detection, LabeledSeries
-from .simulate import WearIntensity, sample_step_series, sample_wear_series, snr_suite
+from .simulate import WearIntensity, sample_step_series, sample_wear_series
 from .standardize import (OnlineStandardizer, StandardizeResult, TrendFit,
                           TrendNotEstimable, estimate_trend, standardize)
 
@@ -49,5 +49,5 @@ __all__ = [
     "attribute", "average_max_fpc", "estimate_trend", "find_target",
     "params_id", "render_report", "run_chart", "run_grid",
     "run_stream", "sample_step_series", "sample_wear_series", "select_best",
-    "snr_suite", "standardize", "__version__",
+    "standardize", "__version__",
 ]

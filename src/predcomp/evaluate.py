@@ -45,11 +45,13 @@ def attribute(detections: list[Detection], series: LabeledSeries,
               target: CpLabel) -> Attribution:
     lo, hi = series.phase_bounds(target)
     phase_len = hi - lo
-    tags = series.phase_tags()
-    # paused stretch directly after the target phase, if any
-    pause_hi = hi
-    while pause_hi < len(series) and tags[pause_hi] == "V":
-        pause_hi += 1
+    # paused stretch directly after the target phase, if any: while the label
+    # at pause_hi opens a V phase, the stretch runs on to that phase's end
+    labels = series.cp_labels
+    pause_hi, j = hi, labels.index(target) + 1
+    while j < len(labels) and labels[j].to_phase == "V":
+        pause_hi = series.phase_bounds(labels[j])[1]
+        j += 1
     fpc = 0
     found = None
     discarded = 0

@@ -234,8 +234,9 @@ def write_trace_csv(path, rows) -> None:
         for i, value, target, stat, threshold, alarm in rows))
 
 
-def write_trace_svg(path, rows, width: int = 900, height: int = 300) -> None:
+def write_trace_svg(path, rows) -> None:
     """Minimal standalone SVG of the chart statistic vs its threshold."""
+    width, height = 900, 300  # pixels
     if not rows:
         raise DataError("empty trace")
     xs = [time_field(r[0]) for r in rows]

@@ -23,6 +23,7 @@ from .predictors import PredictorError
 #: Adam's decay rates and denominator guard; the half-width of the uniform init
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 INIT_SCALE = 0.08
+_DIVERGED = "training diverged: the weights are not finite; lower the learning rate"
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -201,7 +202,8 @@ def train_lstm(X: np.ndarray, Y: np.ndarray, cfg: TrainConfig) -> TrainResult:
     The validation split is the tail of the window set (time-ordered
     holdout); batches are reshuffled every epoch from a seeded stream, so
     a fixed (data, config, seed) triple reproduces the loss history
-    exactly.
+    exactly.  Raises :class:`PredictorError` at the first batch whose loss
+    is not finite, before its step, and when a weight ends non-finite.
     """
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
@@ -223,7 +225,10 @@ def train_lstm(X: np.ndarray, Y: np.ndarray, cfg: TrainConfig) -> TrainResult:
         n_batches = 0
         for lo in range(0, len(X_tr), cfg.batch_size):
             idx = order[lo:lo + cfg.batch_size]
-            loss, grads = loss_and_grads(net, X_tr[idx], Y_tr[idx])
+            with np.errstate(over="ignore", invalid="ignore"):
+                loss, grads = loss_and_grads(net, X_tr[idx], Y_tr[idx])
+            if not np.isfinite(loss):
+                raise PredictorError(_DIVERGED)
             clip_gradients(grads, cfg.clip_norm)
             step += 1
             params = net.params()
@@ -240,8 +245,7 @@ def train_lstm(X: np.ndarray, Y: np.ndarray, cfg: TrainConfig) -> TrainResult:
             Yp, _ = lstm_forward(net, X_va)
             result.val_loss.append(mse_loss(Yp, Y_va)[0])
     if not all(np.isfinite(p).all() for p in net.params().values()):
-        raise PredictorError("training diverged: the weights are not finite; "
-                             "lower the learning rate")
+        raise PredictorError(_DIVERGED)
     return result
 
 
@@ -291,6 +295,3 @@ class LstmPredictor:
 
     def refit(self, history) -> "LstmPredictor":
         return self
-
-    def to_dict(self) -> dict:
-        return self.net.to_dict()

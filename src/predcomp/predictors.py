@@ -61,9 +61,6 @@ class NaivePredictor:
     def refit(self, history) -> "NaivePredictor":
         return self
 
-    def to_dict(self) -> dict:
-        return {"kind": self.kind}
-
 
 @dataclass
 class MeanPredictor:
@@ -80,9 +77,6 @@ class MeanPredictor:
     def refit(self, history) -> "MeanPredictor":
         return self
 
-    def to_dict(self) -> dict:
-        return {"kind": self.kind}
-
 
 @dataclass
 class ConstantPredictor:
@@ -97,9 +91,6 @@ class ConstantPredictor:
     def refit(self, history) -> "ConstantPredictor":
         history = _as_history(history)
         return ConstantPredictor(float(history[-1]))
-
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "value": self.value}
 
 
 # ---------------------------------------------------------------------------
@@ -144,10 +135,6 @@ class ArPredictor:
 
     def refit(self, history):
         return ArPredictor.fit(history, self.p)
-
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "p": self.p, "coef": list(map(float, self.coef)),
-                "intercept": self.intercept}
 
 
 # ---------------------------------------------------------------------------
@@ -446,12 +433,6 @@ class ArimaPredictor:
             return ArimaPredictor.fit(history, auto=True)
         return ArimaPredictor.fit(history, (self.p, self.d, self.q))
 
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "p": self.p, "d": self.d, "q": self.q,
-                "phi": list(map(float, self.phi)), "theta": list(map(float, self.theta)),
-                "intercept": self.intercept, "sigma2": self.sigma2,
-                "aicc": float(self.aicc), "auto": self.auto}
-
 
 # ---------------------------------------------------------------------------
 # dispatch helpers
@@ -464,25 +445,6 @@ def fit_predictor(spec: dict, history) -> object:
         raise PredictorError(f"unknown predictor kind {spec.get('kind')!r}")
     kind, keys = kind_of(spec, PREDICTORS, "predictor")
     return PREDICTORS[kind].build(keys, history)
-
-
-def predictor_from_dict(d: dict) -> object:
-    kind = d.get("kind")
-    if kind == "naive":
-        return NaivePredictor()
-    if kind == "mean":
-        return MeanPredictor()
-    if kind == "constant":
-        return ConstantPredictor(float(d["value"]))
-    if kind == "ar":
-        return ArPredictor(int(d["p"]), np.asarray(d["coef"], dtype=float), float(d["intercept"]))
-    if kind == "arima":
-        return ArimaPredictor(int(d["p"]), int(d["d"]), int(d["q"]),
-                              np.asarray(d["phi"], dtype=float),
-                              np.asarray(d["theta"], dtype=float),
-                              float(d["intercept"]), float(d["sigma2"]),
-                              float(d.get("aicc", np.nan)), bool(d.get("auto", False)))
-    raise PredictorError(f"unknown predictor kind {kind!r}")
 
 
 def refit_after_detection(predictor, values, located: int,

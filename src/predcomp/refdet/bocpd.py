@@ -27,7 +27,8 @@ Tables.  Every run receives the same sequence of ``+0.5`` (alpha) and
 observations a run has absorbed.  They, and every predictive term built
 from them alone (the gammaln difference, the degrees of freedom and the
 constant factors), are tables computed once per prior by the same
-additions, and a step only slices them.
+additions, and a step only slices them.  Entry 0, a run with no
+observations, holds the constants of the prior predictive.
 
 Log-sum-exp.  ``_logsumexp`` transcribes the algorithm of
 ``scipy.special.logsumexp`` (scipy 1.17, ``scipy/special/_logsumexp.py``):
@@ -43,8 +44,9 @@ there, until the highest of them has fired; the lower ones fire on the
 way (:func:`predcomp.refdet.sweep.sweep`).  :func:`bocpd_detect` is its
 one-threshold case.
 
-``gammaln`` is imported where it is used, so that importing this module
-does not load scipy.special (about 0.3 s, paid by every CLI command).
+``gammaln`` has one call site, :class:`_RunLengthTables`, and is imported
+there, so that importing this module does not load scipy.special (about
+0.3 s, paid by every CLI command).
 """
 
 from __future__ import annotations
@@ -70,15 +72,6 @@ class NigPrior:
             raise ValueError("kappa0, alpha0, beta0 must be finite and positive")
         if not np.isfinite(self.mu0):
             raise ValueError("mu0 must be finite")
-
-
-def student_t_logpdf(x, df, loc, scale2):
-    """log density of the location-scale Student-t (scale2 = squared scale)."""
-    from scipy.special import gammaln
-    z2 = (x - loc) ** 2 / scale2
-    return (gammaln((df + 1) / 2) - gammaln(df / 2)
-            - 0.5 * np.log(df * np.pi * scale2)
-            - (df + 1) / 2 * np.log1p(z2 / df))
 
 
 def _logsumexp(a: np.ndarray):
@@ -129,22 +122,19 @@ class BocpdState:
     """Posterior over run lengths with per-run NIG sufficient statistics."""
 
     def __init__(self, prior: NigPrior):
-        from scipy.special import gammaln
         self.prior = p = prior
-        # the prior predictive and the r = 0 update, minus their x terms
-        df0 = 2.0 * p.alpha0
-        scale2 = p.beta0 * (p.kappa0 + 1.0) / (p.alpha0 * p.kappa0)
-        self._df0 = df0
-        self._scale0 = scale2
-        self._half_df0 = (df0 + 1) / 2
-        self._log_norm0 = (gammaln((df0 + 1) / 2) - gammaln(df0 / 2)
-                           - 0.5 * np.log(df0 * np.pi * scale2))
-        self._mu0_part = p.mu0 * p.kappa0 / (p.kappa0 + 1)
         self._n = 0
         self._head = 0
         self._lp = self._mu = self._beta = np.empty(0)
         self._grow(64)
         self._reset()
+        # the prior predictive (a run with no observations: table entry 0) and
+        # the r = 0 update, minus their x terms
+        tab = self._tab
+        self._df0, self._half_df0 = float(tab.df[0]), float(tab.half_df1[0])
+        self._scale0 = float(p.beta0 * tab.kappa1[0] / tab.alpha_kappa[0])
+        self._log_norm0 = tab.log_norm[0] - 0.5 * np.log(tab.df_pi[0] * self._scale0)
+        self._mu0_part = p.mu0 * p.kappa0 / (p.kappa0 + 1)
 
     def _grow(self, capacity: int) -> None:
         """Room for ``capacity`` run lengths, keeping the current ones."""

@@ -18,9 +18,9 @@ tabulated bandwidth fraction.
 
 History protocol: at the initial segment the history is the
 ``monitor_from`` leading points, of which the stable tail of length
-clamp(ceil(hist_fact * monitor_from), min_hist, cap * min_hist) is fitted.
-After each detection the model refits once ``min_hist`` fresh points have
-accumulated, then monitoring resumes.
+clamp(ceil(hist_fact * monitor_from), min_hist, _CAP_FACTOR * min_hist) is
+fitted.  After each detection the model refits once ``min_hist`` fresh
+points have accumulated, then monitoring resumes.
 
 The moving sums and their bounds are computed as array operations over
 blocks of ``_ROWS`` steps, each entry by the same expression as the
@@ -44,6 +44,8 @@ _TABLE = None
 
 #: steps of one block of the monitoring statistic
 _ROWS = 512
+#: the fitted history holds at most this many times ``min_hist`` points
+_CAP_FACTOR = 4
 
 
 def boundary_constant(h_band: float, level: float) -> float:
@@ -72,21 +74,20 @@ def _design(t: np.ndarray, harmonics: int, period: float) -> np.ndarray:
 def mosum_detect(series, min_hist: int = 100, hist_fact: float = 0.5,
                  h_band: float = 0.25, level: float = 0.05,
                  harmonics: int = 0, period: float = 0.0,
-                 monitor_from: int | None = None, cap_factor: int = 4,
-                 keep_trace: bool = False):
+                 monitor_from: int | None = None, keep_trace: bool = False):
     """Returns (detections, trace rows (index, mosum, bound)).
 
     Raises ``ValueError`` on a NaN or infinite value.
     """
     trace = []
     (detections,) = mosum_sweep(series, [level], min_hist, hist_fact, h_band, harmonics, period,
-                                monitor_from, cap_factor, trace=trace if keep_trace else None)
+                                monitor_from, trace=trace if keep_trace else None)
     return detections, trace
 
 
 def mosum_sweep(series, levels, min_hist: int = 100, hist_fact: float = 0.5,
                 h_band: float = 0.25, harmonics: int = 0, period: float = 0.0,
-                monitor_from: int | None = None, cap_factor: int = 4,
+                monitor_from: int | None = None,
                 trace: list | None = None) -> list[list[Detection]]:
     """The detections of :func:`mosum_detect` at each ``level``.
 
@@ -112,7 +113,7 @@ def mosum_sweep(series, levels, min_hist: int = 100, hist_fact: float = 0.5,
         if mon_start >= n or avail < min_hist:
             return [None] * len(group)
         length = int(min(max(min_hist, math.ceil(hist_fact * avail)),
-                         cap_factor * min_hist, avail))
+                         _CAP_FACTOR * min_hist, avail))
         hist_lo = mon_start - length
         t_hist = np.arange(hist_lo, mon_start, dtype=float)
         X = _design(t_hist, harmonics, period)

@@ -79,17 +79,17 @@ class LabeledSeries:
     def __len__(self) -> int:
         return len(self.values)
 
-    def phase_tags(self, first_phase: str = "") -> list[str]:
+    def phase_tags(self) -> list[str]:
         """Per-index phase tags implied by the labels.
 
         The tag changes exactly at each label time; indices before the first
-        label get ``first_phase`` (or the first label's from_phase when the
-        argument is empty and labels exist).
+        label get the first label's from_phase, and every index of a series
+        without labels gets "".
         """
         n = len(self.values)
         if not self.cp_labels:
-            return [first_phase] * n
-        cur = first_phase or self.cp_labels[0].from_phase
+            return [""] * n
+        cur = self.cp_labels[0].from_phase
         tags = []
         pending = list(self.cp_labels)
         for i in range(n):
@@ -106,12 +106,11 @@ class LabeledSeries:
         end = self.cp_labels[i + 1].time if i + 1 < len(self.cp_labels) else len(self.values)
         return label.time, end
 
-    def with_values(self, values: np.ndarray, name: str | None = None) -> "LabeledSeries":
-        """Same labels, new values (e.g. after standardization)."""
+    def with_values(self, values: np.ndarray) -> "LabeledSeries":
+        """Same labels and name, new values (e.g. after standardization)."""
         if len(values) != len(self.values):
             raise ValueError("replacement values must keep the series length")
-        return LabeledSeries(np.asarray(values, dtype=float), list(self.cp_labels),
-                             self.name if name is None else name)
+        return LabeledSeries(np.asarray(values, dtype=float), list(self.cp_labels), self.name)
 
 
 def non_finite_error(index: int, value: float) -> ValueError:

@@ -96,10 +96,11 @@ def sample_wear_series(intensity: WearIntensity, n: int, seed: int,
                        scale: float = 1.0) -> LabeledSeries:
     """Poisson counts under ``intensity``; labels at the analytic t1 and t2.
 
-    ``scale`` multiplies the noise amplitude like in :func:`snr_suite`:
-    counts are drawn at intensity/scale^2 and rescaled by scale^2, keeping
-    the trend fixed while the variance grows with scale^2.  Scale 0 gives
-    the noiseless trend.
+    ``scale`` multiplies the noise amplitude: counts are drawn at
+    intensity/scale^2 and rescaled by scale^2, keeping the expected trend
+    fixed while the variance grows with scale^2 (a config varies the noise
+    through a ``wear`` source's ``scale``).  Scale 0 gives the noiseless
+    trend.
     """
     if n <= 0:
         raise ValueError("n must be positive")
@@ -133,31 +134,3 @@ def sample_step_series(pre_mean: float, post_mean: float, sigma: float,
     values[cp_at - 1:] += post_mean
     return LabeledSeries(values, [CpLabel(cp_at - 1, "K", "A")], name=name)
 
-
-def snr_suite(intensity: WearIntensity, n: int, scales, noise: str = "poisson",
-              sigma: float = 1.0, seed: int = 0, name: str = "") -> list[LabeledSeries]:
-    """One series per noise scale with a shared trend and shared labels.
-
-    ``scale`` multiplies the noise amplitude in both modes.  Gaussian mode
-    adds scale*sigma white noise to the exact bin means.  Poisson mode
-    draws counts at intensity/scale^2 and multiplies them by scale^2, which
-    keeps the expected trend and inflates the variance by scale^2; scale 0
-    degenerates to the noiseless trend in both modes.
-    """
-    if noise not in ("poisson", "gaussian"):
-        raise ValueError("noise must be 'poisson' or 'gaussian'")
-    means = intensity.bin_means(n)
-    labels = intensity.cp_labels(n)
-    out = []
-    for idx, scale in enumerate(scales):
-        if scale < 0:
-            raise ValueError("scales must be non-negative")
-        rng = spawn_rng(seed, "snr", idx)
-        if scale == 0:
-            values = means.copy()
-        elif noise == "gaussian":
-            values = means + scale * sigma * rng.normal(0.0, 1.0, size=n)
-        else:
-            values = (scale ** 2) * rng.poisson(means / scale ** 2).astype(float)
-        out.append(LabeledSeries(values, list(labels), name=f"{name}s{idx + 1}"))
-    return out

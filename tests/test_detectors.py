@@ -4,6 +4,7 @@ reference drawn from it, and `detect` and `grid` running each kind alike."""
 from __future__ import annotations
 
 import csv
+import inspect
 import re
 from pathlib import Path
 
@@ -15,6 +16,9 @@ from predcomp.config import KINDS, REQUIRED
 from predcomp.evaluate import params_id
 from predcomp.io import read_detections_csv, save_model
 from predcomp.lstm import init_lstm
+from predcomp.pnc import PncConfig
+from predcomp.refdet import (NigPrior, bocpd_detect, classic_cusum_detect, classic_cusum_sweep,
+                             mosum_detect, mosum_sweep, ocd_detect, ocd_sweep)
 from predcomp.seeding import spawn_rng
 from predcomp.series import LabeledSeries
 
@@ -37,6 +41,40 @@ def test_readme_table_lists_each_kinds_parameters():
                 assert cell.startswith("unset"), (kind, name)
             else:
                 assert cell == f"`{default}`", (kind, name)
+
+
+# config key -> (the functions it feeds, their argument); pnc's l and b feed
+# PncConfig's window_len and horizon, which have no default
+FEEDS = {
+    "pnc": {"k": ([PncConfig], "allowance"), "direction": ([PncConfig], "direction"),
+            "refit": ([PncConfig], "refit"),
+            "min_refit_history": ([PncConfig], "min_refit_history")},
+    "cusum": {"k": ([classic_cusum_detect, classic_cusum_sweep], "allowance"),
+              "window": ([classic_cusum_detect, classic_cusum_sweep], "target_window")},
+    "bocpd": {"cpthreshold": ([bocpd_detect], "threshold"), "r_min": ([bocpd_detect], "r_min"),
+              **{name: ([NigPrior], name) for name in ("mu0", "kappa0", "alpha0", "beta0")}},
+    "ocd": {"offDiag": ([ocd_detect, ocd_sweep], "off_diag"),
+            "h_tail": ([ocd_detect, ocd_sweep], "h_tail"),
+            "baseline_window": ([ocd_detect, ocd_sweep], "baseline_window")},
+    "mosum": {"minHist": ([mosum_detect, mosum_sweep], "min_hist"),
+              "histFact": ([mosum_detect, mosum_sweep], "hist_fact"),
+              "h": ([mosum_detect, mosum_sweep], "h_band"), "level": ([mosum_detect], "level"),
+              "harmonics": ([mosum_detect, mosum_sweep], "harmonics"),
+              "period": ([mosum_detect, mosum_sweep], "period"),
+              "monitor_from": ([mosum_detect, mosum_sweep], "monitor_from")},
+}
+
+
+def test_config_defaults_equal_the_python_api_defaults():
+    for kind, entry in KINDS.items():
+        with_default = {name for name, (_, default) in entry.params.items()
+                        if default is not REQUIRED}
+        assert set(FEEDS[kind]) == with_default - ({"l", "b"} if kind == "pnc" else set()), kind
+        for name, (functions, arg) in FEEDS[kind].items():
+            for fn in functions:
+                api = inspect.signature(fn).parameters[arg].default
+                assert api == entry.params[name][1], (kind, name, fn.__name__)
+                assert type(api) is type(entry.params[name][1]), (kind, name, fn.__name__)
 
 
 AGREE_CONFIG = """\

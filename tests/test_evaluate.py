@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from predcomp.evaluate import (
+    Attribution,
     DetectorGrid,
     EXCESSIVE_DETECTIONS,
     EvalRecord,
@@ -78,6 +79,58 @@ def test_pause_elsewhere_is_not_special():
     target = series.cp_labels[2]
     att = attribute([Detection(detect_time=60, detector="d")], series, target)
     assert att.fpc == 1 and not att.target_found
+
+
+def _attribute_by_tags(detections, series, target):
+    """:func:`attribute` as it found the pause before: by walking the
+    per-index phase tags from the target phase's end."""
+    lo, hi = series.phase_bounds(target)
+    tags = series.phase_tags()
+    pause_hi = hi
+    while pause_hi < len(series) and tags[pause_hi] == "V":
+        pause_hi += 1
+    fpc, found, discarded = 0, None, 0
+    for det in sorted(detections, key=lambda d: d.detect_time):
+        if found is not None:
+            discarded += 1
+            continue
+        at = det.attribution_time
+        if at < lo:
+            fpc += 1
+        elif at < hi:
+            found = det
+        elif at < pause_hi:
+            found = det
+        else:
+            fpc += 1
+    delay = arlp(found.attribution_time, lo, hi - lo) if found else None
+    return Attribution(fpc, found is not None, found, delay, discarded)
+
+
+@pytest.mark.parametrize("labels", [
+    # a pause right after the target phase, then a phase that is not paused
+    [CpLabel(10, "E", "K"), CpLabel(20, "K", "A"), CpLabel(35, "A", "V"), CpLabel(45, "V", "K")],
+    # a V>V chain
+    [CpLabel(10, "K", "A"), CpLabel(25, "A", "V"), CpLabel(35, "V", "V"), CpLabel(45, "V", "A")],
+    # a pause that runs to the series end
+    [CpLabel(10, "K", "A"), CpLabel(30, "A", "V")],
+    # V phases that do not follow the target phase
+    [CpLabel(5, "E", "V"), CpLabel(12, "V", "K"), CpLabel(20, "K", "A"), CpLabel(40, "A", "K"),
+     CpLabel(50, "K", "V")],
+    # no pause at all
+    [CpLabel(10, "K", "A")],
+])
+def test_attribute_equals_the_tag_walk(labels):
+    n = 60
+    series = LabeledSeries(np.zeros(n), labels)
+    rng = np.random.default_rng(0)
+    runs = [[Detection(i, detector="d")] for i in range(n)]
+    runs += [[Detection(i + 2, located_time=i, detector="d")] for i in range(n - 2)]
+    runs += [[Detection(int(t), detector="d") for t in rng.integers(0, n, size=k)]
+             for k in (2, 3, 5) for _ in range(30)]
+    for target in labels:
+        for dets in runs:
+            assert attribute(dets, series, target) == _attribute_by_tags(dets, series, target)
 
 
 def test_find_target_missing():

@@ -122,6 +122,25 @@ def test_train_on_sine_reduces_loss_and_is_deterministic():
     assert res.val_loss == res2.val_loss
 
 
+def test_training_that_diverges_stops_within_its_first_epoch(monkeypatch):
+    import predcomp.lstm as lstm
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return loss_and_grads(*args)
+
+    monkeypatch.setattr(lstm, "loss_and_grads", counted)
+    X, Y = training_windows(np.sin(np.arange(300.0) / 7.0), nh=24, nz=6)
+    cfg = TrainConfig(hidden=4, learning_rate=1e300)
+    assert cfg.epochs == 200
+    with pytest.raises(PredictorError, match="training diverged: the weights are not finite; "
+                                             "lower the learning rate"):
+        train_lstm(X, Y, cfg)
+    n_train = len(X) - int(round(cfg.validation_fraction * len(X)))
+    assert 1 <= len(calls) <= -(-n_train // cfg.batch_size)
+
+
 def test_train_without_validation_split():
     X, Y = training_windows(np.arange(30.0), nh=4, nz=1)
     cfg = TrainConfig(hidden=4, epochs=2, validation_fraction=0.0, seed=0)
@@ -159,7 +178,6 @@ def test_predictor_adapter():
     with pytest.raises(PredictorError):
         pred.forecast(window, 4)
     assert pred.refit(window) is pred
-    assert pred.to_dict()["kind"] == "lstm"
 
 
 def test_loss_and_grads_keys():

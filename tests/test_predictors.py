@@ -4,7 +4,7 @@ import pytest
 from predcomp.predictors import (MAX_P, ArimaPredictor, ArPredictor, ConstantPredictor,
                                  MeanPredictor, NaivePredictor, PredictorError,
                                  _differenced, _nelder_mead, _pacf_to_coef, css_innovations,
-                                 fit_predictor, predictor_from_dict, refit_after_detection)
+                                 fit_predictor, refit_after_detection)
 from predcomp.seeding import spawn_rng
 
 
@@ -145,14 +145,15 @@ def test_arima_stationarity_of_fit():
     assert abs(m.phi[0]) < 1.0
 
 
-def test_round_trip_dicts():
+def test_fit_predictor_builds_each_kind_from_its_spec():
     x = ar1(300, 0.5, 1.0, seed=8)
-    for spec in ({"kind": "naive"}, {"kind": "mean"}, {"kind": "ar", "p": 2},
-                 {"kind": "arima", "order": (1, 0, 1)}):
+    w = x[-30:]
+    for spec, direct in (({"kind": "naive"}, NaivePredictor()), ({"kind": "mean"}, MeanPredictor()),
+                         ({"kind": "ar", "p": 2}, ArPredictor.fit(x, 2)),
+                         ({"kind": "arima", "order": (1, 0, 1)}, ArimaPredictor.fit(x, (1, 0, 1)))):
         m = fit_predictor(spec, x)
-        m2 = predictor_from_dict(m.to_dict())
-        w = x[-30:]
-        assert np.allclose(m.forecast(w, 5), m2.forecast(w, 5))
+        assert type(m) is type(direct)
+        assert np.array_equal(m.forecast(w, 5), direct.forecast(w, 5))
 
 
 def test_fit_predictor_unknown_kind():

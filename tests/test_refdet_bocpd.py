@@ -21,10 +21,17 @@ import numpy as np
 import pytest
 from scipy.special import gammaln, logsumexp
 
-from predcomp.refdet.bocpd import (BocpdState, NigPrior, _logsumexp, bocpd_detect,
-                                   student_t_logpdf)
+from predcomp.refdet.bocpd import BocpdState, NigPrior, _logsumexp, bocpd_detect
 from predcomp.seeding import spawn_rng
 from predcomp.series import Detection
+
+
+def student_t_logpdf(x, df, loc, scale2):
+    """log density of the location-scale Student-t (scale2 = squared scale)."""
+    z2 = (x - loc) ** 2 / scale2
+    return (gammaln((df + 1) / 2) - gammaln(df / 2)
+            - 0.5 * np.log(df * np.pi * scale2)
+            - (df + 1) / 2 * np.log1p(z2 / df))
 
 
 class ReferenceState:

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from predcomp.simulate import (WearIntensity, sample_step_series,
-                               sample_wear_series, snr_suite)
+from predcomp.simulate import WearIntensity, sample_step_series, sample_wear_series
 
 
 W = WearIntensity(a=120.0, lam=0.01, c=3.0, d=0.02, t2=1200)
@@ -87,34 +86,15 @@ def test_step_series_validation():
         sample_step_series(0.0, 1.0, 1.0, cp_at=0, n=10, seed=0)
 
 
-def test_snr_labels_shared():
-    suite = snr_suite(W, 1500, [1.0, 2.0, 4.0], seed=3)
-    assert len(suite) == 3
-    keys = [[(l.time, l.key()) for l in s.cp_labels] for s in suite]
-    assert keys[0] == keys[1] == keys[2] == [(300, "E>K"), (1200, "K>A")]
-
-
-def test_snr_residual_variance_ordering():
-    # larger noise scale -> larger variance of the detrended residuals
-    suite = snr_suite(W, 2000, [1.0, 2.0, 4.0], seed=7)
+def test_wear_noise_scale_grows_the_residual_variance_and_keeps_the_trend():
     means = W.bin_means(2000)
-    resid_var = [np.var(s.values - means) for s in suite]
-    assert resid_var[0] < resid_var[1] < resid_var[2]
-    # the noise mechanism keeps the trend itself unchanged
+    suite = [sample_wear_series(W, 2000, seed=7, scale=s) for s in (1.0, 2.0, 4.0)]
     for s in suite:
-        assert np.mean(s.values - means) == pytest.approx(0.0, abs=0.5)
-
-
-def test_snr_gaussian_mode():
-    suite = snr_suite(W, 800, [0.0, 1.0, 3.0], noise="gaussian", sigma=2.0, seed=1)
-    means = W.bin_means(800)
-    assert np.array_equal(suite[0].values, means)
-    assert np.std(suite[1].values - means) == pytest.approx(2.0, rel=0.15)
-    assert np.std(suite[2].values - means) == pytest.approx(6.0, rel=0.15)
-
-
-def test_snr_rejects_bad_inputs():
-    with pytest.raises(ValueError):
-        snr_suite(W, 100, [1.0], noise="uniform")
-    with pytest.raises(ValueError):
-        snr_suite(W, 100, [-1.0])
+        assert [(l.time, l.key()) for l in s.cp_labels] == [(300, "E>K"), (1200, "K>A")]
+    resid = [s.values - means for s in suite]
+    resid_var = [np.var(r) for r in resid]
+    assert resid_var[0] < resid_var[1] < resid_var[2]
+    for r in resid:
+        assert np.mean(r) == pytest.approx(0.0, abs=0.5)
+    with pytest.raises(ValueError, match="scale must be non-negative"):
+        sample_wear_series(W, 100, seed=7, scale=-1.0)
