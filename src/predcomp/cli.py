@@ -122,6 +122,8 @@ def cmd_detect(args) -> int:
     detections, trace = run(series, params, bool(args.trace or args.svg))
     if trace is None and (args.trace or args.svg):
         raise UsageError(f"--trace/--svg: {det_cfg['kind']} detectors have no chart trace")
+    if args.svg and not trace:  # refused before anything is written
+        raise DataError(f"--svg: detector {det_cfg['id']!r} charted no step (empty trace)")
     rows = [(series.name, det_cfg["id"], params_id(params), d) for d in detections]
     out = args.out or f"{det_cfg['id']}_{series.name}_detections.csv"
     write_detections_csv(out, rows)
@@ -194,7 +196,7 @@ def cmd_eval(args) -> int:
 def _baseline_section(doc: dict, records: list[EvalRecord], base_cfg: dict) -> str:
     out = ["random baseline", "===============", ""]
     for ds_cfg in doc["datasets"]:
-        series = prepare_series(doc, build_dataset(ds_cfg, doc["seed"]))
+        series = build_dataset(ds_cfg, doc["seed"])  # standardizing keeps labels and length
         target = find_target(series, doc["evaluation"]["target"])
         if target is None:
             continue

@@ -20,7 +20,8 @@ the first time its ``run`` is asked for a series and a setting of the other
 keys, it runs its ``*_sweep`` over every threshold the detector is
 configured with, sharing each segment the runs have in common
 (:mod:`predcomp.refdet.sweep`), and serves the other thresholds from that
-result.  A ``pnc`` run is one run per point.
+result.  A ``pnc`` run is one run per point, with its predictor built once
+per series and checked to forecast each (l, b) of the grid from zeros.
 
 :func:`load_config` returns each section typed with defaults filled in, but
 keeps as written a dataset's ``source`` (``simulate`` copies it into its
@@ -152,10 +153,9 @@ def typed(d, table: dict, where: str, sep: str = ".") -> dict:
 
 
 class Kind(NamedTuple):
-    """A dataset source, predictor or detector kind; an LSTM predictor has
-    no build (it trains on windows)."""
+    """A dataset source, predictor or detector kind."""
     params: dict[str, tuple[Callable, object]]
-    build: Callable | None  # (keys, dataset id, seed), (keys, history) or (det_cfg, doc)
+    build: Callable  # (keys, dataset id, seed), (keys, history) or (det_cfg, doc)
     check: Callable = lambda keys: None  # a ValueError on what the types cannot rule out
     threshold: str | None = None
 
@@ -215,6 +215,17 @@ SOURCES: dict[str, Kind] = {
     "csv": Kind({"path": (_of(str), REQUIRED), "labels": (_of(str), None)},
                 lambda src, name, seed: read_series_csv(src["path"], name, src["labels"])),
 }
+
+
+def _load_lstm(keys: dict, history) -> LstmPredictor:
+    """The LSTM saved at ``model_path``; it trains on windows (``train-lstm``), not on ``history``."""
+    doc = load_model(keys["model_path"])
+    try:
+        return LstmPredictor(LstmNet.from_dict(doc))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"{keys['model_path']}: not an lstm model ({exc!r})") from None
+
+
 PREDICTORS: dict[str, Kind] = {
     "naive": Kind({}, lambda keys, history: NaivePredictor()),
     "mean": Kind({}, lambda keys, history: MeanPredictor()),
@@ -222,7 +233,7 @@ PREDICTORS: dict[str, Kind] = {
     "arima": Kind({"order": (_order, "auto"), "auto": (_of(bool), False)},
                   lambda keys, history: ArimaPredictor.fit(
                       history, keys["order"], keys["auto"] or keys["order"] == "auto")),
-    "lstm": Kind({"model_path": (_of(str), REQUIRED)}, None)}
+    "lstm": Kind({"model_path": (_of(str), REQUIRED)}, _load_lstm)}
 
 
 # ---------------------------------------------------------------------------
@@ -242,40 +253,34 @@ def _cached(cache: list, series, key, make):
 
 
 def _build_pnc(det_cfg: dict, doc: dict):
-    spec, fitted = det_cfg["predictor"], []
-    lstm = _lstm_predictor(det_cfg) if spec["kind"] == "lstm" else None
+    spec, fitted, where = det_cfg["predictor"], [], f"detector {det_cfg['id']!r}"
 
     def fit(series):
         try:
-            return fit_predictor(spec, series.values[:doc["train_prefix"]])
+            predictor = fit_predictor(spec, series.values[:doc["train_prefix"]])
         except PredictorError as exc:
-            raise ConfigError(f"detector {det_cfg['id']!r}: train_prefix: {exc}") from None
+            raise ConfigError(f"{where}: train_prefix: {exc}") from None
+        # zeros: a check of the window sizes the model takes, not of the data
+        for l, b in product(param_values(det_cfg, "l"), param_values(det_cfg, "b")):
+            try:
+                predictor.forecast(np.zeros(l), b)
+            except PredictorError as exc:
+                raise ConfigError(f"{where}: the model cannot forecast b={b} from l={l}: "
+                                  f"{exc}") from None
+        return predictor
 
     def run(series, params, keep_trace=False):
         p = resolve_params(det_cfg, params)
         cfg = PncConfig(p["l"], p["b"], p["desInt"], p["k"], p["direction"], p["refit"],
                         p["min_refit_history"])
-        predictor = _cached(fitted, series, None, lambda: lstm or fit(series))
+        predictor = _cached(fitted, series, None, lambda: fit(series))
         detections, stream = run_stream(predictor, cfg, series, name=det_cfg["id"],
                                         keep_trace=keep_trace)
-        return detections, [(r.index, r.value, r.target, r.stat, cfg.threshold, r.alarm)
+        # the signed bound the chart crosses: a downward chart alarms below -desInt
+        bound = cfg.threshold if cfg.direction == "up" else -cfg.threshold
+        return detections, [(r.index, r.value, r.target, r.stat, bound, r.alarm)
                             for r in stream.trace]
     return run
-
-
-def _lstm_predictor(det_cfg: dict):
-    """The detector's LSTM model, checked against every l and b it runs with."""
-    path = det_cfg["predictor"]["model_path"]
-    doc = load_model(path)
-    try:
-        net = LstmNet.from_dict(doc)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DataError(f"{path}: not an lstm model ({exc!r})") from None
-    ls, bs = param_values(det_cfg, "l"), param_values(det_cfg, "b")
-    if min(ls) < net.nh or max(bs) > net.nz:
-        raise ConfigError(f"detector {det_cfg['id']!r}: the model {path} needs l >= {net.nh} "
-                          f"and b <= {net.nz}, got l {sorted(set(ls))}, b {sorted(set(bs))}")
-    return LstmPredictor(net)
 
 
 def _check_mosum(det_cfg: dict) -> None:

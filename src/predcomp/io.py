@@ -242,7 +242,7 @@ def write_trace_svg(path, rows) -> None:
     xs = [time_field(r[0]) for r in rows]
     stat, thr = [r[3] for r in rows], [r[4] for r in rows]
     alarms = [(x, s) for x, s, r in zip(xs, stat, rows) if r[5]]
-    lo = min(0.0, min(stat))
+    lo = min(0.0, min(stat), min(thr))  # a downward chart's bound is below zero
     hi = max(max(stat), max(thr)) * 1.05 or 1.0
     sx = lambda x: 40 + (x - xs[0]) / max(xs[-1] - xs[0], 1) * (width - 60)
     sy = lambda y: height - 25 - (y - lo) / (hi - lo) * (height - 50)

@@ -137,6 +137,8 @@ class PncStream:
             self._begin_window(i)
             if self._chart is None:
                 self._chart = CusumChart(cfg.threshold, cfg.allowance, cfg.direction, start=first)
+            # the chart's clock skips the steps of a window whose forecast failed
+            self._chart.time = i - 1
         if self._targets is None:
             return None  # predictor failed on this window; state preserved
         target = self._targets[i - self._anchor]

@@ -439,9 +439,10 @@ class ArimaPredictor:
 
 def fit_predictor(spec: dict, history) -> object:
     """A predictor fitted to ``history`` from a spec dict ({"kind": ..., keys}), typed and
-    built by :data:`predcomp.config.PREDICTORS`; an LSTM trains on windows (:mod:`predcomp.lstm`)."""
+    built by :data:`predcomp.config.PREDICTORS`; an LSTM is loaded from its ``model_path``
+    (it trains on windows, :mod:`predcomp.lstm`) and ignores ``history``."""
     from .config import PREDICTORS, kind_of
-    if spec.get("kind") not in [k for k, entry in PREDICTORS.items() if entry.build]:
+    if spec.get("kind") not in PREDICTORS:
         raise PredictorError(f"unknown predictor kind {spec.get('kind')!r}")
     kind, keys = kind_of(spec, PREDICTORS, "predictor")
     return PREDICTORS[kind].build(keys, history)

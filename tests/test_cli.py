@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -391,6 +393,57 @@ def test_detect_and_grid_agree_on_a_downward_pnc(tmp_path, capsys):
         row = next(r.split(",") for r in metrics if f"desInt={des_int}" in r)
         assert int(row[3]) == len(got)
     capsys.readouterr()
+
+
+def test_downward_trace_shows_the_bound_its_chart_crosses(tmp_path, capsys):
+    """The threshold column read +desInt, and the SVG drew it above the chart."""
+    cfg = tmp_path / "down.yaml"
+    cfg.write_text(DOWN_CONFIG.format(out=tmp_path / "out"))
+    trace, svg = tmp_path / "trace.csv", tmp_path / "chart.svg"
+    assert main(["detect", "-c", str(cfg), "--dataset", "down", "--detector", "pnc_down",
+                 "--set", "desInt=4", "--out", str(tmp_path / "d.csv"),
+                 "--trace", str(trace), "--svg", str(svg)]) == 0
+    rows = list(csv.DictReader(trace.read_text().splitlines()))
+    assert any(r["alarm"] == "1" for r in rows)
+    for r in rows:
+        assert float(r["threshold"]) == -4.0
+        assert (float(r["stat"]) < -4.0) == (r["alarm"] == "1")
+    polylines = re.findall(r'<polyline points="([^"]*)" fill="none" stroke="(\w+)"',
+                           svg.read_text())
+    ys = {color: [float(xy.split(",")[1]) for xy in points.split()] for points, color in polylines}
+    # the dashed bound (red) is inside the plot, and below the statistic's zero, its top
+    assert all(25 <= y <= 275 for y in ys["red"])
+    assert min(ys["red"]) > min(ys["black"])
+    capsys.readouterr()
+
+
+def test_eval_builds_its_datasets_without_standardizing_them(tmp_path, capsys, monkeypatch):
+    """The baseline reads labels, name and length, which standardizing keeps."""
+    import predcomp.cli as cli
+    cfg = _bound_config(tmp_path, (), {"standardize": {"enabled": True, "mode": "online"}})
+    assert main(["grid", "-c", str(cfg)]) == 0
+    args = ["eval", "-c", str(cfg), "--metrics", str(tmp_path / "out" / "metrics.csv")]
+    capsys.readouterr()
+    assert main(args) == 0
+    text = capsys.readouterr().out
+
+    def no_standardize(doc, series):
+        raise AssertionError("eval standardized a dataset")
+
+    monkeypatch.setattr(cli, "prepare_series", no_standardize)
+    assert main(args) == 0
+    assert capsys.readouterr().out == text and "random baseline" in text
+
+
+def test_detect_with_no_step_to_draw_writes_nothing(tmp_path, capsys):
+    """A series shorter than l charts no step; the detections and the
+    trace were written before the SVG was refused."""
+    cfg = _bound_config(tmp_path, STEP, {"n": 40, "cp_at": 30})
+    paths = [tmp_path / name for name in ("d.csv", "t.csv", "t.svg")]
+    assert main(["detect", "-c", str(cfg), "--dataset", "s", "--detector", "p",
+                 "--out", str(paths[0]), "--trace", str(paths[1]), "--svg", str(paths[2])]) == 2
+    assert "empty trace" in capsys.readouterr().err
+    assert not any(path.exists() for path in paths)
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf"])

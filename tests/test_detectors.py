@@ -379,3 +379,24 @@ def test_lstm_window_and_horizon_are_checked_against_the_model(tmp_path, capsys,
     assert (detect_ok and grid_ok) or "detector 'pnc_lstm': the model" in err
     assert (tmp_path / "dets.csv").exists() == detect_ok
     assert (tmp_path / "out" / "metrics.csv").exists() == grid_ok
+
+
+@pytest.mark.parametrize("predictor, l, ok", [
+    ("{kind: ar, p: 5}", 3, False),
+    ("{kind: arima, order: [2, 1, 2]}", 3, False),
+    ("{kind: ar, p: 5}", 5, True),
+], ids=["ar5-l3", "arima212-l3", "ar5-l5"])
+def test_window_the_predictor_cannot_forecast_from_exits_2(tmp_path, capsys, predictor, l, ok):
+    """Before the check, a window shorter than the model's skipped every
+    anchor, and grid wrote one empty row."""
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text(BAD_CONFIG.format(out=tmp_path / "out", detector=(
+        f"{{id: c, kind: pnc, predictor: {predictor}, params: {{l: {l}, b: 6}}, "
+        "grid: {desInt: [8]}}")))
+    out = tmp_path / "dets.csv"
+    assert main(["detect", "-c", str(cfg), "--dataset", "s", "--detector", "c",
+                 "--out", str(out)]) == (0 if ok else 2)
+    assert main(["grid", "-c", str(cfg)]) == (0 if ok else 2)
+    err = capsys.readouterr().err
+    assert ok or err.count(f"error: detector 'c': the model cannot forecast b=6 from l={l}: ") == 2
+    assert out.exists() == ok and (tmp_path / "out").exists() == ok

@@ -18,7 +18,8 @@ from predcomp.lstm import (
     train_lstm,
     training_windows,
 )
-from predcomp.predictors import PredictorError
+from predcomp.io import save_model
+from predcomp.predictors import PredictorError, fit_predictor
 
 
 def test_init_shapes_and_forget_bias():
@@ -178,6 +179,17 @@ def test_predictor_adapter():
     with pytest.raises(PredictorError):
         pred.forecast(window, 4)
     assert pred.refit(window) is pred
+
+
+def test_fit_predictor_loads_an_lstm_from_its_model_path(tmp_path):
+    net = init_lstm(6, 3, hidden=4, seed=2)
+    path = tmp_path / "model.json"
+    save_model(path, net.to_dict())
+    pred = fit_predictor({"kind": "lstm", "model_path": str(path)}, np.arange(100.0))
+    assert isinstance(pred, LstmPredictor)
+    assert (pred.net.nh, pred.net.nz) == (6, 3)
+    window = np.linspace(-1.0, 1.0, 6)
+    assert np.array_equal(pred.forecast(window, 3), LstmPredictor(net).forecast(window, 3))
 
 
 def test_loss_and_grads_keys():

@@ -5,10 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from predcomp.cusum import CusumChart
+from predcomp.cusum import CusumChart, run_chart
 from predcomp.pnc import PncConfig, PncStream, TraceRow, run_stream
 from predcomp.predictors import PredictorError, fit_predictor, refit_after_detection
-from predcomp.refdet.classic import classic_cusum_detect
 from predcomp.seeding import spawn_rng
 from predcomp.series import Detection
 
@@ -113,11 +112,9 @@ def test_matches_fixed_target_cusum_up_to_first_alarm():
     tvec = np.zeros(600)
     pred = AnchorSlicer(tvec, vals, window_len=100)
     dets_pnc, _ = run_stream(pred, PncConfig(100, 25, 5.0, 0.5), vals)
-    dets_cl, _ = classic_cusum_detect(vals, threshold=5.0, allowance=0.5,
-                                      targets=tvec, start=100)
+    dets_cl, _ = run_chart(vals[100:], tvec[100:], threshold=5.0, allowance=0.5, start=100)
     assert dets_pnc and dets_cl
-    assert dets_pnc[0].detect_time == dets_cl[0].detect_time == 306
-    assert dets_pnc[0].located_time == dets_cl[0].located_time == 300
+    assert (dets_pnc[0].detect_time, dets_pnc[0].located_time) == dets_cl[0] == (306, 300)
 
 
 def test_failed_window_is_skipped_and_chart_survives():
@@ -240,6 +237,23 @@ def test_refit_that_keeps_the_predictor_is_not_reported_done():
     assert stream.predictor is pred
 
 
+def test_skipped_window_keeps_the_located_change():
+    """The chart's clock follows the stream over a window whose forecast
+    failed; it used to fall one horizon behind, and the locator with it."""
+    x = np.zeros(60)
+    x[40:] += 3.0
+    dets, stream = run_stream(FailOnCall([1]), PncConfig(10, 10, 4.0, 0.5), x, keep_trace=True)
+    assert stream.diagnostics.skipped_windows == [10]
+    assert [(d.detect_time, d.located_time) for d in dets] == [(41, 40), (53, 52)]
+    begin = -1
+    for det in dets:
+        segment = [r for r in stream.trace if begin < r.index <= det.detect_time]
+        # one past the last zero of the statistic, else the segment's first step
+        zeros = [r.index for r in segment if r.stat == 0.0]
+        assert det.located_time == (zeros[-1] + 1 if zeros else segment[0].index)
+        begin = det.detect_time
+
+
 class ListStream(PncStream):
     """The stream as it was with a Python-list history: every anchor
     converts the whole list to an array.  Reference for the buffer."""
@@ -278,6 +292,7 @@ class ListStream(PncStream):
             self._begin_window(i)
             if self._chart is None:
                 self._chart = CusumChart(cfg.threshold, cfg.allowance, cfg.direction, start=first)
+            self._chart.time = i - 1
         if self._targets is None:
             return None
         target = float(self._targets[i - self._anchor])

@@ -35,28 +35,6 @@ def test_target_is_causal_running_mean():
     assert tgt == pytest.approx(x[73:123].mean(), abs=1e-12)
 
 
-def test_start_cannot_precede_warmup():
-    x = _shifted()
-    _, early = classic_cusum_detect(x, threshold=5.0, target_window=50, start=30,
-                                    keep_trace=True)
-    assert early[0][0] == 50
-    _, late = classic_cusum_detect(x, threshold=5.0, target_window=50, start=200,
-                                   keep_trace=True)
-    assert late[0][0] == 200
-
-
-def test_explicit_targets():
-    x = _shifted()
-    tvec = np.zeros(len(x))
-    dets, trace = classic_cusum_detect(x, threshold=5.0, allowance=0.5,
-                                       targets=tvec, keep_trace=True)
-    # with explicit targets monitoring starts at index 0
-    assert trace[0][0] == 0
-    assert dets[0].detect_time > 300
-    with pytest.raises(ValueError):
-        classic_cusum_detect(x, threshold=5.0, targets=np.zeros(10))
-
-
 def test_target_window_validation():
     with pytest.raises(ValueError):
         classic_cusum_detect(np.zeros(100), threshold=5.0, target_window=0)
