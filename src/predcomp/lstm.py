@@ -23,7 +23,7 @@ from .predictors import PredictorError
 #: Adam's decay rates and denominator guard; the half-width of the uniform init
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 INIT_SCALE = 0.08
-_DIVERGED = "training diverged: the weights are not finite; lower the learning rate"
+_DIVERGED = "training diverged: the {} not finite; lower the learning rate"
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -228,7 +228,7 @@ def train_lstm(X: np.ndarray, Y: np.ndarray, cfg: TrainConfig) -> TrainResult:
             with np.errstate(over="ignore", invalid="ignore"):
                 loss, grads = loss_and_grads(net, X_tr[idx], Y_tr[idx])
             if not np.isfinite(loss):
-                raise PredictorError(_DIVERGED)
+                raise PredictorError(_DIVERGED.format("loss is"))
             clip_gradients(grads, cfg.clip_norm)
             step += 1
             params = net.params()
@@ -245,7 +245,7 @@ def train_lstm(X: np.ndarray, Y: np.ndarray, cfg: TrainConfig) -> TrainResult:
             Yp, _ = lstm_forward(net, X_va)
             result.val_loss.append(mse_loss(Yp, Y_va)[0])
     if not all(np.isfinite(p).all() for p in net.params().values()):
-        raise PredictorError(_DIVERGED)
+        raise PredictorError(_DIVERGED.format("weights are"))
     return result
 
 

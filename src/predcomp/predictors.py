@@ -9,7 +9,10 @@ The ARIMA family is fitted by conditional sum of squares: innovations are
 filtered with zero initial conditions, and the Nelder-Mead search runs in
 a transformed space (tanh plus the Durbin-Levinson recursion) that keeps
 the AR polynomial stationary and the MA polynomial invertible.  The auto
-order search scans p <= 5, d <= 2, q <= 5 by corrected AIC.
+order search scans p <= 5, d <= 2, q <= 5 by corrected AIC.  Its order
+fits are independent, so they run on up to one forked worker per CPU
+(:func:`_pool_map`); the parent picks among them in the serial order, so
+the chosen model is the serial one bit for bit.
 
 The search is :func:`_nelder_mead`, an in-repo transcription of scipy's
 ``minimize(method="Nelder-Mead")`` that takes the same steps in the same
@@ -21,6 +24,7 @@ per-call wrapper; the innovations come from the compiled filter behind
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -170,6 +174,18 @@ def _pacf_to_coef(pacf: np.ndarray) -> np.ndarray:
 _linear_filter = None
 
 
+def _filter():
+    """The compiled filter behind ``scipy.signal.lfilter``, imported on first
+    use: scipy.signal costs about a second to load."""
+    global _linear_filter
+    if _linear_filter is None:
+        try:
+            from scipy.signal._sigtools import _linear_filter
+        except ImportError:  # the private module moved; lfilter takes the same arguments
+            from scipy.signal import lfilter as _linear_filter
+    return _linear_filter
+
+
 def css_innovations(w: np.ndarray, phi, theta, intercept: float) -> np.ndarray:
     """Innovations e_t of (1 - phi(L))(w_t - mu) = (1 + theta(L)) e_t.
 
@@ -180,18 +196,11 @@ def css_innovations(w: np.ndarray, phi, theta, intercept: float) -> np.ndarray:
     truncated convolution, and otherwise it calls the compiled filter
     that lfilter calls.
     """
-    global _linear_filter
     centered = w - intercept
     b = np.array([1.0] + [-c for c in phi])
     if len(theta) == 0:
         return np.convolve(b, centered)[:len(centered)]
-    if _linear_filter is None:
-        # imported on first use: scipy.signal costs about a second to load
-        try:
-            from scipy.signal._sigtools import _linear_filter
-        except ImportError:  # the private module moved; lfilter takes the same arguments
-            from scipy.signal import lfilter as _linear_filter
-    return _linear_filter(b, np.array([1.0] + list(theta)), centered, -1)
+    return _filter()(b, np.array([1.0] + list(theta)), centered, -1)
 
 
 class _MaxFevReached(Exception):
@@ -376,23 +385,10 @@ class ArimaPredictor:
 
     @classmethod
     def _fit_auto(cls, history: np.ndarray) -> "ArimaPredictor":
-        # scan in complexity order so AICc ties resolve to the simplest
-        # model (smallest p+d+q, then smallest p)
-        orders = sorted(
-            ((p, d, q) for p in range(MAX_P + 1) for d in range(MAX_D + 1)
-             for q in range(MAX_Q + 1)),
-            key=lambda o: (o[0] + o[1] + o[2], o[0], o[1], o[2]),
-        )
-        diffs = [_differenced(history, d) for d in range(MAX_D + 1)]
+        _filter()  # loaded once here, not once in each worker
         best = None
-        for p, d, q in orders:
-            if len(history) < max(MIN_FIT, d + p + q + 4):
-                continue
-            try:
-                cand = cls._fit_order(diffs[d], p, d, q)
-            except (PredictorError, np.linalg.LinAlgError):
-                continue
-            if best is None or cand.aicc < best.aicc - 1e-10:
+        for cand in _pool_map(_fit_one, _auto_items(history)):
+            if cand is not None and (best is None or cand.aicc < best.aicc - 1e-10):
                 best = cand
         if best is None:
             raise PredictorError("auto order search found no fittable model")
@@ -432,6 +428,51 @@ class ArimaPredictor:
         if self.auto:
             return ArimaPredictor.fit(history, auto=True)
         return ArimaPredictor.fit(history, (self.p, self.d, self.q))
+
+
+def _auto_items(history: np.ndarray) -> list[tuple]:
+    """(differenced history, p, d, q) for every order the history is long
+    enough for, in complexity order, so that an AICc tie resolves to the
+    simplest model (smallest p+d+q, then smallest p)."""
+    orders = sorted(
+        ((p, d, q) for p in range(MAX_P + 1) for d in range(MAX_D + 1)
+         for q in range(MAX_Q + 1)),
+        key=lambda o: (o[0] + o[1] + o[2], o[0], o[1], o[2]),
+    )
+    diffs = [_differenced(history, d) for d in range(MAX_D + 1)]
+    return [(diffs[d], p, d, q) for p, d, q in orders
+            if len(history) >= max(MIN_FIT, d + p + q + 4)]
+
+
+def _fit_one(item: tuple) -> ArimaPredictor | None:
+    """The CSS fit of one ``(w, p, d, q)`` of :func:`_auto_items`, or None
+    where that order cannot be fitted."""
+    w, p, d, q = item
+    try:
+        return ArimaPredictor._fit_order(w, p, d, q)
+    except (PredictorError, np.linalg.LinAlgError):
+        return None
+
+
+def _pool_map(fn, items: list) -> list:
+    """``[fn(x) for x in items]`` on up to one forked worker per CPU.
+
+    Results come back in input order; an exception raised by ``fn`` reaches
+    the caller with its type.  It runs serially for one CPU or one item, and
+    inside a daemonic pool worker, which may not start processes.  Forked
+    workers see the parent's module state at the call, patches included.
+    ``multiprocessing`` is imported here, off the CLI's import path.
+    """
+    import multiprocessing
+    n = min(len(os.sched_getaffinity(0)), len(items))
+    if n <= 1 or multiprocessing.current_process().daemon:
+        return [fn(x) for x in items]
+    # leaving the block by an exception terminates the workers
+    with multiprocessing.get_context("fork").Pool(n) as pool:
+        out = pool.map(fn, items, chunksize=1)
+        pool.close()
+        pool.join()
+    return out
 
 
 # ---------------------------------------------------------------------------

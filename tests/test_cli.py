@@ -326,6 +326,17 @@ def test_cli_import_leaves_out_scipy_optimize_and_signal():
     assert out.stdout.strip() == "[]"
 
 
+def test_cli_import_leaves_out_multiprocessing():
+    # the ARIMA order search imports it when it maps; other CLI starts need not pay for it
+    code = ("import sys, predcomp.cli; print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('multiprocessing', 'concurrent')))")
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "[]"
+
+
 # every module `import predcomp.cli` loads: no scipy module, and nothing else
 CLI_MODULES = ["predcomp", "predcomp.cli", "predcomp.config", "predcomp.cusum",
                "predcomp.evaluate", "predcomp.io", "predcomp.lstm", "predcomp.pnc",
@@ -651,7 +662,7 @@ def test_lstm_training_that_diverges_exits_2_and_writes_no_model(tmp_path, capsy
     cfg = _bound_config(tmp_path, ("lstm",), {"learning_rate": 1e300, "hidden": 4, "epochs": 2})
     model = tmp_path / "model.json"
     assert main(["train-lstm", "-c", str(cfg), "--dataset", "s", "--out", str(model)]) == 2
-    assert "error: training diverged: the weights are not finite" in capsys.readouterr().err
+    assert "error: training diverged: the loss is not finite" in capsys.readouterr().err
     assert not model.exists()
 
 

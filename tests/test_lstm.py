@@ -135,7 +135,7 @@ def test_training_that_diverges_stops_within_its_first_epoch(monkeypatch):
     X, Y = training_windows(np.sin(np.arange(300.0) / 7.0), nh=24, nz=6)
     cfg = TrainConfig(hidden=4, learning_rate=1e300)
     assert cfg.epochs == 200
-    with pytest.raises(PredictorError, match="training diverged: the weights are not finite; "
+    with pytest.raises(PredictorError, match="training diverged: the loss is not finite; "
                                              "lower the learning rate"):
         train_lstm(X, Y, cfg)
     n_train = len(X) - int(round(cfg.validation_fraction * len(X)))

@@ -1,10 +1,14 @@
+import multiprocessing
+import os
+
 import numpy as np
 import pytest
 
+from predcomp import predictors
 from predcomp.predictors import (MAX_P, ArimaPredictor, ArPredictor, ConstantPredictor,
-                                 MeanPredictor, NaivePredictor, PredictorError,
-                                 _differenced, _nelder_mead, _pacf_to_coef, css_innovations,
-                                 fit_predictor, refit_after_detection)
+                                 MeanPredictor, NaivePredictor, PredictorError, _auto_items,
+                                 _differenced, _fit_one, _nelder_mead, _pacf_to_coef, _pool_map,
+                                 css_innovations, fit_predictor, refit_after_detection)
 from predcomp.seeding import spawn_rng
 
 
@@ -124,6 +128,61 @@ def test_arima_auto_deterministic():
     b = ArimaPredictor.fit(x, auto=True)
     assert (a.p, a.d, a.q) == (b.p, b.d, b.q)
     assert np.array_equal(a.phi, b.phi)
+    assert np.array_equal(a.theta, b.theta)
+    assert (a.intercept, a.aicc) == (b.intercept, b.aicc)
+
+
+def _fit_bits(m):
+    """Everything a fitted order is chosen and forecasts by, as comparable values."""
+    if m is None:
+        return None
+    return (m.p, m.d, m.q), m.phi.tobytes(), m.theta.tobytes(), m.intercept, m.sigma2, m.aicc
+
+
+@pytest.mark.parametrize("history", [
+    lambda: spawn_rng(5, "det").normal(0.0, 1.0, 200),
+    lambda: 0.5 * np.arange(400) + spawn_rng(0, "ramp").normal(0.0, 0.5, 400),
+], ids=["det", "ramp"])
+def test_pooled_order_search_equals_the_serial_one(monkeypatch, history):
+    """The fixtures of the two tests above; every order, the unfittable ones too."""
+    items = _auto_items(history())
+    serial = [_fit_one(item) for item in items]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    pooled = _pool_map(_fit_one, items)
+    assert multiprocessing.active_children() == []
+    assert [_fit_bits(m) for m in pooled] == [_fit_bits(m) for m in serial]
+
+
+def test_pool_map_runs_serially_on_one_cpu_and_in_a_daemonic_worker(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was created")
+
+    ctx = multiprocessing.get_context("fork")
+    monkeypatch.setattr(ctx, "Pool", no_pool)
+    items = [-3, 1, -2, 5]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert _pool_map(abs, items) == [3, 1, 2, 5]
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    got, sent = ctx.Pipe(duplex=False)
+    worker = ctx.Process(target=lambda: sent.send(_pool_map(abs, items)), daemon=True)
+    worker.start()
+    assert got.poll(60)
+    assert got.recv() == [3, 1, 2, 5]
+    worker.join(60)
+    assert worker.exitcode == 0
+
+
+def test_order_search_errors_reach_the_caller_and_leave_no_worker(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+    def broken(*args):
+        raise RuntimeError("filter failed")
+
+    monkeypatch.setattr(predictors, "css_innovations", broken)
+    with pytest.raises(RuntimeError, match="filter failed"):
+        ArimaPredictor.fit(ar1(30, 0.5, 0.0, seed=2), auto=True)
+    assert multiprocessing.active_children() == []
 
 
 def test_arima_zero_variance_falls_back():
