@@ -51,9 +51,9 @@ def prepare_series(doc: dict, series: LabeledSeries) -> LabeledSeries:
 
 
 def build_detector(det_cfg: dict, doc: dict) -> DetectorGrid:
-    run = KINDS[det_cfg["kind"]].build(det_cfg, doc)
-    return DetectorGrid(det_cfg["id"], lambda series, **params: run(series, params)[0],
-                        dict(det_cfg["grid"]))
+    run_unit = KINDS[det_cfg["kind"]].build(det_cfg, doc)
+    return DetectorGrid(det_cfg["id"], grid=dict(det_cfg["grid"]), unit=lambda series, points: [
+        detections for detections, _ in run_unit(series, points)])
 
 
 def _fixed_params(det_cfg: dict, overrides: list[str] | None = None) -> dict:
@@ -118,8 +118,8 @@ def cmd_detect(args) -> int:
     series = prepare_series(doc, build_dataset(_entry(doc, "datasets", args.dataset), doc["seed"]))
     det_cfg = _entry(doc, "detectors", args.detector)
     params = _fixed_params(det_cfg, args.set)
-    run = KINDS[det_cfg["kind"]].build(dict(det_cfg, params=params, grid={}), doc)
-    detections, trace = run(series, params, bool(args.trace or args.svg))
+    run_unit = KINDS[det_cfg["kind"]].build(dict(det_cfg, params=params, grid={}), doc)
+    ((detections, trace),) = run_unit(series, [params], bool(args.trace or args.svg))
     if trace is None and (args.trace or args.svg):
         raise UsageError(f"--trace/--svg: {det_cfg['kind']} detectors have no chart trace")
     if args.svg and not trace:  # refused before anything is written

@@ -12,16 +12,16 @@ naming ``where.key``.
 :class:`Kind`: its key table, its build and its check of what the types
 cannot rule out, of a source's keys (:func:`kind_of` runs it) or of a
 detector's config (the build runs it).  ``KINDS[kind].build(det_cfg, doc)``
-returns ``run(series, params, keep_trace) -> (detections, trace)``, where
-``params`` is one point over the ``params`` section (:func:`resolve_params`
-types it) and ``trace`` is the chart for ``pnc``, None for the other kinds.
-A reference kind (cusum, bocpd, ocd, mosum) sweeps its ``threshold`` key:
-the first time its ``run`` is asked for a series and a setting of the other
-keys, it runs its ``*_sweep`` over every threshold the detector is
-configured with, sharing each segment the runs have in common
-(:mod:`predcomp.refdet.sweep`), and serves the other thresholds from that
-result.  A ``pnc`` run is one run per point, with its predictor built once
-per series and checked to forecast each (l, b) of the grid from zeros.
+returns ``run_unit(series, points, keep_trace=False)``, which runs the
+detector on one series at each point over the ``params`` section
+(:func:`resolve_params` types them) and gives one ``(detections, trace)``
+per point, in the order of ``points``; ``trace`` is the chart for ``pnc``,
+None for the other kinds.  A reference kind (cusum, bocpd, ocd, mosum)
+groups the points by their other keys and sweeps each group's thresholds
+in one ``*_sweep``, sharing each segment the runs have in common
+(:mod:`predcomp.refdet.sweep`).  A ``pnc`` unit fits its predictor once,
+checks that it forecasts each (l, b) of the grid from zeros, and runs each
+point.
 
 :func:`load_config` returns each section typed with defaults filled in, but
 keeps as written a dataset's ``source`` (``simulate`` copies it into its
@@ -155,7 +155,7 @@ def typed(d, table: dict, where: str, sep: str = ".") -> dict:
 class Kind(NamedTuple):
     """A dataset source, predictor or detector kind."""
     params: dict[str, tuple[Callable, object]]
-    build: Callable  # (keys, dataset id, seed), (keys, history) or (det_cfg, doc)
+    build: Callable  # (keys, dataset id, seed), (keys, history) or (det_cfg, doc) -> run_unit
     check: Callable = lambda keys: None  # a ValueError on what the types cannot rule out
     threshold: str | None = None
 
@@ -239,23 +239,11 @@ PREDICTORS: dict[str, Kind] = {
 # ---------------------------------------------------------------------------
 # detectors
 
-def _cached(cache: list, series, key, make):
-    """The entry of ``cache`` for this series and ``key``, made on first use.
-
-    An entry holds the series' values array and matches by identity, so
-    only the same series finds it, whatever its name."""
-    for values, entry_key, entry in cache:
-        if values is series.values and entry_key == key:
-            return entry
-    entry = make()
-    cache.append((series.values, key, entry))
-    return entry
-
-
 def _build_pnc(det_cfg: dict, doc: dict):
-    spec, fitted, where = det_cfg["predictor"], [], f"detector {det_cfg['id']!r}"
+    spec, where = det_cfg["predictor"], f"detector {det_cfg['id']!r}"
 
-    def fit(series):
+    def run_unit(series, points, keep_trace=False):
+        resolved = [resolve_params(det_cfg, point) for point in points]
         try:
             predictor = fit_predictor(spec, series.values[:doc["train_prefix"]])
         except PredictorError as exc:
@@ -267,20 +255,18 @@ def _build_pnc(det_cfg: dict, doc: dict):
             except PredictorError as exc:
                 raise ConfigError(f"{where}: the model cannot forecast b={b} from l={l}: "
                                   f"{exc}") from None
-        return predictor
-
-    def run(series, params, keep_trace=False):
-        p = resolve_params(det_cfg, params)
-        cfg = PncConfig(p["l"], p["b"], p["desInt"], p["k"], p["direction"], p["refit"],
-                        p["min_refit_history"])
-        predictor = _cached(fitted, series, None, lambda: fit(series))
-        detections, stream = run_stream(predictor, cfg, series, name=det_cfg["id"],
-                                        keep_trace=keep_trace)
-        # the signed bound the chart crosses: a downward chart alarms below -desInt
-        bound = cfg.threshold if cfg.direction == "up" else -cfg.threshold
-        return detections, [(r.index, r.value, r.target, r.stat, bound, r.alarm)
-                            for r in stream.trace]
-    return run
+        runs = []
+        for p in resolved:
+            cfg = PncConfig(p["l"], p["b"], p["desInt"], p["k"], p["direction"], p["refit"],
+                            p["min_refit_history"])
+            detections, stream = run_stream(predictor, cfg, series, name=det_cfg["id"],
+                                            keep_trace=keep_trace)
+            # the signed bound the chart crosses: a downward chart alarms below -desInt
+            bound = cfg.threshold if cfg.direction == "up" else -cfg.threshold
+            runs.append((detections, [(r.index, r.value, r.target, r.stat, bound, r.alarm)
+                                      for r in stream.trace]))
+        return runs
+    return run_unit
 
 
 def _check_mosum(det_cfg: dict) -> None:
@@ -304,18 +290,18 @@ def _reference(sweep):
     def build(det_cfg: dict, doc: dict):
         kind = KINDS[det_cfg["kind"]]
         kind.check(det_cfg)
-        key, runs = kind.threshold, []
+        key = kind.threshold
 
-        def run(series, params, keep_trace=False):
-            p = resolve_params(det_cfg, params)
-            rest = {name: value for name, value in p.items() if name != key}
-            found = _cached(runs, series, rest, dict)
-            if p[key] not in found:
-                thresholds = [t for t in dict.fromkeys([*param_values(det_cfg, key), p[key]])
-                              if t not in found]
-                found.update(zip(thresholds, sweep(series, thresholds, p)))
-            return found[p[key]], None
-        return run
+        def run_unit(series, points, keep_trace=False):
+            resolved = [resolve_params(det_cfg, point) for point in points]
+            rests = [tuple(value for name, value in p.items() if name != key) for p in resolved]
+            groups = {}  # the other keys' values -> a point with them, and their thresholds
+            for rest, p in zip(rests, resolved):
+                groups.setdefault(rest, (p, {}))[1][p[key]] = None
+            found = {rest: dict(zip(thresholds, sweep(series, list(thresholds), p)))
+                     for rest, (p, thresholds) in groups.items()}
+            return [(found[rest][p[key]], None) for rest, p in zip(rests, resolved)]
+        return run_unit
     return build
 
 

@@ -118,14 +118,27 @@ def find_target(series: LabeledSeries, key: str = "K>A") -> CpLabel | None:
 class DetectorGrid:
     """One detector plus its parameter ranges for the grid search.
 
-    ``runner(series, **params) -> list[Detection]`` must be a pure
-    function of its arguments.  ``grid`` maps parameter names to value
-    lists; the Cartesian product is scanned in sorted-key order.
+    ``grid`` maps parameter names to value lists; the Cartesian product is
+    scanned in sorted-key order (:meth:`points`).  ``unit(series, points)``
+    runs the detector on one series at each point and returns one detection
+    list per point, in their order; ``runner(series, **params)`` runs one
+    point.  Either one, given alone, makes the other: a loop of ``runner``
+    over the points, or ``unit`` at one point.  Both must be pure functions
+    of their arguments.
     """
 
     detector_id: str
-    runner: object
+    runner: object = None
     grid: dict = field(default_factory=dict)
+    unit: object = None
+
+    def __post_init__(self):
+        if self.runner is None and self.unit is None:
+            raise TypeError("DetectorGrid needs a runner or a unit")
+        if self.unit is None:
+            self.unit = lambda series, points: [self.runner(series, **p) for p in points]
+        if self.runner is None:
+            self.runner = lambda series, **params: self.unit(series, [params])[0]
 
     def points(self):
         keys = sorted(self.grid)
@@ -141,30 +154,27 @@ def run_grid(datasets: list[LabeledSeries], detectors: list[DetectorGrid],
              target_key: str = "K>A") -> list[EvalRecord]:
     """Score every (dataset, detector, grid point); deterministic order.
 
-    A grid point is flagged invalid when it finds no change point on any
-    dataset or an excessive number (>= 1000) on some dataset; invalid
-    points are kept in the records (flagged) but skipped by selection.
+    Every dataset must carry the target label, checked before any detector
+    runs.  Each detector's unit runs once per dataset over all its points;
+    the records come out by detector, then point, then dataset.  A grid
+    point is flagged invalid when it finds no change point on any dataset
+    or an excessive number (>= 1000) on some dataset; invalid points are
+    kept in the records (flagged) but skipped by selection.
     """
+    targets = [find_target(series, target_key) for series in datasets]
+    for series, target in zip(datasets, targets):
+        if target is None:
+            raise ValueError(f"dataset {series.name!r} lacks a {target_key} label")
     records = []
     for det in detectors:
-        for params in det.points():
-            pid_records = []
-            total_hits = 0
-            excessive = False
-            for series in datasets:
-                target = find_target(series, target_key)
-                if target is None:
-                    raise ValueError(f"dataset {series.name!r} lacks a {target_key} label")
-                detections = det.runner(series, **params)
-                total_hits += len(detections)
-                if len(detections) >= EXCESSIVE_DETECTIONS:
-                    excessive = True
-                pid_records.append(score_run(detections, series, target,
-                                             series.name, det.detector_id, params))
-            valid = total_hits > 0 and not excessive
-            for rec in pid_records:
-                rec.valid = valid
-            records.extend(pid_records)
+        points = list(det.points())
+        runs = [det.unit(series, points) for series in datasets]
+        for params, found in zip(points, zip(*runs)):
+            valid = any(found) and all(len(dets) < EXCESSIVE_DETECTIONS for dets in found)
+            for series, target, detections in zip(datasets, targets, found):
+                records.append(score_run(detections, series, target, series.name,
+                                         det.detector_id, params))
+                records[-1].valid = valid
     return records
 
 

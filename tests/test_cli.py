@@ -303,6 +303,20 @@ def test_committed_demo_metrics_are_current(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
 
 
+def test_per_point_runners_score_the_demo_as_the_units_do(monkeypatch):
+    """A grid rebuilt from each detector's per-point ``runner``, the way the
+    traced benchmark wraps it, scores the demo as the detectors' units do."""
+    from predcomp.cli import build_dataset, build_detector, prepare_series
+    from predcomp.config import load_config
+    from predcomp.evaluate import DetectorGrid, run_grid
+    monkeypatch.delenv("PREDCOMP_SEED", raising=False)
+    doc = load_config(ROOT / "configs" / "demo.yaml")
+    datasets = [prepare_series(doc, build_dataset(ds, doc["seed"])) for ds in doc["datasets"]]
+    grids = [build_detector(det, doc) for det in doc["detectors"]]
+    per_point = [DetectorGrid(g.detector_id, g.runner, g.grid) for g in grids]
+    assert run_grid(datasets, per_point) == run_grid(datasets, grids)
+
+
 def test_committed_demo_series_are_current(tmp_path, capsys, monkeypatch):
     # out/demo/manifest.json and wear_*.csv must be what `simulate` writes for the demo
     monkeypatch.delenv("PREDCOMP_SEED", raising=False)

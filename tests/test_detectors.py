@@ -155,30 +155,39 @@ def _level_series(seed: int, name: str) -> LabeledSeries:
     return LabeledSeries(y, name=name)
 
 
-@pytest.mark.parametrize("det_cfg, outside", [
+@pytest.mark.parametrize("det_cfg, outside, other", [
     ({"id": "p", "kind": "pnc", "predictor": {"kind": "ar", "p": 2},
-      "params": {"l": 100, "b": 25}, "grid": {"desInt": [4.0, 8.0]}}, 6.0),
-    ({"id": "c", "kind": "cusum", "grid": {"desInt": [5.0, 10.0]}}, 7.0),
+      "params": {"l": 100, "b": 25}, "grid": {"desInt": [4.0, 8.0]}}, 6.0, {"k": 1.0}),
+    ({"id": "c", "kind": "cusum", "grid": {"desInt": [5.0, 10.0]}}, 7.0, {"k": 1.0}),
     ({"id": "b", "kind": "bocpd", "params": {"hazard": 0.01}, "grid": {"cpthreshold": [0.5, 0.8]}},
-     0.6),
-    ({"id": "o", "kind": "ocd", "grid": {"diag": [8.0, 16.0]}}, 12.0),
-    ({"id": "m", "kind": "mosum", "grid": {"level": [0.05, 0.1]}}, 0.2),
+     0.6, {"hazard": 0.02}),
+    ({"id": "o", "kind": "ocd", "grid": {"diag": [8.0, 16.0]}}, 12.0, {"h_tail": 20}),
+    ({"id": "m", "kind": "mosum", "grid": {"level": [0.05, 0.1]}}, 0.2, {"h": 0.5}),
 ], ids=["pnc", "cusum", "bocpd", "ocd", "mosum"])
-def test_a_run_keeps_what_it_fits_or_sweeps_to_its_own_series(det_cfg, outside):
-    """Unnamed series run in turn, whose ids may be reused, and series that
-    share a name each get what a fresh build gives them, at the configured
-    thresholds and at one outside them."""
+def test_a_run_keeps_what_it_fits_or_sweeps_to_its_own_series(det_cfg, outside, other):
+    """One unit, run on unnamed series in turn, whose ids may be reused, and
+    on series that share a name, gives each series at each point what a
+    fresh one-point unit gives it: at the configured thresholds and at one
+    outside them, with a second value of another key, in shuffled order and
+    with one point twice."""
     doc = {"train_prefix": 300}
-    key = KINDS[det_cfg["kind"]].threshold or "desInt"
-    run = KINDS[det_cfg["kind"]].build(det_cfg, doc)
+    kind = KINDS[det_cfg["kind"]]
+    key = kind.threshold or "desInt"
+    points = [{key: value, **extra} for extra in ({}, other)
+              for value in [*det_cfg["grid"][key], outside]]
+    points = [points[i] for i in spawn_rng(0, "points").permutation(len(points))]
+    points.insert(3, points[1])
+    run_unit = kind.build(det_cfg, doc)
     got = []
     for seed, name in [(0, ""), (1, ""), (2, ""), (1, "same"), (2, "same")]:
         series = _level_series(seed, name)
-        for value in [*det_cfg["grid"][key], outside]:
-            pinned = dict(det_cfg, params={**det_cfg.get("params", {}), key: value}, grid={})
-            fresh = KINDS[det_cfg["kind"]].build(pinned, doc)(series, {key: value})[0]
-            assert run(series, {key: value})[0] == fresh, (seed, name, value)
-            got.append(fresh)
+        runs = run_unit(series, points, keep_trace=True)
+        assert len(runs) == len(points)
+        for point, run in zip(points, runs):
+            pinned = dict(det_cfg, params={**det_cfg.get("params", {}), **point}, grid={})
+            (fresh,) = kind.build(pinned, doc)(series, [point], keep_trace=True)
+            assert run == fresh, (seed, name, point)
+            got.append(fresh[0])
     assert len({tuple(d.detect_time for d in dets) for dets in got}) > 1
 
 

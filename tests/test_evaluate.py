@@ -206,6 +206,40 @@ def test_run_grid_requires_target_label():
         run_grid([bad], [grid])
 
 
+def _toy_runner(series, h, mode):
+    if mode == "silent" or mode == "a_only" and series.name != "a":
+        return []
+    if mode == "noisy":
+        return [Detection(detect_time=i, detector="toy") for i in range(EXCESSIVE_DETECTIONS)]
+    return [Detection(detect_time=100 + 2 * h + (series.name == "b"), detector="toy")]
+
+
+def test_run_grid_runs_one_unit_per_dataset_and_scores_it_as_per_point_runs():
+    datasets = _two_datasets()
+    grid = {"mode": ["silent", "noisy", "ok", "a_only"], "h": [3, 1]}
+    calls = []
+
+    def unit(series, points):
+        calls.append((series.name, points))
+        return [_toy_runner(series, **params) for params in points]
+
+    with pytest.raises(TypeError, match="needs a runner or a unit"):
+        DetectorGrid("toy", grid=grid)
+    units = [DetectorGrid("u1", grid=grid, unit=unit), DetectorGrid("u2", grid=grid, unit=unit)]
+    records = run_grid(datasets, units)
+    points = list(units[0].points())
+    assert calls == [("a", points), ("b", points)] * 2
+    runners = [DetectorGrid("u1", _toy_runner, grid), DetectorGrid("u2", _toy_runner, grid)]
+    assert records == run_grid(datasets, runners)
+    # silent and noisy points are invalid; one that fires on one dataset only is valid
+    assert [r.valid for r in records[:16]] == ([False] * 4 + [True] * 4) * 2
+    calls.clear()
+    bad = LabeledSeries(np.zeros(400), [CpLabel(100, "E", "K")], name="bad")
+    with pytest.raises(ValueError, match="'bad' lacks a K>A label"):
+        run_grid([datasets[0], bad], units)
+    assert calls == []
+
+
 def _records():
     def rec(ds, det, pid, fpc, arlp_, found=True, valid=True):
         return EvalRecord(dataset_id=ds, detector_id=det, params_id=pid,
