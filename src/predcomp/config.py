@@ -307,17 +307,17 @@ def _reference(sweep):
 
 KINDS: dict[str, Kind] = {
     "pnc": Kind({"l": (_POSITIVE_INT, 50), "b": (_POSITIVE_INT, 25),
-                 "desInt": (_threshold, REQUIRED), "k": (_NON_NEGATIVE, 0.5),
+                 "desInt": (_threshold, REQUIRED), "k": (_FINITE_NON_NEGATIVE, 0.5),
                  "direction": (_choice("up", "down"), "up"),
                  "refit": (_choice("never", "on_detection"), "never"),
-                 "min_refit_history": (_int, 50)}, _build_pnc),
-    "cusum": Kind({"desInt": (_threshold, REQUIRED), "k": (_NON_NEGATIVE, 0.5),
+                 "min_refit_history": (_NON_NEGATIVE_INT, 50)}, _build_pnc),
+    "cusum": Kind({"desInt": (_threshold, REQUIRED), "k": (_FINITE_NON_NEGATIVE, 0.5),
                    "window": (_POSITIVE_INT, 50)},
                   _reference(lambda x, ts, p: classic_cusum_sweep(
                       x, ts, allowance=p["k"], target_window=p["window"])), threshold="desInt"),
     "bocpd": Kind({"hazard": (_UNIT, REQUIRED),
-                   "cpthreshold": (_OPEN_UNIT, 0.5),
-                   "r_min": (_int, 5), "mu0": (_finite, 0.0), "kappa0": (_FINITE_POSITIVE, 1.0),
+                   "cpthreshold": (_OPEN_UNIT, 0.5), "r_min": (_NON_NEGATIVE_INT, 5),
+                   "mu0": (_finite, 0.0), "kappa0": (_FINITE_POSITIVE, 1.0),
                    "alpha0": (_FINITE_POSITIVE, 1.0), "beta0": (_FINITE_POSITIVE, 1.0)},
                   _reference(lambda x, ts, p: bocpd_sweep(
                       x, p["hazard"], ts, r_min=p["r_min"],
@@ -329,9 +329,9 @@ KINDS: dict[str, Kind] = {
                 _reference(lambda x, ts, p: ocd_sweep(
                     x, ts, off_diag=p["offDiag"], h_tail=p["h_tail"],
                     baseline_window=p["baseline_window"])), threshold="diag"),
-    "mosum": Kind({"minHist": (_int, 100), "histFact": (_UNIT, 0.5), "h": (_UNIT, 0.25),
-                   "level": (float, 0.05), "harmonics": (_int, 0), "period": (float, 0.0),
-                   "monitor_from": (_int, None)},
+    "mosum": Kind({"minHist": (_POSITIVE_INT, 100), "histFact": (_UNIT, 0.5), "h": (_UNIT, 0.25),
+                   "level": (float, 0.05), "harmonics": (_NON_NEGATIVE_INT, 0),
+                   "period": (_finite, 0.0), "monitor_from": (_NON_NEGATIVE_INT, None)},
                   _reference(lambda x, ts, p: mosum_sweep(
                       x, ts, min_hist=p["minHist"], hist_fact=p["histFact"], h_band=p["h"],
                       harmonics=p["harmonics"], period=p["period"],

@@ -50,6 +50,7 @@ class PncConfig:
             raise ValueError("window_len and horizon must be positive")
         if self.refit not in ("never", "on_detection"):
             raise ValueError("refit must be 'never' or 'on_detection'")
+        CusumChart(self.threshold, self.allowance, self.direction)  # the chart's own checks
 
 
 @dataclass

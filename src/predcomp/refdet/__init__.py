@@ -1,8 +1,10 @@
 """Reference detectors run against the prediction-assisted chart.
 
 Each ``*_detect`` is the one-threshold case of its ``*_sweep``, which runs
-many thresholds at once and shares every segment their runs have in common
-(:mod:`predcomp.refdet.sweep`).
+many thresholds at once, in any order and with repeats, and shares every
+segment their runs have in common: :mod:`predcomp.refdet.sweep` orders and
+merges them, and each detector's scan runs one segment for the thresholds
+pending at its start.
 """
 
 from .classic import classic_cusum_detect, classic_cusum_sweep

@@ -57,7 +57,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..series import Detection, finite_values
-from .sweep import require_single, sweep
+from .sweep import sweep
 
 
 @dataclass(frozen=True)
@@ -254,8 +254,6 @@ def bocpd_sweep(series, hazard: float, thresholds, prior: NigPrior | None = None
     ``posterior`` receive the ``segment_log_evidence`` and
     ``short_run_prob`` rows of :func:`bocpd_detect`.
     """
-    require_single(thresholds, evidence)
-    require_single(thresholds, posterior)
     if not 0.0 < hazard <= 1.0:
         raise ValueError("hazard must be in (0, 1]")
     if not all(0.0 < threshold < 1.0 for threshold in thresholds):
@@ -266,10 +264,8 @@ def bocpd_sweep(series, hazard: float, thresholds, prior: NigPrior | None = None
     state = BocpdState(prior)
     state._reserve(n)
 
-    def scan(start: int, group: list[int]) -> list[Detection | None]:
-        order = sorted(group, key=lambda j: thresholds[j])
-        levels = [thresholds[j] for j in order]
-        found, done = {}, 0
+    def scan(start: int, levels: list) -> list[Detection]:
+        found, done = [], 0
         state._reset()
         for i in range(start, n):
             state.step(float(values[i]), hazard)
@@ -282,15 +278,16 @@ def bocpd_sweep(series, hazard: float, thresholds, prior: NigPrior | None = None
             if fired > done:
                 det = Detection(detect_time=i, located_time=max(i - state.map_run_length(), start),
                                 detector="bocpd", stat_value=p_short)
-                found.update(dict.fromkeys(order[done:fired], det))
+                found += [det] * (fired - done)
                 if evidence is not None:
                     evidence.append((start, i, state.log_evidence))
                 done = fired
-                if done == len(order):
+                if done == len(levels):
                     break
         else:
             if evidence is not None:
                 evidence.append((start, n - 1, state.log_evidence))
-        return [found.get(j) for j in group]
+        return found
 
-    return sweep(scan, len(thresholds))
+    # a record of either kind needs a single threshold
+    return sweep(scan, thresholds, record=posterior if evidence is None else evidence)

@@ -25,8 +25,10 @@ points have accumulated, then monitoring resumes.
 The moving sums and their bounds are computed as array operations over
 blocks of ``_ROWS`` steps, each entry by the same expression as the
 step-by-step definition, so every value keeps its bits.  A sweep over
-levels (:func:`mosum_sweep`) fits and sums each segment once for every
-level that restarts there (:func:`predcomp.refdet.sweep.sweep`).
+levels (:func:`mosum_sweep`) sweeps their critical values c(level)
+(:func:`predcomp.refdet.sweep.sweep`): it fits and sums each segment once
+for the values that restart there, and since a smaller c is crossed first,
+in each block they fire in increasing order, up to the first with no hit.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from importlib import resources
 import numpy as np
 
 from ..series import Detection, finite_values
-from .sweep import require_single, sweep
+from .sweep import sweep
 
 _TABLE = None
 
@@ -93,7 +95,6 @@ def mosum_sweep(series, levels, min_hist: int = 100, hist_fact: float = 0.5,
 
     ``trace``, with a single level, receives its rows.
     """
-    require_single(levels, trace)
     if not 0 < hist_fact <= 1:
         raise ValueError("hist_fact must be in (0, 1]")
     if not 0 < h_band <= 1:
@@ -104,14 +105,13 @@ def mosum_sweep(series, levels, min_hist: int = 100, hist_fact: float = 0.5,
     n = len(values)
     if monitor_from is None:
         monitor_from = 2 * min_hist
-    cs = [boundary_constant(h_band, level) for level in levels]
 
-    def scan(seg_start: int, group: list[int]) -> list[Detection | None]:
-        found = {}
+    def scan(seg_start: int, cs: list) -> list[Detection]:
+        found = []
         mon_start = min(monitor_from, n) if seg_start == 0 else seg_start + min_hist
         avail = mon_start - seg_start
         if mon_start >= n or avail < min_hist:
-            return [None] * len(group)
+            return found
         length = int(min(max(min_hist, math.ceil(hist_fact * avail)),
                          _CAP_FACTOR * min_hist, avail))
         hist_lo = mon_start - length
@@ -126,29 +126,27 @@ def mosum_sweep(series, levels, min_hist: int = 100, hist_fact: float = 0.5,
         resid_mon = values[mon_start:] - _design(t_mon, harmonics, period) @ beta
         resid = np.concatenate((resid_hist, resid_mon))
         csum = np.concatenate(([0.0], np.cumsum(resid)))
-        scale = {j: cs[j] * sd * np.sqrt(length) for j in group}
-        pending = list(group)
         j0 = 0
-        while pending and j0 < len(t_mon):
+        while len(found) < len(cs) and j0 < len(t_mon):
             js = np.arange(j0, min(j0 + _ROWS, len(t_mon)))  # steps into monitoring
             pos = length + js  # positions in the residual vector
             mosum = csum[pos + 1] - csum[np.maximum(pos + 1 - band, 0)]
             size = np.abs(mosum)
             growth = 1.0 + (js + 1) / length
             end = len(js)
-            for j in pending[:]:
-                hits = np.flatnonzero(size > scale[j] * growth)
-                if hits.size:
-                    k = int(hits[0])
-                    found[j] = Detection(detect_time=mon_start + j0 + k, located_time=None,
-                                         detector="mosum", stat_value=float(mosum[k]))
-                    pending.remove(j)
-                    end = k + 1
+            for c in cs[len(found):]:
+                hits = np.flatnonzero(size > c * sd * np.sqrt(length) * growth)
+                if not hits.size:
+                    break  # nor does any larger c hit in this block
+                k = int(hits[0])
+                found.append(Detection(detect_time=mon_start + j0 + k, located_time=None,
+                                       detector="mosum", stat_value=float(mosum[k])))
+                end = k + 1
             if trace is not None:
-                bound = scale[group[0]] * growth
+                bound = cs[0] * sd * np.sqrt(length) * growth
                 trace.extend((mon_start + j0 + k, float(mosum[k]), float(bound[k]))
                              for k in range(end))
             j0 += len(js)
-        return [found.get(j) for j in group]
+        return found
 
-    return sweep(scan, len(levels))
+    return sweep(scan, [boundary_constant(h_band, level) for level in levels], record=trace)

@@ -20,7 +20,8 @@ steps by ages, each entry by the same expression as the step-by-step
 definition, so every value keeps its bits; a block holds at most
 ``_CELLS`` entries, which bounds the temporaries however long the segment.
 A sweep over thresholds (:func:`ocd_sweep`) computes each segment once for
-every threshold that restarts there (:func:`predcomp.refdet.sweep.sweep`).
+the thresholds that restart there (:func:`predcomp.refdet.sweep.sweep`):
+in each block they fire in increasing order, up to the first with no hit.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..series import Detection, finite_values
-from .sweep import require_single, sweep
+from .sweep import sweep
 
 #: entries of one block of the statistic: 512 steps of 64 ages, 256 KiB
 _CELLS = 512 * 64
@@ -67,27 +68,25 @@ def ocd_sweep(series, diags, off_diag: float | None = None, h_tail: int = 50,
 
     ``trace``, with a single threshold, receives its rows.
     """
-    require_single(diags, trace)
     if not all(diag > 0 for diag in diags):
         raise ValueError("diag must be positive")
     if h_tail < 1 or baseline_window < 2:
         raise ValueError("h_tail >= 1 and baseline_window >= 2 required")
     values = finite_values(series)
 
-    def scan(start: int, group: list[int]) -> list[Detection | None]:
-        found = {}
+    def scan(start: int, levels: list) -> list[Detection]:
+        found = []
         base = _baseline(values, start, baseline_window)
         if base is None:
-            return [None] * len(group)  # not enough variation left to monitor
+            return found  # not enough variation left to monitor
         base_end, mean, sd = base
         dev_cum = np.concatenate(([0.0], np.cumsum(values[base_end:] - mean)))
         steps = len(dev_cum) - 1
         taus = np.arange(1, min(h_tail, steps) + 1)
         scale = sd * np.sqrt(taus)
         rows = max(_CELLS // len(taus), 1)
-        pending = list(group)
         j0 = 0
-        while pending and j0 < steps:
+        while len(found) < len(levels) and j0 < steps:
             # step j sees the tails ending at dev_cum[j + 1]; ages past the
             # segment's own length stay out of the maximum
             upto = np.arange(j0 + 1, min(j0 + rows, steps) + 1)
@@ -97,19 +96,19 @@ def ocd_sweep(series, diags, off_diag: float | None = None, h_tail: int = 50,
             best = stats.argmax(axis=1)
             stat = stats[np.arange(len(upto)), best]
             end = len(upto)
-            for j in pending[:]:
-                hits = np.flatnonzero(stat > diags[j])
-                if hits.size:
-                    k = int(hits[0])
-                    idx = base_end + j0 + k
-                    found[j] = Detection(detect_time=idx, located_time=idx - int(best[k]),
-                                         detector="ocd", stat_value=float(stat[k]))
-                    pending.remove(j)
-                    end = k + 1
+            for level in levels[len(found):]:
+                hits = np.flatnonzero(stat > level)
+                if not hits.size:
+                    break  # nor does any higher level hit in this block
+                k = int(hits[0])
+                idx = base_end + j0 + k
+                found.append(Detection(detect_time=idx, located_time=idx - int(best[k]),
+                                       detector="ocd", stat_value=float(stat[k])))
+                end = k + 1
             if trace is not None:
                 trace.extend((base_end + j0 + k, float(stat[k]), int(best[k]) + 1)
                              for k in range(end))
             j0 += len(upto)
-        return [found.get(j) for j in group]
+        return found
 
-    return sweep(scan, len(diags))
+    return sweep(scan, diags, record=trace)

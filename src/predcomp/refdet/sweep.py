@@ -8,7 +8,10 @@ keeps the pending segment starts, each with the thresholds that restart
 there, and scans them in increasing order: a threshold that alarms at i
 joins the start i + 1, where it merges with every other threshold that
 alarmed at i, from whichever start.  The result of each threshold is the
-one its own run gives.
+one its own run gives.  This is the one place that orders, dedups and
+realigns thresholds; a scan sees the distinct ones of its start in
+increasing order, and since a lower one alarms no later, the ones that
+alarm are a prefix of them.
 """
 
 from __future__ import annotations
@@ -18,29 +21,26 @@ from typing import Callable, Sequence
 from ..series import Detection
 
 
-def sweep(scan: Callable[[int, list[int]], Sequence[Detection | None]], count: int,
-          first: int = 0) -> list[list[Detection]]:
-    """The detections of each of ``count`` thresholds, first segment at ``first``.
+def sweep(scan: Callable[[int, list], Sequence[Detection]], thresholds: Sequence,
+          first: int = 0, record: list | None = None) -> list[list[Detection]]:
+    """The detections of each entry of ``thresholds``, in their order (any,
+    with repeats), the first segment starting at ``first``.
 
-    ``scan(start, group)`` runs one segment from ``start`` for the thresholds
-    numbered in ``group``; it returns, aligned with ``group``, each one's
-    first alarm in that segment, or None where it does not alarm before the
-    data end.
+    ``scan(start, levels)`` runs one segment from ``start`` for the
+    thresholds pending there, in increasing order, and returns their first
+    alarms as a prefix aligned with ``levels``: the levels past its end do
+    not alarm before the data end.  ``record``, a per-step record the scan
+    fills, is refused with more than one threshold, as its segments would
+    interleave several runs.
     """
-    runs: list[list[Detection]] = [[] for _ in range(count)]
-    pending = {first: list(range(count))} if count else {}
+    if record is not None and len(thresholds) > 1:
+        raise ValueError("a trace needs a single threshold")
+    runs = {level: [] for level in thresholds}
+    pending = {first: list(runs)} if runs else {}
     while pending:
         start = min(pending)
-        group = pending.pop(start)
-        for j, det in zip(group, scan(start, group)):
-            if det is not None:
-                runs[j].append(det)
-                pending.setdefault(det.detect_time + 1, []).append(j)
-    return runs
-
-
-def require_single(thresholds: Sequence, record) -> None:
-    """Refuse a per-step record for a sweep over more than one threshold:
-    its segments would interleave several runs."""
-    if record is not None and len(thresholds) != 1:
-        raise ValueError("a trace needs a single threshold")
+        levels = sorted(pending.pop(start))
+        for level, det in zip(levels, scan(start, levels)):
+            runs[level].append(det)
+            pending.setdefault(det.detect_time + 1, []).append(level)
+    return [list(runs[level]) for level in thresholds]

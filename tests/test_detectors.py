@@ -257,6 +257,19 @@ detectors:
      "desInt must be finite, got inf"),
     ("{id: c, kind: cusum, grid: {desInt: [5, .inf]}}", "desInt must be finite, got inf"),
     ("{id: c, kind: ocd, params: {diag: .inf}}", "diag must be finite, got inf"),
+    # an infinite allowance never alarms either; the rest would run as something else
+    ("{id: c, kind: cusum, params: {desInt: 5, k: .inf}}", "k must be finite, got inf"),
+    ("{id: c, kind: pnc, predictor: {kind: mean}, params: {desInt: 5, k: .inf}}",
+     "k must be finite, got inf"),
+    ("{id: c, kind: bocpd, params: {hazard: 0.01, r_min: -3}}", "r_min must be int >= 0, got -3"),
+    ("{id: c, kind: mosum, params: {minHist: 0}}", "minHist must be int > 0, got 0"),
+    ("{id: c, kind: mosum, grid: {minHist: [100, -10]}}", "minHist must be int > 0, got -10"),
+    ("{id: c, kind: mosum, params: {monitor_from: -5}}", "monitor_from must be int >= 0, got -5"),
+    ("{id: c, kind: mosum, params: {harmonics: -2}}", "harmonics must be int >= 0, got -2"),
+    ("{id: c, kind: mosum, params: {harmonics: 1, period: .nan}}",
+     "period must be finite, got nan"),
+    ("{id: c, kind: pnc, predictor: {kind: mean}, params: {desInt: 5, min_refit_history: -5}}",
+     "min_refit_history must be int >= 0, got -5"),
 ], ids=["cusum-desInt", "bocpd-hazard", "ocd-diag", "pnc-desInt", "grid-value", "params-value",
         "choice", "monitor_from", "pnc-l", "pnc-b", "pnc-desInt-range", "pnc-k",
         "cusum-desInt-range", "cusum-k", "cusum-desInt-nan", "ocd-diag-nan", "cusum-k-nan",
@@ -264,7 +277,9 @@ detectors:
         "bocpd-cpthreshold-1", "bocpd-cpthreshold-0", "bocpd-kappa0", "bocpd-alpha0",
         "bocpd-beta0", "bocpd-alpha0-inf", "bocpd-kappa0-inf", "bocpd-beta0-nan", "bocpd-mu0-inf",
         "bocpd-mu0-untyped", "ocd-diag-range", "ocd-h_tail", "ocd-baseline_window",
-        "mosum-histFact", "mosum-h", "pnc-desInt-inf", "cusum-desInt-inf", "ocd-diag-inf"])
+        "mosum-histFact", "mosum-h", "pnc-desInt-inf", "cusum-desInt-inf", "ocd-diag-inf",
+        "cusum-k-inf", "pnc-k-inf", "bocpd-r_min", "mosum-minHist-0", "mosum-minHist-negative",
+        "mosum-monitor_from", "mosum-harmonics", "mosum-period-nan", "pnc-min_refit_history"])
 def test_missing_or_unreadable_parameter_exits_2(tmp_path, capsys, detector, message):
     cfg = tmp_path / "bad.yaml"
     cfg.write_text(BAD_CONFIG.format(out=tmp_path / "out", detector=detector))

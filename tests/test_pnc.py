@@ -220,6 +220,16 @@ def test_bad_direction_surfaces_at_first_window():
         run_stream(ZeroOracle(), PncConfig(50, 25, 5.0, 0.5, direction="sideways"), vals)
 
 
+@pytest.mark.parametrize("chart, message", [
+    ({"threshold": -1.0}, "threshold must be positive"),
+    ({"direction": "sideways"}, "direction must be 'up' or 'down'"),
+    ({"allowance": -1.0}, "allowance must be non-negative"),
+])
+def test_config_checks_its_chart_before_any_push(chart, message):
+    with pytest.raises(ValueError, match=message):
+        PncConfig(10, 5, **{"threshold": 5.0, **chart})
+
+
 def test_refit_that_keeps_the_predictor_is_not_reported_done():
     # an LSTM's refit returns the same model, so nothing was refitted
     from predcomp.lstm import LstmPredictor, init_lstm

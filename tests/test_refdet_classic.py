@@ -40,15 +40,6 @@ def test_target_window_validation():
         classic_cusum_detect(np.zeros(100), threshold=5.0, target_window=0)
 
 
-def test_down_direction_mirrors_up():
-    x = _shifted()
-    up, _ = classic_cusum_detect(x, threshold=5.0, allowance=0.5, target_window=50)
-    dn, _ = classic_cusum_detect(-x, threshold=5.0, allowance=0.5, target_window=50,
-                                 direction="down")
-    assert [(d.detect_time, d.located_time) for d in up] == \
-        [(d.detect_time, d.located_time) for d in dn]
-
-
 def test_quiet_on_in_control_noise():
     rng = spawn_rng(1, "classic-null")
     x = rng.normal(0.0, 1.0, size=1000)

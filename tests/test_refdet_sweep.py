@@ -149,10 +149,10 @@ def shifting(seed: int, n: int, every: tuple[int, int], jump: float, trend: floa
 
 # kind -> (module, sweep, one-threshold run, reference loop, thresholds, stream)
 CASES = {
-    "cusum": (classic, lambda x, ts: classic_cusum_sweep(x, ts, 0.5, 30, "down"),
-              lambda x, t: classic_cusum_detect(x, t, 0.5, 30, "down", keep_trace=True),
-              lambda x, t: loop_cusum(x, t, 0.5, 30, "down"),
-              [3.0, 6.0, 9.0, 15.0, 25.0], shifting(11, 1500, (60, 200), 3.0)),
+    "cusum": (classic, lambda x, ts: classic_cusum_sweep(x, ts, 0.5, 30),
+              lambda x, t: classic_cusum_detect(x, t, 0.5, 30, keep_trace=True),
+              lambda x, t: loop_cusum(x, t, 0.5, 30, "up"),
+              [3.0, 6.0, 9.0, 15.0, 25.0], -shifting(11, 1500, (60, 200), 3.0)),
     "bocpd": (bocpd, lambda x, ts: bocpd_sweep(x, 0.01, ts, NigPrior(0.0, 0.5, 2.0, 2.0), 5),
               lambda x, t: bocpd_detect(x, 0.01, NigPrior(0.0, 0.5, 2.0, 2.0), 5, t,
                                         keep_posterior=True),
@@ -184,13 +184,17 @@ def test_sweep_equals_separate_runs(kind, monkeypatch):
                and {d.detect_time for d in a[1:]} & {d.detect_time for d in b[1:]}
                for a in runs for b in runs)
 
+    # in any order and with repeats, each entry gets its own run
+    mixed = thresholds[::-1] + [thresholds[1]]
+    assert sweep_fn(x, mixed) == [runs[thresholds.index(t)] for t in mixed]
+
     starts = []
 
-    def recording(scan, count, first=0):
-        def scan_and_record(start, group):
+    def recording(scan, thresholds, first=0, record=None):
+        def scan_and_record(start, levels):
             starts.append(start)
-            return scan(start, group)
-        return sweep(scan_and_record, count, first)
+            return scan(start, levels)
+        return sweep(scan_and_record, thresholds, first, record)
 
     monkeypatch.setattr(module, "sweep", recording)
     assert sweep_fn(x, thresholds) == runs
@@ -198,20 +202,34 @@ def test_sweep_equals_separate_runs(kind, monkeypatch):
     assert starts == sorted({first} | {d.detect_time + 1 for dets in runs for d in dets})
 
 
+@pytest.mark.parametrize("kind", sorted(CASES))
+def test_sweep_equals_separate_runs_where_thresholds_alarm_blocks_apart(kind):
+    # on a slow ramp the lowest and highest thresholds first alarm more than
+    # one block of OCD's or MOSUM's statistic apart, or one never does
+    _, sweep_fn, detect, _, thresholds, _ = CASES[kind]
+    x = spawn_rng(1, "ramp").normal(0.0, 1.0, size=4000)
+    x[1000:] += 0.001 * np.arange(3000)
+    levels = [thresholds[-1], thresholds[0]]
+    runs = [detect(x, t)[0] for t in levels]
+    firsts = sorted(dets[0].detect_time if dets else len(x) for dets in runs)
+    assert firsts[1] - firsts[0] > 1024
+    assert sweep_fn(x, levels) == runs
+
+
 def test_sweep_merges_thresholds_that_alarm_together():
-    # first alarm of each threshold by segment start: 0 and 2 alarm together
-    # at 9, branch at 19 and 29, and 2 meets 1 again at start 30
-    alarms = {0: {0: 9, 1: 19, 2: 9}, 10: {0: 19, 2: 29}, 20: {0: None, 1: 29},
-              30: {1: None, 2: None}}
+    # first alarm of each threshold by segment start: 2.0 and 3.0 alarm
+    # together at 9, branch at 19 and 29, and 3.0 meets 1.0 again at start 30
+    alarms = {0: {1.0: 19, 2.0: 9, 3.0: 9}, 10: {2.0: 19, 3.0: 29}, 20: {1.0: 29, 2.0: None},
+              30: {1.0: None, 3.0: None}}
     scans = []
 
-    def scan(start, group):
-        scans.append((start, sorted(group)))
-        return [None if alarms[start][j] is None else Detection(alarms[start][j])
-                for j in group]
+    def scan(start, levels):
+        scans.append((start, levels))
+        times = [alarms[start][level] for level in levels] + [None]
+        return [Detection(t) for t in times[:times.index(None)]]  # up to the first None
 
-    runs = sweep(scan, 3)
-    assert scans == [(0, [0, 1, 2]), (10, [0, 2]), (20, [0, 1]), (30, [1, 2])]
+    runs = sweep(scan, [2.0, 1.0, 3.0])
+    assert scans == [(0, [1.0, 2.0, 3.0]), (10, [2.0, 3.0]), (20, [1.0, 2.0]), (30, [1.0, 3.0])]
     assert [[d.detect_time for d in dets] for dets in runs] == [[9, 19], [19, 29], [9, 29]]
 
 
