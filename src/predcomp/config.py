@@ -284,9 +284,10 @@ def _check_mosum(det_cfg: dict) -> None:
 
 
 def _reference(sweep):
-    """The build of a kind that runs ``sweep(series, thresholds, p)`` with
-    thresholds of its kind's key and the resolved parameters ``p``, once the
-    kind's check has passed; it has no trace."""
+    """The build of a kind that runs ``sweep(series, thresholds, p)`` once per
+    setting ``p`` of its other keys, with the thresholds of its kind's key in
+    point order, repeats included, once the kind's check has passed; it has
+    no trace."""
     def build(det_cfg: dict, doc: dict):
         kind = KINDS[det_cfg["kind"]]
         kind.check(det_cfg)
@@ -294,13 +295,14 @@ def _reference(sweep):
 
         def run_unit(series, points, keep_trace=False):
             resolved = [resolve_params(det_cfg, point) for point in points]
-            rests = [tuple(value for name, value in p.items() if name != key) for p in resolved]
-            groups = {}  # the other keys' values -> a point with them, and their thresholds
-            for rest, p in zip(rests, resolved):
-                groups.setdefault(rest, (p, {}))[1][p[key]] = None
-            found = {rest: dict(zip(thresholds, sweep(series, list(thresholds), p)))
-                     for rest, (p, thresholds) in groups.items()}
-            return [(found[rest][p[key]], None) for rest, p in zip(rests, resolved)]
+            groups = {}  # the other keys' values -> the indices of the points with them
+            for i, p in enumerate(resolved):
+                groups.setdefault(tuple(v for name, v in p.items() if name != key), []).append(i)
+            found = {}
+            for idx in groups.values():
+                found.update(zip(idx, sweep(series, [resolved[i][key] for i in idx],
+                                            resolved[idx[0]])))
+            return [(found[i], None) for i in range(len(points))]
         return run_unit
     return build
 

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .pool import pool_map
 from .series import CpLabel, Detection, LabeledSeries
 
 
@@ -156,20 +157,25 @@ def run_grid(datasets: list[LabeledSeries], detectors: list[DetectorGrid],
 
     Every dataset must carry the target label, checked before any detector
     runs.  Each detector's unit runs once per dataset over all its points;
-    the records come out by detector, then point, then dataset.  A grid
-    point is flagged invalid when it finds no change point on any dataset
-    or an excessive number (>= 1000) on some dataset; invalid points are
-    kept in the records (flagged) but skipped by selection.
+    the grid maps these units over up to one forked worker per CPU
+    (:func:`predcomp.pool.pool_map`), so the records are the serial ones bit
+    for bit, and the first unit to fail in the serial order raises.  The
+    records come out by detector, then point, then dataset.  A grid point is
+    flagged invalid when it finds no change point on any dataset or an
+    excessive number (>= 1000) on some dataset; invalid points are kept in
+    the records (flagged) but skipped by selection.
     """
     targets = [find_target(series, target_key) for series in datasets]
     for series, target in zip(datasets, targets):
         if target is None:
             raise ValueError(f"dataset {series.name!r} lacks a {target_key} label")
+    points = [list(det.points()) for det in detectors]
+    jobs = [(det.unit, series, pts) for det, pts in zip(detectors, points) for series in datasets]
+    done = iter(pool_map(lambda job: job[0](job[1], job[2]), jobs))
     records = []
-    for det in detectors:
-        points = list(det.points())
-        runs = [det.unit(series, points) for series in datasets]
-        for params, found in zip(points, zip(*runs)):
+    for det, pts in zip(detectors, points):
+        runs = [next(done) for _ in datasets]
+        for params, found in zip(pts, zip(*runs)):
             valid = any(found) and all(len(dets) < EXCESSIVE_DETECTIONS for dets in found)
             for series, target, detections in zip(datasets, targets, found):
                 records.append(score_run(detections, series, target, series.name,

@@ -1,0 +1,56 @@
+"""One process pool for independent pieces of work.
+
+:func:`pool_map` has two callers: :func:`predcomp.evaluate.run_grid` maps
+its (detector, dataset) units, and the ARIMA order search
+(``ArimaPredictor._fit_auto`` in :mod:`predcomp.predictors`) its order
+fits.  Workers are forked, so they start from the parent's state at the
+call, its BLAS thread count included, and compute the serial bits.
+"""
+
+from __future__ import annotations
+
+import os
+
+#: the ``(fn, items)`` being mapped, set before the workers fork
+_job = None
+
+
+def _call(i: int) -> tuple:
+    """``(True, fn(items[i]))``, or ``(False, the exception it raised)``."""
+    fn, items = _job
+    try:
+        return True, fn(items[i])
+    except Exception as exc:
+        return False, exc
+
+
+def pool_map(fn, items: list) -> list:
+    """``[fn(x) for x in items]`` on up to one forked worker per CPU.
+
+    Results come back in input order.  Every item runs; then the first
+    exception in input order reaches the caller with its type, as in the
+    serial loop.  ``fn`` may be a closure: the workers inherit it and receive
+    only indices, and send back only results.  Forked workers see the
+    parent's module state at the call, patches included.  It runs serially
+    for one CPU or one item, and inside a daemonic pool worker, which may
+    not start processes.  ``multiprocessing`` is imported here, off the
+    CLI's import path.
+    """
+    global _job
+    import multiprocessing
+    n = min(len(os.sched_getaffinity(0)), len(items))
+    if n <= 1 or multiprocessing.current_process().daemon:
+        return [fn(x) for x in items]
+    _job = (fn, items)
+    try:
+        # leaving the block by an exception terminates the workers
+        with multiprocessing.get_context("fork").Pool(n) as pool:
+            out = pool.map(_call, range(len(items)), chunksize=1)
+            pool.close()
+            pool.join()
+    finally:
+        _job = None
+    for ok, value in out:
+        if not ok:
+            raise value
+    return [value for _, value in out]

@@ -10,8 +10,9 @@ filtered with zero initial conditions, and the Nelder-Mead search runs in
 a transformed space (tanh plus the Durbin-Levinson recursion) that keeps
 the AR polynomial stationary and the MA polynomial invertible.  The auto
 order search scans p <= 5, d <= 2, q <= 5 by corrected AIC.  Its order
-fits are independent, so they run on up to one forked worker per CPU
-(:func:`_pool_map`); the parent picks among them in the serial order, so
+fits are independent, so the search maps them over up to one forked
+worker per CPU (:func:`predcomp.pool.pool_map`, which ``run_grid`` also
+uses for its units); the parent picks among them in the serial order, so
 the chosen model is the serial one bit for bit.
 
 The search is :func:`_nelder_mead`, an in-repo transcription of scipy's
@@ -24,10 +25,11 @@ per-call wrapper; the innovations come from the compiled filter behind
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
+
+from .pool import pool_map
 
 MAX_P = 5
 MAX_D = 2
@@ -387,7 +389,7 @@ class ArimaPredictor:
     def _fit_auto(cls, history: np.ndarray) -> "ArimaPredictor":
         _filter()  # loaded once here, not once in each worker
         best = None
-        for cand in _pool_map(_fit_one, _auto_items(history)):
+        for cand in pool_map(_fit_one, _auto_items(history)):
             if cand is not None and (best is None or cand.aicc < best.aicc - 1e-10):
                 best = cand
         if best is None:
@@ -452,27 +454,6 @@ def _fit_one(item: tuple) -> ArimaPredictor | None:
         return ArimaPredictor._fit_order(w, p, d, q)
     except (PredictorError, np.linalg.LinAlgError):
         return None
-
-
-def _pool_map(fn, items: list) -> list:
-    """``[fn(x) for x in items]`` on up to one forked worker per CPU.
-
-    Results come back in input order; an exception raised by ``fn`` reaches
-    the caller with its type.  It runs serially for one CPU or one item, and
-    inside a daemonic pool worker, which may not start processes.  Forked
-    workers see the parent's module state at the call, patches included.
-    ``multiprocessing`` is imported here, off the CLI's import path.
-    """
-    import multiprocessing
-    n = min(len(os.sched_getaffinity(0)), len(items))
-    if n <= 1 or multiprocessing.current_process().daemon:
-        return [fn(x) for x in items]
-    # leaving the block by an exception terminates the workers
-    with multiprocessing.get_context("fork").Pool(n) as pool:
-        out = pool.map(fn, items, chunksize=1)
-        pool.close()
-        pool.join()
-    return out
 
 
 # ---------------------------------------------------------------------------

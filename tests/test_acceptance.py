@@ -11,7 +11,10 @@ from __future__ import annotations
 
 import itertools
 import json
+import multiprocessing
+import os
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -424,14 +427,7 @@ def test_criterion_09_end_to_end_wear_scenario(tmp_path):
     assert passed
 
 
-def test_criterion_10_determinism(tmp_path, capsys):
-    """Re-running every command with the same config and seed reproduces
-    every output byte for byte."""
-    t0 = time.time()
-    out = tmp_path / "out"
-    cfg = tmp_path / "c.yaml"
-    model = tmp_path / "model.json"
-    cfg.write_text(f"""\
+CRITERION_10_CONFIG = """\
 schema_version: 1
 seed: 11
 output_dir: {out}
@@ -453,7 +449,17 @@ evaluation:
   target: K>A
   baseline: {{n_fp: [0], repetitions: 20}}
 lstm: {{nh: 12, nz: 4, hidden: 6, epochs: 3, batch_size: 16, learning_rate: 0.01}}
-""")
+"""
+
+
+def test_criterion_10_determinism(tmp_path, capsys):
+    """Re-running every command with the same config and seed reproduces
+    every output byte for byte."""
+    t0 = time.time()
+    out = tmp_path / "out"
+    cfg = tmp_path / "c.yaml"
+    model = tmp_path / "model.json"
+    cfg.write_text(CRITERION_10_CONFIG.format(out=out))
     outputs = {
         "series": out / "s1.csv",
         "manifest": out / "manifest.json",
@@ -494,3 +500,25 @@ lstm: {{nh: 12, nz: 4, hidden: 6, epochs: 3, batch_size: 16, learning_rate: 0.01
             f"{len(first)} outputs byte-identical across re-runs in {dt:.1f}s"
             + (f"; differing: {differing}" if differing else ""))
     assert passed
+
+
+@pytest.mark.parametrize("config", ["demo", "criterion_10"])
+def test_pooled_grid_equals_the_serial_one(tmp_path, monkeypatch, config):
+    """The grid's units on two forked workers score every run as on one CPU."""
+    from predcomp.cli import build_dataset, build_detector, prepare_series
+    from predcomp.config import load_config
+    from predcomp.evaluate import run_grid
+    monkeypatch.delenv("PREDCOMP_SEED", raising=False)
+    path = Path(__file__).resolve().parents[1] / "configs" / "demo.yaml"
+    if config == "criterion_10":
+        path = tmp_path / "c.yaml"
+        path.write_text(CRITERION_10_CONFIG.format(out=tmp_path / "out"))
+    doc = load_config(path)
+    datasets = [prepare_series(doc, build_dataset(ds, doc["seed"])) for ds in doc["datasets"]]
+    detectors = [build_detector(det, doc) for det in doc["detectors"]]
+    records = []
+    for cpus in ({0}, {0, 1}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+        records.append(run_grid(datasets, detectors, doc["evaluation"]["target"]))
+    assert multiprocessing.active_children() == []
+    assert records[1] == records[0]

@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -330,7 +331,7 @@ def test_committed_demo_series_are_current(tmp_path, capsys, monkeypatch):
 
 
 def test_cli_import_leaves_out_scipy_optimize_and_signal():
-    # together over a second of every CLI start; only ARIMA fitting and BOCPD need them
+    # together over a second of every CLI start; only ARIMA fitting needs them
     code = ("import sys, predcomp.cli; print(sorted(m for m in "
             "('scipy.optimize', 'scipy.signal', 'scipy.special') if m in sys.modules))")
     path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
@@ -338,6 +339,21 @@ def test_cli_import_leaves_out_scipy_optimize_and_signal():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
     assert out.stdout.strip() == "[]"
+
+
+def test_demo_grid_loads_no_scipy_module(tmp_path):
+    # BOCPD's log-gamma is transcribed; on one CPU every unit runs in this process
+    code = ("import os, sys; os.sched_getaffinity = lambda pid: {0}; "
+            "from predcomp.cli import main; "
+            f"rc = main(['grid', '-c', {str(ROOT / 'configs' / 'demo.yaml')!r}, "
+            f"'--out', {str(tmp_path)!r}]); "
+            "print(rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip().splitlines()[-1] == "0 []"
+    assert (tmp_path / "metrics.csv").exists()
 
 
 def test_cli_import_leaves_out_multiprocessing():
@@ -354,10 +370,11 @@ def test_cli_import_leaves_out_multiprocessing():
 # every module `import predcomp.cli` loads: no scipy module, and nothing else
 CLI_MODULES = ["predcomp", "predcomp.cli", "predcomp.config", "predcomp.cusum",
                "predcomp.evaluate", "predcomp.io", "predcomp.lstm", "predcomp.pnc",
-               "predcomp.predictors", "predcomp.refdet", "predcomp.refdet.baseline",
-               "predcomp.refdet.bocpd", "predcomp.refdet.classic", "predcomp.refdet.mosum",
-               "predcomp.refdet.ocd", "predcomp.refdet.sweep", "predcomp.seeding",
-               "predcomp.series", "predcomp.simulate", "predcomp.standardize"]
+               "predcomp.pool", "predcomp.predictors", "predcomp.refdet",
+               "predcomp.refdet.baseline", "predcomp.refdet.bocpd", "predcomp.refdet.classic",
+               "predcomp.refdet.mosum", "predcomp.refdet.ocd", "predcomp.refdet.sweep",
+               "predcomp.seeding", "predcomp.series", "predcomp.simulate",
+               "predcomp.standardize"]
 
 
 @pytest.mark.parametrize("code, loads", [
@@ -657,6 +674,30 @@ def test_predictor_that_cannot_be_fitted_on_the_prefix_exits_2(tmp_path, capsys)
     err = capsys.readouterr().err
     assert err.count("error: detector 'p': train_prefix: history too short for ARIMA(2, 0, 1)") == 2
     assert not (tmp_path / "out").exists() and not dets.exists()
+
+
+@pytest.mark.parametrize("cpus", [{0}, {0, 1}], ids=["serial", "pooled"])
+def test_grid_exits_with_the_first_failing_unit_and_writes_nothing(config_path, capsys,
+                                                                    monkeypatch, cpus):
+    """The cusum units run last: step1's raises an internal error slowly, and
+    step2's, after it in the serial order, a fitting error at once."""
+    import multiprocessing
+
+    import predcomp.config as config
+    from predcomp.predictors import PredictorError
+
+    def failing(series, *args, **kwargs):
+        if series.name == "step1":
+            time.sleep(0.5)
+            raise RuntimeError("slow")
+        raise PredictorError("fast")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+    monkeypatch.setattr(config, "classic_cusum_sweep", failing)
+    assert main(["grid", "-c", str(config_path)]) == 3
+    assert "internal error: RuntimeError: slow" in capsys.readouterr().err
+    assert not (config_path.parent / "out").exists()
+    assert multiprocessing.active_children() == []
 
 
 def test_dataset_without_the_target_label_exits_2_before_any_run(tmp_path, capsys, monkeypatch):

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+import time
+
 import numpy as np
 import pytest
 
@@ -214,7 +218,9 @@ def _toy_runner(series, h, mode):
     return [Detection(detect_time=100 + 2 * h + (series.name == "b"), detector="toy")]
 
 
-def test_run_grid_runs_one_unit_per_dataset_and_scores_it_as_per_point_runs():
+def test_run_grid_runs_one_unit_per_dataset_and_scores_it_as_per_point_runs(monkeypatch):
+    # one CPU: the units run in this process, where ``calls`` can count them
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     datasets = _two_datasets()
     grid = {"mode": ["silent", "noisy", "ok", "a_only"], "h": [3, 1]}
     calls = []
@@ -238,6 +244,29 @@ def test_run_grid_runs_one_unit_per_dataset_and_scores_it_as_per_point_runs():
     with pytest.raises(ValueError, match="'bad' lacks a K>A label"):
         run_grid([datasets[0], bad], units)
     assert calls == []
+
+
+@pytest.mark.parametrize("cpus", [{0}, {0, 1}], ids=["serial", "pooled"])
+def test_run_grid_raises_the_first_failing_unit_in_input_order(monkeypatch, cpus):
+    """Units run detector-major: (u1, a), (u1, b), (u2, a), (u2, b).  The
+    first to fail in that order is slow, so on a pool a later one fails first."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+
+    def unit(fails_on_a):
+        def run(series, points):
+            if series.name == "b":
+                time.sleep(0.5)
+                raise KeyError("slow")
+            if fails_on_a:
+                raise ZeroDivisionError("fast")
+            return [[] for _ in points]
+        return run
+
+    units = [DetectorGrid("u1", grid={"h": [1]}, unit=unit(False)),
+             DetectorGrid("u2", grid={"h": [1]}, unit=unit(True))]
+    with pytest.raises(KeyError, match="slow"):
+        run_grid(_two_datasets(), units)
+    assert multiprocessing.active_children() == []
 
 
 def _records():

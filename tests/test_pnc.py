@@ -214,12 +214,6 @@ def test_detection_fields():
     assert dets[0].stat_value > 6.0
 
 
-def test_bad_direction_surfaces_at_first_window():
-    vals = np.zeros(120)
-    with pytest.raises(ValueError):
-        run_stream(ZeroOracle(), PncConfig(50, 25, 5.0, 0.5, direction="sideways"), vals)
-
-
 @pytest.mark.parametrize("chart, message", [
     ({"threshold": -1.0}, "threshold must be positive"),
     ({"direction": "sideways"}, "direction must be 'up' or 'down'"),

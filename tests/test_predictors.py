@@ -7,8 +7,9 @@ import pytest
 from predcomp import predictors
 from predcomp.predictors import (MAX_P, ArimaPredictor, ArPredictor, ConstantPredictor,
                                  MeanPredictor, NaivePredictor, PredictorError, _auto_items,
-                                 _differenced, _fit_one, _nelder_mead, _pacf_to_coef, _pool_map,
+                                 _differenced, _fit_one, _nelder_mead, _pacf_to_coef,
                                  css_innovations, fit_predictor, refit_after_detection)
+from predcomp.pool import pool_map
 from predcomp.seeding import spawn_rng
 
 
@@ -148,7 +149,7 @@ def test_pooled_order_search_equals_the_serial_one(monkeypatch, history):
     items = _auto_items(history())
     serial = [_fit_one(item) for item in items]
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    pooled = _pool_map(_fit_one, items)
+    pooled = pool_map(_fit_one, items)
     assert multiprocessing.active_children() == []
     assert [_fit_bits(m) for m in pooled] == [_fit_bits(m) for m in serial]
 
@@ -161,11 +162,11 @@ def test_pool_map_runs_serially_on_one_cpu_and_in_a_daemonic_worker(monkeypatch)
     monkeypatch.setattr(ctx, "Pool", no_pool)
     items = [-3, 1, -2, 5]
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    assert _pool_map(abs, items) == [3, 1, 2, 5]
+    assert pool_map(abs, items) == [3, 1, 2, 5]
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
     got, sent = ctx.Pipe(duplex=False)
-    worker = ctx.Process(target=lambda: sent.send(_pool_map(abs, items)), daemon=True)
+    worker = ctx.Process(target=lambda: sent.send(pool_map(abs, items)), daemon=True)
     worker.start()
     assert got.poll(60)
     assert got.recv() == [3, 1, 2, 5]

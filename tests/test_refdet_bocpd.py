@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 from scipy.special import gammaln, logsumexp
 
-from predcomp.refdet.bocpd import BocpdState, NigPrior, _logsumexp, bocpd_detect
+from predcomp.refdet.bocpd import BocpdState, NigPrior, _lgam, _logsumexp, bocpd_detect
 from predcomp.seeding import spawn_rng
 from predcomp.series import Detection
 
@@ -252,6 +252,21 @@ def test_logsumexp_equals_scipy():
             cases.append(tied)
     for a in cases:
         assert _logsumexp(a) == logsumexp(a)
+
+
+def test_lgam_equals_scipy():
+    """On the table arguments of several priors, on seeded random values, and
+    on both sides of each branch point of cephes lgam."""
+    rng = spawn_rng(9, "bocpd-lgam")
+    points = [2.0, 3.0, 13.0, 1000.0, 1e8]
+    cases = [points, np.nextafter(points, 0.0), np.nextafter(points, np.inf),
+             [0.01, 0.5, 1.0, 1.5, 2.5, 1e9, 1e15],
+             rng.uniform(0.01, 20.0, 5000), rng.uniform(0.01, 1e5, 5000)]
+    for alpha0 in (0.01, 0.5, 1.0, 1.3, 2.0, 7.7):
+        df = 2.0 * np.cumsum(np.concatenate(([alpha0], np.full(2999, 0.5))))
+        cases += [(df + 1) / 2, df / 2]
+    x = np.concatenate(cases)
+    assert np.array_equal(np.array([_lgam(v) for v in x.tolist()]), gammaln(x))
 
 
 @pytest.mark.parametrize("hazard", [0.005, 0.1, 1.0])
