@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .seeding import spawn_rng
-from .predictors import PredictorError
+from .predictors import PredictorError, _as_history
 
 #: Adam's decay rates and denominator guard; the half-width of the uniform init
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
@@ -27,12 +27,9 @@ _DIVERGED = "training diverged: the {} not finite; lower the learning rate"
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # exp(-|z|) is exp(-z) for z >= 0 and exp(z) for z < 0: each branch's own bits
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 @dataclass
@@ -87,21 +84,21 @@ def lstm_forward(net: LstmNet, X: np.ndarray):
     if T != net.nh:
         raise PredictorError(f"window length {T} != nh {net.nh}")
     H = net.hidden
+    WT = net.W.T
     h = np.zeros((B, H))
     c = np.zeros((B, H))
     steps = []
     for t in range(T):
         z = np.concatenate([X[:, t:t + 1], h], axis=1)          # (B, 1+H)
-        gates = z @ net.W.T + net.b                             # (B, 4H)
-        i = _sigmoid(gates[:, :H])
-        f = _sigmoid(gates[:, H:2 * H])
-        o = _sigmoid(gates[:, 2 * H:3 * H])
+        gates = z @ WT                                          # (B, 4H)
+        gates += net.b
+        s = _sigmoid(gates[:, :3 * H])                          # i, f, o
         g = np.tanh(gates[:, 3 * H:])
-        c_new = f * c + i * g
+        c_new = s[:, H:2 * H] * c + s[:, :H] * g
         tanh_c = np.tanh(c_new)
-        h_new = o * tanh_c
-        steps.append((z, i, f, o, g, c, c_new, tanh_c))
-        h, c = h_new, c_new
+        h = s[:, 2 * H:] * tanh_c
+        steps.append((z, s, g, c, tanh_c))
+        c = c_new
     Y = h @ net.Wy.T + net.by
     return Y, (X, steps, h)
 
@@ -111,31 +108,22 @@ def lstm_backward(net: LstmNet, cache, dY: np.ndarray) -> dict[str, np.ndarray]:
     X, steps, h_last = cache
     B, T = X.shape
     H = net.hidden
-    grads = {"W": np.zeros_like(net.W), "b": np.zeros_like(net.b),
-             "Wy": np.zeros_like(net.Wy), "by": np.zeros_like(net.by)}
-    grads["Wy"] = dY.T @ h_last
-    grads["by"] = dY.sum(axis=0)
+    dW, db = np.zeros_like(net.W), np.zeros_like(net.b)
     dh = dY @ net.Wy
     dc = np.zeros((B, H))
     for t in range(T - 1, -1, -1):
-        z, i, f, o, g, c_prev, c_new, tanh_c = steps[t]
-        do = dh * tanh_c
-        dc = dc + dh * o * (1.0 - tanh_c ** 2)
-        di = dc * g
-        df = dc * c_prev
-        dg = dc * i
-        d_gates = np.concatenate([
-            di * i * (1.0 - i),
-            df * f * (1.0 - f),
-            do * o * (1.0 - o),
-            dg * (1.0 - g ** 2),
-        ], axis=1)                                              # (B, 4H)
-        grads["W"] += d_gates.T @ z
-        grads["b"] += d_gates.sum(axis=0)
-        dz = d_gates @ net.W                                    # (B, 1+H)
-        dh = dz[:, 1:]
-        dc = dc * f
-    return grads
+        z, s, g, c_prev, tanh_c = steps[t]
+        dc = dc + dh * s[:, 2 * H:] * (1.0 - tanh_c ** 2)
+        d_ifo = np.concatenate([dc * g, dc * c_prev, dh * tanh_c], axis=1)
+        d_ifo *= s                                              # through the sigmoids
+        d_ifo *= 1.0 - s
+        d_gates = np.concatenate([d_ifo, dc * s[:, :H] * (1.0 - g ** 2)], axis=1)
+        dW += d_gates.T @ z
+        db += d_gates.sum(axis=0)
+        if t:
+            dh = (d_gates @ net.W)[:, 1:]
+            dc = dc * s[:, H:2 * H]
+    return {"W": dW, "b": db, "Wy": dY.T @ h_last, "by": dY.sum(axis=0)}
 
 
 def mse_loss(Y: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
@@ -164,9 +152,10 @@ def training_windows(values, nh: int, nz: int, max_windows: int = 500):
     """(input, target) window pairs carved from a history vector.
 
     Windows are taken at every offset, then thinned to at most
-    ``max_windows`` evenly spaced ones (deterministic).
+    ``max_windows`` evenly spaced ones (deterministic).  A non-finite value
+    raises :class:`PredictorError`.
     """
-    values = np.asarray(values, dtype=float)
+    values = _as_history(values)
     total = len(values) - nh - nz + 1
     if total <= 0:
         raise PredictorError("history too short for the requested windows")
@@ -176,6 +165,19 @@ def training_windows(values, nh: int, nz: int, max_windows: int = 500):
     X = np.stack([values[off:off + nh] for off in offsets])
     Y = np.stack([values[off + nh:off + nh + nz] for off in offsets])
     return X, Y
+
+
+def _adam_step(params, grads, m, v, step: int, lr: float) -> None:
+    """Adam update number ``step`` of ``params``, with the moment estimates
+    ``m`` and ``v``; all three are updated in place."""
+    bias1, bias2 = 1 - BETA1 ** step, 1 - BETA2 ** step
+    for key, p in params.items():
+        g, mk, vk = grads[key], m[key], v[key]
+        mk *= BETA1
+        mk += (1 - BETA1) * g
+        vk *= BETA2
+        vk += (1 - BETA2) * g ** 2
+        p -= lr * (mk / bias1) / (np.sqrt(vk / bias2) + EPS)
 
 
 @dataclass
@@ -202,11 +204,15 @@ def train_lstm(X: np.ndarray, Y: np.ndarray, cfg: TrainConfig) -> TrainResult:
     The validation split is the tail of the window set (time-ordered
     holdout); batches are reshuffled every epoch from a seeded stream, so
     a fixed (data, config, seed) triple reproduces the loss history
-    exactly.  Raises :class:`PredictorError` at the first batch whose loss
-    is not finite, before its step, and when a weight ends non-finite.
+    exactly.  Raises :class:`PredictorError` before training when an input
+    or target is not finite, at the first batch whose loss is not finite,
+    before its step, and when a weight ends non-finite.
     """
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
+    for name, a in (("inputs", X), ("targets", Y)):
+        if not np.all(np.isfinite(a)):
+            raise PredictorError(f"training {name} contain non-finite values")
     if len(X) != len(Y) or len(X) < 2:
         raise PredictorError("need at least two window pairs")
     n_val = int(round(cfg.validation_fraction * len(X)))
@@ -231,13 +237,7 @@ def train_lstm(X: np.ndarray, Y: np.ndarray, cfg: TrainConfig) -> TrainResult:
                 raise PredictorError(_DIVERGED.format("loss is"))
             clip_gradients(grads, cfg.clip_norm)
             step += 1
-            params = net.params()
-            for key, p in params.items():
-                m[key] = BETA1 * m[key] + (1 - BETA1) * grads[key]
-                v[key] = BETA2 * v[key] + (1 - BETA2) * grads[key] ** 2
-                m_hat = m[key] / (1 - BETA1 ** step)
-                v_hat = v[key] / (1 - BETA2 ** step)
-                p -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + EPS)
+            _adam_step(net.params(), grads, m, v, step, cfg.learning_rate)
             epoch_loss += loss
             n_batches += 1
         result.train_loss.append(epoch_loss / max(n_batches, 1))

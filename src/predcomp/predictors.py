@@ -16,10 +16,13 @@ uses for its units); the parent picks among them in the serial order, so
 the chosen model is the serial one bit for bit.
 
 The search is :func:`_nelder_mead`, an in-repo transcription of scipy's
-``minimize(method="Nelder-Mead")`` that takes the same steps in the same
-floating-point order but calls the objective directly, without scipy's
-per-call wrapper; the innovations come from the compiled filter behind
-``scipy.signal.lfilter``.  Fits are bit for bit those of the scipy calls.
+``minimize(method="Nelder-Mead")``.  It keeps scipy's arithmetic
+expressions, its argsort reorders (so ties fall as numpy's sort puts them)
+and its maxiter/maxfev accounting, but runs them on array methods with the
+step coefficients hoisted, and calls the objective directly, without
+scipy's per-call wrapper; the innovations come from the compiled filter
+behind ``scipy.signal.lfilter``.  Fits are bit for bit those of the scipy
+calls.
 """
 
 from __future__ import annotations
@@ -215,9 +218,14 @@ def _nelder_mead(func, x0: np.ndarray, xatol: float, fatol: float, maxiter: int,
 
     A transcription of scipy 1.17's ``minimize(func, x0,
     method="Nelder-Mead", options={...})`` for the non-adaptive, unbounded
-    case: the same initial simplex, numpy expressions, argsort/take
-    reorders and maxiter/maxfev accounting, so x and the evaluation count
-    are bit for bit scipy's.  ``func`` is called directly on a row or a
+    case: the same initial simplex, step expressions, argsort/take
+    reorders and maxiter/maxfev accounting (a limit hit inside a step
+    stores nothing of it), so x and the evaluation count are bit for bit
+    scipy's.  What differs is call overhead only: array methods in place of
+    the ``np.take``/``np.argsort``/``np.max`` wrappers, and the convergence
+    test asks first whether the sorted values span at most ``fatol``, which
+    is scipy's value test (rounding is monotone, NaN sorts last), before it
+    builds the simplex's spread.  ``func`` is called directly on a row or a
     fresh point, without scipy's per-call copy and result checks; it must
     return a float and must not modify its argument.
     """
@@ -251,26 +259,32 @@ def _nelder_mead(func, x0: np.ndarray, xatol: float, fatol: float, maxiter: int,
     except _MaxFevReached:
         pass
     finally:
-        ind = np.argsort(fsim)
-        sim = np.take(sim, ind, 0)
-        fsim = np.take(fsim, ind, 0)
+        ind = fsim.argsort()
+        sim = sim.take(ind, 0)
+        fsim = fsim.take(ind, 0)
 
-    ind = np.argsort(fsim)
-    fsim = np.take(fsim, ind, 0)
-    sim = np.take(sim, ind, 0)
+    ind = fsim.argsort()
+    fsim = fsim.take(ind, 0)
+    sim = sim.take(ind, 0)
 
+    # scipy's step coefficients, computed once
+    reflect, expand, contract = 1 + rho, 1 + rho * chi, 1 + psi * rho
+    rho_chi, psi_rho, inside = rho * chi, psi * rho, 1 - psi
     iterations = 1
     while nfev < maxfev and iterations < maxiter:
         try:
-            if (np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= xatol and
-                    np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+            best, worst = sim[0], sim[-1]
+            # scipy's two tests, the cheap one first: sorted, the values'
+            # largest distance from the best is their span
+            if (fsim[-1] - fsim[0] <= fatol and
+                    abs(sim[1:] - best).max() <= xatol):
                 break
             xbar = np.add.reduce(sim[:-1], 0) / N
-            xr = (1 + rho) * xbar - rho * sim[-1]
+            xr = reflect * xbar - rho * worst
             fxr = f(xr)
             doshrink = 0
             if fxr < fsim[0]:
-                xe = (1 + rho * chi) * xbar - rho * chi * sim[-1]
+                xe = expand * xbar - rho_chi * worst
                 fxe = f(xe)
                 if fxe < fxr:
                     sim[-1] = xe
@@ -283,7 +297,7 @@ def _nelder_mead(func, x0: np.ndarray, xatol: float, fatol: float, maxiter: int,
                 fsim[-1] = fxr
             else:
                 if fxr < fsim[-1]:
-                    xc = (1 + psi * rho) * xbar - psi * rho * sim[-1]
+                    xc = contract * xbar - psi_rho * worst
                     fxc = f(xc)
                     if fxc <= fxr:
                         sim[-1] = xc
@@ -291,7 +305,7 @@ def _nelder_mead(func, x0: np.ndarray, xatol: float, fatol: float, maxiter: int,
                     else:
                         doshrink = 1
                 else:
-                    xcc = (1 - psi) * xbar + psi * sim[-1]
+                    xcc = inside * xbar + psi * worst
                     fxcc = f(xcc)
                     if fxcc < fsim[-1]:
                         sim[-1] = xcc
@@ -300,14 +314,14 @@ def _nelder_mead(func, x0: np.ndarray, xatol: float, fatol: float, maxiter: int,
                         doshrink = 1
                 if doshrink:
                     for j in one2np1:
-                        sim[j] = sim[0] + sigma * (sim[j] - sim[0])
+                        sim[j] = best + sigma * (sim[j] - best)
                         fsim[j] = f(sim[j])
             iterations += 1
         except _MaxFevReached:
             pass
-        ind = np.argsort(fsim)
-        sim = np.take(sim, ind, 0)
-        fsim = np.take(fsim, ind, 0)
+        ind = fsim.argsort()
+        sim = sim.take(ind, 0)
+        fsim = fsim.take(ind, 0)
     return sim[0], nfev
 
 

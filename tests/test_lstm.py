@@ -6,9 +6,13 @@ import numpy as np
 import pytest
 
 from predcomp.lstm import (
+    BETA1,
+    BETA2,
+    EPS,
     LstmNet,
     LstmPredictor,
     TrainConfig,
+    _sigmoid,
     clip_gradients,
     gradient_check,
     init_lstm,
@@ -199,3 +203,157 @@ def test_loss_and_grads_keys():
     assert set(grads) == {"W", "b", "Wy", "by"}
     for key, p in net.params().items():
         assert grads[key].shape == p.shape
+
+
+@pytest.mark.parametrize("where", ["inputs", "targets"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_training_rejects_non_finite_windows_before_it_starts(monkeypatch, where, value):
+    import predcomp.lstm as lstm
+
+    def no_training(*args):
+        raise AssertionError("a batch was trained")
+
+    monkeypatch.setattr(lstm, "loss_and_grads", no_training)
+    X, Y = training_windows(np.sin(np.arange(100.0)), nh=8, nz=2)
+    (X if where == "inputs" else Y)[3, 1] = value
+    with pytest.raises(PredictorError, match=f"training {where} contain non-finite values"):
+        train_lstm(X, Y, TrainConfig(hidden=4, epochs=1))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_training_windows_reject_a_non_finite_history(value):
+    values = np.arange(30.0)
+    values[17] = value
+    with pytest.raises(PredictorError, match="history contains non-finite values"):
+        training_windows(values, nh=4, nz=2)
+
+
+# ---------------------------------------------------------------------------
+# the gates, BPTT and Adam as first written: the reference that the module's
+# faster code must equal bit for bit
+
+def _sigmoid_reference(z):
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def _forward_reference(net, X):
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    B, T = X.shape
+    H = net.hidden
+    h = np.zeros((B, H))
+    c = np.zeros((B, H))
+    steps = []
+    for t in range(T):
+        z = np.concatenate([X[:, t:t + 1], h], axis=1)
+        gates = z @ net.W.T + net.b
+        i = _sigmoid_reference(gates[:, :H])
+        f = _sigmoid_reference(gates[:, H:2 * H])
+        o = _sigmoid_reference(gates[:, 2 * H:3 * H])
+        g = np.tanh(gates[:, 3 * H:])
+        c_new = f * c + i * g
+        tanh_c = np.tanh(c_new)
+        h_new = o * tanh_c
+        steps.append((z, i, f, o, g, c, c_new, tanh_c))
+        h, c = h_new, c_new
+    Y = h @ net.Wy.T + net.by
+    return Y, (X, steps, h)
+
+
+def _backward_reference(net, cache, dY):
+    X, steps, h_last = cache
+    B, T = X.shape
+    H = net.hidden
+    grads = {"W": np.zeros_like(net.W), "b": np.zeros_like(net.b),
+             "Wy": np.zeros_like(net.Wy), "by": np.zeros_like(net.by)}
+    grads["Wy"] = dY.T @ h_last
+    grads["by"] = dY.sum(axis=0)
+    dh = dY @ net.Wy
+    dc = np.zeros((B, H))
+    for t in range(T - 1, -1, -1):
+        z, i, f, o, g, c_prev, c_new, tanh_c = steps[t]
+        do = dh * tanh_c
+        dc = dc + dh * o * (1.0 - tanh_c ** 2)
+        di = dc * g
+        df = dc * c_prev
+        dg = dc * i
+        d_gates = np.concatenate([
+            di * i * (1.0 - i),
+            df * f * (1.0 - f),
+            do * o * (1.0 - o),
+            dg * (1.0 - g ** 2),
+        ], axis=1)
+        grads["W"] += d_gates.T @ z
+        grads["b"] += d_gates.sum(axis=0)
+        dz = d_gates @ net.W
+        dh = dz[:, 1:]
+        dc = dc * f
+    return grads
+
+
+def _adam_step_reference(params, grads, m, v, step, lr):
+    for key, p in params.items():
+        m[key] = BETA1 * m[key] + (1 - BETA1) * grads[key]
+        v[key] = BETA2 * v[key] + (1 - BETA2) * grads[key] ** 2
+        m_hat = m[key] / (1 - BETA1 ** step)
+        v_hat = v[key] / (1 - BETA2 ** step)
+        p -= lr * m_hat / (np.sqrt(v_hat) + EPS)
+
+
+def _same_bits(a, b):
+    """Equal shapes, NaN where the other has NaN, and every other value bit for bit."""
+    a, b = np.asarray(a), np.asarray(b)
+    nan = np.isnan(a)
+    return (a.shape == b.shape and np.array_equal(nan, np.isnan(b))
+            and a[~nan].tobytes() == b[~nan].tobytes())
+
+
+def test_sigmoid_keeps_the_bits_of_the_masked_reference():
+    rng = np.random.default_rng(20)
+    special = [0.0, -0.0, np.inf, -np.inf, np.nan, 745.0, -745.0, 746.0, -746.0, 709.8, -709.8,
+               36.8, -36.8, 5e-324, -5e-324, 2.2e-308, -2.2e-308, 1e-300, -1e-300]
+    values = np.concatenate([special, rng.normal(0.0, 1.0, 800), rng.normal(0.0, 40.0, 600),
+                             rng.uniform(-800.0, 800.0, 300)])
+    z = rng.permutation(np.resize(values, 32 * 64)).reshape(32, 64)
+    # whole, the gate block of a (B, 4H) row, and other strides
+    for a in (z, z[:, :48], z[::3], z.T, z[:, 5::7], z.ravel()[::-1], z[:1, :48]):
+        assert _same_bits(_sigmoid(a), _sigmoid_reference(a))
+
+
+@pytest.mark.parametrize("batch, scale, spread", [(1, 0.08, 1.0), (32, 0.08, 1.0),
+                                                  (32, 2.0, 30.0)])
+def test_loss_and_grads_keep_the_bits_of_the_reference(batch, scale, spread):
+    # the last case saturates most gates
+    net = init_lstm(24, 6, hidden=16, seed=batch, scale=scale)
+    rng = np.random.default_rng(batch)
+    X = rng.normal(0.0, spread, (batch, 24))
+    target = rng.normal(0.0, 1.0, (batch, 6))
+    loss, grads = loss_and_grads(net, X, target)
+    Y, cache = _forward_reference(net, X)
+    want_loss, dY = mse_loss(Y, target)
+    want = _backward_reference(net, cache, dY)
+    assert loss == want_loss
+    assert set(grads) == set(want)
+    for key in want:
+        assert _same_bits(grads[key], want[key]), key
+
+
+def test_training_keeps_the_bits_of_the_reference(monkeypatch):
+    import predcomp.lstm as lstm
+    rng = np.random.default_rng(3)
+    X, Y = training_windows(np.sin(np.arange(300.0) / 9.0) + 0.2 * rng.normal(size=300),
+                            nh=24, nz=6, max_windows=200)
+    cfg = TrainConfig(hidden=16, epochs=3, batch_size=32, learning_rate=0.01, seed=4)
+    got = train_lstm(X, Y, cfg)
+    monkeypatch.setattr(lstm, "lstm_forward", _forward_reference)
+    monkeypatch.setattr(lstm, "lstm_backward", _backward_reference)
+    monkeypatch.setattr(lstm, "_adam_step", _adam_step_reference)
+    want = train_lstm(X, Y, cfg)
+    assert len(got.train_loss) == len(got.val_loss) == 3
+    assert got.train_loss == want.train_loss and got.val_loss == want.val_loss
+    for key, p in want.net.params().items():
+        assert _same_bits(got.net.params()[key], p), key

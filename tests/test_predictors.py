@@ -297,6 +297,35 @@ def test_nelder_mead_matches_scipy_at_its_limits(maxfev, maxiter):
     assert got[1] <= maxfev
 
 
+@pytest.mark.parametrize("objective", ["smooth", "stair"])
+def test_nelder_mead_matches_scipy_at_every_limit(objective):
+    # maxfev 1..80 stops the run inside the initial simplex and inside each kind
+    # of step: the smooth objective reflects, expands and contracts both ways
+    # within 80 evaluations, the staircase also shrinks (from its 13th); a
+    # convex objective never shrinks.  maxiter 1..20 stops it after each of
+    # its first iterations.
+    if objective == "smooth":
+        f, x0 = _seeded_objective(3, 3)
+    else:
+        f, x0 = (lambda x: float(np.floor(4.0 * np.sum(x ** 2)))), np.array([0.3, 0.0, -1.2])
+    limits = [(maxfev, 4000) for maxfev in range(1, 81)]
+    limits += [(8000, maxiter) for maxiter in range(1, 21)]
+    for maxfev, maxiter in limits:
+        options = dict(NM_OPTIONS, maxfev=maxfev, maxiter=maxiter)
+        got = _nelder_mead(f, x0, **options)
+        want = _scipy_nelder_mead(f, x0, **options)
+        assert np.array_equal(got[0], want[0]) and got[1] == want[1], (maxfev, maxiter)
+
+
+def test_nelder_mead_matches_scipy_where_fatol_decides():
+    # steep enough that the simplex is within xatol long before its values
+    # are within fatol, so the function-value test ends the run
+    f, x0 = _seeded_objective(3, 3)
+    got = _nelder_mead(lambda x: 1e12 * f(x), x0, **NM_OPTIONS)
+    want = _scipy_nelder_mead(lambda x: 1e12 * f(x), x0, **NM_OPTIONS)
+    assert np.array_equal(got[0], want[0]) and got[1] == want[1]
+
+
 def test_nelder_mead_matches_scipy_on_tied_values():
     # staircases: most comparisons are ties and most steps end in a shrink;
     # the second one shrinks vertices on both sides of zero, where the
