@@ -285,7 +285,7 @@ class LstmPredictor:
     kind = "lstm"
 
     def forecast(self, window, steps: int) -> np.ndarray:
-        window = np.asarray(window, dtype=float)
+        window = _as_history(window)
         if len(window) < self.net.nh:
             raise PredictorError(f"input window shorter than nh={self.net.nh}")
         if steps > self.net.nz:

@@ -1,10 +1,12 @@
 """One process pool for independent pieces of work.
 
-:func:`pool_map` has two callers: :func:`predcomp.evaluate.run_grid` maps
-its (detector, dataset) units, and the ARIMA order search
+:func:`pool_map` has three callers: :func:`predcomp.evaluate.run_grid` maps
+its (detector, dataset) units, the ARIMA order search
 (``ArimaPredictor._fit_auto`` in :mod:`predcomp.predictors`) its order
-fits.  Workers are forked, so they start from the parent's state at the
-call, its BLAS thread count included, and compute the serial bits.
+fits, and online standardization (``_online`` in
+:mod:`predcomp.standardize`) its ranges of steps on a long stream.  Workers
+are forked, so they start from the parent's state at the call, its BLAS
+thread count included, and compute the serial bits.
 """
 
 from __future__ import annotations

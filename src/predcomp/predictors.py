@@ -95,6 +95,7 @@ class ConstantPredictor:
     kind = "constant"
 
     def forecast(self, window, steps: int) -> np.ndarray:
+        _as_history(window)
         return np.full(steps, self.value)
 
     def refit(self, history) -> "ConstantPredictor":

@@ -20,21 +20,32 @@ modes coincide at the final step.  Natural logarithms throughout.
 Every fit is one `_fit_step` on per-time terms that no end time changes:
 online mode builds them once and runs one step per time, writing the
 step's temporaries into reused work rows.  A step is linear in the history
-(nu_hat moves every step, so the sums cannot be carried over exactly).
+(nu_hat moves every step, so the sums cannot be carried over exactly), and
+its dot products are summed over chunks in a fixed order (`_dot`), so its
+bits do not depend on the BLAS thread count.  The steps are independent,
+so online mode runs them in contiguous ranges on the process pool
+(:func:`predcomp.pool.pool_map`) once a stream is longer than one chunk.
 Scores and flags are then computed for all times at once.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .pool import pool_map
 from .series import LabeledSeries, finite_values, non_finite_error
 
 #: lam_hat below this is treated as zero: the score is clamped to 0 and flagged.
 LAM_FLOOR = 1e-9
+
+#: dot products run on chunks of at most this many elements, summed left to
+#: right: OpenBLAS splits a dot of 10,000 elements or more across its
+#: threads, which would make the sum depend on the thread count
+DOT_CHUNK = 8192
 
 
 class TrendNotEstimable(ValueError):
@@ -99,32 +110,40 @@ def _work_rows(m: int) -> list[np.ndarray]:
     return list(np.empty((4, m)))
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """The dot product of a and b, as ``np.dot`` on chunks of at most
+    `DOT_CHUNK` elements whose results are added left to right; up to one
+    chunk it is the single ``np.dot``."""
+    if len(a) <= DOT_CHUNK:
+        return float(np.dot(a, b))
+    total = 0.0
+    for i in range(0, len(a), DOT_CHUNK):
+        total += float(np.dot(a[i:i + DOT_CHUNK], b[i:i + DOT_CHUNK]))
+    return total
+
+
 def _fit_step(terms, m: int, work: list[np.ndarray]) -> tuple[float, float]:
     """(nu_hat, b_hat) on the first m times of ``terms`` (built by `_trend_terms`).
 
     The temporaries go into the rows of ``work`` (`_work_rows`, at least m
-    long), so a step allocates no array of its length.  Each step first
-    swaps the rows of the centred ln s and of the exponent argument, so the
-    centred ln s goes where only this thread wrote and read last step: the
-    BLAS threads of the dot products read the other rows, and rewriting
-    those right away is slower (measured with two OpenBLAS threads).
+    long), so a step allocates no array of its length, and every dot
+    product is one `_dot`.
     """
     x, log_s, n_kept, kept_log_s, kept_log_cum, sum_log_s, sum_log_cum = terms
     k = int(n_kept[m - 1])
     if k < 2:
         raise TrendNotEstimable("fewer than two times with a positive cumulative count")
-    work[0], work[2] = work[2], work[0]
     dx_row, dy_row, arg_row, u_row = work
     # centring on running-sum means is inexact only to second order in
     # the OLS slope, since both coordinates are centred
     dx = np.subtract(kept_log_s[:k], sum_log_s[k - 1] / k, out=dx_row[:k])
     dy = np.subtract(kept_log_cum[:k], sum_log_cum[k - 1] / k, out=dy_row[:k])
-    nu = float(np.dot(dx, dy) / np.dot(dx, dx)) - 1.0
+    nu = _dot(dx, dy) / _dot(dx, dx) - 1.0
     u = np.exp(np.multiply(log_s[:m], nu, out=arg_row[:m]), out=u_row[:m])
-    denom = float(np.dot(u, u))
+    denom = _dot(u, u)
     if denom <= 0 or not math.isfinite(denom):
         raise TrendNotEstimable("degenerate regressor")
-    slope = float(np.dot(x[:m], u)) / denom
+    slope = _dot(x[:m], u) / denom
     if not math.isfinite(slope):
         raise TrendNotEstimable("non-finite counts")
     return nu, slope
@@ -158,20 +177,44 @@ def _scores(values: np.ndarray, lam: np.ndarray, fitted: np.ndarray):
     return scores, np.flatnonzero(~ok).tolist()
 
 
-def _online(values: np.ndarray, t0: int):
-    """The last fit, and at every time s lam_hat(s) from the fit on
-    (t0, s] and whether that fit exists: one `_fit_step` per time on shared
-    terms and work rows."""
-    n = len(values)
-    terms = _trend_terms(values, t0)
-    work = _work_rows(len(terms[0]))
-    lam, fitted, last = np.full(n, np.nan), np.zeros(n, dtype=bool), None
-    for i in range(t0 + 1, n):  # s = i + 1 needs two times past t0
+def _ranges(t0: int, n: int, parts: int) -> list[range]:
+    """range(t0 + 1, n) cut into up to ``parts`` contiguous ranges of about
+    equal work: a step costs about its prefix length, so the work up to a
+    time grows with its square, and the cuts go at sqrt(j / parts) of the way."""
+    lo = t0 + 1
+    cuts = [lo + round(max(n - lo, 0) * math.sqrt(j / parts)) for j in range(parts + 1)]
+    return [range(a, b) for a, b in zip(cuts, cuts[1:]) if a < b]
+
+
+def _online_range(terms, t0: int, steps: range):
+    """At every i of ``steps``, lam_hat(i + 1) from the fit on (t0, i + 1]
+    and whether that fit exists, and the last fit: one `_fit_step` per time,
+    on work rows of this range's own."""
+    work = _work_rows(steps[-1] + 1 - t0)
+    lam, fitted, last = np.full(len(steps), np.nan), np.zeros(len(steps), dtype=bool), None
+    for j, i in enumerate(steps):
         try:
             nu, slope = _fit_step(terms, i + 1 - t0, work)
         except TrendNotEstimable:
             continue
-        lam[i], fitted[i], last = _lam(nu, slope, i + 1), True, (nu, slope, i + 1)
+        lam[j], fitted[j], last = _lam(nu, slope, i + 1), True, (nu, slope, i + 1)
+    return lam, fitted, last
+
+
+def _online(values: np.ndarray, t0: int):
+    """The last fit, and at every time s lam_hat(s) from the fit on
+    (t0, s] and whether that fit exists.  A stream longer than one dot
+    chunk runs its steps in ranges of about equal work on up to one
+    forked worker per CPU; the steps share only the terms, so the bits are
+    those of the serial loop."""
+    n = len(values)
+    terms = _trend_terms(values, t0)
+    parts = len(os.sched_getaffinity(0)) if len(terms[0]) > DOT_CHUNK else 1
+    done = pool_map(lambda steps: _online_range(terms, t0, steps), _ranges(t0, n, parts))
+    head = min(t0 + 1, n)  # s = i + 1 needs two times past t0
+    lam = np.concatenate([np.full(head, np.nan)] + [d[0] for d in done])
+    fitted = np.concatenate([np.zeros(head, dtype=bool)] + [d[1] for d in done])
+    last = next((d[2] for d in reversed(done) if d[2]), None)
     fit = TrendFit(last[0], last[1], t0, last[2]) if last else None
     return fit, lam, fitted
 

@@ -221,6 +221,21 @@ def test_fit_predictor_unknown_kind():
         fit_predictor({"kind": "prophet"}, np.arange(100.0))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_every_kind_refuses_a_non_finite_window(bad):
+    from predcomp.config import PREDICTORS
+    from predcomp.lstm import LstmPredictor, init_lstm
+    x = ar1(300, 0.5, 1.0, seed=8)
+    models = [NaivePredictor(), MeanPredictor(), ConstantPredictor(1.0), ArPredictor.fit(x, 2),
+              ArimaPredictor.fit(x, (1, 0, 1)), LstmPredictor(init_lstm(6, 3, hidden=4, seed=2))]
+    assert {m.kind for m in models} == set(PREDICTORS) | {"constant"}
+    window = np.arange(30.0)
+    window[-2] = bad
+    for m in models:
+        with pytest.raises(PredictorError, match=r"^history contains non-finite values$"):
+            m.forecast(window, 3)
+
+
 def test_refit_after_detection_keeps_short_history():
     x = ar1(300, 0.5, 0.0, seed=9)
     m = ArPredictor.fit(x, 2)

@@ -1,10 +1,16 @@
+import multiprocessing
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from predcomp.seeding import spawn_rng
 from predcomp.series import CpLabel, LabeledSeries
-from predcomp.standardize import (LAM_FLOOR, OnlineStandardizer, TrendFit, TrendNotEstimable,
-                                  estimate_trend, standardize)
+from predcomp.standardize import (DOT_CHUNK, LAM_FLOOR, OnlineStandardizer, TrendFit,
+                                  TrendNotEstimable, estimate_trend, standardize)
 
 
 def test_estimate_trend_exact_power_law():
@@ -170,8 +176,21 @@ def test_non_finite_count_rejected(mode, bad):
 
 # The per-step loop the online mode ran before its fit step wrote into
 # reused work rows: the terms built with fresh arrays, a fit at every s with
-# fresh temporaries, then one score at a time.  The online mode, the
-# streaming wrapper and the offline scores must equal it bit for bit.
+# fresh temporaries, then one score at a time.  Its dot products follow the
+# chunk rule below.  The online mode, the streaming wrapper and the offline
+# scores must equal it bit for bit.
+
+def _reference_dot(a: np.ndarray, b: np.ndarray) -> float:
+    # np.dot on chunks of at most 8,192 elements, added left to right: no
+    # chunk reaches the 10,000 elements from which OpenBLAS splits a dot
+    # product across its threads
+    if len(a) <= 8192:
+        return float(np.dot(a, b))
+    total = 0.0
+    for i in range(0, len(a), 8192):
+        total += float(np.dot(a[i:i + 8192], b[i:i + 8192]))
+    return total
+
 
 def _reference_terms(values: np.ndarray, t0: int):
     x = values[t0:]
@@ -192,12 +211,12 @@ def _reference_fit(terms, t0: int, t: int) -> TrendFit | None:
     if k < 2:
         return None
     dx = kept_log_s[:k] - sum_log_s[k - 1] / k
-    nu = float(np.dot(dx, kept_log_cum[:k] - sum_log_cum[k - 1] / k) / np.dot(dx, dx)) - 1.0
+    nu = _reference_dot(dx, kept_log_cum[:k] - sum_log_cum[k - 1] / k) / _reference_dot(dx, dx) - 1.0
     u = np.exp(nu * log_s[:m])
-    denom = float(np.dot(u, u))
+    denom = _reference_dot(u, u)
     if denom <= 0 or not np.isfinite(denom):
         return None
-    slope = float(np.dot(x[:m], u)) / denom
+    slope = _reference_dot(x[:m], u) / denom
     return TrendFit(nu, slope, t0, t) if np.isfinite(slope) else None
 
 
@@ -282,3 +301,59 @@ def test_offline_scores_match_the_per_element_reference(name):
     off = standardize(x, t0=t0, mode="offline")
     assert np.array_equal(off.scores.values, want_scores)
     assert off.flagged == want_flags
+
+
+def test_online_matches_offline_at_final_step_past_one_dot_chunk():
+    x = STREAMS["long"][0]
+    assert len(x) > DOT_CHUNK
+    off = standardize(x, mode="offline")
+    on = standardize(x, mode="online")
+    assert on.scores.values[-1] == off.scores.values[-1]
+    assert on.fit == off.fit
+
+
+def test_pooled_online_equals_the_serial_one(monkeypatch):
+    """The long reference stream on one, two and four forked workers scores
+    as on one CPU, from t0 = 0 and from a later t0."""
+    # the package's `standardize` attribute is the function, not the module
+    module = sys.modules["predcomp.standardize"]
+    calls, pool_map = [], module.pool_map
+
+    def counted(fn, items):
+        calls.append(len(items))
+        return pool_map(fn, items)
+
+    monkeypatch.setattr(module, "pool_map", counted)
+    x = STREAMS["long"][0]
+    for t0 in (0, 40):
+        runs = []
+        for cpus in ({0}, {0, 1}, {0, 1, 2, 3}):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+            runs.append(standardize(x, t0=t0, mode="online"))
+        assert multiprocessing.active_children() == []
+        for res in runs[1:]:
+            assert np.array_equal(res.scores.values, runs[0].scores.values)
+            assert res.flagged == runs[0].flagged
+            assert res.fit == runs[0].fit
+    assert calls == [1, 2, 4, 1, 2, 4]
+
+
+def test_online_scores_do_not_depend_on_the_blas_thread_count(tmp_path):
+    """The long reference stream, scored in two processes with one and with
+    two OpenBLAS threads, gives the same bytes."""
+    x, t0 = STREAMS["long"]
+    np.save(tmp_path / "x.npy", x)
+    code = ("import sys, numpy as np\n"
+            "from predcomp.standardize import standardize\n"
+            "res = standardize(np.load(sys.argv[1]), t0=int(sys.argv[2]), mode='online')\n"
+            "print(res.scores.values.tobytes().hex(), res.flagged, repr(res.fit))\n")
+    path = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH", "")]
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)),
+                   OPENBLAS_NUM_THREADS=threads)
+        out = subprocess.run([sys.executable, "-c", code, str(tmp_path / "x.npy"), str(t0)],
+                             env=env, capture_output=True, text=True, timeout=300)
+        assert out.returncode == 0, out.stderr
+        outs.append(out.stdout)
+    assert outs[0] == outs[1]
