@@ -15,7 +15,8 @@ from pathlib import Path
 import yaml
 
 from . import lstm as lstm_mod
-from .config import KINDS, SOURCES, STANDARDIZE, TRAIN, ConfigError, kind_of, load_config, typed
+from .config import (EVALUATION, KINDS, SOURCES, STANDARDIZE, TRAIN, ConfigError, kind_of,
+                     load_config, typed)
 from .evaluate import (DetectorGrid, EvalRecord, average_max_fpc, find_target, params_id,
                        render_report, run_grid, select_best)
 from .io import (DataError, read_metrics_csv as _read_metrics, read_series_csv, save_model,
@@ -212,6 +213,7 @@ def _baseline_section(doc: dict, records: list[EvalRecord], base_cfg: dict) -> s
 
 
 def cmd_report(args) -> int:
+    cap = typed({"--cap": args.cap}, {"--cap": EVALUATION["fpc_cap"]}, "", "")["--cap"]
     records = _read_metrics(args.metrics)
     scope = args.scope
     kwargs = {}
@@ -219,7 +221,7 @@ def cmd_report(args) -> int:
         if not args.datasets:
             raise UsageError("report --scope subset needs --datasets")
         kwargs["datasets"] = args.datasets.split(",")
-    winners = select_best(records, scope=scope, fpc_cap=args.cap,
+    winners = select_best(records, scope=scope, fpc_cap=cap,
                           reversed_rule=args.reversed, **kwargs)
     return _emit(args.out, render_report(winners, title=f"{scope} winners"
                                          + (" (reversed rule)" if args.reversed else "")))

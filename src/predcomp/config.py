@@ -325,12 +325,12 @@ KINDS: dict[str, Kind] = {
                       x, p["hazard"], ts, r_min=p["r_min"],
                       prior=NigPrior(p["mu0"], p["kappa0"], p["alpha0"], p["beta0"]))),
                   threshold="cpthreshold"),
-    "ocd": Kind({"diag": (_threshold, REQUIRED), "offDiag": (float, None),
+    "ocd": Kind({"diag": (_threshold, REQUIRED),
                  "h_tail": (_range(_int, ">= 1", lambda v: v < 1), 50),
                  "baseline_window": (_range(_int, ">= 2", lambda v: v < 2), 100)},
                 _reference(lambda x, ts, p: ocd_sweep(
-                    x, ts, off_diag=p["offDiag"], h_tail=p["h_tail"],
-                    baseline_window=p["baseline_window"])), threshold="diag"),
+                    x, ts, h_tail=p["h_tail"], baseline_window=p["baseline_window"])),
+                threshold="diag"),
     "mosum": Kind({"minHist": (_POSITIVE_INT, 100), "histFact": (_UNIT, 0.5), "h": (_UNIT, 0.25),
                    "level": (float, 0.05), "harmonics": (_NON_NEGATIVE_INT, 0),
                    "period": (_finite, 0.0), "monitor_from": (_NON_NEGATIVE_INT, None)},

@@ -2,9 +2,9 @@
 
 The upward chart tracks S_j = max(0, S_{j-1} + x_j - target_j - k) and
 alarms when S_j exceeds the decision interval.  The located change point
-is the step after the last time the statistic sat at zero.  A downward
-variant (min form, allowance added) is provided for completeness but the
-wear experiments only use the upward chart.
+is the step after the last time the statistic sat at zero.  The downward
+chart (min form, allowance added) runs for a ``pnc`` detector with
+``direction: down`` and for ``run_chart(direction="down")``.
 """
 
 from __future__ import annotations

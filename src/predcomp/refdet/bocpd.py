@@ -16,11 +16,13 @@ are suppressed for the first r_min + 1 steps of each segment where short
 runs hold all the mass by construction.
 
 Storage.  ``mu``, ``beta`` and the log posterior are kept newest-first
-in preallocated buffers: run length r sits at ``buf[head + r]``, so the
+in buffers allocated once: run length r sits at ``buf[head + r]``, so the
 current state is the positive-stride slice ``buf[head:head + n]``.  A step
 writes the new r = 0 entry at ``head - 1`` and updates the grown entries
-in place, because run length r becomes r + 1 without moving.  When
-``head`` reaches zero the buffers double.
+in place, because run length r becomes r + 1 without moving.  The caller
+sizes the state: it holds ``capacity`` steps from the prior, and a step
+past them raises ``ValueError``.  :func:`bocpd_sweep` sizes it to the
+series.
 
 Tables.  Every run receives the same sequence of ``+0.5`` (alpha) and
 ``+1.0`` (kappa) increments, so alpha and kappa depend only on how many
@@ -172,12 +174,13 @@ class _RunLengthTables:
 class BocpdState:
     """Posterior over run lengths with per-run NIG sufficient statistics."""
 
-    def __init__(self, prior: NigPrior):
+    def __init__(self, prior: NigPrior, capacity: int = 64):
+        if capacity < 1:
+            raise ValueError("capacity must be at least 1")
         self.prior = p = prior
-        self._n = 0
-        self._head = 0
-        self._lp = self._mu = self._beta = np.empty(0)
-        self._grow(64)
+        self._lp, self._mu, self._beta = (np.empty(capacity) for _ in range(3))
+        # a step reads the entries of runs with up to capacity - 1 observations
+        self._tab = _RunLengthTables(prior, capacity)
         self._reset()
         # the prior predictive (a run with no observations: table entry 0) and
         # the r = 0 update, minus their x terms
@@ -186,23 +189,6 @@ class BocpdState:
         self._scale0 = float(p.beta0 * tab.kappa1[0] / tab.alpha_kappa[0])
         self._log_norm0 = tab.log_norm[0] - 0.5 * np.log(tab.df_pi[0] * self._scale0)
         self._mu0_part = p.mu0 * p.kappa0 / (p.kappa0 + 1)
-
-    def _grow(self, capacity: int) -> None:
-        """Room for ``capacity`` run lengths, keeping the current ones."""
-        n, h = self._n, self._head
-        head = capacity - n
-        bufs = []
-        for old in (self._lp, self._mu, self._beta):
-            buf = np.empty(capacity)
-            buf[head:] = old[h:h + n]
-            bufs.append(buf)
-        self._lp, self._mu, self._beta = bufs
-        self._head = head
-        self._tab = _RunLengthTables(self.prior, capacity + 1)
-
-    def _reserve(self, steps: int) -> None:
-        if steps > len(self._lp):
-            self._grow(steps)
 
     def _reset(self) -> None:
         """Back to the prior, before any data, keeping the buffers."""
@@ -220,7 +206,7 @@ class BocpdState:
 
     def step(self, x: float, hazard: float) -> None:
         if self.steps and self._head == 0:
-            self._grow(2 * len(self._lp))
+            raise ValueError(f"the state holds {len(self._lp)} steps from the prior")
         h, n, tab, p = self._head, self._n, self._tab, self.prior
         lp, mu, beta = (buf[h:h + n] for buf in (self._lp, self._mu, self._beta))
         s = slice(self._t0, self._t0 + n)
@@ -312,8 +298,7 @@ def bocpd_sweep(series, hazard: float, thresholds, prior: NigPrior | None = None
     prior = prior or NigPrior()
     values = finite_values(series)
     n = len(values)
-    state = BocpdState(prior)
-    state._reserve(n)
+    state = BocpdState(prior, max(n, 1))
 
     def scan(start: int, levels: list) -> list[Detection]:
         found, done = [], 0

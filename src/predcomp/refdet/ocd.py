@@ -8,10 +8,7 @@ tail statistic
     T_tau = |sum of the last tau deviations| / (sd * sqrt(tau)),
 
 the likelihood-ratio score for a mean shift beginning tau steps ago.  An
-alarm fires when max_tau T_tau exceeds ``diag``.  The companion
-``off_diag`` threshold guards the cross-coordinate statistic of the
-multivariate method; with a single coordinate that statistic is the empty
-sum, identically zero, so the parameter is accepted but has no effect.
+alarm fires when max_tau T_tau exceeds ``diag``.
 
 The baseline is re-estimated from scratch after every detection.
 
@@ -35,15 +32,14 @@ from .sweep import sweep
 _CELLS = 512 * 64
 
 
-def ocd_detect(series, diag: float, off_diag: float | None = None,
-               h_tail: int = 50, baseline_window: int = 100,
+def ocd_detect(series, diag: float, h_tail: int = 50, baseline_window: int = 100,
                keep_trace: bool = False):
     """Returns (detections, trace rows (index, statistic, best_tau)).
 
     Raises ``ValueError`` on a NaN or infinite value.
     """
     trace = []
-    (detections,) = ocd_sweep(series, [diag], off_diag, h_tail, baseline_window,
+    (detections,) = ocd_sweep(series, [diag], h_tail, baseline_window,
                               trace=trace if keep_trace else None)
     return detections, trace
 
@@ -62,8 +58,8 @@ def _baseline(values: np.ndarray, start: int, window: int):
     return None
 
 
-def ocd_sweep(series, diags, off_diag: float | None = None, h_tail: int = 50,
-              baseline_window: int = 100, trace: list | None = None) -> list[list[Detection]]:
+def ocd_sweep(series, diags, h_tail: int = 50, baseline_window: int = 100,
+              trace: list | None = None) -> list[list[Detection]]:
     """The detections of :func:`ocd_detect` at each ``diag`` threshold.
 
     ``trace``, with a single threshold, receives its rows.

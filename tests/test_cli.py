@@ -208,6 +208,16 @@ def test_bad_metrics_file_exits_2_and_writes_nothing(config_path, tmp_path, caps
         assert not out.exists()
 
 
+@pytest.mark.parametrize("cap, code", [("nan", 2), ("inf", 0), ("-1", 0)])
+def test_report_cap_is_read_as_the_config_reads_fpc_cap(tmp_path, capsys, cap, code):
+    out = tmp_path / "report.txt"
+    assert main(["report", "--metrics", str(ROOT / "out" / "demo" / "metrics.csv"),
+                 "--cap", cap, "--out", str(out)]) == code
+    if code:
+        assert "--cap must be float not NaN, got nan" in capsys.readouterr().err
+    assert out.exists() == (code == 0)
+
+
 def test_grid_is_deterministic(config_path, tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["grid", "-c", str(config_path)]) == 0

@@ -53,8 +53,7 @@ FEEDS = {
               "window": ([classic_cusum_detect, classic_cusum_sweep], "target_window")},
     "bocpd": {"cpthreshold": ([bocpd_detect], "threshold"), "r_min": ([bocpd_detect], "r_min"),
               **{name: ([NigPrior], name) for name in ("mu0", "kappa0", "alpha0", "beta0")}},
-    "ocd": {"offDiag": ([ocd_detect, ocd_sweep], "off_diag"),
-            "h_tail": ([ocd_detect, ocd_sweep], "h_tail"),
+    "ocd": {"h_tail": ([ocd_detect, ocd_sweep], "h_tail"),
             "baseline_window": ([ocd_detect, ocd_sweep], "baseline_window")},
     "mosum": {"minHist": ([mosum_detect, mosum_sweep], "min_hist"),
               "histFact": ([mosum_detect, mosum_sweep], "hist_fact"),

@@ -292,6 +292,14 @@ def test_config_detector_validation(tmp_path):
         load_config(_write_config(tmp_path, dup))
 
 
+def test_ocd_takes_no_off_diagonal_threshold(tmp_path):
+    # the univariate scan has no cross-coordinate statistic to bound
+    with pytest.raises(ConfigError, match=r"unknown parameters \['offDiag'\]"):
+        load_config(_write_config(
+            tmp_path, "schema_version: 1\ndetectors:\n"
+                      "  - {id: o, kind: ocd, params: {diag: 8, offDiag: 1.0}}\n"))
+
+
 def test_config_section_validation(tmp_path):
     with pytest.raises(ConfigError):
         load_config(_write_config(
@@ -382,7 +390,7 @@ def test_loaded_sections_are_typed_with_defaults(tmp_path):
     # null leaves a key that is unset by default unset, as leaving it out does
     doc = load_config(_write_config(
         tmp_path, "schema_version: 1\nevaluation: {fpc_cap: null, subset: ~, baseline: null}\n"
-                  "lstm: null\ndetectors:\n  - {id: o, kind: ocd, params: {diag: 8, offDiag: null}}\n"))
+                  "lstm: null\ndetectors:\n  - {id: m, kind: mosum, params: {monitor_from: null}}\n"))
     assert doc["evaluation"]["fpc_cap"] is None and doc["evaluation"]["subset"] is None
     assert doc["evaluation"]["baseline"] is None and doc["lstm"] is None
     with pytest.raises(ConfigError, match="seed must be int, got None"):

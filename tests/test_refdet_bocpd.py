@@ -170,6 +170,22 @@ def test_posterior_normalized_every_step():
     assert len(state.log_post) == 40
 
 
+def test_step_past_capacity_raises():
+    state = BocpdState(NigPrior(), 3)
+    for v in (0.1, -0.4, 0.7):
+        state.step(v, 0.1)
+    before = state.log_post
+    with pytest.raises(ValueError, match="holds 3 steps"):
+        state.step(0.2, 0.1)
+    assert state.steps == 3 and np.array_equal(state.log_post, before)
+    assert len(state._lp) == 3  # nothing grew
+    state._reset()
+    for v in (0.1, -0.4, 0.7):
+        state.step(v, 0.1)
+    with pytest.raises(ValueError, match="at least 1"):
+        BocpdState(NigPrior(), 0)
+
+
 def test_student_t_reduces_to_cauchy():
     # df=1, loc=0, scale=1 is the standard Cauchy
     x = np.array([-2.0, 0.0, 0.5, 3.0])
@@ -282,14 +298,14 @@ def test_detect_equals_reference_recursion(seed, hazard):
     assert info["segment_log_evidence"] == ref_info["segment_log_evidence"]
 
 
-def test_state_equals_reference_across_buffer_growth():
-    # 5,000 steps outgrow the initial buffers several times over
+def test_state_equals_reference_over_a_long_stream():
+    # 5,000 steps fill the buffers to their last entry
     rng = spawn_rng(7, "bocpd-long")
     y = rng.normal(0.0, 1.0, size=5000)
     y[1800:] += 2.0
     y[3500:] -= 3.0
     prior = NigPrior(0.5, 2.0, 1.5, 0.7)
-    state, ref = BocpdState(prior), ReferenceState(prior)
+    state, ref = BocpdState(prior, 5000), ReferenceState(prior)
     for v in y:
         state.step(float(v), 0.01)
         ref.step(float(v), 0.01)

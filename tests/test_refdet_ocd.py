@@ -71,14 +71,6 @@ def test_constant_series_yields_nothing():
     assert trace == []
 
 
-def test_off_diag_is_inert_in_one_dimension():
-    x = _shifted()
-    a, _ = ocd_detect(x, diag=6.0, off_diag=None)
-    b, _ = ocd_detect(x, diag=6.0, off_diag=123.0)
-    assert [(d.detect_time, d.located_time) for d in a] == \
-        [(d.detect_time, d.located_time) for d in b]
-
-
 def test_baseline_reestimated_after_detection():
     rng = spawn_rng(4, "ocd-two")
     x = rng.normal(0.0, 1.0, size=900)

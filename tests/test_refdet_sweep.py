@@ -45,8 +45,7 @@ def loop_cusum(values, threshold, allowance, window, direction):
 def loop_bocpd(values, hazard, prior, r_min, threshold):
     detections = []
     info = {"segment_log_evidence": [], "short_run_prob": []}
-    state = BocpdState(prior)
-    state._reserve(len(values))
+    state = BocpdState(prior, len(values))
     seg_start = 0
     for i, x in enumerate(values):
         state.step(float(x), hazard)
