@@ -202,8 +202,9 @@ def _baseline_section(doc: dict, records: list[EvalRecord], base_cfg: dict) -> s
         if target is None:
             continue
         for budget in base_cfg["n_fp"]:
-            n_fp = int(round(average_max_fpc([r for r in records if r.dataset_id == series.name]))) \
-                if budget == "avg_max" else budget
+            # metrics.csv gives every dataset id back as text
+            own = [r for r in records if r.dataset_id == str(series.name)]
+            n_fp = int(round(average_max_fpc(own))) if budget == "avg_max" else budget
             res = random_baseline(series, target, n_fp, repetitions=base_cfg["repetitions"],
                                   seed=doc["seed"])
             label = f"avg_max={n_fp}" if budget == "avg_max" else str(n_fp)
@@ -214,15 +215,18 @@ def _baseline_section(doc: dict, records: list[EvalRecord], base_cfg: dict) -> s
 
 def cmd_report(args) -> int:
     cap = typed({"--cap": args.cap}, {"--cap": EVALUATION["fpc_cap"]}, "", "")["--cap"]
-    records = _read_metrics(args.metrics)
     scope = args.scope
-    kwargs = {}
-    if scope == "subset":
-        if not args.datasets:
-            raise UsageError("report --scope subset needs --datasets")
-        kwargs["datasets"] = args.datasets.split(",")
-    winners = select_best(records, scope=scope, fpc_cap=cap,
-                          reversed_rule=args.reversed, **kwargs)
+    if scope != "subset" and args.datasets is not None:
+        raise UsageError(f"report --datasets is for --scope subset, not {scope}")
+    if scope == "subset" and not args.datasets:
+        raise UsageError("report --scope subset needs --datasets")
+    records = _read_metrics(args.metrics)
+    datasets = args.datasets.split(",") if args.datasets else None
+    for ds in datasets or []:
+        if ds not in {r.dataset_id for r in records}:
+            raise UsageError(f"unknown dataset id {ds!r} in --datasets")
+    winners = select_best(records, scope=scope, fpc_cap=cap, datasets=datasets,
+                          reversed_rule=args.reversed)
     return _emit(args.out, render_report(winners, title=f"{scope} winners"
                                          + (" (reversed rule)" if args.reversed else "")))
 

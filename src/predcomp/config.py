@@ -430,4 +430,10 @@ def load_config(path) -> dict:
                 kind_of(entry["source"], SOURCES, f"{where}.source")
             else:
                 _check_detector(entry, where)
+    if ev["subset"] is not None:
+        # as text, as the ids of metrics.csv read back: an id may be an int
+        subset = ev["subset"] = [str(ds) for ds in ev["subset"]]
+        unknown = [ds for ds in subset if ds not in [str(e["id"]) for e in doc["datasets"]]]
+        _require(subset and not unknown, "evaluation.subset must be a non-empty list of "
+                 f"dataset ids, got {subset!r}" + (f"; unknown {unknown}" if unknown else ""))
     return doc

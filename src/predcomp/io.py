@@ -174,12 +174,6 @@ def write_detections_csv(path, rows: list[tuple[str, str, str, Detection]]) -> N
                  for ds, det, pid, d in rows))
 
 
-def read_detections_csv(path) -> list[tuple[str, str, str, Detection]]:
-    return [(ds, det, pid, _parse(where, lambda: Detection(
-                time_index(dt), time_index(loc, optional=True), detector=det)))
-            for where, (ds, det, pid, dt, loc) in _read_rows(path, DETECTIONS_HEADER)]
-
-
 def write_metrics_csv(path, records: list[EvalRecord]) -> None:
     _write_rows(path, METRICS_HEADER, (
         [r.dataset_id, r.detector_id, r.params_id, r.n_detections, r.fpc, int(r.target_found),

@@ -249,34 +249,6 @@ def train_lstm(X: np.ndarray, Y: np.ndarray, cfg: TrainConfig) -> TrainResult:
     return result
 
 
-def gradient_check(net: LstmNet, X: np.ndarray, target: np.ndarray,
-                   step: float = 1e-5) -> float:
-    """Max relative error of BPTT against central finite differences.
-
-    Per element the error is |ga - gn| / max(|ga|, |gn|); element pairs
-    that agree below 1e-6 in absolute value are treated as matching (the
-    quotient is meaningless at the finite-difference noise floor).
-    """
-    _, grads = loss_and_grads(net, X, target)
-    worst = 0.0
-    for key, p in net.params().items():
-        flat = p.ravel()
-        ga = grads[key].ravel()
-        for j in range(flat.size):
-            orig = flat[j]
-            flat[j] = orig + step
-            up, _ = mse_loss(lstm_forward(net, X)[0], target)
-            flat[j] = orig - step
-            dn, _ = mse_loss(lstm_forward(net, X)[0], target)
-            flat[j] = orig
-            gn = (up - dn) / (2 * step)
-            denom = max(abs(ga[j]), abs(gn))
-            if denom < 1e-6:
-                continue
-            worst = max(worst, abs(ga[j] - gn) / denom)
-    return worst
-
-
 @dataclass
 class LstmPredictor:
     """Adapter exposing the predictor contract; no refit on detection."""

@@ -36,12 +36,14 @@ def pool_map(fn, items: list) -> list:
     parent's module state at the call, patches included.  It runs serially
     for one CPU or one item, and inside a daemonic pool worker, which may
     not start processes.  ``multiprocessing`` is imported here, off the
-    CLI's import path.
+    CLI's import path, and not at all for one CPU or one item.
     """
     global _job
-    import multiprocessing
     n = min(len(os.sched_getaffinity(0)), len(items))
-    if n <= 1 or multiprocessing.current_process().daemon:
+    if n <= 1:
+        return [fn(x) for x in items]
+    import multiprocessing
+    if multiprocessing.current_process().daemon:
         return [fn(x) for x in items]
     _job = (fn, items)
     try:

@@ -251,15 +251,11 @@ class BocpdState:
             self._head, self._n = lo, n + 1
         self.steps += 1
 
-    def run_length_posterior(self) -> np.ndarray:
-        """P(r_t = r), r = 0..steps-1; sums to one."""
-        return np.exp(self._lp[self._head:self._head + self._n])
-
     def map_run_length(self) -> int:
         return int(np.argmax(self._lp[self._head:self._head + self._n]))
 
     def _mass_below(self, count: int) -> float:
-        """``run_length_posterior()[:count].sum()``, exponentiating only that slice."""
+        """P(r_t < count), exponentiating only the first ``count`` log entries."""
         h = self._head
         return float(np.exp(self._lp[h:h + self._n][:count]).sum())
 

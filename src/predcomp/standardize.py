@@ -253,31 +253,46 @@ class OnlineStandardizer:
     online mode's fit, so scores and flags are the online mode's bit for
     bit (the estimate of nu changes every step, so the regression sums
     cannot be carried over exactly; the per-step cost is linear in the
-    history).
+    history).  A push appends its time's `_trend_terms` with the same
+    operations, so it rebuilds no prefix, and reuses its work rows.
     """
 
     def __init__(self, t0: int = 0):
         if t0 < 0:
             raise ValueError("t0 must be non-negative")
         self.t0 = t0
-        self._buf = np.empty(64)
         self._n = 0
+        # `_trend_terms`' seven arrays as rows, one column per time past t0:
+        # x, ln s, n_kept, kept ln s, kept ln L and their running sums
+        self._terms, self._work = np.empty((7, 64)), _work_rows(64)
+        self._cum, self._k = 0.0, 0  # L and n_kept at the newest time
         self.fit: TrendFit | None = None
         self.flagged: list[int] = []
 
     def push(self, x: float) -> float:
         if not np.isfinite(x):
             raise non_finite_error(self._n, x)
-        if self._n == len(self._buf):
-            self._buf = np.concatenate([self._buf, np.empty(self._n)])
-        i = self._n
-        self._buf[i] = x
+        x, i, m = float(x), self._n, self._n + 1 - self.t0
         self._n += 1
+        if m > self._terms.shape[1]:
+            self._terms = np.concatenate([self._terms, self._terms], axis=1)
+            self._work = _work_rows(self._terms.shape[1])
+        terms, k = self._terms, self._k
+        if m > 0:  # time i + 1's terms; running sums add left to right, as np.cumsum
+            terms[:3, m - 1] = x, np.log(float(i + 1)), k
+            self._cum += x
+            if self._cum > 0:
+                terms[3:5, k] = terms[1, m - 1], np.log(self._cum)
+                terms[5:, k] = terms[3:5, k] + (terms[5:, k - 1] if k else 0.0)
+                terms[2, m - 1] = self._k = k + 1
+        lam, fitted = np.full(1, np.nan), False
         try:
-            self.fit = estimate_trend(self._buf[:self._n], t0=self.t0)
-            lam, fitted = self.fit.lam(i + 1).reshape(1), True
+            if m >= 2:
+                nu, slope = _fit_step(terms, m, self._work)
+                self.fit = TrendFit(nu, slope, self.t0, i + 1)
+                lam[0], fitted = self.fit.lam(i + 1), True
         except TrendNotEstimable:
-            lam, fitted = np.full(1, np.nan), False
-        scores, flagged = _scores(self._buf[i:i + 1], lam, np.full(1, fitted))
+            pass
+        scores, flagged = _scores(np.full(1, x), lam, np.full(1, fitted))
         self.flagged += [i] if flagged else []
         return float(scores[0])

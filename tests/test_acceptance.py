@@ -23,7 +23,7 @@ from scipy.special import gammaln, logsumexp
 from predcomp.cli import main
 from predcomp.cusum import CusumChart
 from predcomp.evaluate import arlp, attribute, find_target, score_run
-from predcomp.lstm import gradient_check, init_lstm
+from predcomp.lstm import init_lstm
 from predcomp.pnc import PncConfig, run_stream
 from predcomp.predictors import ArimaPredictor, fit_predictor
 from predcomp.refdet.bocpd import BocpdState, NigPrior
@@ -170,7 +170,7 @@ def test_criterion_03_standardization_moments():
     assert passed
 
 
-def test_criterion_04_lstm_gradient_check():
+def test_criterion_04_lstm_gradient_check(gradient_check):
     """BPTT gradients vs central finite differences on a small net."""
     t0 = time.time()
     net = init_lstm(6, 2, hidden=4, seed=0, scale=0.5)
@@ -360,7 +360,7 @@ def test_criterion_08_bayesian_ocpd_exactness():
             for v in x:
                 state.step(float(v), hazard)
                 worst_norm = max(worst_norm,
-                                 abs(state.run_length_posterior().sum() - 1.0))
+                                 abs(np.exp(state.log_post).sum() - 1.0))
             logs = []
             for brk in itertools.product([0, 1], repeat=n - 1):
                 breaks = sum(brk)

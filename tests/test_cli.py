@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from predcomp.cli import main
-from predcomp.io import read_detections_csv, read_series_csv
+from predcomp.io import read_series_csv
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -112,7 +112,7 @@ def test_simulate_only_filter(config_path, tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_detect_with_pinned_grid_value(config_path, tmp_path, capsys):
+def test_detect_with_pinned_grid_value(config_path, tmp_path, capsys, read_detections):
     dets_csv = tmp_path / "dets.csv"
     # two grid values: must pin one
     assert main(["detect", "-c", str(config_path), "--dataset", "step1",
@@ -120,12 +120,12 @@ def test_detect_with_pinned_grid_value(config_path, tmp_path, capsys):
     assert main(["detect", "-c", str(config_path), "--dataset", "step1",
                  "--detector", "pnc_ar", "--set", "desInt=8",
                  "--out", str(dets_csv)]) == 0
-    rows = read_detections_csv(dets_csv)
+    rows = read_detections(dets_csv)
     assert rows
-    ds, det, pid, d = rows[0]
+    ds, det, pid, detect_time, _ = rows[0]
     assert (ds, det) == ("step1", "pnc_ar")
     assert "desInt=8" in pid
-    assert d.detect_time >= 499  # the change is at index 499
+    assert detect_time >= 499  # the change is at index 499
     capsys.readouterr()
 
 
@@ -142,11 +142,12 @@ def test_detect_trace_and_svg(config_path, tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_detect_single_valued_grid_needs_no_pin(config_path, tmp_path, capsys):
+def test_detect_single_valued_grid_needs_no_pin(config_path, tmp_path, capsys,
+                                                read_detections):
     dets_csv = tmp_path / "c.csv"
     assert main(["detect", "-c", str(config_path), "--dataset", "step1",
                  "--detector", "cusum", "--out", str(dets_csv)]) == 0
-    rows = read_detections_csv(dets_csv)
+    rows = read_detections(dets_csv)
     assert rows and rows[0][1] == "cusum"
     capsys.readouterr()
 
@@ -218,6 +219,49 @@ def test_report_cap_is_read_as_the_config_reads_fpc_cap(tmp_path, capsys, cap, c
     assert out.exists() == (code == 0)
 
 
+@pytest.mark.parametrize("subset, message", [
+    ("[step1, nosuch]", "got ['step1', 'nosuch']; unknown ['nosuch']"),
+    ("[]", "got []"),
+], ids=["unknown", "empty"])
+def test_eval_subset_names_configured_datasets(config_path, tmp_path, capsys, subset, message):
+    config_path.write_text(config_path.read_text().replace("subset: [step1]",
+                                                           f"subset: {subset}"))
+    out = tmp_path / "report.txt"
+    assert main(["eval", "-c", str(config_path), "--out", str(out),
+                 "--metrics", str(ROOT / "out" / "demo" / "metrics.csv")]) == 2
+    err = capsys.readouterr().err
+    assert "evaluation.subset must be a non-empty list of dataset ids" in err and message in err
+    assert not out.exists()
+
+
+def test_eval_subset_takes_integer_dataset_ids(config_path, tmp_path, capsys):
+    """metrics.csv holds every id as text, so an int id in the subset is read as text."""
+    config_path.write_text(config_path.read_text().replace("id: step1", "id: 1")
+                           .replace("id: step2", "id: 2").replace("subset: [step1]", "subset: [1]"))
+    metrics = tmp_path / "out" / "metrics.csv"
+    assert main(["grid", "-c", str(config_path)]) == 0
+    assert main(["eval", "-c", str(config_path), "--metrics", str(metrics)]) == 0
+    subset = capsys.readouterr().out.split("subset winners (1)\n")[1].split("random baseline")[0]
+    assert main(["report", "--metrics", str(metrics), "--scope", "subset", "--datasets", "1"]) == 0
+    report = capsys.readouterr().out
+    assert "\nsubset       -            cusum" in subset and subset.strip().endswith(
+        report.split("\n", 2)[2].strip())
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--scope", "subset", "--datasets", "wear_mild,nosuch"],
+     "unknown dataset id 'nosuch' in --datasets"),
+    (["--scope", "overall", "--datasets", "wear_mild"],
+     "report --datasets is for --scope subset, not overall"),
+], ids=["unknown", "other-scope"])
+def test_report_datasets_name_a_subset_of_the_metrics(tmp_path, capsys, args, message):
+    out = tmp_path / "report.txt"
+    assert main(["report", "--metrics", str(ROOT / "out" / "demo" / "metrics.csv"), *args,
+                 "--out", str(out)]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_grid_is_deterministic(config_path, tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["grid", "-c", str(config_path)]) == 0
@@ -273,7 +317,7 @@ lstm: {{nh: 12, nz: 4, hidden: 6, epochs: 5, batch_size: 16, learning_rate: 0.01
     capsys.readouterr()
 
 
-def test_lstm_predictor_usable_in_detect(tmp_path, capsys):
+def test_lstm_predictor_usable_in_detect(tmp_path, capsys, read_detections):
     out = tmp_path / "out"
     model = tmp_path / "model.json"
     cfg = tmp_path / "c.yaml"
@@ -298,9 +342,9 @@ lstm: {{nh: 24, nz: 6, hidden: 8, epochs: 10, batch_size: 16, learning_rate: 0.0
     dets_csv = tmp_path / "d.csv"
     assert main(["detect", "-c", str(cfg), "--dataset", "s",
                  "--detector", "pnc_lstm", "--out", str(dets_csv)]) == 0
-    rows = read_detections_csv(dets_csv)
+    rows = read_detections(dets_csv)
     assert rows, "the 8-sigma step should be caught"
-    assert rows[0][3].detect_time >= 599
+    assert rows[0][3] >= 599
     capsys.readouterr()
 
 
@@ -425,7 +469,7 @@ detectors:
 """
 
 
-def test_detect_and_grid_agree_on_a_downward_pnc(tmp_path, capsys):
+def test_detect_and_grid_agree_on_a_downward_pnc(tmp_path, capsys, read_detections):
     from predcomp.cli import build_dataset, build_detector, prepare_series
     from predcomp.config import load_config
     cfg = tmp_path / "down.yaml"
@@ -439,7 +483,7 @@ def test_detect_and_grid_agree_on_a_downward_pnc(tmp_path, capsys):
         dets_csv = tmp_path / f"dets_{des_int}.csv"
         assert main(["detect", "-c", str(cfg), "--dataset", "down", "--detector", "pnc_down",
                      "--set", f"desInt={des_int}", "--out", str(dets_csv)]) == 0
-        got = [(d.detect_time, d.located_time) for *_, d in read_detections_csv(dets_csv)]
+        got = [(dt, loc) for *_, dt, loc in read_detections(dets_csv)]
         want = [(d.detect_time, d.located_time) for d in grid.runner(series, desInt=des_int)]
         assert got == want and any(t >= 499 for t, _ in got)
         row = next(r.split(",") for r in metrics if f"desInt={des_int}" in r)

@@ -14,7 +14,7 @@ from predcomp.cli import build_dataset, build_detector, main, prepare_series
 from predcomp.config import ConfigError, load_config
 from predcomp.config import KINDS, REQUIRED
 from predcomp.evaluate import params_id
-from predcomp.io import read_detections_csv, save_model
+from predcomp.io import save_model
 from predcomp.lstm import init_lstm
 from predcomp.pnc import PncConfig
 from predcomp.refdet import (NigPrior, bocpd_detect, classic_cusum_detect, classic_cusum_sweep,
@@ -127,8 +127,8 @@ def agree_grid(tmp_path_factory):
     ("ocd", "up", {"diag": 16.0}),
     ("mosum", "up", {"level": 0.1}),
 ], ids=["pnc", "cusum", "bocpd", "ocd", "mosum"])
-def test_detect_and_grid_agree_for_every_kind(agree_grid, tmp_path, capsys, detector, dataset,
-                                              pins):
+def test_detect_and_grid_agree_for_every_kind(agree_grid, tmp_path, capsys, read_detections,
+                                              detector, dataset, pins):
     cfg, doc, rows = agree_grid
     assert sorted(d["kind"] for d in doc["detectors"]) == sorted(KINDS)
     det_cfg = next(d for d in doc["detectors"] if d["id"] == detector)
@@ -140,7 +140,7 @@ def test_detect_and_grid_agree_for_every_kind(agree_grid, tmp_path, capsys, dete
     sets = [arg for key, value in pins.items() for arg in ("--set", f"{key}={value}")]
     assert main(["detect", "-c", str(cfg), "--dataset", dataset, "--detector", detector,
                  *sets, "--out", str(dets_csv)]) == 0
-    got = [(d.detect_time, d.located_time) for *_, d in read_detections_csv(dets_csv)]
+    got = [(dt, loc) for *_, dt, loc in read_detections(dets_csv)]
     assert got == want and any(t >= 499 for t, _ in got)
     row = next(r for r in rows if r[:3] == [dataset, detector, params_id(pins)])
     assert int(row[3]) == len(got)

@@ -14,7 +14,6 @@ from predcomp.lstm import (
     TrainConfig,
     _sigmoid,
     clip_gradients,
-    gradient_check,
     init_lstm,
     loss_and_grads,
     lstm_forward,
@@ -74,7 +73,7 @@ def test_mse_loss_hand_value():
     assert np.allclose(dY, [[1.0, 2.0]])
 
 
-def test_bptt_matches_finite_differences():
+def test_bptt_matches_finite_differences(gradient_check):
     # wide init keeps gradients clear of the finite-difference noise floor
     net = init_lstm(4, 2, hidden=3, seed=7, scale=0.5)
     rng = np.random.default_rng(0)

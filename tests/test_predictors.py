@@ -1,5 +1,8 @@
 import multiprocessing
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -172,6 +175,31 @@ def test_pool_map_runs_serially_on_one_cpu_and_in_a_daemonic_worker(monkeypatch)
     assert got.recv() == [3, 1, 2, 5]
     worker.join(60)
     assert worker.exitcode == 0
+
+
+# `pool.py` loaded alone by path (it needs only the standard library), one
+# idle thread started so that the process forks with more than one thread
+POOL_WITH_A_THREAD = """\
+import importlib.util, os, sys, threading
+spec = importlib.util.spec_from_file_location("pool_under_test", sys.argv[1])
+pool = importlib.util.module_from_spec(spec)
+sys.modules[spec.name] = pool
+spec.loader.exec_module(pool)
+os.sched_getaffinity = lambda pid: {0, 1}
+threading.Thread(target=threading.Event().wait, daemon=True).start()
+print(threading.active_count(), pool.pool_map(lambda x: 2 * x, [1, 2, 3]))
+"""
+
+
+def test_pool_forks_a_threaded_process_with_deprecation_warnings_as_errors():
+    """From Python 3.12, forking a process with more than one thread warns
+    (DeprecationWarning); the pool must still map under ``-W error``."""
+    pool_py = Path(predictors.__file__).with_name("pool.py")
+    out = subprocess.run([sys.executable, "-W", "error::DeprecationWarning", "-c",
+                          POOL_WITH_A_THREAD, str(pool_py)],
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "2 [2, 4, 6]\n"
 
 
 def test_order_search_errors_reach_the_caller_and_leave_no_worker(monkeypatch):

@@ -156,7 +156,7 @@ def test_recursion_matches_enumeration(hazard, prior):
         state.step(float(v), hazard)
     lev, post = enumerate_evidence(x, hazard, prior)
     assert state.log_evidence == pytest.approx(lev, abs=1e-12)
-    rl = state.run_length_posterior()
+    rl = np.exp(state.log_post)
     for r, q in post.items():
         assert rl[r] == pytest.approx(q, abs=1e-12)
 
@@ -166,7 +166,7 @@ def test_posterior_normalized_every_step():
     state = BocpdState(NigPrior())
     for v in rng.normal(0.0, 1.0, size=40):
         state.step(float(v), 0.1)
-        assert state.run_length_posterior().sum() == pytest.approx(1.0, abs=1e-12)
+        assert np.exp(state.log_post).sum() == pytest.approx(1.0, abs=1e-12)
     assert len(state.log_post) == 40
 
 

@@ -284,6 +284,47 @@ def test_online_mode_matches_the_per_step_reference(name):
     assert st.fit == on.fit
 
 
+def test_streaming_wrapper_appends_its_terms(monkeypatch):
+    """A push extends the terms of the pushes before it: it builds no terms
+    and fits no trend over the whole buffer, and its terms and scores are
+    the online mode's bit for bit.  The third stream's L reaches 9170, the
+    first integer whose ``math.log`` differs from ``np.log``."""
+    module = sys.modules["predcomp.standardize"]
+    streams = [STREAMS["t0-leading-zeros"], STREAMS["negative-counts"],
+               (np.r_[9169.0, np.ones(40)], 0)]
+    for x, t0 in streams:
+        on = standardize(x, t0=t0, mode="online")
+        want = module._trend_terms(x, t0)
+
+        def rebuilt(*args, **kwargs):
+            raise AssertionError("push rebuilt its prefix")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(module, "estimate_trend", rebuilt)
+            patch.setattr(module, "_trend_terms", rebuilt)
+            st = OnlineStandardizer(t0=t0)
+            assert np.array_equal([st.push(v) for v in x], on.scores.values)
+        assert st.flagged == on.flagged
+        assert st.fit == on.fit
+        for row, terms in zip(st._terms, want):
+            assert np.array_equal(row[:len(terms)], terms)
+
+
+def test_short_online_standardization_imports_no_multiprocessing():
+    """A stream of at most one dot chunk runs serially, so it pays no
+    ``multiprocessing`` import."""
+    code = ("import sys, numpy as np\n"
+            "from predcomp.standardize import standardize\n"
+            "standardize(np.arange(100.0), mode='online')\n"
+            "print('multiprocessing' in sys.modules)\n")
+    path = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "False\n"
+
+
 def test_reference_streams_reach_their_cases():
     x, t0 = STREAMS["below-floor"]
     scores, flags = _reference_online(x, t0)
