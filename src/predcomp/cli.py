@@ -10,17 +10,16 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 
 import yaml
 
 from . import lstm as lstm_mod
 from .config import (EVALUATION, KINDS, SOURCES, STANDARDIZE, TRAIN, ConfigError, kind_of,
-                     load_config, typed)
+                     load_config, run_unit, typed)
 from .evaluate import (DetectorGrid, EvalRecord, average_max_fpc, find_target, params_id,
                        render_report, run_grid, select_best)
-from .io import (DataError, read_metrics_csv as _read_metrics, read_series_csv, save_model,
-                 time_field, write_detections_csv, write_loss_csv, write_manifest,
+from .io import (DataError, make_dir, read_metrics_csv as _read_metrics, read_series_csv,
+                 save_model, time_field, write_detections_csv, write_loss_csv, write_manifest,
                  write_metrics_csv, write_series_csv, write_text, write_trace_csv, write_trace_svg)
 from .predictors import PredictorError
 from .refdet.baseline import random_baseline
@@ -52,9 +51,9 @@ def prepare_series(doc: dict, series: LabeledSeries) -> LabeledSeries:
 
 
 def build_detector(det_cfg: dict, doc: dict) -> DetectorGrid:
-    run_unit = KINDS[det_cfg["kind"]].build(det_cfg, doc)
+    KINDS[det_cfg["kind"]].check(det_cfg)  # before any unit runs
     return DetectorGrid(det_cfg["id"], grid=dict(det_cfg["grid"]), unit=lambda series, points: [
-        detections for detections, _ in run_unit(series, points)])
+        detections for detections, _ in run_unit(det_cfg, doc, series, points)])
 
 
 def _fixed_params(det_cfg: dict, overrides: list[str] | None = None) -> dict:
@@ -90,8 +89,7 @@ def _entry(doc: dict, section: str, entry_id: str) -> dict:
 def cmd_simulate(args) -> int:
     doc = load_config(args.config)
     datasets = [_entry(doc, "datasets", args.only)] if args.only else doc["datasets"]
-    out = Path(args.out or doc["output_dir"])
-    out.mkdir(parents=True, exist_ok=True)
+    out = make_dir(args.out or doc["output_dir"])
     written = []
     for ds in datasets:
         series = build_dataset(ds, doc["seed"])
@@ -119,8 +117,8 @@ def cmd_detect(args) -> int:
     series = prepare_series(doc, build_dataset(_entry(doc, "datasets", args.dataset), doc["seed"]))
     det_cfg = _entry(doc, "detectors", args.detector)
     params = _fixed_params(det_cfg, args.set)
-    run_unit = KINDS[det_cfg["kind"]].build(dict(det_cfg, params=params, grid={}), doc)
-    ((detections, trace),) = run_unit(series, [params], bool(args.trace or args.svg))
+    ((detections, trace),) = run_unit(dict(det_cfg, params=params, grid={}), doc, series, [params],
+                                      bool(args.trace or args.svg))
     if trace is None and (args.trace or args.svg):
         raise UsageError(f"--trace/--svg: {det_cfg['kind']} detectors have no chart trace")
     if args.svg and not trace:  # refused before anything is written
@@ -170,8 +168,7 @@ def cmd_grid(args) -> int:
     if not datasets or not detectors:
         raise ConfigError("grid needs at least one dataset and one detector")
     records = run_grid(datasets, detectors, target_key=target)
-    out = Path(args.out or doc["output_dir"])
-    out.mkdir(parents=True, exist_ok=True)
+    out = make_dir(args.out or doc["output_dir"])
     write_metrics_csv(out / "metrics.csv", records)
     print(f"wrote {out / 'metrics.csv'} ({len(records)} runs)")
     return 0
@@ -190,20 +187,23 @@ def cmd_eval(args) -> int:
                               datasets=ev["subset"])
         lines.append(render_report(winners, title=f"subset winners ({', '.join(ev['subset'])})"))
     if ev["baseline"] is not None:
-        lines.append(_baseline_section(doc, records, ev["baseline"]))
+        lines.append(_baseline_section(doc, records, ev["baseline"], args.metrics))
     return _emit(args.out, "\n".join(lines))
 
 
-def _baseline_section(doc: dict, records: list[EvalRecord], base_cfg: dict) -> str:
+def _baseline_section(doc: dict, records: list[EvalRecord], base_cfg: dict, metrics) -> str:
     out = ["random baseline", "===============", ""]
     for ds_cfg in doc["datasets"]:
         series = build_dataset(ds_cfg, doc["seed"])  # standardizing keeps labels and length
         target = find_target(series, doc["evaluation"]["target"])
         if target is None:
             continue
+        # metrics.csv gives every dataset id back as text
+        own = [r for r in records if r.dataset_id == str(series.name)]
+        if not own and "avg_max" in base_cfg["n_fp"]:
+            raise DataError(f"{metrics}: no rows for dataset {series.name!r}, whose avg_max "
+                            "baseline budget reads them")
         for budget in base_cfg["n_fp"]:
-            # metrics.csv gives every dataset id back as text
-            own = [r for r in records if r.dataset_id == str(series.name)]
             n_fp = int(round(average_max_fpc(own))) if budget == "avg_max" else budget
             res = random_baseline(series, target, n_fp, repetitions=base_cfg["repetitions"],
                                   seed=doc["seed"])

@@ -11,17 +11,16 @@ naming ``where.key``.
 ``SOURCES``, ``PREDICTORS`` and ``KINDS`` (detectors) map each kind to a
 :class:`Kind`: its key table, its build and its check of what the types
 cannot rule out, of a source's keys (:func:`kind_of` runs it) or of a
-detector's config (the build runs it).  ``KINDS[kind].build(det_cfg, doc)``
-returns ``run_unit(series, points, keep_trace=False)``, which runs the
-detector on one series at each point over the ``params`` section
-(:func:`resolve_params` types them) and gives one ``(detections, trace)``
-per point, in the order of ``points``; ``trace`` is the chart for ``pnc``,
-None for the other kinds.  A reference kind (cusum, bocpd, ocd, mosum)
-groups the points by their other keys and sweeps each group's thresholds
-in one ``*_sweep``, sharing each segment the runs have in common
-(:mod:`predcomp.refdet.sweep`).  A ``pnc`` unit fits its predictor once,
+detector's config.  :func:`run_unit` is the one unit path of every detector
+kind: it runs the check, then ``KINDS[kind].build(det_cfg, doc, series)``,
+and calls the runner ``runs(thresholds, p, keep_trace)`` this returns once
+per setting ``p`` of the keys other than the kind's ``threshold``; each run
+gives ``(detections, trace)``, with the chart as the trace of ``pnc`` and
+None for the reference kinds (cusum, bocpd, ocd, mosum).  These sweep the
+thresholds in one ``*_sweep``, sharing each segment the runs have in common
+(:mod:`predcomp.refdet.sweep`).  A ``pnc`` runner fits its predictor once,
 checks that it forecasts each (l, b) of the grid from zeros, and runs each
-point.
+threshold.
 
 :func:`load_config` returns each section typed with defaults filled in, but
 keeps as written a dataset's ``source`` (``simulate`` copies it into its
@@ -155,7 +154,7 @@ def typed(d, table: dict, where: str, sep: str = ".") -> dict:
 class Kind(NamedTuple):
     """A dataset source, predictor or detector kind."""
     params: dict[str, tuple[Callable, object]]
-    build: Callable  # (keys, dataset id, seed), (keys, history) or (det_cfg, doc) -> run_unit
+    build: Callable  # (keys, dataset id, seed), (keys, history) or (det_cfg, doc, series) -> runs
     check: Callable = lambda keys: None  # a ValueError on what the types cannot rule out
     threshold: str | None = None
 
@@ -226,47 +225,55 @@ def _load_lstm(keys: dict, history) -> LstmPredictor:
         raise DataError(f"{keys['model_path']}: not an lstm model ({exc!r})") from None
 
 
+def _check_arima(keys: dict) -> None:
+    """An explicit order would be ignored by the search ``auto: true`` asks for."""
+    if keys["auto"] and keys["order"] != "auto":
+        raise ValueError(f"auto: true searches every order, so it takes no order; got order "
+                         f"{list(keys['order'])}")
+
+
 PREDICTORS: dict[str, Kind] = {
     "naive": Kind({}, lambda keys, history: NaivePredictor()),
     "mean": Kind({}, lambda keys, history: MeanPredictor()),
     "ar": Kind({"p": (_POSITIVE_INT, 1)}, lambda keys, history: ArPredictor.fit(history, keys["p"])),
     "arima": Kind({"order": (_order, "auto"), "auto": (_of(bool), False)},
                   lambda keys, history: ArimaPredictor.fit(
-                      history, keys["order"], keys["auto"] or keys["order"] == "auto")),
+                      history, keys["order"], keys["auto"] or keys["order"] == "auto"),
+                  _check_arima),
     "lstm": Kind({"model_path": (_of(str), REQUIRED)}, _load_lstm)}
 
 
 # ---------------------------------------------------------------------------
 # detectors
 
-def _build_pnc(det_cfg: dict, doc: dict):
+def _pnc(det_cfg: dict, doc: dict, series):
+    """A pnc unit's runner: one ``run_stream`` per threshold, all on one fitted predictor."""
     spec, where = det_cfg["predictor"], f"detector {det_cfg['id']!r}"
-
-    def run_unit(series, points, keep_trace=False):
-        resolved = [resolve_params(det_cfg, point) for point in points]
+    try:
+        predictor = fit_predictor(spec, series.values[:doc["train_prefix"]])
+    except PredictorError as exc:
+        raise ConfigError(f"{where}: train_prefix: {exc}") from None
+    # zeros: a check of the window sizes the model takes, not of the data
+    for l, b in product(param_values(det_cfg, "l"), param_values(det_cfg, "b")):
         try:
-            predictor = fit_predictor(spec, series.values[:doc["train_prefix"]])
+            predictor.forecast(np.zeros(l), b)
         except PredictorError as exc:
-            raise ConfigError(f"{where}: train_prefix: {exc}") from None
-        # zeros: a check of the window sizes the model takes, not of the data
-        for l, b in product(param_values(det_cfg, "l"), param_values(det_cfg, "b")):
-            try:
-                predictor.forecast(np.zeros(l), b)
-            except PredictorError as exc:
-                raise ConfigError(f"{where}: the model cannot forecast b={b} from l={l}: "
-                                  f"{exc}") from None
-        runs = []
-        for p in resolved:
-            cfg = PncConfig(p["l"], p["b"], p["desInt"], p["k"], p["direction"], p["refit"],
+            raise ConfigError(f"{where}: the model cannot forecast b={b} from l={l}: "
+                              f"{exc}") from None
+
+    def runs(thresholds, p, keep_trace):
+        out = []
+        for threshold in thresholds:
+            cfg = PncConfig(p["l"], p["b"], threshold, p["k"], p["direction"], p["refit"],
                             p["min_refit_history"])
             detections, stream = run_stream(predictor, cfg, series, name=det_cfg["id"],
                                             keep_trace=keep_trace)
             # the signed bound the chart crosses: a downward chart alarms below -desInt
-            bound = cfg.threshold if cfg.direction == "up" else -cfg.threshold
-            runs.append((detections, [(r.index, r.value, r.target, r.stat, bound, r.alarm)
-                                      for r in stream.trace]))
-        return runs
-    return run_unit
+            bound = threshold if cfg.direction == "up" else -threshold
+            out.append((detections, [(r.index, r.value, r.target, r.stat, bound, r.alarm)
+                                     for r in stream.trace]))
+        return out
+    return runs
 
 
 def _check_mosum(det_cfg: dict) -> None:
@@ -284,27 +291,10 @@ def _check_mosum(det_cfg: dict) -> None:
 
 
 def _reference(sweep):
-    """The build of a kind that runs ``sweep(series, thresholds, p)`` once per
-    setting ``p`` of its other keys, with the thresholds of its kind's key in
-    point order, repeats included, once the kind's check has passed; it has
-    no trace."""
-    def build(det_cfg: dict, doc: dict):
-        kind = KINDS[det_cfg["kind"]]
-        kind.check(det_cfg)
-        key = kind.threshold
-
-        def run_unit(series, points, keep_trace=False):
-            resolved = [resolve_params(det_cfg, point) for point in points]
-            groups = {}  # the other keys' values -> the indices of the points with them
-            for i, p in enumerate(resolved):
-                groups.setdefault(tuple(v for name, v in p.items() if name != key), []).append(i)
-            found = {}
-            for idx in groups.values():
-                found.update(zip(idx, sweep(series, [resolved[i][key] for i in idx],
-                                            resolved[idx[0]])))
-            return [(found[i], None) for i in range(len(points))]
-        return run_unit
-    return build
+    """The build of a kind whose runner is ``sweep(series, thresholds, p)``,
+    which shares the segments its runs have in common; it has no trace."""
+    return lambda det_cfg, doc, series: lambda thresholds, p, keep_trace: [
+        (detections, None) for detections in sweep(series, thresholds, p)]
 
 
 KINDS: dict[str, Kind] = {
@@ -312,7 +302,7 @@ KINDS: dict[str, Kind] = {
                  "desInt": (_threshold, REQUIRED), "k": (_FINITE_NON_NEGATIVE, 0.5),
                  "direction": (_choice("up", "down"), "up"),
                  "refit": (_choice("never", "on_detection"), "never"),
-                 "min_refit_history": (_NON_NEGATIVE_INT, 50)}, _build_pnc),
+                 "min_refit_history": (_NON_NEGATIVE_INT, 50)}, _pnc, threshold="desInt"),
     "cusum": Kind({"desInt": (_threshold, REQUIRED), "k": (_FINITE_NON_NEGATIVE, 0.5),
                    "window": (_POSITIVE_INT, 50)},
                   _reference(lambda x, ts, p: classic_cusum_sweep(
@@ -402,6 +392,23 @@ def resolve_params(det_cfg: dict, point: dict) -> dict:
     ``params``, with every other key at its table default."""
     return typed({**det_cfg.get("params", {}), **point}, KINDS[det_cfg["kind"]].params,
                  f"detector {det_cfg['id']!r}", ": ")
+
+
+def run_unit(det_cfg: dict, doc: dict, series, points, keep_trace: bool = False) -> list:
+    """One ``(detections, trace)`` per point, in the order of ``points``
+    (repeats included), of the detector run on ``series`` at that point."""
+    kind = KINDS[det_cfg["kind"]]
+    kind.check(det_cfg)
+    resolved = [resolve_params(det_cfg, point) for point in points]
+    runs = kind.build(det_cfg, doc, series)
+    groups = {}  # the other keys' values -> the indices of the points with them
+    for i, p in enumerate(resolved):
+        groups.setdefault(tuple(v for name, v in p.items() if name != kind.threshold), []).append(i)
+    found = {}
+    for idx in groups.values():
+        found.update(zip(idx, runs([resolved[i][kind.threshold] for i in idx], resolved[idx[0]],
+                                   keep_trace)))
+    return [found[i] for i in range(len(points))]
 
 
 def load_config(path) -> dict:

@@ -28,6 +28,8 @@ per dataset, its id, rows, 1-based labels and source).
 Every writer writes a temporary file next to its target and renames it
 over the target only once it is complete (:func:`replacing`), so a write
 that fails leaves the old file as it was, or no file, never a truncated one.
+A target whose temporary file cannot be opened, in a missing directory or
+under a regular file, is a :class:`DataError` naming the target.
 """
 
 from __future__ import annotations
@@ -79,12 +81,26 @@ def replacing(path, newline: str | None = None):
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "w", newline=newline) as fh:
+        fh = open(tmp, "w", newline=newline)
+    except OSError as exc:  # a missing directory, or a regular file in its place
+        raise DataError(f"{path}: cannot write: {exc.strerror}") from None
+    try:
+        with fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def make_dir(path) -> Path:
+    """The directory ``path``, made with its missing parents."""
+    path = Path(path)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise DataError(f"{path}: cannot make the directory: {exc.strerror}") from None
+    return path
 
 
 def write_text(path, text: str) -> None:
@@ -181,13 +197,26 @@ def write_metrics_csv(path, records: list[EvalRecord]) -> None:
          time_field(r.located_time), int(r.valid)] for r in records))
 
 
+def _metrics_record(ds, det, pid, n_det, fpc, found, arlp, dt, loc, valid) -> EvalRecord:
+    """The run of one metrics row; a field ``eval`` and ``report`` cannot rank is a ValueError."""
+    for name, field in (("n_detections", n_det), ("fpc", fpc)):
+        if int(field) < 0:
+            raise ValueError(f"{name} must be >= 0, got {field}")
+    for name, field in (("target_found", found), ("valid", valid)):
+        if field not in ("0", "1"):
+            raise ValueError(f"{name} must be 0 or 1, got {field!r}")
+    if arlp and not math.isfinite(float(arlp)):
+        raise ValueError(f"arlp must be finite, got {arlp}")
+    if found == "1" and not arlp:
+        raise ValueError("a found target needs an arlp")
+    return EvalRecord(ds, det, pid, {}, int(n_det), int(fpc), found == "1",
+                      float(arlp) if arlp else None, time_index(dt, optional=True),
+                      time_index(loc, optional=True), valid == "1")
+
+
 def read_metrics_csv(path) -> list[EvalRecord]:
-    return [_parse(where, lambda: EvalRecord(
-                ds, det, pid, {}, int(n_det), int(fpc), bool(int(found)),
-                float(arlp) if arlp else None, time_index(dt, optional=True),
-                time_index(loc, optional=True), bool(int(valid))))
-            for where, (ds, det, pid, n_det, fpc, found, arlp, dt, loc, valid)
-            in _read_rows(path, METRICS_HEADER)]
+    return [_parse(where, lambda: _metrics_record(*row))
+            for where, row in _read_rows(path, METRICS_HEADER)]
 
 
 def write_loss_csv(path, train_loss: list[float], val_loss: list[float]) -> None:

@@ -194,7 +194,19 @@ METRICS_HEADER = ("dataset,detector,params,n_detections,fpc,target_found,arlp,de
     (METRICS_HEADER + "a,d,h=1,2,1,1,8.7,301,,1\na,d,h=2,two,0,0,,,,1\n",
      "metrics.csv:3: invalid literal for int()"),
     (b"\xff\xfe\x00\x01", "metrics.csv: cannot read"),
-], ids=["missing", "header", "short-row", "count", "undecodable"])
+    # rows that read as numbers but that eval and report cannot rank
+    (METRICS_HEADER + "a,d,h=1,2,1,1,nan,301,,1\n", "metrics.csv:2: arlp must be finite, got nan"),
+    (METRICS_HEADER + "a,d,h=1,2,1,1,inf,301,,1\n", "metrics.csv:2: arlp must be finite, got inf"),
+    (METRICS_HEADER + "a,d,h=1,-2,1,1,8.7,301,,1\n",
+     "metrics.csv:2: n_detections must be >= 0, got -2"),
+    (METRICS_HEADER + "a,d,h=1,2,-1,1,8.7,301,,1\n", "metrics.csv:2: fpc must be >= 0, got -1"),
+    (METRICS_HEADER + "a,d,h=1,2,1,2,8.7,301,,1\n",
+     "metrics.csv:2: target_found must be 0 or 1, got '2'"),
+    (METRICS_HEADER + "a,d,h=1,2,1,1,8.7,301,,2\n", "metrics.csv:2: valid must be 0 or 1, got '2'"),
+    (METRICS_HEADER + "a,d,h=1,2,1,0,,,,1\na,d,h=2,2,1,1,,301,,1\n",
+     "metrics.csv:3: a found target needs an arlp"),
+], ids=["missing", "header", "short-row", "count", "undecodable", "arlp-nan", "arlp-inf",
+        "n_detections-negative", "fpc-negative", "target_found-2", "valid-2", "found-no-arlp"])
 def test_bad_metrics_file_exits_2_and_writes_nothing(config_path, tmp_path, capsys, contents,
                                                      message):
     metrics = tmp_path / "metrics.csv"
@@ -207,6 +219,53 @@ def test_bad_metrics_file_exits_2_and_writes_nothing(config_path, tmp_path, caps
         assert main([*command, "--metrics", str(metrics), "--out", str(out)]) == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+
+def test_eval_avg_max_budget_needs_rows_for_every_dataset(config_path, tmp_path, capsys):
+    """The avg_max budget of a dataset is read from its rows in metrics.csv."""
+    metrics = tmp_path / "metrics.csv"
+    metrics.write_text(METRICS_HEADER + "step1,cusum,desInt=5,1,0,1,12.5,530,,1\n")
+    out = tmp_path / "eval.txt"
+    assert main(["eval", "-c", str(config_path), "--metrics", str(metrics), "--out", str(out)]) == 2
+    assert (f"error: {metrics}: no rows for dataset 'step2', whose avg_max baseline budget "
+            "reads them") in capsys.readouterr().err
+    assert not out.exists()
+    config_path.write_text(config_path.read_text().replace("n_fp: [0, avg_max]", "n_fp: [0]"))
+    assert main(["eval", "-c", str(config_path), "--metrics", str(metrics), "--out", str(out)]) == 0
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("command, parent", [
+    ("simulate", "file"), ("grid", "file"),
+    *((command, parent) for command in ("standardize", "detect", "train-lstm", "eval", "report")
+      for parent in ("missing", "file"))])
+def test_an_output_path_that_cannot_be_written_exits_2_and_writes_nothing(
+        config_path, tmp_path, capsys, command, parent):
+    """A missing directory, or a regular file where a directory should be,
+    is a data error that names the path asked for, and nothing is written."""
+    config_path.write_text(config_path.read_text()
+                           + "lstm: {nh: 12, nz: 4, hidden: 4, epochs: 2, batch_size: 16}\n")
+    assert main(["simulate", "-c", str(config_path), "--only", "step1"]) == 0
+    metrics = tmp_path / "metrics.csv"
+    metrics.write_text(METRICS_HEADER + "step1,cusum,desInt=5,1,0,1,12.5,530,,1\n"
+                       "step2,cusum,desInt=5,1,0,1,10.0,480,,1\n")
+    base = tmp_path / ("nosuch" if parent == "missing" else "afile")
+    if parent == "file":
+        base.write_text("")
+    cfg, to = str(config_path), str(base / "x")
+    args = {"simulate": ["simulate", "-c", cfg, "--out", to],
+            "grid": ["grid", "-c", cfg, "--out", to],
+            "standardize": ["standardize", str(tmp_path / "out" / "step1.csv"), to],
+            "detect": ["detect", "-c", cfg, "--dataset", "step1", "--detector", "cusum",
+                       "--out", to],
+            "train-lstm": ["train-lstm", "-c", cfg, "--dataset", "step1", "--out", to],
+            "eval": ["eval", "-c", cfg, "--metrics", str(metrics), "--out", to],
+            "report": ["report", "--metrics", str(metrics), "--out", to]}[command]
+    before = sorted(tmp_path.rglob("*"))
+    capsys.readouterr()
+    assert main(args) == 2
+    assert f"error: {to}: cannot " in capsys.readouterr().err
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 @pytest.mark.parametrize("cap, code", [("nan", 2), ("inf", 0), ("-1", 0)])

@@ -12,7 +12,7 @@ import pytest
 
 from predcomp.cli import build_dataset, build_detector, main, prepare_series
 from predcomp.config import ConfigError, load_config
-from predcomp.config import KINDS, REQUIRED
+from predcomp.config import KINDS, REQUIRED, run_unit
 from predcomp.evaluate import params_id
 from predcomp.io import save_model
 from predcomp.lstm import init_lstm
@@ -171,20 +171,19 @@ def test_a_run_keeps_what_it_fits_or_sweeps_to_its_own_series(det_cfg, outside, 
     with one point twice."""
     doc = {"train_prefix": 300}
     kind = KINDS[det_cfg["kind"]]
-    key = kind.threshold or "desInt"
+    key = kind.threshold
     points = [{key: value, **extra} for extra in ({}, other)
               for value in [*det_cfg["grid"][key], outside]]
     points = [points[i] for i in spawn_rng(0, "points").permutation(len(points))]
     points.insert(3, points[1])
-    run_unit = kind.build(det_cfg, doc)
     got = []
     for seed, name in [(0, ""), (1, ""), (2, ""), (1, "same"), (2, "same")]:
         series = _level_series(seed, name)
-        runs = run_unit(series, points, keep_trace=True)
+        runs = run_unit(det_cfg, doc, series, points, keep_trace=True)
         assert len(runs) == len(points)
         for point, run in zip(points, runs):
             pinned = dict(det_cfg, params={**det_cfg.get("params", {}), **point}, grid={})
-            (fresh,) = kind.build(pinned, doc)(series, [point], keep_trace=True)
+            (fresh,) = run_unit(pinned, doc, series, [point], keep_trace=True)
             assert run == fresh, (seed, name, point)
             got.append(fresh[0])
     assert len({tuple(d.detect_time for d in dets) for dets in got}) > 1

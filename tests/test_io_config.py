@@ -431,3 +431,26 @@ def test_fit_predictor_refuses_keys_its_kind_ignores():
         fit_predictor({"kind": "naive", "p": 3}, np.arange(100.0))
     with pytest.raises(ConfigError, match=r"predictor\.p must be int, got 2\.7"):
         fit_predictor({"kind": "ar", "p": 2.7}, np.arange(100.0))
+
+
+def test_arima_auto_refuses_an_explicit_order(tmp_path, monkeypatch):
+    """The order search that ``auto: true`` asks for would ignore an order
+    beside it; each way of asking for the search alone still searches."""
+    from predcomp import predictors
+    refused = "auto: true searches every order, so it takes no order; got order [2, 0, 1]"
+    config = ("schema_version: 1\ndetectors:\n"
+              "  - {{id: p, kind: pnc, predictor: {spec}, params: {{desInt: 5}}}}\n")
+    with pytest.raises(ConfigError, match=re.escape(f"detectors[0].predictor: {refused}")):
+        load_config(_write_config(tmp_path, config.format(
+            spec="{kind: arima, order: [2, 0, 1], auto: true}")))
+    with pytest.raises(ConfigError, match=re.escape(f"predictor: {refused}")):
+        predictors.fit_predictor({"kind": "arima", "order": [2, 0, 1], "auto": True},
+                                 np.arange(100.0))
+    searched = []
+    monkeypatch.setattr(predictors.ArimaPredictor, "_fit_auto",
+                        classmethod(lambda cls, history: searched.append(len(history))))
+    for spec in ({"kind": "arima"}, {"kind": "arima", "order": "auto"},
+                 {"kind": "arima", "auto": True}, {"kind": "arima", "order": "auto", "auto": True}):
+        load_config(_write_config(tmp_path, config.format(spec=spec)))
+        predictors.fit_predictor(spec, np.arange(100.0))
+    assert searched == [100] * 4
