@@ -159,14 +159,14 @@ def cmd_train_lstm(args) -> int:
 
 def cmd_grid(args) -> int:
     doc = load_config(args.config)
+    if not doc["datasets"] or not doc["detectors"]:
+        raise ConfigError("grid needs at least one dataset and one detector")
     target = doc["evaluation"]["target"]
     datasets = [prepare_series(doc, build_dataset(ds, doc["seed"])) for ds in doc["datasets"]]
     for series in datasets:
         if find_target(series, target) is None:
             raise ConfigError(f"dataset {series.name!r} has no {target} label (evaluation.target)")
     detectors = [build_detector(det, doc) for det in doc["detectors"]]
-    if not datasets or not detectors:
-        raise ConfigError("grid needs at least one dataset and one detector")
     records = run_grid(datasets, detectors, target_key=target)
     out = make_dir(args.out or doc["output_dir"])
     write_metrics_csv(out / "metrics.csv", records)

@@ -277,12 +277,18 @@ def _pnc(det_cfg: dict, doc: dict, series):
 
 
 def _check_mosum(det_cfg: dict) -> None:
-    """Every level must be calibrated, and harmonic terms need a period > 0."""
+    """Every level must be calibrated, harmonic terms need a period > 0, and
+    monitoring cannot start before ``minHist`` points to fit."""
     where = f"detector {det_cfg['id']!r}"
     harmonics, periods = param_values(det_cfg, "harmonics"), param_values(det_cfg, "period")
     if max(harmonics) > 0 and min(periods) <= 0:
         raise ConfigError(f"{where}: harmonics > 0 need a period > 0, got harmonics "
                           f"{sorted(set(harmonics))}, period {sorted(set(periods))}")
+    starts = [v for v in param_values(det_cfg, "monitor_from") if v is not None]
+    hists = param_values(det_cfg, "minHist")
+    if starts and min(starts) < max(hists):
+        raise ConfigError(f"{where}: monitor_from must be at least minHist, got monitor_from "
+                          f"{sorted(set(starts))}, minHist {sorted(set(hists))}")
     for h, level in product(param_values(det_cfg, "h"), param_values(det_cfg, "level")):
         try:
             boundary_constant(h, level)

@@ -159,7 +159,8 @@ def run_grid(datasets: list[LabeledSeries], detectors: list[DetectorGrid],
     runs.  Each detector's unit runs once per dataset over all its points;
     the grid maps these units over up to one forked worker per CPU
     (:func:`predcomp.pool.pool_map`), so the records are the serial ones bit
-    for bit, and the first unit to fail in the serial order raises.  The
+    for bit.  The first unit to fail in the serial order raises as soon as
+    every unit before it is done, and no later unit is waited for.  The
     records come out by detector, then point, then dataset.  A grid point is
     flagged invalid when it finds no change point on any dataset or an
     excessive number (>= 1000) on some dataset; invalid points are kept in

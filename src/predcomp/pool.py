@@ -6,7 +6,8 @@ its (detector, dataset) units, the ARIMA order search
 fits, and online standardization (``_online`` in
 :mod:`predcomp.standardize`) its ranges of steps on a long stream.  Workers
 are forked, so they start from the parent's state at the call, its BLAS
-thread count included, and compute the serial bits.
+thread count included, and compute the serial bits.  A map gives what the
+serial loop gives: the results in input order, or its first failure.
 """
 
 from __future__ import annotations
@@ -17,22 +18,19 @@ import os
 _job = None
 
 
-def _call(i: int) -> tuple:
-    """``(True, fn(items[i]))``, or ``(False, the exception it raised)``."""
+def _call(i: int):
     fn, items = _job
-    try:
-        return True, fn(items[i])
-    except Exception as exc:
-        return False, exc
+    return fn(items[i])
 
 
 def pool_map(fn, items: list) -> list:
     """``[fn(x) for x in items]`` on up to one forked worker per CPU.
 
-    Results come back in input order.  Every item runs; then the first
-    exception in input order reaches the caller with its type, as in the
-    serial loop.  ``fn`` may be a closure: the workers inherit it and receive
-    only indices, and send back only results.  Forked workers see the
+    Results come back in input order.  The first exception in input order
+    reaches the caller once every item before it is done, and the workers
+    still running are stopped, so a pooled map fails as the serial loop does.
+    ``fn`` may be a closure: the workers inherit it and receive only
+    indices, and send back only results.  Forked workers see the
     parent's module state at the call, patches included.  It runs serially
     for one CPU or one item, and inside a daemonic pool worker, which may
     not start processes.  ``multiprocessing`` is imported here, off the
@@ -49,12 +47,9 @@ def pool_map(fn, items: list) -> list:
     try:
         # leaving the block by an exception terminates the workers
         with multiprocessing.get_context("fork").Pool(n) as pool:
-            out = pool.map(_call, range(len(items)), chunksize=1)
+            out = list(pool.imap(_call, range(len(items)), chunksize=1))
             pool.close()
             pool.join()
     finally:
         _job = None
-    for ok, value in out:
-        if not ok:
-            raise value
-    return [value for _, value in out]
+    return out

@@ -17,10 +17,10 @@ with the package; lookups match the level exactly and take the nearest
 tabulated bandwidth fraction.
 
 History protocol: at the initial segment the history is the
-``monitor_from`` leading points, of which the stable tail of length
-clamp(ceil(hist_fact * monitor_from), min_hist, _CAP_FACTOR * min_hist) is
-fitted.  After each detection the model refits once ``min_hist`` fresh
-points have accumulated, then monitoring resumes.
+``monitor_from`` leading points, at least ``min_hist``, of which the stable
+tail of length clamp(ceil(hist_fact * monitor_from), min_hist,
+_CAP_FACTOR * min_hist) is fitted.  After each detection the model refits
+once ``min_hist`` fresh points have accumulated, then monitoring resumes.
 
 The moving sums and their bounds are computed as array operations over
 blocks of ``_ROWS`` steps, each entry by the same expression as the
@@ -105,15 +105,16 @@ def mosum_sweep(series, levels, min_hist: int = 100, hist_fact: float = 0.5,
     n = len(values)
     if monitor_from is None:
         monitor_from = 2 * min_hist
+    elif monitor_from < min_hist:
+        raise ValueError("monitor_from must be at least min_hist, or nothing is monitored")
 
     def scan(seg_start: int, cs: list) -> list[Detection]:
         found = []
         mon_start = min(monitor_from, n) if seg_start == 0 else seg_start + min_hist
         avail = mon_start - seg_start
-        if mon_start >= n or avail < min_hist:
+        if mon_start >= n:
             return found
-        length = int(min(max(min_hist, math.ceil(hist_fact * avail)),
-                         _CAP_FACTOR * min_hist, avail))
+        length = int(min(max(min_hist, math.ceil(hist_fact * avail)), _CAP_FACTOR * min_hist))
         hist_lo = mon_start - length
         t_hist = np.arange(hist_lo, mon_start, dtype=float)
         X = _design(t_hist, harmonics, period)

@@ -601,6 +601,21 @@ def test_detect_with_no_step_to_draw_writes_nothing(tmp_path, capsys):
     assert not any(path.exists() for path in paths)
 
 
+@pytest.mark.parametrize("flag", ["--trace", "--svg"])
+@pytest.mark.parametrize("kind, params", [("cusum", {"desInt": 5.0}), ("bocpd", {"hazard": 0.01}),
+                                          ("ocd", {"diag": 8.0}), ("mosum", {})],
+                         ids=["cusum", "bocpd", "ocd", "mosum"])
+def test_detect_chart_of_a_kind_without_a_trace_exits_1_and_writes_nothing(tmp_path, capsys,
+                                                                            kind, params, flag):
+    cfg = _bound_config(tmp_path, (), {"detectors": [{"id": "r", "kind": kind, "params": params}]})
+    paths = [tmp_path / "d.csv", tmp_path / "chart"]
+    assert main(["detect", "-c", str(cfg), "--dataset", "s", "--detector", "r",
+                 "--out", str(paths[0]), flag, str(paths[1])]) == 1
+    assert (f"usage error: --trace/--svg: {kind} detectors have no chart trace"
+            in capsys.readouterr().err)
+    assert not any(path.exists() for path in paths)
+
+
 @pytest.mark.parametrize("bad", ["nan", "inf"])
 def test_non_finite_csv_exits_2_and_writes_nothing(tmp_path, capsys, bad):
     src = tmp_path / "bad.csv"
@@ -823,6 +838,20 @@ def test_dataset_without_the_target_label_exits_2_before_any_run(tmp_path, capsy
     cfg = _bound_config(tmp_path, ("evaluation",), {"target": "E>K"})
     assert main(["grid", "-c", str(cfg)]) == 2
     assert "error: dataset 's' has no E>K label (evaluation.target)" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_grid_without_a_detector_exits_2_before_building_a_dataset(tmp_path, capsys,
+                                                                    monkeypatch):
+    import predcomp.cli as cli
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("a dataset was built")
+
+    monkeypatch.setattr(cli, "build_dataset", no_build)
+    cfg = _bound_config(tmp_path, (), {"detectors": []})
+    assert main(["grid", "-c", str(cfg)]) == 2
+    assert "error: grid needs at least one dataset and one detector" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

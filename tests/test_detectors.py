@@ -298,10 +298,18 @@ def test_missing_or_unreadable_parameter_exits_2(tmp_path, capsys, detector, mes
     ("{id: c, kind: mosum, params: {period: 50.0}, grid: {harmonics: [0, 2]}}",
      ["harmonics=2", "period=-1"],
      "harmonics > 0 need a period > 0, got harmonics [2], period [-1.0]"),
-], ids=["grid-level", "grid-harmonics", "detect-level", "detect-period"])
+    ("{id: c, kind: mosum, params: {minHist: 100}, grid: {monitor_from: [0, 99, 100, 200]}}",
+     None, "monitor_from must be at least minHist, got monitor_from [0, 99, 100, 200], "
+           "minHist [100]"),
+    ("{id: c, kind: mosum, grid: {minHist: [50, 100], monitor_from: [100, 200]}}",
+     ["minHist=100", "monitor_from=40"],
+     "monitor_from must be at least minHist, got monitor_from [40], minHist [100]"),
+], ids=["grid-level", "grid-harmonics", "detect-level", "detect-period", "grid-monitor_from",
+        "detect-monitor_from"])
 def test_mosum_setting_the_table_cannot_check_exits_2(tmp_path, capsys, detector, pins, message):
-    """A level missing from the calibration table, or harmonic terms without
-    a period, fail when the detector is built, before any run."""
+    """A level missing from the calibration table, harmonic terms without a
+    period, or monitoring from before the first history could be fitted,
+    fail when the detector is built, before any run."""
     cfg = tmp_path / "c.yaml"
     cfg.write_text(BAD_CONFIG.format(out=tmp_path / "out", detector=detector))
     load_config(cfg)  # each value on its own is in range

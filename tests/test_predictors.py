@@ -2,6 +2,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -180,7 +181,7 @@ def test_pool_map_runs_serially_on_one_cpu_and_in_a_daemonic_worker(monkeypatch)
 # `pool.py` loaded alone by path (it needs only the standard library), one
 # idle thread started so that the process forks with more than one thread
 POOL_WITH_A_THREAD = """\
-import importlib.util, os, sys, threading
+import importlib.util, multiprocessing, os, sys, threading, time
 spec = importlib.util.spec_from_file_location("pool_under_test", sys.argv[1])
 pool = importlib.util.module_from_spec(spec)
 sys.modules[spec.name] = pool
@@ -188,18 +189,53 @@ spec.loader.exec_module(pool)
 os.sched_getaffinity = lambda pid: {0, 1}
 threading.Thread(target=threading.Event().wait, daemon=True).start()
 print(threading.active_count(), pool.pool_map(lambda x: 2 * x, [1, 2, 3]))
+
+
+def first_fails(x):
+    if x == 0:
+        raise KeyError("first")
+    time.sleep(30)
+
+
+start = time.perf_counter()
+try:
+    pool.pool_map(first_fails, [0, 1, 2])
+except KeyError as exc:
+    print(repr(exc), time.perf_counter() - start < 5, multiprocessing.active_children())
 """
 
 
 def test_pool_forks_a_threaded_process_with_deprecation_warnings_as_errors():
     """From Python 3.12, forking a process with more than one thread warns
-    (DeprecationWarning); the pool must still map under ``-W error``."""
+    (DeprecationWarning); the pool must still map, and fail at its first
+    failed item, under ``-W error``."""
     pool_py = Path(predictors.__file__).with_name("pool.py")
     out = subprocess.run([sys.executable, "-W", "error::DeprecationWarning", "-c",
                           POOL_WITH_A_THREAD, str(pool_py)],
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
-    assert out.stdout == "2 [2, 4, 6]\n"
+    assert out.stdout == "2 [2, 4, 6]\nKeyError('first') True []\n"
+
+
+def _first_fails(x):
+    if x == 0:
+        raise KeyError("first")
+    time.sleep(30)
+
+
+def test_pool_map_raises_its_first_failure_without_waiting_for_later_items(monkeypatch):
+    """On two CPUs and on one, the first item's exception is raised at once
+    and no worker is left; the later items would each sleep 30 s."""
+    raised = []
+    for cpus in ({0, 1}, {0}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+        start = time.perf_counter()
+        with pytest.raises(KeyError) as exc:
+            pool_map(_first_fails, [0, 1, 2])
+        assert time.perf_counter() - start < 5
+        assert multiprocessing.active_children() == []
+        raised.append((type(exc.value), str(exc.value)))
+    assert raised == [(KeyError, "'first'")] * 2
 
 
 def test_order_search_errors_reach_the_caller_and_leave_no_worker(monkeypatch):

@@ -9,7 +9,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from predcomp.refdet.mosum import boundary_constant, mosum_detect
+from predcomp.refdet.mosum import boundary_constant, mosum_detect, mosum_sweep
 from predcomp.seeding import spawn_rng
 
 
@@ -147,6 +147,9 @@ def test_parameter_validation():
         mosum_detect(y, h_band=0.0)
     with pytest.raises(ValueError):
         mosum_detect(y, harmonics=1, period=0.0)
+    # a first history shorter than min_hist is never fitted, so nothing is monitored
+    with pytest.raises(ValueError, match="monitor_from must be at least min_hist"):
+        mosum_sweep(y, [0.05], min_hist=50, monitor_from=49)
 
 
 def test_short_series_yields_nothing():
