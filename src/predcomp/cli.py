@@ -18,9 +18,10 @@ from .config import (EVALUATION, KINDS, SOURCES, STANDARDIZE, TRAIN, ConfigError
                      load_config, run_unit, typed)
 from .evaluate import (DetectorGrid, EvalRecord, average_max_fpc, find_target, params_id,
                        render_report, run_grid, select_best)
-from .io import (DataError, make_dir, read_metrics_csv as _read_metrics, read_series_csv,
-                 save_model, time_field, write_detections_csv, write_loss_csv, write_manifest,
-                 write_metrics_csv, write_series_csv, write_text, write_trace_csv, write_trace_svg)
+from .io import (DataError, check_output, make_dir, read_metrics_csv as _read_metrics,
+                 read_series_csv, save_model, time_field, write_detections_csv, write_loss_csv,
+                 write_manifest, write_metrics_csv, write_series_csv, write_text, write_trace_csv,
+                 write_trace_svg)
 from .predictors import PredictorError
 from .refdet.baseline import random_baseline
 from .series import LabeledSeries
@@ -103,6 +104,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_standardize(args) -> int:
     t0 = typed({"--t0": args.t0}, {"--t0": STANDARDIZE["t0"]}, "", "")["--t0"]
+    check_output(args.output)
     series = read_series_csv(args.input)
     res = standardize(series, t0=t0, mode=args.mode)
     write_series_csv(args.output, res.scores)
@@ -114,8 +116,11 @@ def cmd_standardize(args) -> int:
 
 def cmd_detect(args) -> int:
     doc = load_config(args.config)
-    series = prepare_series(doc, build_dataset(_entry(doc, "datasets", args.dataset), doc["seed"]))
+    ds_cfg = _entry(doc, "datasets", args.dataset)
     det_cfg = _entry(doc, "detectors", args.detector)
+    out = args.out or f"{det_cfg['id']}_{ds_cfg['id']}_detections.csv"
+    check_output(out, args.trace, args.svg)
+    series = prepare_series(doc, build_dataset(ds_cfg, doc["seed"]))
     params = _fixed_params(det_cfg, args.set)
     ((detections, trace),) = run_unit(dict(det_cfg, params=params, grid={}), doc, series, [params],
                                       bool(args.trace or args.svg))
@@ -124,7 +129,6 @@ def cmd_detect(args) -> int:
     if args.svg and not trace:  # refused before anything is written
         raise DataError(f"--svg: detector {det_cfg['id']!r} charted no step (empty trace)")
     rows = [(series.name, det_cfg["id"], params_id(params), d) for d in detections]
-    out = args.out or f"{det_cfg['id']}_{series.name}_detections.csv"
     write_detections_csv(out, rows)
     print(f"{len(detections)} detection(s); wrote {out}")
     for _, _, _, d in rows:
@@ -140,6 +144,7 @@ def cmd_detect(args) -> int:
 
 
 def cmd_train_lstm(args) -> int:
+    check_output(args.out, args.loss)
     doc = load_config(args.config)
     lcfg = doc["lstm"]
     if lcfg is None:
@@ -161,6 +166,7 @@ def cmd_grid(args) -> int:
     doc = load_config(args.config)
     if not doc["datasets"] or not doc["detectors"]:
         raise ConfigError("grid needs at least one dataset and one detector")
+    check_output(args.out or doc["output_dir"], directory=True)
     target = doc["evaluation"]["target"]
     datasets = [prepare_series(doc, build_dataset(ds, doc["seed"])) for ds in doc["datasets"]]
     for series in datasets:
@@ -175,6 +181,7 @@ def cmd_grid(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    check_output(args.out)
     doc = load_config(args.config)
     records = _read_metrics(args.metrics)
     ev = doc["evaluation"]
@@ -220,6 +227,7 @@ def cmd_report(args) -> int:
         raise UsageError(f"report --datasets is for --scope subset, not {scope}")
     if scope == "subset" and not args.datasets:
         raise UsageError("report --scope subset needs --datasets")
+    check_output(args.out)
     records = _read_metrics(args.metrics)
     datasets = args.datasets.split(",") if args.datasets else None
     for ds in datasets or []:

@@ -268,10 +268,7 @@ def _pnc(det_cfg: dict, doc: dict, series):
                             p["min_refit_history"])
             detections, stream = run_stream(predictor, cfg, series, name=det_cfg["id"],
                                             keep_trace=keep_trace)
-            # the signed bound the chart crosses: a downward chart alarms below -desInt
-            bound = threshold if cfg.direction == "up" else -threshold
-            out.append((detections, [(r.index, r.value, r.target, r.stat, bound, r.alarm)
-                                     for r in stream.trace]))
+            out.append((detections, stream.trace))
         return out
     return runs
 

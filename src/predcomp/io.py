@@ -29,12 +29,14 @@ Every writer writes a temporary file next to its target and renames it
 over the target only once it is complete (:func:`replacing`), so a write
 that fails leaves the old file as it was, or no file, never a truncated one.
 A target whose temporary file cannot be opened, in a missing directory or
-under a regular file, is a :class:`DataError` naming the target.
+under a regular file, is a :class:`DataError` naming the target; the
+commands refuse such a target before any work with :func:`check_output`.
 """
 
 from __future__ import annotations
 
 import csv
+import errno
 import json
 import math
 import os
@@ -93,8 +95,27 @@ def replacing(path, newline: str | None = None):
         raise
 
 
+def check_output(*paths, directory: bool = False) -> None:
+    """A :class:`DataError` for the first of ``paths`` that cannot be written; None
+    stands for no output.  A file needs a writable directory as its parent and must
+    not be a directory itself; a ``directory`` needs a writable directory as its
+    nearest existing ancestor, or itself."""
+    for path in map(Path, filter(None, paths)):
+        near = path if directory else path.parent
+        while directory and not near.exists() and near != near.parent:
+            near = near.parent  # make_dir makes the missing parents
+        err = (errno.EISDIR if not directory and path.is_dir() else
+               errno.ENOENT if not near.exists() else
+               errno.ENOTDIR if not near.is_dir() else
+               errno.EACCES if not os.access(near, os.W_OK | os.X_OK) else None)
+        if err:
+            what = "make the directory" if directory else "write"
+            raise DataError(f"{path}: cannot {what}: {os.strerror(err)}")
+
+
 def make_dir(path) -> Path:
     """The directory ``path``, made with its missing parents."""
+    check_output(path, directory=True)
     path = Path(path)
     try:
         path.mkdir(parents=True, exist_ok=True)

@@ -15,12 +15,16 @@ of it has accumulated; otherwise the stale model is kept and the skip is
 recorded in the diagnostics.
 
 Every decision about index s uses only observations with index <= s.
+
+With ``keep_trace`` the stream records each charted step as a :class:`TraceRow`,
+the trace format that ``io.write_trace_csv`` and ``io.write_trace_svg`` write.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -53,12 +57,14 @@ class PncConfig:
         CusumChart(self.threshold, self.allowance, self.direction)  # the chart's own checks
 
 
-@dataclass
-class TraceRow:
+class TraceRow(NamedTuple):
+    """One charted step: the chart statistic ``stat`` against the signed
+    ``bound`` it alarms past, +desInt upward and -desInt downward."""
     index: int
     value: float
     target: float
     stat: float
+    bound: float
     alarm: bool
 
 
@@ -91,6 +97,7 @@ class PncStream:
         self.keep_trace = keep_trace
         self.diagnostics = StreamDiagnostics()
         self.trace: list[TraceRow] = []
+        self._bound = cfg.threshold if cfg.direction == "up" else -cfg.threshold
         self._buf = np.empty(1024)
         self._n = 0
         self._origin = 0
@@ -145,7 +152,7 @@ class PncStream:
         target = self._targets[i - self._anchor]
         alarm = self._chart.step(x, target)
         if self.keep_trace:
-            self.trace.append(TraceRow(i, x, target, self._chart.value, alarm))
+            self.trace.append(TraceRow(i, x, target, self._chart.value, self._bound, alarm))
         if not alarm:
             return None
         det = Detection(detect_time=i, located_time=self._chart.located(),
@@ -163,7 +170,7 @@ def run_stream(predictor, cfg: PncConfig, series, name: str = "pnc",
     """Run the engine over a whole series.
 
     Returns (detections, stream) where ``stream`` carries diagnostics and,
-    when requested, a per-step trace of (value, target, statistic, alarm).
+    when requested, the per-step trace of :class:`TraceRow`.
     """
     values = series.values if isinstance(series, LabeledSeries) else np.asarray(series, dtype=float)
     stream = PncStream(predictor, cfg, name=name, keep_trace=keep_trace)

@@ -134,14 +134,12 @@ class ArPredictor:
         window = _as_history(window)
         if len(window) < self.p:
             raise PredictorError(f"input window shorter than p={self.p}")
-        buf = list(window[-self.p:])
-        out = np.empty(steps)
-        for h in range(steps):
-            nxt = self.intercept + float(np.dot(self.coef, buf[::-1]))
-            out[h] = nxt
-            buf.pop(0)
-            buf.append(nxt)
-        return out
+        # newest first: z[h] is forecast from the p values after it, the window's last
+        z = np.empty(steps + self.p)
+        z[steps:] = window[:-self.p - 1:-1]
+        for h in range(steps - 1, -1, -1):
+            z[h] = self.intercept + float(np.dot(self.coef, z[h + 1:h + 1 + self.p]))
+        return z[steps - 1::-1]
 
     def refit(self, history):
         return ArPredictor.fit(history, self.p)

@@ -238,11 +238,20 @@ def test_eval_avg_max_budget_needs_rows_for_every_dataset(config_path, tmp_path,
 @pytest.mark.parametrize("command, parent", [
     ("simulate", "file"), ("grid", "file"),
     *((command, parent) for command in ("standardize", "detect", "train-lstm", "eval", "report")
+      for parent in ("missing", "file")),
+    *((command, parent) for command in ("detect-trace", "detect-svg", "train-lstm-loss")
       for parent in ("missing", "file"))])
 def test_an_output_path_that_cannot_be_written_exits_2_and_writes_nothing(
-        config_path, tmp_path, capsys, command, parent):
+        config_path, tmp_path, capsys, monkeypatch, command, parent):
     """A missing directory, or a regular file where a directory should be,
-    is a data error that names the path asked for, and nothing is written."""
+    is a data error that names the path asked for, and nothing is written:
+    every output path is checked before the work, a second one too."""
+    import predcomp.cli as cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("ran before the output paths were checked")
+    monkeypatch.setattr(cli, "run_grid", never)
+    monkeypatch.setattr(cli.lstm_mod, "train_lstm", never)
     config_path.write_text(config_path.read_text()
                            + "lstm: {nh: 12, nz: 4, hidden: 4, epochs: 2, batch_size: 16}\n")
     assert main(["simulate", "-c", str(config_path), "--only", "step1"]) == 0
@@ -252,13 +261,19 @@ def test_an_output_path_that_cannot_be_written_exits_2_and_writes_nothing(
     base = tmp_path / ("nosuch" if parent == "missing" else "afile")
     if parent == "file":
         base.write_text("")
-    cfg, to = str(config_path), str(base / "x")
+    cfg, to, ok = str(config_path), str(base / "x"), str(tmp_path / "ok")
+    pnc = ["detect", "-c", cfg, "--dataset", "step1", "--detector", "pnc_ar", "--set", "desInt=4",
+           "--out", ok]
     args = {"simulate": ["simulate", "-c", cfg, "--out", to],
             "grid": ["grid", "-c", cfg, "--out", to],
             "standardize": ["standardize", str(tmp_path / "out" / "step1.csv"), to],
             "detect": ["detect", "-c", cfg, "--dataset", "step1", "--detector", "cusum",
                        "--out", to],
             "train-lstm": ["train-lstm", "-c", cfg, "--dataset", "step1", "--out", to],
+            "detect-trace": [*pnc, "--trace", to],
+            "detect-svg": [*pnc, "--svg", to],
+            "train-lstm-loss": ["train-lstm", "-c", cfg, "--dataset", "step1", "--out", ok,
+                                "--loss", to],
             "eval": ["eval", "-c", cfg, "--metrics", str(metrics), "--out", to],
             "report": ["report", "--metrics", str(metrics), "--out", to]}[command]
     before = sorted(tmp_path.rglob("*"))
@@ -551,7 +566,8 @@ def test_detect_and_grid_agree_on_a_downward_pnc(tmp_path, capsys, read_detectio
 
 
 def test_downward_trace_shows_the_bound_its_chart_crosses(tmp_path, capsys):
-    """The threshold column read +desInt, and the SVG drew it above the chart."""
+    """The threshold column reads -desInt, the bound below zero that the
+    chart alarms past, and the SVG draws it inside the plot."""
     cfg = tmp_path / "down.yaml"
     cfg.write_text(DOWN_CONFIG.format(out=tmp_path / "out"))
     trace, svg = tmp_path / "trace.csv", tmp_path / "chart.svg"

@@ -16,7 +16,8 @@ from predcomp.config import KINDS, REQUIRED, run_unit
 from predcomp.evaluate import params_id
 from predcomp.io import save_model
 from predcomp.lstm import init_lstm
-from predcomp.pnc import PncConfig
+from predcomp.pnc import PncConfig, run_stream
+from predcomp.predictors import fit_predictor
 from predcomp.refdet import (NigPrior, bocpd_detect, classic_cusum_detect, classic_cusum_sweep,
                              mosum_detect, mosum_sweep, ocd_detect, ocd_sweep)
 from predcomp.seeding import spawn_rng
@@ -187,6 +188,23 @@ def test_a_run_keeps_what_it_fits_or_sweeps_to_its_own_series(det_cfg, outside, 
             assert run == fresh, (seed, name, point)
             got.append(fresh[0])
     assert len({tuple(d.detect_time for d in dets) for dets in got}) > 1
+
+
+@pytest.mark.parametrize("direction, sign", [("up", 1.0), ("down", -1.0)])
+def test_a_pnc_unit_returns_the_rows_its_stream_records(direction, sign):
+    det_cfg = {"id": "p", "kind": "pnc", "predictor": {"kind": "ar", "p": 2},
+               "params": {"l": 100, "b": 25, "direction": direction},
+               "grid": {"desInt": [4.0, 8.0]}}
+    series = LabeledSeries(sign * _level_series(0, "").values, name="s")
+    points = [{"desInt": 4.0}, {"desInt": 8.0}]
+    runs = run_unit(det_cfg, {"train_prefix": 300}, series, points, keep_trace=True)
+    predictor = fit_predictor(det_cfg["predictor"], series.values[:300])
+    for point, (detections, trace) in zip(points, runs):
+        cfg = PncConfig(100, 25, point["desInt"], direction=direction)
+        want, stream = run_stream(predictor, cfg, series, name="p", keep_trace=True)
+        assert detections and detections == want
+        assert trace == stream.trace
+        assert {row.bound for row in trace} == {sign * point["desInt"]}
 
 
 BAD_CONFIG = """\

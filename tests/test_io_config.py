@@ -11,6 +11,7 @@ import pytest
 from predcomp.config import ConfigError, load_config
 from predcomp.io import (
     DataError,
+    check_output,
     load_model,
     read_labels_csv,
     read_metrics_csv,
@@ -329,6 +330,22 @@ def test_write_text_replaces_the_file(tmp_path):
     write_text(p, "second\n")
     assert p.read_text() == "second\n"
     assert [f.name for f in tmp_path.iterdir()] == ["t.txt"]
+
+
+def test_check_output_takes_what_a_write_can_make_and_nothing_else(tmp_path):
+    (tmp_path / "afile").write_text("")
+    (tmp_path / "adir").mkdir()
+    check_output(tmp_path / "afile", tmp_path / "new.csv", None)  # replaced, made, no output
+    check_output(tmp_path / "adir", tmp_path / "new" / "deeper", directory=True)
+    for path, directory, reason in [
+            ("adir", False, "cannot write: Is a directory"),
+            ("nosuch/x", False, "cannot write: No such file or directory"),
+            ("afile/x", False, "cannot write: Not a directory"),
+            ("afile", True, "cannot make the directory: Not a directory"),
+            ("afile/x/y", True, "cannot make the directory: Not a directory")]:
+        with pytest.raises(DataError, match=f"^{tmp_path / path}: {reason}$"):
+            check_output(tmp_path / path, directory=directory)
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["adir", "afile"]
 
 
 def test_readme_tables_list_each_config_key():

@@ -90,6 +90,18 @@ def test_trace_gating_and_warmup():
     assert all(row.target == 0.0 for row in traced.trace)
 
 
+@pytest.mark.parametrize("direction, bound", [("up", 6.0), ("down", -6.0)])
+def test_trace_rows_carry_the_signed_bound_of_their_chart(direction, bound):
+    """An upward chart alarms above +desInt, a downward one below -desInt."""
+    vals = spawn_rng(0, "incontrol").normal(0.0, 1.0, size=300)
+    vals[200:] += 4.0 if direction == "up" else -4.0
+    dets, stream = run_stream(ZeroOracle(), PncConfig(50, 25, 6.0, 0.5, direction), vals,
+                              keep_trace=True)
+    assert dets
+    assert all(row.bound == bound for row in stream.trace)
+    assert [row.index for row in stream.trace if row.alarm] == [d.detect_time for d in dets]
+
+
 def test_step_change_detected_quickly_with_ar_predictor():
     for seed in range(5):
         rng = spawn_rng(seed, "step")
@@ -302,7 +314,8 @@ class ListStream(PncStream):
         target = float(self._targets[i - self._anchor])
         alarm = self._chart.step(float(x), target)
         if self.keep_trace:
-            self.trace.append(TraceRow(i, float(x), target, self._chart.value, alarm))
+            bound = cfg.threshold if cfg.direction == "up" else -cfg.threshold
+            self.trace.append(TraceRow(i, float(x), target, self._chart.value, bound, alarm))
         if not alarm:
             return None
         det = Detection(detect_time=i, located_time=self._chart.located(),

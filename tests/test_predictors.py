@@ -50,6 +50,27 @@ def test_ar_forecast_recursion():
     assert np.allclose(fc, [3.5, 3.75, 3.75])
 
 
+def _ar_forecast_by_list(m, window, steps):
+    """The recursion on a Python list, oldest first: the reference for the buffer."""
+    buf = list(window[-m.p:])
+    out = np.empty(steps)
+    for h in range(steps):
+        nxt = m.intercept + float(np.dot(m.coef, buf[::-1]))
+        out[h] = nxt
+        buf.pop(0)
+        buf.append(nxt)
+    return out
+
+
+@pytest.mark.parametrize("p", range(1, 6))
+def test_ar_forecast_equals_the_list_recursion(p):
+    rng = spawn_rng(p, "ar-forecast")
+    for steps in range(1, 61):
+        m = ArPredictor(p=p, coef=rng.normal(0.0, 0.4, size=p), intercept=float(rng.normal()))
+        window = rng.normal(0.0, 3.0, size=p + int(rng.integers(1, 40)))
+        assert np.array_equal(m.forecast(window, steps), _ar_forecast_by_list(m, window, steps))
+
+
 def test_ar_zero_variance_falls_back():
     m = ArPredictor.fit(np.full(100, 7.0), 3)
     assert isinstance(m, ConstantPredictor)
