@@ -77,9 +77,9 @@ def _fixed_params(det_cfg: dict, overrides: list[str] | None = None) -> dict:
 
 
 def _entry(doc: dict, section: str, entry_id: str) -> dict:
-    """The entry of ``datasets`` or ``detectors`` with this id."""
+    """The entry of ``datasets`` or ``detectors`` whose id reads as this text."""
     for entry in doc[section]:
-        if entry["id"] == entry_id:
+        if str(entry["id"]) == entry_id:
             return entry
     raise UsageError(f"unknown {section[:-1]} id {entry_id!r}")
 

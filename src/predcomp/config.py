@@ -434,8 +434,8 @@ def load_config(path) -> dict:
         for i, entry in enumerate(doc[section]):
             where = f"{section}[{i}]"
             entry = doc[section][i] = typed(entry, table, where)
-            _require(entry["id"] not in [e["id"] for e in doc[section][:i]],
-                     f"{where}: duplicate id {entry['id']!r}")
+            _require(str(entry["id"]) not in [str(e["id"]) for e in doc[section][:i]],
+                     f"{where}: duplicate id {entry['id']!r} (ids compare as text)")
             if section == "datasets":
                 kind_of(entry["source"], SOURCES, f"{where}.source")
             else:

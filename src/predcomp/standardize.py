@@ -25,7 +25,7 @@ its dot products are summed over chunks in a fixed order (`_dot`), so its
 bits do not depend on the BLAS thread count.  The steps are independent,
 so online mode runs them in contiguous ranges on the process pool
 (:func:`predcomp.pool.pool_map`) once a stream is longer than one chunk.
-Scores and flags are then computed for all times at once.
+Every path, offline, online and streaming, scores each time by `_score`.
 """
 
 from __future__ import annotations
@@ -167,14 +167,13 @@ def estimate_trend(values, t0: int = 0, t: int | None = None) -> TrendFit:
     return TrendFit(*_fit_step(terms, t - t0, _work_rows(t - t0)), t0, t)
 
 
-def _scores(values: np.ndarray, lam: np.ndarray, fitted: np.ndarray):
-    """Scores (X - lam) / sqrt(lam) and the flagged indices: the raw value
-    where no trend is ``fitted``, zero where lam is below the floor or not
-    finite, both flagged."""
-    ok = fitted & np.isfinite(lam) & (lam >= LAM_FLOOR)
-    scores = np.where(fitted, 0.0, values)
-    scores[ok] = (values[ok] - lam[ok]) / np.sqrt(lam[ok])
-    return scores, np.flatnonzero(~ok).tolist()
+def _score(x: float, lam: float | None) -> tuple[float, bool]:
+    """The score (x - lam) / sqrt(lam) and whether it is flagged: the raw
+    value where no trend is fitted (lam None), zero where lam is below the
+    floor or not finite, both flagged."""
+    if lam is not None and math.isfinite(lam) and lam >= LAM_FLOOR:
+        return (x - lam) / math.sqrt(lam), False
+    return (x if lam is None else 0.0), True
 
 
 def _ranges(t0: int, n: int, parts: int) -> list[range]:
@@ -187,36 +186,36 @@ def _ranges(t0: int, n: int, parts: int) -> list[range]:
 
 
 def _online_range(terms, t0: int, steps: range):
-    """At every i of ``steps``, lam_hat(i + 1) from the fit on (t0, i + 1]
-    and whether that fit exists, and the last fit: one `_fit_step` per time,
-    on work rows of this range's own."""
+    """At every i of ``steps``, lam_hat(i + 1) from the fit on (t0, i + 1],
+    None where that fit does not exist, and the last fit: one `_fit_step`
+    per time, on work rows of this range's own."""
     work = _work_rows(steps[-1] + 1 - t0)
-    lam, fitted, last = np.full(len(steps), np.nan), np.zeros(len(steps), dtype=bool), None
-    for j, i in enumerate(steps):
+    lam, last = [], None
+    for i in steps:
         try:
-            nu, slope = _fit_step(terms, i + 1 - t0, work)
+            last = (*_fit_step(terms, i + 1 - t0, work), i + 1)
         except TrendNotEstimable:
+            lam.append(None)
             continue
-        lam[j], fitted[j], last = _lam(nu, slope, i + 1), True, (nu, slope, i + 1)
-    return lam, fitted, last
+        lam.append(float(_lam(*last)))
+    return lam, last
 
 
 def _online(values: np.ndarray, t0: int):
-    """The last fit, and at every time s lam_hat(s) from the fit on
-    (t0, s] and whether that fit exists.  A stream longer than one dot
-    chunk runs its steps in ranges of about equal work on up to one
-    forked worker per CPU; the steps share only the terms, so the bits are
-    those of the serial loop."""
+    """The last fit, and at every time s lam_hat(s) from the fit on (t0, s],
+    None where that fit does not exist.  A stream longer than one dot chunk
+    runs its steps in ranges of about equal work on up to one forked worker
+    per CPU; the steps share only the terms, so the bits are those of the
+    serial loop."""
     n = len(values)
     terms = _trend_terms(values, t0)
     parts = len(os.sched_getaffinity(0)) if len(terms[0]) > DOT_CHUNK else 1
     done = pool_map(lambda steps: _online_range(terms, t0, steps), _ranges(t0, n, parts))
     head = min(t0 + 1, n)  # s = i + 1 needs two times past t0
-    lam = np.concatenate([np.full(head, np.nan)] + [d[0] for d in done])
-    fitted = np.concatenate([np.zeros(head, dtype=bool)] + [d[1] for d in done])
-    last = next((d[2] for d in reversed(done) if d[2]), None)
+    lam = [None] * head + [v for d in done for v in d[0]]
+    last = next((d[1] for d in reversed(done) if d[1]), None)
     fit = TrendFit(last[0], last[1], t0, last[2]) if last else None
-    return fit, lam, fitted
+    return fit, lam
 
 
 def standardize(series: LabeledSeries | np.ndarray, t0: int = 0,
@@ -234,34 +233,34 @@ def standardize(series: LabeledSeries | np.ndarray, t0: int = 0,
     wrap = series if isinstance(series, LabeledSeries) else LabeledSeries(values)
     n = len(values)
     if mode == "online":
-        fit, lam, fitted = _online(values, t0)
+        fit, lam = _online(values, t0)
     else:
         try:
             fit = estimate_trend(values, t0=t0, t=n)
         except TrendNotEstimable:
             fit = None
-        lam = fit.lam(np.arange(1, n + 1)) if fit else np.full(n, np.nan)
-        fitted = np.full(n, fit is not None)
-    scores, flagged = _scores(values, lam, fitted)
-    return StandardizeResult(wrap.with_values(scores), fit, mode, flagged)
+        lam = fit.lam(np.arange(1, n + 1)).tolist() if fit else [None] * n
+    scores, flags = np.empty(n), np.empty(n, dtype=bool)
+    for i, (x, lam_i) in enumerate(zip(values.tolist(), lam)):
+        scores[i], flags[i] = _score(x, lam_i)
+    return StandardizeResult(wrap.with_values(scores), fit, mode, np.flatnonzero(flags).tolist())
 
 
 class OnlineStandardizer:
     """Streaming wrapper around the online mode: push one count, get one score.
 
     Re-estimates the trend from all data seen so far at each step, with the
-    online mode's fit, so scores and flags are the online mode's bit for
-    bit (the estimate of nu changes every step, so the regression sums
-    cannot be carried over exactly; the per-step cost is linear in the
-    history).  A push appends its time's `_trend_terms` with the same
-    operations, so it rebuilds no prefix, and reuses its work rows.
+    online mode's fit, and scores the count by `_score`, the one rule of
+    every path, so scores and flags are the online mode's bit for bit (nu
+    changes every step, so the sums cannot be carried over and a step is
+    linear in the history).  A push appends its time's `_trend_terms` with
+    the same operations, so it rebuilds no prefix, and reuses its work rows.
     """
 
     def __init__(self, t0: int = 0):
         if t0 < 0:
             raise ValueError("t0 must be non-negative")
-        self.t0 = t0
-        self._n = 0
+        self.t0, self._n = t0, 0
         # `_trend_terms`' seven arrays as rows, one column per time past t0:
         # x, ln s, n_kept, kept ln s, kept ln L and their running sums
         self._terms, self._work = np.empty((7, 64)), _work_rows(64)
@@ -270,29 +269,29 @@ class OnlineStandardizer:
         self.flagged: list[int] = []
 
     def push(self, x: float) -> float:
-        if not np.isfinite(x):
-            raise non_finite_error(self._n, x)
         x, i, m = float(x), self._n, self._n + 1 - self.t0
+        if not math.isfinite(x):
+            raise non_finite_error(i, x)
         self._n += 1
         if m > self._terms.shape[1]:
             self._terms = np.concatenate([self._terms, self._terms], axis=1)
             self._work = _work_rows(self._terms.shape[1])
         terms, k = self._terms, self._k
         if m > 0:  # time i + 1's terms; running sums add left to right, as np.cumsum
-            terms[:3, m - 1] = x, np.log(float(i + 1)), k
+            terms[0, m - 1], terms[1, m - 1], terms[2, m - 1] = x, np.log(float(i + 1)), k
             self._cum += x
             if self._cum > 0:
-                terms[3:5, k] = terms[1, m - 1], np.log(self._cum)
-                terms[5:, k] = terms[3:5, k] + (terms[5:, k - 1] if k else 0.0)
+                terms[3, k], terms[4, k] = terms[1, m - 1], np.log(self._cum)
+                terms[5, k] = terms[3, k] + (terms[5, k - 1] if k else 0.0)
+                terms[6, k] = terms[4, k] + (terms[6, k - 1] if k else 0.0)
                 terms[2, m - 1] = self._k = k + 1
-        lam, fitted = np.full(1, np.nan), False
+        lam = None
         try:
             if m >= 2:
-                nu, slope = _fit_step(terms, m, self._work)
-                self.fit = TrendFit(nu, slope, self.t0, i + 1)
-                lam[0], fitted = self.fit.lam(i + 1), True
+                self.fit = TrendFit(*_fit_step(terms, m, self._work), self.t0, i + 1)
+                lam = float(self.fit.lam(i + 1))
         except TrendNotEstimable:
             pass
-        scores, flagged = _scores(np.full(1, x), lam, np.full(1, fitted))
+        score, flagged = _score(x, lam)
         self.flagged += [i] if flagged else []
-        return float(scores[0])
+        return score

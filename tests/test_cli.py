@@ -308,10 +308,19 @@ def test_eval_subset_names_configured_datasets(config_path, tmp_path, capsys, su
     assert not out.exists()
 
 
-def test_eval_subset_takes_integer_dataset_ids(config_path, tmp_path, capsys):
-    """metrics.csv holds every id as text, so an int id in the subset is read as text."""
+def test_eval_subset_takes_integer_dataset_ids(config_path, tmp_path, capsys, read_detections):
+    """metrics.csv holds every id as text, so an int id in the subset is read as text, as
+    are the ids that ``simulate --only``, ``detect --dataset`` and ``--detector`` select."""
     config_path.write_text(config_path.read_text().replace("id: step1", "id: 1")
-                           .replace("id: step2", "id: 2").replace("subset: [step1]", "subset: [1]"))
+                           .replace("id: step2", "id: 2").replace("subset: [step1]", "subset: [1]")
+                           .replace("id: pnc_ar", "id: 7"))
+    assert main(["simulate", "-c", str(config_path), "--only", "1",
+                 "--out", str(tmp_path / "one")]) == 0
+    assert sorted(p.name for p in (tmp_path / "one").iterdir()) == ["1.csv", "manifest.json"]
+    dets = tmp_path / "dets.csv"
+    assert main(["detect", "-c", str(config_path), "--dataset", "1", "--detector", "7",
+                 "--set", "desInt=8", "--out", str(dets)]) == 0
+    assert {row[:2] for row in read_detections(dets)} == {("1", "7")}
     metrics = tmp_path / "out" / "metrics.csv"
     assert main(["grid", "-c", str(config_path)]) == 0
     assert main(["eval", "-c", str(config_path), "--metrics", str(metrics)]) == 0
@@ -320,6 +329,18 @@ def test_eval_subset_takes_integer_dataset_ids(config_path, tmp_path, capsys):
     report = capsys.readouterr().out
     assert "\nsubset       -            cusum" in subset and subset.strip().endswith(
         report.split("\n", 2)[2].strip())
+
+
+@pytest.mark.parametrize("first, second", [("step1", "step2"), ("pnc_ar", "cusum")],
+                         ids=["datasets", "detectors"])
+def test_ids_equal_as_text_are_duplicates(config_path, tmp_path, capsys, first, second):
+    """Outputs name entries by their ids' text, so 1 and "1" in one section collide."""
+    config_path.write_text(config_path.read_text().replace(f"id: {first}", "id: 1")
+                           .replace(f"id: {second}", 'id: "1"'))
+    for command in ("simulate", "grid"):
+        assert main([command, "-c", str(config_path)]) == 2
+        assert "[1]: duplicate id '1' (ids compare as text)" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("args, message", [

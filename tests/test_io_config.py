@@ -238,6 +238,9 @@ def test_config_dataset_validation(tmp_path):
     dup = ok + "  - id: w\n    source: {kind: step, cp_at: 5, n: 10}\n"
     with pytest.raises(ConfigError):
         load_config(_write_config(tmp_path, dup))
+    with pytest.raises(ConfigError, match=r"datasets\[1\]: duplicate id '1' \(ids compare as text"):
+        load_config(_write_config(tmp_path, ok.replace("id: w", "id: 1")
+                                  + "  - id: '1'\n    source: {kind: step, cp_at: 5, n: 10}\n"))
     with pytest.raises(ConfigError):
         load_config(_write_config(
             tmp_path, base + "  - id: w\n    source: {kind: magic}\n"))
@@ -274,6 +277,9 @@ def test_config_detector_validation(tmp_path):
     dup = ok + "  - id: p\n    kind: cusum\n"
     with pytest.raises(ConfigError):
         load_config(_write_config(tmp_path, dup))
+    with pytest.raises(ConfigError, match=r"detectors\[1\]: duplicate id 1 \(ids compare as text"):
+        load_config(_write_config(tmp_path, ok.replace("id: p", "id: '1'")
+                                  + "  - id: 1\n    kind: cusum\n"))
 
 
 def test_ocd_takes_no_off_diagonal_threshold(tmp_path):

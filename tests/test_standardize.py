@@ -227,6 +227,20 @@ def _reference_score(x: float, lam: float, flags: list[int], idx: int) -> float:
     return (x - lam) / np.sqrt(lam)
 
 
+@pytest.mark.parametrize("lam", [None, np.nan, np.inf, -2.0, np.nextafter(LAM_FLOOR, 0.0),
+                                 LAM_FLOOR, 3.7],
+                         ids=["no-trend", "nan", "inf", "negative", "below-floor", "floor",
+                              "regular"])
+def test_score_follows_the_reference_on_every_branch(lam):
+    """The one per-time rule scores as the numpy reference: the raw value
+    where no trend is fitted, and otherwise `_reference_score`."""
+    module = sys.modules["predcomp.standardize"]
+    for x in (0.0, 4.0, -3.5, 1e-12, 7919.0):
+        flags = []
+        want = x if lam is None else _reference_score(np.float64(x), np.float64(lam), flags, 0)
+        assert module._score(x, lam) == (want, lam is None or flags == [0])
+
+
 def _reference_online(values: np.ndarray, t0: int):
     terms = _reference_terms(values, t0)
     scores, flags = np.empty(len(values)), []
