@@ -90,13 +90,13 @@ def _entry(doc: dict, section: str, entry_id: str) -> dict:
 def cmd_simulate(args) -> int:
     doc = load_config(args.config)
     datasets = [_entry(doc, "datasets", args.only)] if args.only else doc["datasets"]
+    check_output(args.out or doc["output_dir"], directory=True)
+    # every series is built before the directory is made, so a bad source writes nothing
+    written = [(ds, build_dataset(ds, doc["seed"])) for ds in datasets]
     out = make_dir(args.out or doc["output_dir"])
-    written = []
-    for ds in datasets:
-        series = build_dataset(ds, doc["seed"])
+    for ds, series in written:
         path = out / f"{ds['id']}.csv"
         write_series_csv(path, series)
-        written.append((ds, series))
         print(f"wrote {path} ({len(series)} rows)")
     write_manifest(out / "manifest.json", doc["seed"], written)
     return 0

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import math
 import os
+from contextlib import suppress
 from itertools import product
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -110,18 +111,20 @@ def _finite_of(typ):
     return check
 
 
-_int = _type("int", lambda v: isinstance(v, bool) or isinstance(v, float) and not v.is_integer(),
-             int)
-_finite = _finite_of(float)
+# a number key takes numbers only: YAML's true and "5" are not 1 and 5
+_int = _type("int", lambda v: isinstance(v, (bool, str))
+             or isinstance(v, float) and not v.is_integer(), int)
+_float = _type("float", lambda v: isinstance(v, (bool, str)), float)
+_finite = _finite_of(_float)
 _POSITIVE_INT = _range(_int, "> 0", lambda v: v <= 0)
 _NON_NEGATIVE_INT = _range(_int, ">= 0", lambda v: v < 0)
-_POSITIVE = _range(float, "> 0", lambda v: not v > 0)  # NaN included
+_POSITIVE = _range(_float, "> 0", lambda v: not v > 0)  # NaN included
 _FINITE_POSITIVE = _range(_finite, "> 0", lambda v: v <= 0)
-_NON_NEGATIVE = _range(float, ">= 0", lambda v: not v >= 0)
+_NON_NEGATIVE = _range(_float, ">= 0", lambda v: not v >= 0)
 _FINITE_NON_NEGATIVE = _finite_of(_NON_NEGATIVE)
-_UNIT = _range(float, "in (0, 1]", lambda v: not 0 < v <= 1)
-_OPEN_UNIT = _range(float, "in (0, 1)", lambda v: not 0 < v < 1)
-_NUMBER = _range(float, "not NaN", lambda v: v != v)
+_UNIT = _range(_float, "in (0, 1]", lambda v: not 0 < v <= 1)
+_OPEN_UNIT = _range(_float, "in (0, 1)", lambda v: not 0 < v < 1)
+_NUMBER = _range(_float, "not NaN", lambda v: v != v)
 # an infinite alarm threshold loads but never alarms; NaN fails _POSITIVE first
 _threshold = _finite_of(_POSITIVE)
 _target = _choice(*(f"{a}>{b}" for a in PHASES for b in PHASES if a != b))
@@ -325,7 +328,7 @@ KINDS: dict[str, Kind] = {
                     x, ts, h_tail=p["h_tail"], baseline_window=p["baseline_window"])),
                 threshold="diag"),
     "mosum": Kind({"minHist": (_POSITIVE_INT, 100), "histFact": (_UNIT, 0.5), "h": (_UNIT, 0.25),
-                   "level": (float, 0.05), "harmonics": (_NON_NEGATIVE_INT, 0),
+                   "level": (_float, 0.05), "harmonics": (_NON_NEGATIVE_INT, 0),
                    "period": (_finite, 0.0), "monitor_from": (_NON_NEGATIVE_INT, None)},
                   _reference(lambda x, ts, p: mosum_sweep(
                       x, ts, min_hist=p["minHist"], hist_fact=p["histFact"], h_band=p["h"],
@@ -355,12 +358,14 @@ TRAIN = {"hidden": (_POSITIVE_INT, TrainConfig.hidden),
          "batch_size": (_POSITIVE_INT, TrainConfig.batch_size),
          "learning_rate": (_finite, TrainConfig.learning_rate),
          "clip_norm": (_NUMBER, TrainConfig.clip_norm),
-         "validation_fraction": (_range(float, "in [0, 1)", lambda v: not 0 <= v < 1),
+         "validation_fraction": (_range(_float, "in [0, 1)", lambda v: not 0 <= v < 1),
                                  TrainConfig.validation_fraction)}
 LSTM = {"nh": (_POSITIVE_INT, REQUIRED), "nz": (_POSITIVE_INT, REQUIRED), **TRAIN,
         "max_windows": (_range(_int, ">= 2", lambda v: v < 2), 500)}
-DATASET = {"id": (_of(str, int), REQUIRED), "source": (_of(dict), REQUIRED)}
-DETECTOR = {"id": (_of(str, int), REQUIRED), "kind": (_choice(*KINDS), REQUIRED),
+# an id is text or an integer, not YAML's yes or true
+_id = _type("str", lambda v: isinstance(v, bool) or not isinstance(v, (str, int)))
+DATASET = {"id": (_id, REQUIRED), "source": (_of(dict), REQUIRED)}
+DETECTOR = {"id": (_id, REQUIRED), "kind": (_choice(*KINDS), REQUIRED),
             "predictor": (_of(dict), None), "params": (_of(dict), {}), "grid": (_of(dict), {})}
 
 
@@ -423,7 +428,10 @@ def load_config(path) -> dict:
     except yaml.YAMLError as exc:
         raise ConfigError(f"{path}: not valid YAML: {exc}") from None
     if SEED_ENV in os.environ:
-        doc["seed"] = typed({SEED_ENV: os.environ[SEED_ENV]}, {SEED_ENV: TOP["seed"]}, "", "")[SEED_ENV]
+        seed = os.environ[SEED_ENV]
+        with suppress(ValueError):  # the variable is text: an int seed is its base-10 digits
+            seed = int(seed)
+        doc["seed"] = typed({SEED_ENV: seed}, {SEED_ENV: TOP["seed"]}, "", "")[SEED_ENV]
     doc["standardize"] = typed(doc["standardize"], STANDARDIZE, "standardize")
     ev = doc["evaluation"] = typed(doc["evaluation"], EVALUATION, "evaluation")
     if ev["baseline"] is not None:

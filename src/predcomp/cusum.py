@@ -2,9 +2,9 @@
 
 The upward chart tracks S_j = max(0, S_{j-1} + x_j - target_j - k) and
 alarms when S_j exceeds the decision interval.  The located change point
-is the step after the last time the statistic sat at zero.  The downward
-chart (min form, allowance added) runs for a ``pnc`` detector with
-``direction: down`` and for ``run_chart(direction="down")``.
+is the index after the last zero of S, as the caller numbers the steps.
+The downward chart (min form, allowance added) runs for a ``pnc`` detector
+with ``direction: down`` and for ``run_chart(direction="down")``.
 """
 
 from __future__ import annotations
@@ -21,10 +21,10 @@ class CusumChart:
         allowance: slack k subtracted from (added to, downward) each
             deviation; default half of the unit step.
         direction: "up" or "down".
-        start: index of the first observation the chart will see.  Time
-            bookkeeping is what makes the locator meaningful: ``located()``
-            returns the step after the last zero of the statistic, and an
-            alarm on the very first step locates the change at ``start``.
+        start: index of the first observation the chart will see.  The
+            caller passes each index to ``step``; ``located()`` returns the
+            index after the last zero of the statistic, so an alarm on the
+            very first step locates the change at ``start``.
     """
 
     threshold: float
@@ -40,32 +40,23 @@ class CusumChart:
         if self.direction not in ("up", "down"):
             raise ValueError("direction must be 'up' or 'down'")
         self.value = 0.0
-        self.time = self.start - 1
         self._last_zero = self.start - 1
 
-    def step(self, x: float, target: float) -> bool:
-        """Consume one observation against its target; True on alarm."""
-        self.time += 1
+    def step(self, i: int, x: float, target: float) -> bool:
+        """Consume observation ``x`` at index ``i`` against its target; True on alarm."""
         if self.direction == "up":
             self.value = max(0.0, self.value + x - target - self.allowance)
             if self.value == 0.0:
-                self._last_zero = self.time
+                self._last_zero = i
             return self.value > self.threshold
         self.value = min(0.0, self.value + x - target + self.allowance)
         if self.value == 0.0:
-            self._last_zero = self.time
+            self._last_zero = i
         return self.value < -self.threshold
 
     def located(self) -> int:
         """Estimated first out-of-control index (last zero + 1)."""
         return self._last_zero + 1
-
-    def reset(self, at: int | None = None) -> None:
-        """Zero the statistic; the locator restarts at ``at`` (default: next index)."""
-        nxt = self.time + 1 if at is None else at
-        self.value = 0.0
-        self.time = nxt - 1
-        self._last_zero = nxt - 1
 
 
 def run_chart(values, targets, threshold: float, allowance: float = 0.5,
@@ -73,16 +64,16 @@ def run_chart(values, targets, threshold: float, allowance: float = 0.5,
     """Run a chart over aligned value/target arrays.
 
     Returns (detections, trajectory) where detections are (detect_index,
-    located_index) pairs and trajectory is the list of S_j values.  The
-    chart resets after each alarm and keeps going.
+    located_index) pairs and trajectory is the list of S_j values.  After
+    each alarm a fresh chart starts at the next index.
     """
     chart = CusumChart(threshold, allowance, direction, start=start)
     detections = []
     path = []
-    for i, (x, tgt) in enumerate(zip(values, targets)):
-        alarm = chart.step(float(x), float(tgt))
+    for i, (x, tgt) in enumerate(zip(values, targets), start):
+        alarm = chart.step(i, float(x), float(tgt))
         path.append(chart.value)
         if alarm:
-            detections.append((start + i, chart.located()))
-            chart.reset()
+            detections.append((i, chart.located()))
+            chart = CusumChart(threshold, allowance, direction, start=i + 1)
     return detections, path

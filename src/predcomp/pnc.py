@@ -5,7 +5,8 @@ steps) the predictor forecasts the next ``horizon`` values from the last
 ``window_len`` observations.  Incoming observations are then compared to
 the forecast one step at a time by a decision-interval CUSUM whose target
 is the prediction.  The chart persists across windows; it is fresh at the
-start of the stream and after every alarm.
+start of the stream and after every alarm.  It is stepped at each
+observation's index, so a location across a skipped window counts its steps.
 
 After an alarm the grid restarts just past the alarm index, so the next
 input window is drawn entirely from post-detection data.  With the
@@ -23,8 +24,8 @@ the trace format that ``io.write_trace_csv`` and ``io.write_trace_svg`` write.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import NamedTuple
+from dataclasses import dataclass, field, replace
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -85,7 +86,8 @@ class PncStream:
     doubles when full, so a push costs the same at any stream length.
     The predictor sees read-only views into that buffer: the input window
     ``buf[t-l:t]`` at each anchor t and, for a refit, the history
-    ``buf[:t]``; nothing is copied.  A non-finite observation raises
+    ``buf[:t]``; nothing is copied.  A window's forecast is consumed as an
+    iterator, one target per charted step.  A non-finite observation raises
     ``ValueError`` and leaves the stream as it was.
     """
 
@@ -101,9 +103,8 @@ class PncStream:
         self._buf = np.empty(1024)
         self._n = 0
         self._origin = 0
-        self._targets: list[float] | None = None
-        self._anchor = -1
-        self._chart: CusumChart | None = None
+        self._targets: Iterator[float] | None = None
+        self._chart = CusumChart(cfg.threshold, cfg.allowance, cfg.direction, start=cfg.window_len)
         self._pending_refit_from: int | None = None
 
     def _begin_window(self, t: int) -> None:
@@ -126,7 +127,7 @@ class PncStream:
         except PredictorError:
             self.diagnostics.skipped_windows.append(t)
             return
-        self._anchor, self._targets = t, yhat.tolist()
+        self._targets = iter(yhat.tolist())
 
     def push(self, x: float) -> Detection | None:
         cfg = self.cfg
@@ -143,14 +144,10 @@ class PncStream:
             return None
         if (i - first) % cfg.horizon == 0:
             self._begin_window(i)
-            if self._chart is None:
-                self._chart = CusumChart(cfg.threshold, cfg.allowance, cfg.direction, start=first)
-            # the chart's clock skips the steps of a window whose forecast failed
-            self._chart.time = i - 1
         if self._targets is None:
             return None  # predictor failed on this window; state preserved
-        target = self._targets[i - self._anchor]
-        alarm = self._chart.step(x, target)
+        target = next(self._targets)
+        alarm = self._chart.step(i, x, target)
         if self.keep_trace:
             self.trace.append(TraceRow(i, x, target, self._chart.value, self._bound, alarm))
         if not alarm:
@@ -161,7 +158,7 @@ class PncStream:
             self._pending_refit_from = det.located_time
         self._origin = i + 1
         self._targets = None
-        self._chart = None
+        self._chart = replace(self._chart, start=i + 1 + cfg.window_len)  # zeroed
         return det
 
 

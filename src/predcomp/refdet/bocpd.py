@@ -16,10 +16,11 @@ are suppressed for the first r_min + 1 steps of each segment where short
 runs hold all the mass by construction.
 
 Storage.  ``mu``, ``beta`` and the log posterior are kept newest-first
-in buffers allocated once: run length r sits at ``buf[head + r]``, so the
-current state is the positive-stride slice ``buf[head:head + n]``.  A step
-writes the new r = 0 entry at ``head - 1`` and updates the grown entries
-in place, because run length r becomes r + 1 without moving.  The caller
+at the end of buffers allocated once: after ``steps`` steps from the
+prior the live runs are the last ``n = max(steps, 1)`` entries, run
+length r at ``buf[-n + r]``.  A step writes the new r = 0 entry just
+before them and updates the grown entries in place, because run length r
+becomes r + 1 without moving; m steps fill m(m + 1)/2 cells.  The caller
 sizes the state: it holds ``capacity`` steps from the prior, and a step
 past them raises ``ValueError``.  :func:`bocpd_sweep` sizes it to the
 series.
@@ -192,24 +193,23 @@ class BocpdState:
 
     def _reset(self) -> None:
         """Back to the prior, before any data, keeping the buffers."""
-        h = len(self._lp) - 1
-        self._lp[h], self._mu[h], self._beta[h] = 0.0, self.prior.mu0, self.prior.beta0
-        self._head, self._n = h, 1
-        self._t0 = 0  # table entry of run length 0
+        self._lp[-1], self._mu[-1], self._beta[-1] = 0.0, self.prior.mu0, self.prior.beta0
         self.steps = 0
         self.log_evidence = 0.0
 
     @property
     def log_post(self) -> np.ndarray:
         """log P(r_t = r), r = 0..steps-1 (a copy)."""
-        return self._lp[self._head:self._head + self._n].copy()
+        return self._lp[-max(self.steps, 1):].copy()
 
     def step(self, x: float, hazard: float) -> None:
-        if self.steps and self._head == 0:
+        if self.steps == len(self._lp):
             raise ValueError(f"the state holds {len(self._lp)} steps from the prior")
-        h, n, tab, p = self._head, self._n, self._tab, self.prior
-        lp, mu, beta = (buf[h:h + n] for buf in (self._lp, self._mu, self._beta))
-        s = slice(self._t0, self._t0 + n)
+        tab, p = self._tab, self.prior
+        # the live runs; run length r has absorbed t0 + r observations, t0 = 0 only before any step
+        n, t0 = max(self.steps, 1), min(self.steps, 1)
+        lp, mu, beta = (buf[-n:] for buf in (self._lp, self._mu, self._beta))
+        s = slice(t0, t0 + n)
         sq = (x - mu) ** 2
         scale2 = beta * tab.kappa1[s] / tab.alpha_kappa[s]
         pred = (tab.log_norm[s] - 0.5 * np.log(tab.df_pi[s] * scale2)
@@ -218,7 +218,7 @@ class BocpdState:
         if self.steps == 0:
             # the first observation opens the first run; no transition yet
             lp += pred
-            lo = h
+            lo = -n
         else:
             # a break makes x the first observation of a fresh segment, so
             # its likelihood is the prior predictive
@@ -231,9 +231,9 @@ class BocpdState:
                 lp += np.log1p(-hazard)
             else:
                 lp[:] = -np.inf
-            lo = h - 1
+            lo = -n - 1
             self._lp[lo] = log_cp
-        new = self._lp[lo:h + n]
+        new = self._lp[lo:]
         norm = _logsumexp(new)
         self.log_evidence += norm
         new -= norm
@@ -243,21 +243,17 @@ class BocpdState:
         mu *= k
         mu += x
         mu /= tab.kappa1[s]
-        if self.steps == 0:
-            self._t0 = 1
-        else:
+        if self.steps:
             self._mu[lo] = self._mu0_part + x / (p.kappa0 + 1)
             self._beta[lo] = p.beta0 + p.kappa0 * sq0 / (2.0 * (p.kappa0 + 1.0))
-            self._head, self._n = lo, n + 1
         self.steps += 1
 
     def map_run_length(self) -> int:
-        return int(np.argmax(self._lp[self._head:self._head + self._n]))
+        return int(np.argmax(self._lp[-max(self.steps, 1):]))
 
     def _mass_below(self, count: int) -> float:
         """P(r_t < count), exponentiating only the first ``count`` log entries."""
-        h = self._head
-        return float(np.exp(self._lp[h:h + self._n][:count]).sum())
+        return float(np.exp(self._lp[-max(self.steps, 1):][:count]).sum())
 
 
 def bocpd_detect(series, hazard: float, prior: NigPrior | None = None,
@@ -297,7 +293,7 @@ def bocpd_sweep(series, hazard: float, thresholds, prior: NigPrior | None = None
     state = BocpdState(prior, max(n, 1))
 
     def scan(start: int, levels: list) -> list[Detection]:
-        found, done = [], 0
+        found = []
         state._reset()
         for i in range(start, n):
             state.step(float(values[i]), hazard)
@@ -306,15 +302,14 @@ def bocpd_sweep(series, hazard: float, thresholds, prior: NigPrior | None = None
                 posterior.append((i, p_short))
             if state.steps <= r_min + 1:
                 continue  # all mass is on short runs this early, by construction
-            fired = bisect_left(levels, p_short, done)  # thresholds below p_short
-            if fired > done:
+            fired = bisect_left(levels, p_short, len(found))  # thresholds below p_short
+            if fired > len(found):
                 det = Detection(detect_time=i, located_time=max(i - state.map_run_length(), start),
                                 detector="bocpd", stat_value=p_short)
-                found += [det] * (fired - done)
+                found += [det] * (fired - len(found))
                 if evidence is not None:
                     evidence.append((start, i, state.log_evidence))
-                done = fired
-                if done == len(levels):
+                if fired == len(levels):
                     break
         else:
             if evidence is not None:

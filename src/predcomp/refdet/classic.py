@@ -62,20 +62,19 @@ def classic_cusum_sweep(series, thresholds, allowance: float = 0.5, target_windo
 
     def scan(seg_start: int, levels: list) -> list[Detection]:
         chart = CusumChart(levels[0], allowance, start=seg_start)
-        found, done = [], 0
+        found = []
         for i in range(seg_start, n):
             tgt = (csum[i] - csum[i - target_window]) / target_window
-            chart.step(float(values[i]), tgt)
+            chart.step(i, float(values[i]), tgt)
             # the chart is shared, so the smallest intervals are exceeded first
-            fired = bisect_left(levels, chart.value, done)
+            fired = bisect_left(levels, chart.value, len(found))
             if trace is not None:
-                trace.append((i, float(values[i]), tgt, chart.value, fired > done))
-            if fired > done:
+                trace.append((i, float(values[i]), tgt, chart.value, fired > len(found)))
+            if fired > len(found):
                 det = Detection(detect_time=i, located_time=chart.located(),
                                 detector="cusum", stat_value=chart.value)
-                found += [det] * (fired - done)
-                done = fired
-                if done == len(levels):
+                found += [det] * (fired - len(found))
+                if fired == len(levels):
                     break
         return found
 

@@ -60,7 +60,7 @@ def test_criterion_01_cusum_recursion_equals_reevaluation():
         chart = CusumChart(1e18, k, "up")
         rec = np.empty(length)
         for j in range(length):
-            chart.step(float(x[j]), float(th[j]))
+            chart.step(j, float(x[j]), float(th[j]))
             rec[j] = chart.value
         inc = x - th - k
         pref = np.concatenate(([0.0], np.cumsum(inc)))
@@ -69,7 +69,7 @@ def test_criterion_01_cusum_recursion_equals_reevaluation():
         chart = CusumChart(1e18, k, "down")
         rec_dn = np.empty(length)
         for j in range(length):
-            chart.step(float(x[j]), float(th[j]))
+            chart.step(j, float(x[j]), float(th[j]))
             rec_dn[j] = chart.value
         inc_dn = x - th + k
         pref_dn = np.concatenate(([0.0], np.cumsum(inc_dn)))

@@ -104,6 +104,18 @@ def test_simulate_is_deterministic_and_seed_sensitive(config_path, tmp_path,
     capsys.readouterr()
 
 
+def test_simulate_builds_every_series_before_it_writes(config_path, tmp_path, capsys):
+    """A second source that cannot be read exits 2 and leaves no file, not
+    the first dataset's CSV without a manifest."""
+    missing = tmp_path / "nosuch.csv"
+    config_path.write_text(config_path.read_text().replace(
+        "{kind: step, pre_mean: 0.0, post_mean: 2.0, sigma: 1.0, cp_at: 450, n: 800}",
+        f"{{kind: csv, path: {missing}}}"))
+    assert main(["simulate", "-c", str(config_path)]) == 2
+    assert f"error: {missing}: cannot read" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_simulate_only_filter(config_path, tmp_path, capsys):
     assert main(["simulate", "-c", str(config_path), "--only", "step2"]) == 0
     out = tmp_path / "out"
@@ -745,6 +757,9 @@ BAD_VALUES = [
     (STEP, {"n": 0}, "datasets[0].source.n must be int > 0"),
     (STEP, {"n": 2.5}, "datasets[0].source.n must be int, got 2.5"),
     (STEP, {"n": True}, "datasets[0].source.n must be int, got True"),
+    (STEP, {"n": "300"}, "datasets[0].source.n must be int, got '300'"),
+    (("datasets", 0), {"id": True}, "datasets[0].id must be str, got True"),
+    (DET, {"id": True}, "detectors[0].id must be str, got True"),
     (STEP, {"cp_at": 11, "n": 10}, "datasets[0].source: cp_at must be <= n"),
     (STEP, {"sigma": -1}, "datasets[0].source.sigma must be float >= 0"),
     (STEP, {"sigma": float("nan")}, "datasets[0].source.sigma must be float >= 0"),
@@ -752,6 +767,8 @@ BAD_VALUES = [
     (WEAR, {"n": DELETE}, "datasets[1].source.n has no default"),
     (WEAR, {"n": "1e3"}, "datasets[1].source.n must be int, got '1e3'"),
     (WEAR, {"lam": 0}, "datasets[1].source.lam must be float > 0"),
+    (WEAR, {"lam": True}, "datasets[1].source.lam must be float, got True"),
+    (WEAR, {"c": "3"}, "datasets[1].source.c must be float, got '3'"),
     (WEAR, {"lam": float("nan")}, "datasets[1].source.lam must be finite"),
     (WEAR, {"c": float("inf")}, "datasets[1].source.c must be finite"),
     (WEAR, {"c": [1, 2]}, "datasets[1].source.c must be float"),
@@ -762,6 +779,11 @@ BAD_VALUES = [
     (DET, {"predictor": {"kind": "ar", "p": "lots"}}, "detectors[0].predictor.p must be int"),
     (DET, {"predictor": {"kind": "ar", "p": 0}}, "detectors[0].predictor.p must be int > 0"),
     (DET, {"predictor": {"kind": "ar", "p": 2.7}}, "detectors[0].predictor.p must be int"),
+    (DET, {"grid": {"desInt": [True]}}, "detector 'p': desInt must be float, got True"),
+    (DET, {"grid": {"desInt": ["5", 5.0]}}, "detector 'p': desInt must be float, got '5'"),
+    (DET, {"params": {"l": 50, "b": 10, "k": "0.5"}}, "detector 'p': k must be float, got '0.5'"),
+    (DET, {"predictor": {"kind": "arima", "order": ["1", 0, 0]}},
+     "detectors[0].predictor.order must be auto or [p, d, q], got ['1', 0, 0]"),
     (DET, {"predictor": {"kind": "naive", "p": 3}}, "detectors[0].predictor: unknown parameters"),
     (DET, {"predictor": {"kind": "arima", "order": [1, 2]}}, "detectors[0].predictor.order"),
     (DET, {"predictor": {"kind": "arima", "order": "abc"}}, "detectors[0].predictor.order"),
@@ -778,6 +800,7 @@ BAD_VALUES = [
     (("lstm",), {"nh": "lots"}, "lstm.nh must be int"),
     (("lstm",), {"epochs": -1}, "lstm.epochs must be int > 0"),
     (("lstm",), {"learning_rate": float("nan")}, "lstm.learning_rate must be finite"),
+    (("lstm",), {"learning_rate": "0.01"}, "lstm.learning_rate must be float, got '0.01'"),
     (WEAR, {"a": 1e300}, "datasets[1].source: the Poisson means"),
     (WEAR, {"c": 1e300}, "datasets[1].source: the Poisson means"),
     (WEAR, {"d": 1e300}, "datasets[1].source: the Poisson means"),

@@ -23,8 +23,8 @@ def test_closed_form_identity():
     tgt = rng.integers(-8, 9, 300) / 8.0
     chart = CusumChart(threshold=np.inf, allowance=0.5)
     path = []
-    for xv, tv in zip(x, tgt):
-        chart.step(float(xv), float(tv))
+    for i, (xv, tv) in enumerate(zip(x, tgt)):
+        chart.step(i, float(xv), float(tv))
         path.append(chart.value)
     M = np.cumsum(x - tgt - 0.5)
     oracle = M - np.minimum.accumulate(np.minimum(M, 0.0))
@@ -34,16 +34,16 @@ def test_closed_form_identity():
 def test_located_is_last_zero_plus_one():
     chart = CusumChart(threshold=2.0, allowance=0.0)
     seq = [(-1.0, False), (-1.0, False), (1.5, False), (1.5, True)]
-    for x, expect_alarm in seq:
-        assert chart.step(x, 0.0) is expect_alarm
+    for i, (x, expect_alarm) in enumerate(seq):
+        assert chart.step(i, x, 0.0) is expect_alarm
     assert chart.located() == 2
 
 
 def test_downward_variant():
     chart = CusumChart(threshold=3.0, allowance=0.5, direction="down")
-    assert not chart.step(5.0, 5.0)
-    assert not chart.step(5.0, 5.0)
-    assert chart.step(1.0, 5.0)  # 1 - 5 + 0.5 = -3.5 < -3
+    assert not chart.step(0, 5.0, 5.0)
+    assert not chart.step(1, 5.0, 5.0)
+    assert chart.step(2, 1.0, 5.0)  # 1 - 5 + 0.5 = -3.5 < -3
     assert chart.located() == 2
 
 
@@ -57,18 +57,17 @@ def test_run_chart_resets_after_alarm():
 
 def test_start_offset():
     chart = CusumChart(threshold=1.0, allowance=0.0, start=10)
-    chart.step(0.0, 0.0)
-    assert chart.step(2.0, 0.0)
+    chart.step(10, 0.0, 0.0)
+    assert chart.step(11, 2.0, 0.0)
     assert chart.located() == 11
-    assert chart.time == 11  # start=10, two observations consumed
 
 
-def test_reset_clears_state():
-    chart = CusumChart(threshold=1.0, allowance=0.0)
-    chart.step(5.0, 0.0)
-    chart.reset(at=7)
+def test_a_fresh_chart_locates_at_its_start():
+    chart = CusumChart(threshold=1.0, allowance=0.0, start=7)
     assert chart.value == 0.0
-    assert chart.located() == 7  # next step runs at index 7
+    assert chart.located() == 7  # the first step runs at index 7
+    assert chart.step(7, 5.0, 0.0)
+    assert chart.located() == 7
 
 
 def test_threshold_validation():

@@ -345,8 +345,9 @@ def test_mosum_setting_the_table_cannot_check_exits_2(tmp_path, capsys, detector
 
 @pytest.mark.parametrize("pins, message", [
     (["desInt=abc"], "desInt must be float, got 'abc'"),
+    (["desInt=true"], "desInt must be float, got True"),
     (["desInt=5", "bogus=1"], "unknown parameters ['bogus']"),
-], ids=["untyped", "unknown"])
+], ids=["untyped", "boolean", "unknown"])
 def test_detect_pin_is_checked_against_the_table(tmp_path, capsys, pins, message):
     cfg = tmp_path / "c.yaml"
     cfg.write_text(BAD_CONFIG.format(out=tmp_path / "out",

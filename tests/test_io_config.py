@@ -214,6 +214,9 @@ def test_config_env_seed_override(tmp_path, monkeypatch):
     monkeypatch.setenv("PREDCOMP_SEED", "nope")
     with pytest.raises(ConfigError):
         load_config(p)
+    monkeypatch.setenv("PREDCOMP_SEED", "-1")
+    with pytest.raises(ConfigError, match="PREDCOMP_SEED must be int >= 0, got -1"):
+        load_config(p)
 
 
 def test_config_rejects_unknowns_and_bad_versions(tmp_path):
@@ -250,6 +253,8 @@ def test_config_dataset_validation(tmp_path):
     with pytest.raises(ConfigError):
         load_config(_write_config(
             tmp_path, base + "  - id: w\n    source: {kind: csv}\n"))
+    with pytest.raises(ConfigError, match=r"datasets\[0\]\.id must be str, got True"):
+        load_config(_write_config(tmp_path, ok.replace("id: w", "id: yes")))
 
 
 def test_config_detector_validation(tmp_path):
@@ -280,6 +285,8 @@ def test_config_detector_validation(tmp_path):
     with pytest.raises(ConfigError, match=r"detectors\[1\]: duplicate id 1 \(ids compare as text"):
         load_config(_write_config(tmp_path, ok.replace("id: p", "id: '1'")
                                   + "  - id: 1\n    kind: cusum\n"))
+    with pytest.raises(ConfigError, match=r"detectors\[0\]\.id must be str, got False"):
+        load_config(_write_config(tmp_path, ok.replace("id: p", "id: off")))
 
 
 def test_ocd_takes_no_off_diagonal_threshold(tmp_path):
@@ -427,8 +434,8 @@ def test_demo_config_loads_as_written():
 
 
 @pytest.mark.parametrize("key, value", [
-    ("window", 50.0), ("window", "50"), ("window", 50),
-], ids=["integral-float", "numeric-string", "int"])
+    ("window", 50.0), ("window", 50),
+], ids=["integral-float", "int"])
 def test_integral_int_values_load(tmp_path, key, value):
     from predcomp.config import resolve_params
     doc = load_config(_write_config(
@@ -439,10 +446,12 @@ def test_integral_int_values_load(tmp_path, key, value):
 
 @pytest.mark.parametrize("detector, message", [
     ("{id: c, kind: cusum, params: {desInt: 5, window: 20.7}}", "window must be int, got 20.7"),
+    ("{id: c, kind: cusum, params: {desInt: 5, window: '50'}}", "window must be int, got '50'"),
     ("{id: c, kind: bocpd, params: {hazard: 0.01, r_min: true}}", "r_min must be int, got True"),
     ("{id: c, kind: ocd, grid: {diag: [8], h_tail: [50, 2.5]}}", "h_tail must be int, got 2.5"),
     ("{id: c, kind: mosum, params: {minHist: .inf}}", "minHist must be int, got inf"),
-], ids=["cusum-window", "bocpd-r_min", "ocd-h_tail", "mosum-minHist"])
+], ids=["cusum-window", "cusum-window-text", "bocpd-r_min", "ocd-h_tail",
+        "mosum-minHist"])
 def test_detector_int_keys_refuse_fractions_and_booleans(tmp_path, detector, message):
     with pytest.raises(ConfigError, match=re.escape(f"detector 'c': {message}")):
         load_config(_write_config(tmp_path, f"schema_version: 1\ndetectors:\n  - {detector}\n"))

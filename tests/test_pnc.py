@@ -144,6 +144,17 @@ def test_failed_window_is_skipped_and_chart_survives():
     assert at_100 == pytest.approx(max(0.0, at_74 + (x[100] - 0.0 - 0.4)), abs=1e-12)
 
 
+def test_location_counts_the_steps_of_a_window_skipped_before_the_alarm():
+    # l=10, b=5: anchors 10, 15, 20; the forecast at 15 fails, so 15-19 are not charted
+    x = np.zeros(30)
+    x[13:] = 1.0  # against zero targets with k=0.5 the statistic last sits at zero at 12
+    dets, stream = run_stream(FailOnCall([2]), PncConfig(10, 5, 2.0, 0.5), x, keep_trace=True)
+    assert stream.diagnostics.skipped_windows == [15]
+    # 0.5 at 13, 1.0 at 14, then 1.5, 2.0, 2.5 at 20-22: the alarm is at 22
+    assert [(d.detect_time, d.located_time) for d in dets][0] == (22, 13)
+    assert [r.index for r in stream.trace][:8] == [10, 11, 12, 13, 14, 20, 21, 22]
+
+
 def test_grid_restarts_after_alarm():
     rng = spawn_rng(2, "refit")
     x = rng.normal(0.0, 1.0, size=500)
@@ -308,11 +319,10 @@ class ListStream(PncStream):
             self._begin_window(i)
             if self._chart is None:
                 self._chart = CusumChart(cfg.threshold, cfg.allowance, cfg.direction, start=first)
-            self._chart.time = i - 1
         if self._targets is None:
             return None
         target = float(self._targets[i - self._anchor])
-        alarm = self._chart.step(float(x), target)
+        alarm = self._chart.step(i, float(x), target)
         if self.keep_trace:
             bound = cfg.threshold if cfg.direction == "up" else -cfg.threshold
             self.trace.append(TraceRow(i, float(x), target, self._chart.value, bound, alarm))

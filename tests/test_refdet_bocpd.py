@@ -171,17 +171,19 @@ def test_posterior_normalized_every_step():
 
 
 def test_step_past_capacity_raises():
-    state = BocpdState(NigPrior(), 3)
-    for v in (0.1, -0.4, 0.7):
-        state.step(v, 0.1)
-    before = state.log_post
-    with pytest.raises(ValueError, match="holds 3 steps"):
-        state.step(0.2, 0.1)
-    assert state.steps == 3 and np.array_equal(state.log_post, before)
-    assert len(state._lp) == 3  # nothing grew
-    state._reset()
-    for v in (0.1, -0.4, 0.7):
-        state.step(v, 0.1)
+    for capacity in (3, 1):
+        values = (0.1, -0.4, 0.7)[:capacity]
+        state = BocpdState(NigPrior(), capacity)
+        for v in values:
+            state.step(v, 0.1)
+        before = state.log_post
+        with pytest.raises(ValueError, match=f"holds {capacity} steps"):
+            state.step(0.2, 0.1)
+        assert state.steps == capacity and np.array_equal(state.log_post, before)
+        assert len(state._lp) == capacity  # nothing grew
+        state._reset()
+        for v in values:
+            state.step(v, 0.1)
     with pytest.raises(ValueError, match="at least 1"):
         BocpdState(NigPrior(), 0)
 

@@ -34,11 +34,11 @@ def loop_cusum(values, threshold, allowance, window, direction):
     csum = np.concatenate(([0.0], np.cumsum(values)))
     for i in range(window, len(values)):
         tgt = (csum[i] - csum[i - window]) / window
-        alarm = chart.step(float(values[i]), tgt)
+        alarm = chart.step(i, float(values[i]), tgt)
         trace.append((i, float(values[i]), tgt, chart.value, alarm))
         if alarm:
             detections.append(Detection(i, chart.located(), "cusum", chart.value))
-            chart.reset()
+            chart = CusumChart(threshold, allowance, direction, start=i + 1)
     return detections, trace
 
 
