@@ -102,7 +102,6 @@ class PncStream:
         self._bound = cfg.threshold if cfg.direction == "up" else -cfg.threshold
         self._buf = np.empty(1024)
         self._n = 0
-        self._origin = 0
         self._targets: Iterator[float] | None = None
         self._chart = CusumChart(cfg.threshold, cfg.allowance, cfg.direction, start=cfg.window_len)
         self._pending_refit_from: int | None = None
@@ -139,7 +138,7 @@ class PncStream:
             self._buf = np.concatenate((self._buf, np.empty(i)))
         self._buf[i] = x
         self._n = i + 1
-        first = self._origin + cfg.window_len
+        first = self._chart.start
         if i < first:
             return None
         if (i - first) % cfg.horizon == 0:
@@ -156,7 +155,6 @@ class PncStream:
                         detector=self.name, stat_value=self._chart.value)
         if cfg.refit == "on_detection":
             self._pending_refit_from = det.located_time
-        self._origin = i + 1
         self._targets = None
         self._chart = replace(self._chart, start=i + 1 + cfg.window_len)  # zeroed
         return det

@@ -8,7 +8,9 @@ same specification on new data (used after a located change point).
 The ARIMA family is fitted by conditional sum of squares: innovations are
 filtered with zero initial conditions, and the Nelder-Mead search runs in
 a transformed space (tanh plus the Durbin-Levinson recursion) that keeps
-the AR polynomial stationary and the MA polynomial invertible.  The auto
+the AR polynomial stationary and the MA polynomial invertible.  The sum of
+squares is :func:`predcomp.series.chunked_dot`, the dot that standardization
+uses too, so a fit does not depend on the BLAS thread count.  The auto
 order search scans p <= 5, d <= 2, q <= 5 by corrected AIC.  Its order
 fits are independent, so the search maps them over up to one forked
 worker per CPU (:func:`predcomp.pool.pool_map`, which ``run_grid`` also
@@ -33,6 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .pool import pool_map
+from .series import chunked_dot
 
 MAX_P = 5
 MAX_D = 2
@@ -168,11 +171,6 @@ def _pacf_list(pacf: list[float]) -> list[float]:
             phi[i] -= r * phi[i]
         phi.append(r)
     return phi
-
-
-def _pacf_to_coef(pacf: np.ndarray) -> np.ndarray:
-    """:func:`_pacf_list` from and to float64 arrays."""
-    return np.array(_pacf_list(pacf.tolist()))
 
 
 _linear_filter = None
@@ -370,33 +368,29 @@ class ArimaPredictor:
         n = len(w)
         if n < p + q + 3:
             raise PredictorError("differenced series too short")
-        mean_w = float(np.mean(w))
         pq = p + q
 
-        def objective(raw: np.ndarray) -> float:
+        def model(raw: np.ndarray) -> tuple[list[float], list[float], float]:
+            """(phi, theta, SSR) of a search point: its first p + q entries are
+            the partial autocorrelations under tanh, its last the intercept."""
             coef = np.tanh(raw[:pq]).tolist()
+            phi = _pacf_list(coef[:p])
             theta = [-c for c in _pacf_list(coef[p:])]
-            e = css_innovations(w, _pacf_list(coef[:p]), theta, raw[-1])
-            ssr = float(np.dot(e, e))
+            e = css_innovations(w, phi, theta, raw[-1])
+            return phi, theta, chunked_dot(e, e)
+
+        def objective(raw: np.ndarray) -> float:
+            ssr = model(raw)[2]
             return ssr if math.isfinite(ssr) else 1e12
 
-        start = np.zeros(pq + 1)
-        start[-1] = mean_w
-        if pq == 0:
-            # intercept-only: CSS optimum is the plain mean
-            best_raw = start
-        else:
-            best_raw, _ = _nelder_mead(objective, start, xatol=1e-8, fatol=1e-8,
-                                       maxiter=4000, maxfev=8000)
-        pacf = np.tanh(best_raw[:pq])
-        phi = _pacf_to_coef(pacf[:p])
-        theta = -_pacf_to_coef(pacf[p:])
-        intercept = float(best_raw[-1])
-        e = css_innovations(w, phi, theta, intercept)
-        ssr = float(np.dot(e, e))
-        sigma2 = ssr / n
-        aicc = _aicc(ssr, n, p + q + 2)
-        return cls(p, d, q, phi, theta, intercept, sigma2, aicc)
+        best = np.zeros(pq + 1)
+        best[-1] = float(np.mean(w))  # the CSS optimum when p = q = 0
+        if pq:
+            best, _ = _nelder_mead(objective, best, xatol=1e-8, fatol=1e-8,
+                                   maxiter=4000, maxfev=8000)
+        phi, theta, ssr = model(best)
+        return cls(p, d, q, np.array(phi), np.array(theta), float(best[-1]), ssr / n,
+                   _aicc(ssr, n, pq + 2))
 
     @classmethod
     def _fit_auto(cls, history: np.ndarray) -> "ArimaPredictor":
@@ -414,7 +408,7 @@ class ArimaPredictor:
         window = _as_history(window)
         if len(window) < self.d + max(self.p, self.q) + 1:
             raise PredictorError("input window too short for the fitted order")
-        w = np.diff(window, n=self.d) if self.d else window.copy()
+        w = _differenced(window, self.d)
         centered = list(w - self.intercept)
         errs = list(css_innovations(w, self.phi, self.theta, self.intercept))
         future = np.empty(steps)
@@ -428,16 +422,10 @@ class ArimaPredictor:
             centered.append(val)
             errs.append(0.0)  # future innovations are zero in expectation
         fc = future + self.intercept
-        if self.d == 0:
-            return fc
-        # undo the differencing, seeded by the tail of the raw window
-        seeds = [window.copy()]
-        for _ in range(1, self.d):
-            seeds.append(np.diff(seeds[-1]))
-        work = fc.copy()
+        # undo the differencing, each level seeded by the window differenced k times
         for k in range(self.d - 1, -1, -1):
-            work = np.cumsum(work) + seeds[k][-1]
-        return work
+            fc = np.cumsum(fc) + _differenced(window, k)[-1]
+        return fc
 
     def refit(self, history):
         if self.auto:

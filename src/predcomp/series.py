@@ -128,3 +128,21 @@ def finite_values(series) -> np.ndarray:
     if bad.size:
         raise non_finite_error(int(bad[0]), values[bad[0]])
     return values
+
+
+#: :func:`chunked_dot` runs on chunks of at most this many elements, summed
+#: left to right: OpenBLAS splits a dot of 10,000 elements or more across its
+#: threads, which would make the sum depend on the thread count
+DOT_CHUNK = 8192
+
+
+def chunked_dot(a: np.ndarray, b: np.ndarray) -> float:
+    """The dot product of a and b, as ``np.dot`` on chunks of at most
+    `DOT_CHUNK` elements whose results are added left to right; up to one
+    chunk it is the single ``np.dot``."""
+    if len(a) <= DOT_CHUNK:
+        return float(np.dot(a, b))
+    total = 0.0
+    for i in range(0, len(a), DOT_CHUNK):
+        total += float(np.dot(a[i:i + DOT_CHUNK], b[i:i + DOT_CHUNK]))
+    return total

@@ -21,7 +21,8 @@ Every fit is one `_fit_step` on per-time terms that no end time changes:
 online mode builds them once and runs one step per time, writing the
 step's temporaries into reused work rows.  A step is linear in the history
 (nu_hat moves every step, so the sums cannot be carried over exactly), and
-its dot products are summed over chunks in a fixed order (`_dot`), so its
+its dot products are summed over chunks in a fixed order (the shared
+:func:`predcomp.series.chunked_dot`, which the ARIMA fits use too), so its
 bits do not depend on the BLAS thread count.  The steps are independent,
 so online mode runs them in contiguous ranges on the process pool
 (:func:`predcomp.pool.pool_map`) once a stream is longer than one chunk.
@@ -37,15 +38,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .pool import pool_map
-from .series import LabeledSeries, finite_values, non_finite_error
+from .series import DOT_CHUNK, LabeledSeries, chunked_dot, finite_values, non_finite_error
 
 #: lam_hat below this is treated as zero: the score is clamped to 0 and flagged.
 LAM_FLOOR = 1e-9
-
-#: dot products run on chunks of at most this many elements, summed left to
-#: right: OpenBLAS splits a dot of 10,000 elements or more across its
-#: threads, which would make the sum depend on the thread count
-DOT_CHUNK = 8192
 
 
 class TrendNotEstimable(ValueError):
@@ -110,24 +106,12 @@ def _work_rows(m: int) -> list[np.ndarray]:
     return list(np.empty((4, m)))
 
 
-def _dot(a: np.ndarray, b: np.ndarray) -> float:
-    """The dot product of a and b, as ``np.dot`` on chunks of at most
-    `DOT_CHUNK` elements whose results are added left to right; up to one
-    chunk it is the single ``np.dot``."""
-    if len(a) <= DOT_CHUNK:
-        return float(np.dot(a, b))
-    total = 0.0
-    for i in range(0, len(a), DOT_CHUNK):
-        total += float(np.dot(a[i:i + DOT_CHUNK], b[i:i + DOT_CHUNK]))
-    return total
-
-
 def _fit_step(terms, m: int, work: list[np.ndarray]) -> tuple[float, float]:
     """(nu_hat, b_hat) on the first m times of ``terms`` (built by `_trend_terms`).
 
     The temporaries go into the rows of ``work`` (`_work_rows`, at least m
     long), so a step allocates no array of its length, and every dot
-    product is one `_dot`.
+    product is one `chunked_dot`.
     """
     x, log_s, n_kept, kept_log_s, kept_log_cum, sum_log_s, sum_log_cum = terms
     k = int(n_kept[m - 1])
@@ -138,12 +122,12 @@ def _fit_step(terms, m: int, work: list[np.ndarray]) -> tuple[float, float]:
     # the OLS slope, since both coordinates are centred
     dx = np.subtract(kept_log_s[:k], sum_log_s[k - 1] / k, out=dx_row[:k])
     dy = np.subtract(kept_log_cum[:k], sum_log_cum[k - 1] / k, out=dy_row[:k])
-    nu = _dot(dx, dy) / _dot(dx, dx) - 1.0
+    nu = chunked_dot(dx, dy) / chunked_dot(dx, dx) - 1.0
     u = np.exp(np.multiply(log_s[:m], nu, out=arg_row[:m]), out=u_row[:m])
-    denom = _dot(u, u)
+    denom = chunked_dot(u, u)
     if denom <= 0 or not math.isfinite(denom):
         raise TrendNotEstimable("degenerate regressor")
-    slope = _dot(x[:m], u) / denom
+    slope = chunked_dot(x[:m], u) / denom
     if not math.isfinite(slope):
         raise TrendNotEstimable("non-finite counts")
     return nu, slope

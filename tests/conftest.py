@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -48,6 +52,21 @@ def _read_detections(path) -> list[tuple[str, str, str, int, int | None]]:
             for ds, det, pid, dt, loc in rows[1:]]
 
 
+def _outputs_per_blas_thread_count(code: str, *args: str) -> list[str]:
+    """The stdout of ``python -c code *args`` with one and with two OpenBLAS
+    threads, ``src`` on the path."""
+    path = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH", "")]
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)),
+                   OPENBLAS_NUM_THREADS=threads)
+        out = subprocess.run([sys.executable, "-c", code, *args],
+                             env=env, capture_output=True, text=True, timeout=300)
+        assert out.returncode == 0, out.stderr
+        outs.append(out.stdout)
+    return outs
+
+
 @pytest.fixture()
 def gradient_check():
     return _gradient_check
@@ -56,3 +75,8 @@ def gradient_check():
 @pytest.fixture()
 def read_detections():
     return _read_detections
+
+
+@pytest.fixture()
+def outputs_per_blas_thread_count():
+    return _outputs_per_blas_thread_count

@@ -288,6 +288,7 @@ class ListStream(PncStream):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._list = []
+        self._origin = 0
 
     def _begin_window(self, t):
         cfg = self.cfg

@@ -11,7 +11,7 @@ import pytest
 from predcomp import predictors
 from predcomp.predictors import (MAX_P, ArimaPredictor, ArPredictor, ConstantPredictor,
                                  MeanPredictor, NaivePredictor, PredictorError, _auto_items,
-                                 _differenced, _fit_one, _nelder_mead, _pacf_to_coef,
+                                 _differenced, _fit_one, _nelder_mead, _pacf_list,
                                  css_innovations, fit_predictor, refit_after_detection)
 from predcomp.pool import pool_map
 from predcomp.seeding import spawn_rng
@@ -130,6 +130,43 @@ def test_arima_differencing_inversion():
                        intercept=2.0, sigma2=1.0)
     fc = m.forecast(np.array([3.0, 5.0, 7.0]), 3)
     assert np.allclose(fc, [9.0, 11.0, 13.0])
+
+
+def _forecast_reference(m: ArimaPredictor, window: np.ndarray, steps: int) -> np.ndarray:
+    """The forecast as it undid differencing with a list of seeds, each the
+    previous one differenced once, and a work copy."""
+    w = np.diff(window, n=m.d) if m.d else window.copy()
+    centered = list(w - m.intercept)
+    errs = list(css_innovations(w, m.phi, m.theta, m.intercept))
+    future = np.empty(steps)
+    for h in range(steps):
+        val = 0.0
+        for i, ph in enumerate(m.phi):
+            val += ph * centered[-1 - i]
+        for j, th in enumerate(m.theta):
+            val += th * errs[-1 - j]
+        future[h] = val
+        centered.append(val)
+        errs.append(0.0)
+    fc = future + m.intercept
+    if m.d == 0:
+        return fc
+    seeds = [window.copy()]
+    for _ in range(1, m.d):
+        seeds.append(np.diff(seeds[-1]))
+    work = fc.copy()
+    for k in range(m.d - 1, -1, -1):
+        work = np.cumsum(work) + seeds[k][-1]
+    return work
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_arima_forecast_undoes_differencing_as_the_seed_recursion(d):
+    m = ArimaPredictor(p=2, d=d, q=1, phi=np.array([0.41, -0.23]), theta=np.array([0.37]),
+                       intercept=0.13, sigma2=1.0)
+    window = np.cumsum(np.cumsum(spawn_rng(d, "integrated").normal(0.0, 1.0, 40)))
+    for steps in range(1, 11):
+        assert np.array_equal(m.forecast(window, steps), _forecast_reference(m, window, steps))
 
 
 def test_arima_intercept_only_is_mean():
@@ -271,6 +308,27 @@ def test_order_search_errors_reach_the_caller_and_leave_no_worker(monkeypatch):
     assert multiprocessing.active_children() == []
 
 
+def test_arima_fit_does_not_depend_on_the_blas_thread_count(tmp_path,
+                                                           outputs_per_blas_thread_count):
+    """An ARMA(1,1) fit on 14,000 points, past the 10,000 from which
+    OpenBLAS splits a dot product, gives the same bytes with one and with
+    two OpenBLAS threads."""
+    rng = spawn_rng(11, "arma11")
+    e = rng.normal(0.0, 1.0, 14_000)
+    x = np.empty_like(e)
+    x[0] = e[0]
+    for i in range(1, len(e)):
+        x[i] = 0.6 * x[i - 1] + e[i] + 0.3 * e[i - 1]
+    np.save(tmp_path / "x.npy", x)
+    code = ("import sys, numpy as np\n"
+            "from predcomp.predictors import ArimaPredictor\n"
+            "m = ArimaPredictor.fit(np.load(sys.argv[1]), (1, 0, 1))\n"
+            "print(m.phi.tobytes().hex(), m.theta.tobytes().hex(), "
+            "repr((m.intercept, m.sigma2, m.aicc)))\n")
+    outs = outputs_per_blas_thread_count(code, str(tmp_path / "x.npy"))
+    assert outs[0] == outs[1]
+
+
 def test_arima_zero_variance_falls_back():
     assert isinstance(ArimaPredictor.fit(np.full(50, 3.0), order=(1, 0, 0)),
                       ConstantPredictor)
@@ -349,7 +407,7 @@ def test_pacf_to_coef_matches_numpy_recursion():
         # entries within 1e-1 .. 1e-15 of +-1, where cancellation is worst
         near = rng.random(p) < 0.3
         pacf[near] = rng.choice([-1.0, 1.0], near.sum()) * (1 - 10 ** -rng.uniform(1, 15, near.sum()))
-        got, want = _pacf_to_coef(pacf), _pacf_to_coef_numpy(pacf)
+        got, want = np.array(_pacf_list(pacf.tolist())), _pacf_to_coef_numpy(pacf)
         assert got.dtype == want.dtype and got.shape == want.shape
         assert np.array_equal(got, want)
 

@@ -393,7 +393,8 @@ def test_pooled_online_equals_the_serial_one(monkeypatch):
     assert calls == [1, 2, 4, 1, 2, 4]
 
 
-def test_online_scores_do_not_depend_on_the_blas_thread_count(tmp_path):
+def test_online_scores_do_not_depend_on_the_blas_thread_count(tmp_path,
+                                                                outputs_per_blas_thread_count):
     """The long reference stream, scored in two processes with one and with
     two OpenBLAS threads, gives the same bytes."""
     x, t0 = STREAMS["long"]
@@ -402,13 +403,5 @@ def test_online_scores_do_not_depend_on_the_blas_thread_count(tmp_path):
             "from predcomp.standardize import standardize\n"
             "res = standardize(np.load(sys.argv[1]), t0=int(sys.argv[2]), mode='online')\n"
             "print(res.scores.values.tobytes().hex(), res.flagged, repr(res.fit))\n")
-    path = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH", "")]
-    outs = []
-    for threads in ("1", "2"):
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)),
-                   OPENBLAS_NUM_THREADS=threads)
-        out = subprocess.run([sys.executable, "-c", code, str(tmp_path / "x.npy"), str(t0)],
-                             env=env, capture_output=True, text=True, timeout=300)
-        assert out.returncode == 0, out.stderr
-        outs.append(out.stdout)
+    outs = outputs_per_blas_thread_count(code, str(tmp_path / "x.npy"), str(t0))
     assert outs[0] == outs[1]
