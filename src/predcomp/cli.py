@@ -120,12 +120,12 @@ def cmd_detect(args) -> int:
     det_cfg = _entry(doc, "detectors", args.detector)
     out = args.out or f"{det_cfg['id']}_{ds_cfg['id']}_detections.csv"
     check_output(out, args.trace, args.svg)
+    if (args.trace or args.svg) and det_cfg["kind"] != "pnc":
+        raise UsageError(f"--trace/--svg: {det_cfg['kind']} detectors have no chart trace")
     series = prepare_series(doc, build_dataset(ds_cfg, doc["seed"]))
     params = _fixed_params(det_cfg, args.set)
     ((detections, trace),) = run_unit(dict(det_cfg, params=params, grid={}), doc, series, [params],
                                       bool(args.trace or args.svg))
-    if trace is None and (args.trace or args.svg):
-        raise UsageError(f"--trace/--svg: {det_cfg['kind']} detectors have no chart trace")
     if args.svg and not trace:  # refused before anything is written
         raise DataError(f"--svg: detector {det_cfg['id']!r} charted no step (empty trace)")
     rows = [(series.name, det_cfg["id"], params_id(params), d) for d in detections]

@@ -75,10 +75,11 @@ def attribute(detections: list[Detection], series: LabeledSeries,
 
 @dataclass
 class EvalRecord:
+    """One scored run: a row of ``metrics.csv``."""
+
     dataset_id: str
     detector_id: str
     params_id: str
-    params: dict
     n_detections: int
     fpc: int
     target_found: bool
@@ -92,15 +93,12 @@ def params_id(params: dict) -> str:
     return ",".join(f"{k}={params[k]}" for k in sorted(params))
 
 
-def score_run(detections: list[Detection], series: LabeledSeries,
-              target: CpLabel, dataset_id: str = "", detector_id: str = "",
-              params: dict | None = None) -> EvalRecord:
-    params = params or {}
+def score_run(detections: list[Detection], series: LabeledSeries, target: CpLabel,
+              dataset_id: str, detector_id: str, params: dict) -> EvalRecord:
     att = attribute(detections, series, target)
     det = att.target_detection
     return EvalRecord(
-        dataset_id=dataset_id, detector_id=detector_id,
-        params_id=params_id(params), params=params,
+        dataset_id=dataset_id, detector_id=detector_id, params_id=params_id(params),
         n_detections=len(detections), fpc=att.fpc,
         target_found=att.target_found, arlp=att.arlp,
         detect_time=det.detect_time if det else None,

@@ -230,7 +230,7 @@ def _metrics_record(ds, det, pid, n_det, fpc, found, arlp, dt, loc, valid) -> Ev
         raise ValueError(f"arlp must be finite, got {arlp}")
     if found == "1" and not arlp:
         raise ValueError("a found target needs an arlp")
-    return EvalRecord(ds, det, pid, {}, int(n_det), int(fpc), found == "1",
+    return EvalRecord(ds, det, pid, int(n_det), int(fpc), found == "1",
                       float(arlp) if arlp else None, time_index(dt, optional=True),
                       time_index(loc, optional=True), valid == "1")
 

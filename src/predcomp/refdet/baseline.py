@@ -22,13 +22,11 @@ import numpy as np
 
 from ..seeding import spawn_rng
 from ..series import CpLabel, Detection, LabeledSeries
-from ..evaluate import score_run
+from ..evaluate import attribute
 
 
 @dataclass
 class BaselineResult:
-    n_fp: int
-    repetitions: int
     fpc_mean: float
     arlp_mean: float
     found_rate: float
@@ -50,11 +48,10 @@ def random_baseline(series: LabeledSeries, target: CpLabel, n_fp: int,
         times = sorted(rng.choice(pre, size=m, replace=False).tolist()
                        + [int(rng.choice(phase))])
         dets = [Detection(detect_time=int(t), detector="random") for t in times]
-        rec = score_run(dets, series, target)
-        fpcs.append(rec.fpc)
-        founds.append(rec.target_found)
-        if rec.target_found:
-            arlps.append(rec.arlp)
-    return BaselineResult(n_fp, repetitions, float(np.mean(fpcs)),
-                          float(np.mean(arlps)) if arlps else float("nan"),
+        att = attribute(dets, series, target)
+        fpcs.append(att.fpc)
+        founds.append(att.target_found)
+        if att.target_found:
+            arlps.append(att.arlp)
+    return BaselineResult(float(np.mean(fpcs)), float(np.mean(arlps)) if arlps else float("nan"),
                           float(np.mean(founds)))

@@ -61,6 +61,7 @@ def classic_cusum_sweep(series, thresholds, allowance: float = 0.5, target_windo
     csum = np.concatenate(([0.0], np.cumsum(values)))
 
     def scan(seg_start: int, levels: list) -> list[Detection]:
+        seg_start = max(seg_start, target_window)  # the first segment waits for a full window
         chart = CusumChart(levels[0], allowance, start=seg_start)
         found = []
         for i in range(seg_start, n):
@@ -78,4 +79,4 @@ def classic_cusum_sweep(series, thresholds, allowance: float = 0.5, target_windo
                     break
         return found
 
-    return sweep(scan, thresholds, target_window, trace)
+    return sweep(scan, thresholds, trace)

@@ -21,6 +21,8 @@ History protocol: at the initial segment the history is the
 tail of length clamp(ceil(hist_fact * monitor_from), min_hist,
 _CAP_FACTOR * min_hist) is fitted.  After each detection the model refits
 once ``min_hist`` fresh points have accumulated, then monitoring resumes.
+The residual variance is a :func:`predcomp.series.chunked_dot`, so it does
+not depend on the BLAS thread count.
 
 The moving sums and their bounds are computed as array operations over
 blocks of ``_ROWS`` steps, each entry by the same expression as the
@@ -39,7 +41,7 @@ from importlib import resources
 
 import numpy as np
 
-from ..series import Detection, finite_values
+from ..series import Detection, chunked_dot, finite_values
 from .sweep import sweep
 
 _TABLE = None
@@ -121,7 +123,7 @@ def mosum_sweep(series, levels, min_hist: int = 100, hist_fact: float = 0.5,
         beta, *_ = np.linalg.lstsq(X, values[hist_lo:mon_start], rcond=None)
         resid_hist = values[hist_lo:mon_start] - X @ beta
         dof = max(length - X.shape[1], 1)
-        sd = float(np.sqrt(np.dot(resid_hist, resid_hist) / dof))
+        sd = float(np.sqrt(chunked_dot(resid_hist, resid_hist) / dof))
         band = max(int(math.ceil(h_band * length)), 1)
         t_mon = np.arange(mon_start, n, dtype=float)
         resid_mon = values[mon_start:] - _design(t_mon, harmonics, period) @ beta

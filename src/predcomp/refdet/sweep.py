@@ -22,21 +22,21 @@ from ..series import Detection
 
 
 def sweep(scan: Callable[[int, list], Sequence[Detection]], thresholds: Sequence,
-          first: int = 0, record: list | None = None) -> list[list[Detection]]:
+          record: list | None = None) -> list[list[Detection]]:
     """The detections of each entry of ``thresholds``, in their order (any,
-    with repeats), the first segment starting at ``first``.
+    with repeats).
 
-    ``scan(start, levels)`` runs one segment from ``start`` for the
-    thresholds pending there, in increasing order, and returns their first
-    alarms as a prefix aligned with ``levels``: the levels past its end do
-    not alarm before the data end.  ``record``, a per-step record the scan
-    fills, is refused with more than one threshold, as its segments would
-    interleave several runs.
+    ``scan(start, levels)`` runs one segment from ``start``, 0 for the
+    first, for the thresholds pending there, in increasing order, and
+    returns their first alarms as a prefix aligned with ``levels``: the
+    levels past its end do not alarm before the data end.  ``record``, a
+    per-step record the scan fills, is refused with more than one
+    threshold, as its segments would interleave several runs.
     """
     if record is not None and len(thresholds) > 1:
         raise ValueError("a trace needs a single threshold")
     runs = {level: [] for level in thresholds}
-    pending = {first: list(runs)} if runs else {}
+    pending = {0: list(runs)} if runs else {}
     while pending:
         start = min(pending)
         levels = sorted(pending.pop(start))

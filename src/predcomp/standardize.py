@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -71,9 +71,8 @@ def _lam(nu: float, slope: float, s):
 class StandardizeResult:
     scores: LabeledSeries
     fit: TrendFit | None
-    mode: str
     #: indices where the score is a fallback (identity or clamped zero)
-    flagged: list[int] = field(default_factory=list)
+    flagged: list[int]
 
 
 def _trend_terms(values: np.ndarray, t0: int):
@@ -227,7 +226,7 @@ def standardize(series: LabeledSeries | np.ndarray, t0: int = 0,
     scores, flags = np.empty(n), np.empty(n, dtype=bool)
     for i, (x, lam_i) in enumerate(zip(values.tolist(), lam)):
         scores[i], flags[i] = _score(x, lam_i)
-    return StandardizeResult(wrap.with_values(scores), fit, mode, np.flatnonzero(flags).tolist())
+    return StandardizeResult(wrap.with_values(scores), fit, np.flatnonzero(flags).tolist())
 
 
 class OnlineStandardizer:

@@ -465,6 +465,24 @@ def test_committed_demo_metrics_are_current(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
 
 
+def test_demo_grid_records_round_trip_through_metrics_csv(tmp_path, monkeypatch):
+    """A record read back from ``metrics.csv`` is the record ``run_grid``
+    scored, but for its arlp, which the file keeps to 6 decimals."""
+    import dataclasses
+    from predcomp.cli import build_dataset, build_detector, prepare_series
+    from predcomp.config import load_config
+    from predcomp.evaluate import run_grid
+    from predcomp.io import read_metrics_csv, write_metrics_csv
+    monkeypatch.delenv("PREDCOMP_SEED", raising=False)
+    doc = load_config(ROOT / "configs" / "demo.yaml")
+    datasets = [prepare_series(doc, build_dataset(ds, doc["seed"])) for ds in doc["datasets"]]
+    records = run_grid(datasets, [build_detector(det, doc) for det in doc["detectors"]])
+    write_metrics_csv(tmp_path / "metrics.csv", records)
+    assert read_metrics_csv(tmp_path / "metrics.csv") == [
+        dataclasses.replace(r, arlp=None if r.arlp is None else round(r.arlp, 6))
+        for r in records]
+
+
 def test_per_point_runners_score_the_demo_as_the_units_do(monkeypatch):
     """A grid rebuilt from each detector's per-point ``runner``, the way the
     traced benchmark wraps it, scores the demo as the detectors' units do."""
@@ -650,16 +668,38 @@ def test_detect_with_no_step_to_draw_writes_nothing(tmp_path, capsys):
     assert not any(path.exists() for path in paths)
 
 
+CHARTLESS_KINDS = pytest.mark.parametrize(
+    "kind, params", [("cusum", {"desInt": 5.0}), ("bocpd", {"hazard": 0.01}),
+                     ("ocd", {"diag": 8.0}), ("mosum", {})], ids=["cusum", "bocpd", "ocd", "mosum"])
+
+
 @pytest.mark.parametrize("flag", ["--trace", "--svg"])
-@pytest.mark.parametrize("kind, params", [("cusum", {"desInt": 5.0}), ("bocpd", {"hazard": 0.01}),
-                                          ("ocd", {"diag": 8.0}), ("mosum", {})],
-                         ids=["cusum", "bocpd", "ocd", "mosum"])
+@CHARTLESS_KINDS
 def test_detect_chart_of_a_kind_without_a_trace_exits_1_and_writes_nothing(tmp_path, capsys,
                                                                             kind, params, flag):
     cfg = _bound_config(tmp_path, (), {"detectors": [{"id": "r", "kind": kind, "params": params}]})
     paths = [tmp_path / "d.csv", tmp_path / "chart"]
     assert main(["detect", "-c", str(cfg), "--dataset", "s", "--detector", "r",
                  "--out", str(paths[0]), flag, str(paths[1])]) == 1
+    assert (f"usage error: --trace/--svg: {kind} detectors have no chart trace"
+            in capsys.readouterr().err)
+    assert not any(path.exists() for path in paths)
+
+
+@CHARTLESS_KINDS
+def test_detect_chart_of_a_kind_without_a_trace_is_refused_before_any_work(tmp_path, capsys,
+                                                                            monkeypatch, kind,
+                                                                            params):
+    import predcomp.cli as cli
+
+    def no_build(*args, **kwargs):
+        raise RuntimeError("a dataset was built")
+
+    monkeypatch.setattr(cli, "build_dataset", no_build)
+    cfg = _bound_config(tmp_path, (), {"detectors": [{"id": "r", "kind": kind, "params": params}]})
+    paths = [tmp_path / "d.csv", tmp_path / "t.csv", tmp_path / "t.svg"]
+    assert main(["detect", "-c", str(cfg), "--dataset", "s", "--detector", "r",
+                 "--out", str(paths[0]), "--trace", str(paths[1]), "--svg", str(paths[2])]) == 1
     assert (f"usage error: --trace/--svg: {kind} detectors have no chart trace"
             in capsys.readouterr().err)
     assert not any(path.exists() for path in paths)

@@ -197,10 +197,10 @@ def test_run_grid_flags_silent_and_noisy_points():
     records = run_grid(datasets, [grid])
     by_mode = {}
     for r in records:
-        by_mode.setdefault(r.params["mode"], []).append(r.valid)
-    assert by_mode["silent"] == [False, False]
-    assert by_mode["noisy"] == [False, False]
-    assert by_mode["ok"] == [True, True]
+        by_mode.setdefault(r.params_id, []).append(r.valid)
+    assert by_mode["mode=silent"] == [False, False]
+    assert by_mode["mode=noisy"] == [False, False]
+    assert by_mode["mode=ok"] == [True, True]
 
 
 def test_run_grid_requires_target_label():
@@ -272,7 +272,7 @@ def test_run_grid_raises_the_first_failing_unit_in_input_order(monkeypatch, cpus
 def _records():
     def rec(ds, det, pid, fpc, arlp_, found=True, valid=True):
         return EvalRecord(dataset_id=ds, detector_id=det, params_id=pid,
-                          params={}, n_detections=1, fpc=fpc, target_found=found,
+                          n_detections=1, fpc=fpc, target_found=found,
                           arlp=arlp_, detect_time=None, located_time=None,
                           valid=valid)
     return rec

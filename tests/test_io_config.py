@@ -116,10 +116,10 @@ def test_detections_csv_layout(tmp_path):
 
 def test_metrics_csv_layout(tmp_path):
     p = tmp_path / "m.csv"
-    rec = EvalRecord(dataset_id="a", detector_id="d", params_id="h=1", params={},
+    rec = EvalRecord(dataset_id="a", detector_id="d", params_id="h=1",
                      n_detections=2, fpc=1, target_found=True, arlp=8.7397086,
                      detect_time=3476, located_time=None, valid=True)
-    miss = EvalRecord(dataset_id="a", detector_id="d", params_id="h=2", params={},
+    miss = EvalRecord(dataset_id="a", detector_id="d", params_id="h=2",
                       n_detections=0, fpc=0, target_found=False, arlp=None,
                       detect_time=None, located_time=None, valid=False)
     write_metrics_csv(p, [rec, miss])
@@ -132,10 +132,10 @@ def test_metrics_csv_layout(tmp_path):
 
 def test_metrics_round_trip(tmp_path):
     p, again = tmp_path / "m.csv", tmp_path / "again.csv"
-    rec = EvalRecord(dataset_id="a", detector_id="d", params_id="h=1", params={},
+    rec = EvalRecord(dataset_id="a", detector_id="d", params_id="h=1",
                      n_detections=2, fpc=1, target_found=True, arlp=8.7397086,
                      detect_time=3476, located_time=3470, valid=True)
-    miss = EvalRecord(dataset_id="a", detector_id="d", params_id="h=2", params={},
+    miss = EvalRecord(dataset_id="a", detector_id="d", params_id="h=2",
                       n_detections=0, fpc=0, target_found=False, arlp=None,
                       detect_time=None, located_time=None, valid=False)
     write_metrics_csv(p, [rec, miss])

@@ -167,3 +167,17 @@ def test_non_finite_input_rejected(bad):
     y[600] = bad
     with pytest.raises(ValueError, match=r"index 600 is not finite"):
         mosum_detect(y, min_hist=250, level=0.05)
+
+
+def test_mosum_does_not_depend_on_the_blas_thread_count(outputs_per_blas_thread_count):
+    """A 12,000-point history, past the 10,000 from which OpenBLAS splits a
+    dot product, gives the same detections and trace with one and with two
+    OpenBLAS threads."""
+    code = ("import hashlib\n"
+            "from predcomp.refdet.mosum import mosum_detect\n"
+            "from predcomp.seeding import spawn_rng\n"
+            "x = spawn_rng(1, 'mosum').normal(0.0, 1.0, 40_000)\n"
+            "dets, trace = mosum_detect(x, min_hist=3000, monitor_from=24000, keep_trace=True)\n"
+            "print(dets, len(trace), hashlib.sha256(repr(trace).encode()).hexdigest())\n")
+    outs = outputs_per_blas_thread_count(code)
+    assert outs[0] == outs[1]

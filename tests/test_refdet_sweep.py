@@ -189,11 +189,11 @@ def test_sweep_equals_separate_runs(kind, monkeypatch):
 
     starts = []
 
-    def recording(scan, thresholds, first=0, record=None):
+    def recording(scan, thresholds, record=None):
         def scan_and_record(start, levels):
             starts.append(start)
             return scan(start, levels)
-        return sweep(scan_and_record, thresholds, first, record)
+        return sweep(scan_and_record, thresholds, record)
 
     monkeypatch.setattr(module, "sweep", recording)
     assert sweep_fn(x, thresholds) == runs
