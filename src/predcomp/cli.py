@@ -19,7 +19,7 @@ from .config import (EVALUATION, KINDS, SOURCES, STANDARDIZE, TRAIN, ConfigError
 from .evaluate import (DetectorGrid, EvalRecord, average_max_fpc, find_target, params_id,
                        render_report, run_grid, select_best)
 from .io import (DataError, check_output, make_dir, read_metrics_csv as _read_metrics,
-                 read_series_csv, save_model, time_field, write_detections_csv, write_loss_csv,
+                 read_series_csv, time_field, write_detections_csv, write_loss_csv, write_lstm,
                  write_manifest, write_metrics_csv, write_series_csv, write_text, write_trace_csv,
                  write_trace_svg)
 from .predictors import PredictorError
@@ -122,8 +122,8 @@ def cmd_detect(args) -> int:
     check_output(out, args.trace, args.svg)
     if (args.trace or args.svg) and det_cfg["kind"] != "pnc":
         raise UsageError(f"--trace/--svg: {det_cfg['kind']} detectors have no chart trace")
-    series = prepare_series(doc, build_dataset(ds_cfg, doc["seed"]))
     params = _fixed_params(det_cfg, args.set)
+    series = prepare_series(doc, build_dataset(ds_cfg, doc["seed"]))
     ((detections, trace),) = run_unit(dict(det_cfg, params=params, grid={}), doc, series, [params],
                                       bool(args.trace or args.svg))
     if args.svg and not trace:  # refused before anything is written
@@ -154,7 +154,7 @@ def cmd_train_lstm(args) -> int:
                                      lcfg["max_windows"])
     result = lstm_mod.train_lstm(X, Y, lstm_mod.TrainConfig(
         seed=doc["seed"], **{key: lcfg[key] for key in TRAIN}))
-    save_model(args.out, result.net.to_dict())
+    write_lstm(args.out, result.net)
     if args.loss:
         write_loss_csv(args.loss, result.train_loss, result.val_loss)
     print(f"trained on {len(X)} windows; final train loss {result.train_loss[-1]:.6g}; "

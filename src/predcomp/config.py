@@ -42,8 +42,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 import yaml
 
-from .io import DataError, load_model, read_series_csv
-from .lstm import LstmNet, LstmPredictor, TrainConfig
+from .io import read_lstm, read_series_csv
+from .lstm import LstmPredictor, TrainConfig
 from .pnc import PncConfig, run_stream
 from .predictors import (MAX_D, MAX_P, MAX_Q, ArimaPredictor, ArPredictor, MeanPredictor,
                          NaivePredictor, PredictorError, fit_predictor)
@@ -219,15 +219,6 @@ SOURCES: dict[str, Kind] = {
 }
 
 
-def _load_lstm(keys: dict, history) -> LstmPredictor:
-    """The LSTM saved at ``model_path``; it trains on windows (``train-lstm``), not on ``history``."""
-    doc = load_model(keys["model_path"])
-    try:
-        return LstmPredictor(LstmNet.from_dict(doc))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DataError(f"{keys['model_path']}: not an lstm model ({exc!r})") from None
-
-
 def _check_arima(keys: dict) -> None:
     """An explicit order would be ignored by the search ``auto: true`` asks for."""
     if keys["auto"] and keys["order"] != "auto":
@@ -243,7 +234,9 @@ PREDICTORS: dict[str, Kind] = {
                   lambda keys, history: ArimaPredictor.fit(
                       history, keys["order"], keys["auto"] or keys["order"] == "auto"),
                   _check_arima),
-    "lstm": Kind({"model_path": (_of(str), REQUIRED)}, _load_lstm)}
+    # the LSTM trains on windows (``train-lstm``), not on ``history``
+    "lstm": Kind({"model_path": (_of(str), REQUIRED)},
+                 lambda keys, history: LstmPredictor(read_lstm(keys["model_path"])))}
 
 
 # ---------------------------------------------------------------------------

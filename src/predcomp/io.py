@@ -21,8 +21,10 @@ stands for None:
 A reader turns a missing file, another header, a row of another width or a
 field it cannot read into a :class:`DataError` naming ``file:line``.
 
-JSON files, with sorted keys: a model (schema_version, kind tag, arrays
-flat next to their shapes) and the ``simulate`` manifest (the seed and,
+JSON files, with sorted keys: the LSTM model that ``train-lstm`` writes and
+an ``lstm`` predictor reads (:func:`write_lstm`, :func:`read_lstm`:
+schema_version, kind ``lstm``, the sizes nh, nz and hidden, and each weight
+array flat next to its shape) and the ``simulate`` manifest (the seed and,
 per dataset, its id, rows, 1-based labels and source).
 
 Every writer writes a temporary file next to its target and renames it
@@ -47,6 +49,7 @@ from pathlib import Path
 import numpy as np
 
 from .evaluate import EvalRecord
+from .lstm import LstmNet
 from .series import PHASES, CpLabel, Detection, LabeledSeries
 
 SERIES_HEADER = ["time", "value", "phase", "cp"]
@@ -246,21 +249,33 @@ def write_loss_csv(path, train_loss: list[float], val_loss: list[float]) -> None
         for e, (tl, vl) in enumerate(zip_longest(train_loss, val_loss), start=1)))
 
 
-def save_model(path, payload: dict) -> None:
-    write_json(path, {"schema_version": MODEL_SCHEMA_VERSION, **payload})
+def write_lstm(path, net: LstmNet) -> None:
+    write_json(path, {"schema_version": MODEL_SCHEMA_VERSION, "kind": "lstm", "nh": net.nh,
+                      "nz": net.nz, "hidden": net.hidden, "arrays": {
+                          k: {"shape": list(v.shape), "data": [float(x) for x in v.ravel()]}
+                          for k, v in net.params().items()}})
 
 
-def load_model(path) -> dict:
+def read_lstm(path) -> LstmNet:
     try:
         with open(path) as fh:
             doc = json.load(fh)
-    except (OSError, ValueError) as exc:
-        raise DataError(f"{path}: cannot read the model: {exc}") from None
-    if not isinstance(doc, dict) or doc.get("schema_version") != MODEL_SCHEMA_VERSION:
-        raise DataError(f"{path}: not a model file of schema_version {MODEL_SCHEMA_VERSION}")
-    if "kind" not in doc:
-        raise DataError(f"{path}: model file lacks a kind tag")
-    return doc
+        if (doc["schema_version"], doc["kind"]) != (MODEL_SCHEMA_VERSION, "lstm"):
+            raise ValueError(f"schema_version {doc['schema_version']!r}, kind {doc['kind']!r}")
+        nh, nz, H = (int(doc[k]) for k in ("nh", "nz", "hidden"))
+        shapes = {"W": [4 * H, 1 + H], "b": [4 * H], "Wy": [nz, H], "by": [nz]}
+        if any(doc["arrays"][k]["shape"] != shape for k, shape in shapes.items()):
+            raise ValueError(f"array shapes do not fit hidden {H} and nz {nz}")
+        W, b, Wy, by = (np.asarray(doc["arrays"][k]["data"], dtype=float).reshape(shape)
+                        for k, shape in shapes.items())
+        if not all(np.isfinite(a).all() for a in (W, b, Wy, by)):
+            raise ValueError("a weight is not finite")
+        return LstmNet(nh, nz, H, W, b, Wy, by)
+    except OSError as exc:
+        raise DataError(f"{path}: cannot read the model: {exc.strerror}") from None
+    except (LookupError, TypeError, ValueError) as exc:  # not json, or not this layout
+        raise DataError(f"{path}: not an lstm model file of schema_version "
+                        f"{MODEL_SCHEMA_VERSION} ({exc!r})") from None
 
 
 def write_manifest(path, seed: int, datasets: list[tuple[dict, LabeledSeries]]) -> None:

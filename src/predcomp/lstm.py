@@ -45,18 +45,6 @@ class LstmNet:
     def params(self) -> dict[str, np.ndarray]:
         return {"W": self.W, "b": self.b, "Wy": self.Wy, "by": self.by}
 
-    def to_dict(self) -> dict:
-        return {"kind": "lstm", "nh": self.nh, "nz": self.nz, "hidden": self.hidden,
-                "arrays": {k: {"shape": list(v.shape), "data": [float(x) for x in v.ravel()]}
-                           for k, v in self.params().items()}}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "LstmNet":
-        arrays = {k: np.asarray(v["data"], dtype=float).reshape(v["shape"])
-                  for k, v in d["arrays"].items()}
-        return cls(int(d["nh"]), int(d["nz"]), int(d["hidden"]),
-                   arrays["W"], arrays["b"], arrays["Wy"], arrays["by"])
-
 
 def init_lstm(nh: int, nz: int, hidden: int = 32, seed: int = 0,
               scale: float = INIT_SCALE) -> LstmNet:

@@ -30,12 +30,14 @@ calls.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
 from .pool import pool_map
-from .series import chunked_dot
+from .series import DOT_CHUNK, chunked_dot
 
 MAX_P = 5
 MAX_D = 2
@@ -92,16 +94,21 @@ class MeanPredictor:
 
 @dataclass
 class ConstantPredictor:
-    """Degenerate fallback for zero-variance histories."""
+    """Degenerate fallback for zero-variance histories.  A refit reruns
+    ``fitted_by``, the fit that fell back to it, so the configured model comes
+    back on a varying history; without one it is the history's last value."""
 
     value: float
+    fitted_by: Callable | None = field(default=None, compare=False, repr=False)
     kind = "constant"
 
     def forecast(self, window, steps: int) -> np.ndarray:
         _as_history(window)
         return np.full(steps, self.value)
 
-    def refit(self, history) -> "ConstantPredictor":
+    def refit(self, history):
+        if self.fitted_by is not None:
+            return self.fitted_by(history)
         history = _as_history(history)
         return ConstantPredictor(float(history[-1]))
 
@@ -111,7 +118,15 @@ class ConstantPredictor:
 
 @dataclass
 class ArPredictor:
-    """AR(p) with intercept, fitted by ordinary least squares."""
+    """AR(p) with intercept, fitted by ordinary least squares.
+
+    A design of at most `DOT_CHUNK` rows is solved by ``np.linalg.lstsq``.
+    On a longer one lstsq's bits depend on the BLAS thread count, so the fit
+    solves the normal equations there: each entry is a
+    :func:`predcomp.series.chunked_dot`, and lstsq takes the (p+1)x(p+1)
+    system, so that a rank-deficient design (a periodic series) still gets
+    its minimum-norm fit.  That squares the design's condition number.
+    """
 
     p: int
     coef: np.ndarray | None = None
@@ -126,11 +141,14 @@ class ArPredictor:
         if len(history) < max(MIN_FIT, 2 * p + 2):
             raise PredictorError(f"history too short for AR({p})")
         if np.ptp(history) == 0:
-            return ConstantPredictor(float(history[0]))
+            return ConstantPredictor(float(history[0]), partial(cls.fit, p=p))
         y = history[p:]
-        cols = [history[p - j - 1:len(history) - j - 1] for j in range(p)]
-        design = np.column_stack([np.ones(len(y))] + cols)
-        beta, *_ = np.linalg.lstsq(design, y, rcond=None)
+        cols = [np.ones(len(y))] + [history[p - j - 1:len(history) - j - 1] for j in range(p)]
+        if len(y) <= DOT_CHUNK:
+            beta, *_ = np.linalg.lstsq(np.column_stack(cols), y, rcond=None)
+        else:
+            gram = [[chunked_dot(a, b) for b in cols] for a in cols]
+            beta, *_ = np.linalg.lstsq(gram, [chunked_dot(a, y) for a in cols], rcond=None)
         return cls(p, beta[1:].copy(), float(beta[0]))
 
     def forecast(self, window, steps: int) -> np.ndarray:
@@ -327,9 +345,8 @@ def _differenced(history: np.ndarray, d: int) -> np.ndarray:
 
 
 def _aicc(ssr: float, n: int, n_params: int) -> float:
-    # n_params counts AR + MA coefficients plus intercept and variance
-    if n <= n_params + 1:
-        return np.inf
+    # n_params counts AR + MA coefficients plus intercept and variance; a
+    # fitted order has n >= n_params + 2
     sigma2 = max(ssr / n, 1e-300)
     return n * np.log(sigma2) + 2 * n_params + 2 * n_params * (n_params + 1) / (n - n_params - 1)
 
@@ -349,25 +366,28 @@ class ArimaPredictor:
 
     @classmethod
     def fit(cls, history, order=(1, 0, 0), auto: bool = False) -> "ArimaPredictor | ConstantPredictor":
-        """CSS fit at a fixed order, or an AICc scan when ``auto`` is True."""
+        """CSS fit at a fixed order, or an AICc scan when ``auto`` is True.
+        An order needs max(MIN_FIT, d + p + q + 4) points, a constant history
+        too; the scan needs as many as its smallest order, (0, 0, 0)."""
         history = _as_history(history)
-        if np.ptp(history) == 0:
-            return ConstantPredictor(float(history[0]))
-        if auto:
-            return cls._fit_auto(history)
-        p, d, q = order
+        p, d, q = (0, 0, 0) if auto else order
         if not (0 <= p <= MAX_P and 0 <= d <= MAX_D and 0 <= q <= MAX_Q):
             raise PredictorError(f"order {order} outside the supported grid")
         if len(history) < max(MIN_FIT, d + p + q + 4):
-            raise PredictorError(f"history too short for ARIMA{order}")
-        return cls._fit_order(_differenced(history, d), p, d, q)
+            raise PredictorError("history too short for "
+                                 + ("the ARIMA order search" if auto else f"ARIMA{order}"))
+        if np.ptp(history) == 0:
+            return ConstantPredictor(float(history[0]), partial(cls.fit, order=order, auto=auto))
+        if auto:
+            return cls._fit_auto(history)
+        return cls._fit_order((_differenced(history, d), p, d, q))
 
     @classmethod
-    def _fit_order(cls, w: np.ndarray, p: int, d: int, q: int) -> "ArimaPredictor":
-        """CSS fit of ARIMA(p, d, q); ``w`` is the history differenced d times."""
+    def _fit_order(cls, item: tuple) -> "ArimaPredictor":
+        """CSS fit of one ``(w, p, d, q)``: ARIMA(p, d, q) on ``w``, the history
+        differenced d times, which has at least p + q + 4 points."""
+        w, p, d, q = item
         n = len(w)
-        if n < p + q + 3:
-            raise PredictorError("differenced series too short")
         pq = p + q
 
         def model(raw: np.ndarray) -> tuple[list[float], list[float], float]:
@@ -396,11 +416,9 @@ class ArimaPredictor:
     def _fit_auto(cls, history: np.ndarray) -> "ArimaPredictor":
         _filter()  # loaded once here, not once in each worker
         best = None
-        for cand in pool_map(_fit_one, _auto_items(history)):
-            if cand is not None and (best is None or cand.aicc < best.aicc - 1e-10):
+        for cand in pool_map(cls._fit_order, _auto_items(history)):
+            if best is None or cand.aicc < best.aicc - 1e-10:
                 best = cand
-        if best is None:
-            raise PredictorError("auto order search found no fittable model")
         best.auto = True
         return best
 
@@ -436,7 +454,8 @@ class ArimaPredictor:
 def _auto_items(history: np.ndarray) -> list[tuple]:
     """(differenced history, p, d, q) for every order the history is long
     enough for, in complexity order, so that an AICc tie resolves to the
-    simplest model (smallest p+d+q, then smallest p)."""
+    simplest model (smallest p+d+q, then smallest p).  From ``MIN_FIT``
+    points on, (0, 0, 0) is among them."""
     orders = sorted(
         ((p, d, q) for p in range(MAX_P + 1) for d in range(MAX_D + 1)
          for q in range(MAX_Q + 1)),
@@ -445,16 +464,6 @@ def _auto_items(history: np.ndarray) -> list[tuple]:
     diffs = [_differenced(history, d) for d in range(MAX_D + 1)]
     return [(diffs[d], p, d, q) for p, d, q in orders
             if len(history) >= max(MIN_FIT, d + p + q + 4)]
-
-
-def _fit_one(item: tuple) -> ArimaPredictor | None:
-    """The CSS fit of one ``(w, p, d, q)`` of :func:`_auto_items`, or None
-    where that order cannot be fitted."""
-    w, p, d, q = item
-    try:
-        return ArimaPredictor._fit_order(w, p, d, q)
-    except (PredictorError, np.linalg.LinAlgError):
-        return None
 
 
 # ---------------------------------------------------------------------------

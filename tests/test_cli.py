@@ -705,6 +705,26 @@ def test_detect_chart_of_a_kind_without_a_trace_is_refused_before_any_work(tmp_p
     assert not any(path.exists() for path in paths)
 
 
+@pytest.mark.parametrize("detector, pin, code", [("pnc_ar", ["--set", "nokey"], 1),
+                                                  ("bocpd", [], 2)],
+                         ids=["malformed-set", "unpinned-grid"])
+def test_detect_refuses_its_parameter_point_before_any_work(tmp_path, capsys, monkeypatch,
+                                                            detector, pin, code):
+    import predcomp.cli as cli
+
+    def no_build(*args, **kwargs):
+        raise RuntimeError("a dataset was built")
+
+    monkeypatch.setattr(cli, "build_dataset", no_build)
+    out = tmp_path / "d.csv"
+    assert main(["detect", "-c", str(ROOT / "configs" / "demo.yaml"), "--dataset", "wear_mild",
+                 "--detector", detector, "--out", str(out), *pin]) == code
+    err = capsys.readouterr().err
+    assert ("--set expects key=value, got 'nokey'" if code == 1
+            else "`detect` needs a single value for cpthreshold") in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("bad", ["nan", "inf"])
 def test_non_finite_csv_exits_2_and_writes_nothing(tmp_path, capsys, bad):
     src = tmp_path / "bad.csv"

@@ -14,7 +14,7 @@ from predcomp.cli import build_dataset, build_detector, main, prepare_series
 from predcomp.config import ConfigError, load_config
 from predcomp.config import KINDS, REQUIRED, run_unit
 from predcomp.evaluate import params_id
-from predcomp.io import save_model
+from predcomp.io import write_lstm
 from predcomp.lstm import init_lstm
 from predcomp.pnc import PncConfig, run_stream
 from predcomp.predictors import fit_predictor
@@ -420,7 +420,7 @@ def test_lstm_model_file_that_cannot_be_read_exits_2(tmp_path, capsys, contents)
 def test_lstm_window_and_horizon_are_checked_against_the_model(tmp_path, capsys, params, pin,
                                                                detect_ok, grid_ok):
     model = tmp_path / "model.json"
-    save_model(model, init_lstm(24, 6, hidden=4).to_dict())
+    write_lstm(model, init_lstm(24, 6, hidden=4))
     cfg = _lstm_config(tmp_path, f"{{kind: lstm, model_path: {model}}}", params)
     assert _detect(cfg, tmp_path, *pin) == (0 if detect_ok else 2)
     assert main(["grid", "-c", str(cfg)]) == (0 if grid_ok else 2)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 import re
 
 import numpy as np
@@ -12,12 +13,12 @@ from predcomp.config import ConfigError, load_config
 from predcomp.io import (
     DataError,
     check_output,
-    load_model,
     read_labels_csv,
+    read_lstm,
     read_metrics_csv,
     read_series_csv,
-    save_model,
     write_detections_csv,
+    write_lstm,
     write_metrics_csv,
     write_series_csv,
     write_text,
@@ -25,6 +26,7 @@ from predcomp.io import (
     write_trace_svg,
 )
 from predcomp.evaluate import EvalRecord
+from predcomp.lstm import init_lstm
 from predcomp.series import CpLabel, Detection, LabeledSeries
 
 
@@ -158,21 +160,31 @@ def test_metrics_reader_rejects_times_below_1(tmp_path, times):
 
 def test_model_round_trip(tmp_path):
     p = tmp_path / "model.json"
-    save_model(p, {"kind": "ar", "coef": [0.5, 0.25], "intercept": 1.0})
-    doc = load_model(p)
-    assert doc["kind"] == "ar"
-    assert doc["coef"] == [0.5, 0.25]
+    net = init_lstm(5, 3, hidden=4, seed=9)
+    write_lstm(p, net)
+    doc = json.loads(p.read_text())
+    assert doc["kind"] == "lstm"
+    assert (doc["nh"], doc["nz"], doc["hidden"]) == (5, 3, 4)
+    assert doc["arrays"]["W"] == {"shape": [16, 5], "data": net.W.ravel().tolist()}
     assert doc["schema_version"] == 1
+    back = read_lstm(p)
+    assert (back.nh, back.nz, back.hidden) == (5, 3, 4)
+    for key, arr in net.params().items():
+        assert np.array_equal(back.params()[key], arr)
 
 
 def test_model_schema_checks(tmp_path):
     p = tmp_path / "model.json"
-    p.write_text('{"schema_version": 99, "kind": "ar"}\n')
-    with pytest.raises(DataError):
-        load_model(p)
-    p.write_text('{"schema_version": 1}\n')
-    with pytest.raises(DataError):
-        load_model(p)
+    write_lstm(p, init_lstm(5, 3, hidden=4, seed=9))
+    good = json.loads(p.read_text())
+    no_by = {**good, "arrays": {k: v for k, v in good["arrays"].items() if k != "by"}}
+    nan_by = {**good, "arrays": {**good["arrays"],
+                                 "by": {"shape": [3], "data": [0, float("nan"), 0]}}}
+    for doc in ({**good, "schema_version": 99}, {"schema_version": 1}, {**good, "kind": "ar"},
+                no_by, [1, 2], {**good, "hidden": 8}, nan_by):
+        p.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match=f"^{re.escape(str(p))}: not an lstm model file"):
+            read_lstm(p)
 
 
 def test_trace_csv_and_svg(tmp_path):
@@ -322,7 +334,8 @@ def _series_with_nan():
 
 @pytest.mark.parametrize("write, bad", [
     (write_series_csv, _series_with_nan()),
-    (save_model, {"kind": "x", "weights": [0.5] * 500 + [object()]}),
+    (write_lstm, dataclasses.replace(init_lstm(5, 3, hidden=4),
+                                     by=np.array([0.5, 0.5, object()], dtype=object))),
     (write_trace_csv, [(i, 0.5, 0.0, 1.0, 5.0, False) for i in range(500)]
      + [(500, "not a number", 0.0, 1.0, 5.0, False)]),
 ])

@@ -9,7 +9,6 @@ from predcomp.lstm import (
     BETA1,
     BETA2,
     EPS,
-    LstmNet,
     LstmPredictor,
     TrainConfig,
     _sigmoid,
@@ -21,7 +20,7 @@ from predcomp.lstm import (
     train_lstm,
     training_windows,
 )
-from predcomp.io import save_model
+from predcomp.io import read_lstm, write_lstm
 from predcomp.predictors import PredictorError, fit_predictor
 
 
@@ -158,9 +157,10 @@ def test_train_rejects_tiny_window_sets():
         train_lstm(np.zeros((1, 4)), np.zeros((1, 2)), TrainConfig())
 
 
-def test_net_dict_round_trip():
+def test_net_dict_round_trip(tmp_path):
     net = init_lstm(5, 3, hidden=4, seed=9)
-    clone = LstmNet.from_dict(net.to_dict())
+    write_lstm(tmp_path / "model.json", net)
+    clone = read_lstm(tmp_path / "model.json")
     assert clone.nh == 5 and clone.nz == 3 and clone.hidden == 4
     for key in net.params():
         assert np.array_equal(net.params()[key], clone.params()[key])
@@ -187,7 +187,7 @@ def test_predictor_adapter():
 def test_fit_predictor_loads_an_lstm_from_its_model_path(tmp_path):
     net = init_lstm(6, 3, hidden=4, seed=2)
     path = tmp_path / "model.json"
-    save_model(path, net.to_dict())
+    write_lstm(path, net)
     pred = fit_predictor({"kind": "lstm", "model_path": str(path)}, np.arange(100.0))
     assert isinstance(pred, LstmPredictor)
     assert (pred.net.nh, pred.net.nz) == (6, 3)

@@ -1,5 +1,6 @@
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 import time
@@ -9,9 +10,9 @@ import numpy as np
 import pytest
 
 from predcomp import predictors
-from predcomp.predictors import (MAX_P, ArimaPredictor, ArPredictor, ConstantPredictor,
-                                 MeanPredictor, NaivePredictor, PredictorError, _auto_items,
-                                 _differenced, _fit_one, _nelder_mead, _pacf_list,
+from predcomp.predictors import (MAX_D, MAX_P, MAX_Q, MIN_FIT, ArimaPredictor, ArPredictor,
+                                 ConstantPredictor, MeanPredictor, NaivePredictor, PredictorError,
+                                 _auto_items, _differenced, _nelder_mead, _pacf_list,
                                  css_innovations, fit_predictor, refit_after_detection)
 from predcomp.pool import pool_map
 from predcomp.seeding import spawn_rng
@@ -197,8 +198,6 @@ def test_arima_auto_deterministic():
 
 def _fit_bits(m):
     """Everything a fitted order is chosen and forecasts by, as comparable values."""
-    if m is None:
-        return None
     return (m.p, m.d, m.q), m.phi.tobytes(), m.theta.tobytes(), m.intercept, m.sigma2, m.aicc
 
 
@@ -207,11 +206,11 @@ def _fit_bits(m):
     lambda: 0.5 * np.arange(400) + spawn_rng(0, "ramp").normal(0.0, 0.5, 400),
 ], ids=["det", "ramp"])
 def test_pooled_order_search_equals_the_serial_one(monkeypatch, history):
-    """The fixtures of the two tests above; every order, the unfittable ones too."""
+    """The fixtures of the two tests above; every order of the search."""
     items = _auto_items(history())
-    serial = [_fit_one(item) for item in items]
+    serial = [ArimaPredictor._fit_order(item) for item in items]
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    pooled = pool_map(_fit_one, items)
+    pooled = pool_map(ArimaPredictor._fit_order, items)
     assert multiprocessing.active_children() == []
     assert [_fit_bits(m) for m in pooled] == [_fit_bits(m) for m in serial]
 
@@ -332,6 +331,82 @@ def test_arima_fit_does_not_depend_on_the_blas_thread_count(tmp_path,
 def test_arima_zero_variance_falls_back():
     assert isinstance(ArimaPredictor.fit(np.full(50, 3.0), order=(1, 0, 0)),
                       ConstantPredictor)
+
+
+def _model_bits(m):
+    """A fitted model's type and fields, its arrays as bytes."""
+    return type(m), {k: v.tobytes() if isinstance(v, np.ndarray) else v
+                     for k, v in vars(m).items()}
+
+
+@pytest.mark.parametrize("fit", [lambda h: ArPredictor.fit(h, 2),
+                                 lambda h: ArimaPredictor.fit(h, (1, 0, 0))],
+                         ids=["ar2", "arima100"])
+def test_zero_variance_fallback_refits_its_own_model(fit):
+    """After a detection, the fallback of a constant training prefix refits
+    the configured model on the varying tail, not another constant."""
+    values = np.concatenate([np.full(200, 4.0), ar1(300, 0.5, 4.0, seed=12)])
+    flat = fit(values[:200])
+    assert isinstance(flat, ConstantPredictor) and flat == ConstantPredictor(4.0)
+    new, refitted = refit_after_detection(flat, values, located=200)
+    assert refitted and _model_bits(new) == _model_bits(fit(values[200:]))
+    again = flat.refit(np.full(100, 2.0))  # still constant: a fallback that refits the same way
+    assert again == ConstantPredictor(2.0)
+    assert _model_bits(again.refit(values[200:])) == _model_bits(new)
+    assert ConstantPredictor(4.0).refit(values[200:]) == ConstantPredictor(values[-1])
+
+
+def test_ar_fit_does_not_depend_on_the_blas_thread_count(tmp_path,
+                                                        outputs_per_blas_thread_count):
+    """AR(20) fits on 60,000 points, a design far past `DOT_CHUNK` rows,
+    give the same bytes with one and with two OpenBLAS threads."""
+    for seed in range(3):
+        np.save(tmp_path / f"x{seed}.npy", ar1(60_000, 0.7, 2.0, seed=seed))
+    code = ("import sys, numpy as np\n"
+            "from predcomp.predictors import ArPredictor\n"
+            "for path in sys.argv[1:]:\n"
+            "    m = ArPredictor.fit(np.load(path), 20)\n"
+            "    print(m.coef.tobytes().hex(), repr(m.intercept))\n")
+    outs = outputs_per_blas_thread_count(code, *(str(tmp_path / f"x{s}.npy") for s in range(3)))
+    assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("x", [ar1(20_000, 0.7, 2.0, seed=3), np.tile([0.0, 1.0, 3.0], 4000)],
+                         ids=["ar1", "periodic"])
+def test_ar_fit_beyond_dot_chunk_solves_the_least_squares_problem(x):
+    """Past `DOT_CHUNK` rows the fit is lstsq's on the design up to rounding,
+    a rank-deficient design (a period of 3 under AR(3)) included."""
+    m = ArPredictor.fit(x, 3)
+    design = np.column_stack([np.ones(len(x) - 3)] + [x[2 - j:len(x) - 1 - j] for j in range(3)])
+    beta, *_ = np.linalg.lstsq(design, x[3:], rcond=None)
+    assert np.allclose(np.r_[m.intercept, m.coef], beta, rtol=1e-9, atol=1e-12)
+
+
+ORDERS = [(p, d, q) for p in range(MAX_P + 1) for d in range(MAX_D + 1) for q in range(MAX_Q + 1)]
+
+
+def test_each_order_is_admitted_from_its_minimum_length():
+    """``fit`` takes an order from max(MIN_FIT, d + p + q + 4) points and
+    refuses it one point earlier; at each such length, the order search
+    admits exactly the orders that ``fit`` takes."""
+    x = ar1(MIN_FIT + MAX_P + MAX_D + MAX_Q + 4, 0.5, 1.0, seed=13)
+    need = {}
+    for order in ORDERS:
+        need[order] = max(MIN_FIT, sum(order) + 4)
+        assert isinstance(ArimaPredictor.fit(x[:need[order]], order), ArimaPredictor)
+        with pytest.raises(PredictorError, match=re.escape(f"history too short for ARIMA{order}")):
+            ArimaPredictor.fit(x[:need[order] - 1], order)
+    for n in sorted(set(need.values())):
+        admitted = [(p, d, q) for _, p, d, q in _auto_items(x[:n])]
+        assert sorted(admitted) == [o for o in ORDERS if need[o] <= n]
+    assert _auto_items(x[:MIN_FIT - 1]) == []
+
+
+@pytest.mark.parametrize("history", [np.empty(0), np.full(5, 3.0)], ids=["empty", "constant-5"])
+@pytest.mark.parametrize("kwargs", [{"order": (1, 0, 0)}, {"auto": True}], ids=["order", "auto"])
+def test_arima_checks_the_length_before_the_zero_variance_fallback(history, kwargs):
+    with pytest.raises(PredictorError, match="^history too short for"):
+        ArimaPredictor.fit(history, **kwargs)
 
 
 def test_arima_order_validation():
@@ -560,7 +635,7 @@ def _fit_order_scipy(history, p, d, q):
 def test_fit_order_matches_scipy_reference(order):
     x = ar1(120, 0.6, 1.0, seed=11) + 0.02 * np.arange(120)
     p, d, q = order
-    m = ArimaPredictor._fit_order(_differenced(x, d), p, d, q)
+    m = ArimaPredictor._fit_order((_differenced(x, d), p, d, q))
     phi, theta, intercept, sigma2, aicc = _fit_order_scipy(x, p, d, q)
     assert np.array_equal(m.phi, phi) and np.array_equal(m.theta, theta)
     assert (m.intercept, m.sigma2, m.aicc) == (intercept, sigma2, aicc)
