@@ -18,21 +18,25 @@ pair (nu_hat, b_hat) at every step from the data seen so far, so the two
 modes coincide at the final step.  Natural logarithms throughout.
 
 Every fit is one `_fit_step` on per-time terms that no end time changes:
-online mode builds them once and runs one step per time, writing the
-step's temporaries into reused work rows.  A step is linear in the history
-(nu_hat moves every step, so the sums cannot be carried over exactly), and
-its dot products are summed over chunks in a fixed order (the shared
-:func:`predcomp.series.chunked_dot`, which the ARIMA fits use too), so its
-bits do not depend on the BLAS thread count.  The steps are independent,
-so online mode runs them in contiguous ranges on the process pool
-(:func:`predcomp.pool.pool_map`) once a stream is longer than one chunk.
-Every path, offline, online and streaming, scores each time by `_score`.
+online mode builds them once and runs one step per time.  The exponent is
+read in O(1) from the running co-moments of (ln s, ln L) over the kept
+times, which Welford's (1962) update (`_comoment_step`) carries from one
+time to the next.  The slope is linear in the history: nu_hat moves every
+step, so the sum of x_s s^nu_hat cannot be carried over.  Its exp pass
+goes into a reused work row, and its two dot products are summed over
+chunks in a fixed order (the shared :func:`predcomp.series.chunked_dot`,
+which the ARIMA fits use too), so its bits do not depend on the BLAS
+thread count.  The steps are independent, so online mode runs them in
+contiguous ranges on the process pool (:func:`predcomp.pool.pool_map`)
+once a stream is longer than one chunk.  Every path, offline, online and
+streaming, scores each time by `_score`.
 """
 
 from __future__ import annotations
 
 import math
 import os
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,14 +79,25 @@ class StandardizeResult:
     flagged: list[int]
 
 
+def _comoment_step(moments: tuple, j: int, a: float, b: float) -> tuple:
+    """Welford's update of (mean ln s, mean ln L, C_xx, C_xy) by the j-th
+    kept time, with (a, b) its (ln s, ln L), in Python floats: every path
+    carries its co-moments by this one rule, so their bits agree."""
+    mean_a, mean_b, c_xx, c_xy = moments
+    da = a - mean_a
+    mean_a += da / j
+    mean_b += (b - mean_b) / j
+    return mean_a, mean_b, c_xx + da * (a - mean_a), c_xy + da * (b - mean_b)
+
+
 def _trend_terms(values: np.ndarray, t0: int):
     """Per-time terms of the fit for s in (t0, len(values)].
 
     None of them depends on the end t of the fit, so prefixes serve every
     t and online mode computes them once.  The exponent's regression uses
-    only the times with L > 0: their ln s and ln L are packed in order,
-    with running sums for the means, and n_kept[m - 1] counts them among
-    the first m times.
+    only the times with L > 0: n_kept[m - 1] counts them among the first m
+    times, and c_xx[k - 1] and c_xy[k - 1] are the co-moments of (ln s,
+    ln L) over the first k of them.
     """
     if t0 < 0:
         raise ValueError("t0 must be non-negative")
@@ -90,39 +105,30 @@ def _trend_terms(values: np.ndarray, t0: int):
     log_s = np.log(np.arange(t0 + 1, t0 + len(x) + 1, dtype=float))
     cum = np.cumsum(x)
     kept = cum > 0
-    # once L > 0 it stays so for non-negative counts: the kept ln s are then
-    # a view of ln s, which a step reads anyway, and its working set shrinks
-    first = len(kept) - np.count_nonzero(kept)
-    kept_log_s = log_s[first:] if kept[first:].all() else log_s[kept]
-    kept_log_cum = np.log(cum[kept])
-    return (x, log_s, np.cumsum(kept), kept_log_s, kept_log_cum,
-            np.cumsum(kept_log_s), np.cumsum(kept_log_cum))
+    # iterating a memoryview yields one Python float at a time, and an
+    # array('d') stores 8 bytes per value: no list of float objects is held
+    c_xx, c_xy, moments = array("d"), array("d"), (0.0, 0.0, 0.0, 0.0)
+    for j, (a, b) in enumerate(zip(memoryview(log_s[kept]), memoryview(np.log(cum[kept]))), 1):
+        moments = _comoment_step(moments, j, a, b)
+        c_xx.append(moments[2])
+        c_xy.append(moments[3])
+    return x, log_s, np.cumsum(kept), np.frombuffer(c_xx), np.frombuffer(c_xy)
 
 
-def _work_rows(m: int) -> list[np.ndarray]:
-    """Scratch rows of m floats for `_fit_step`: the centred ln s, the
-    centred ln L, the exponent argument nu_hat * ln s and u."""
-    return list(np.empty((4, m)))
-
-
-def _fit_step(terms, m: int, work: list[np.ndarray]) -> tuple[float, float]:
+def _fit_step(terms, m: int, work: np.ndarray) -> tuple[float, float]:
     """(nu_hat, b_hat) on the first m times of ``terms`` (built by `_trend_terms`).
 
-    The temporaries go into the rows of ``work`` (`_work_rows`, at least m
-    long), so a step allocates no array of its length, and every dot
-    product is one `chunked_dot`.
+    nu_hat + 1 = C_xy / C_xx is O(1).  The slope's regressor u = s^nu_hat
+    goes into ``work`` (at least m long), so a step allocates no array of
+    its length, and its two dot products are `chunked_dot`s.
     """
-    x, log_s, n_kept, kept_log_s, kept_log_cum, sum_log_s, sum_log_cum = terms
+    x, log_s, n_kept, c_xx, c_xy = terms
     k = int(n_kept[m - 1])
     if k < 2:
         raise TrendNotEstimable("fewer than two times with a positive cumulative count")
-    dx_row, dy_row, arg_row, u_row = work
-    # centring on running-sum means is inexact only to second order in
-    # the OLS slope, since both coordinates are centred
-    dx = np.subtract(kept_log_s[:k], sum_log_s[k - 1] / k, out=dx_row[:k])
-    dy = np.subtract(kept_log_cum[:k], sum_log_cum[k - 1] / k, out=dy_row[:k])
-    nu = chunked_dot(dx, dy) / chunked_dot(dx, dx) - 1.0
-    u = np.exp(np.multiply(log_s[:m], nu, out=arg_row[:m]), out=u_row[:m])
+    nu = float(c_xy[k - 1] / c_xx[k - 1]) - 1.0
+    u = np.multiply(log_s[:m], nu, out=work[:m])
+    np.exp(u, out=u)
     denom = chunked_dot(u, u)
     if denom <= 0 or not math.isfinite(denom):
         raise TrendNotEstimable("degenerate regressor")
@@ -147,7 +153,7 @@ def estimate_trend(values, t0: int = 0, t: int | None = None) -> TrendFit:
     terms = _trend_terms(values[:t], t0)
     if t <= t0 + 1 or t < 2:
         raise TrendNotEstimable(f"need at least two observations past t0, got (t0={t0}, t={t})")
-    return TrendFit(*_fit_step(terms, t - t0, _work_rows(t - t0)), t0, t)
+    return TrendFit(*_fit_step(terms, t - t0, np.empty(t - t0)), t0, t)
 
 
 def _score(x: float, lam: float | None) -> tuple[float, bool]:
@@ -161,8 +167,9 @@ def _score(x: float, lam: float | None) -> tuple[float, bool]:
 
 def _ranges(t0: int, n: int, parts: int) -> list[range]:
     """range(t0 + 1, n) cut into up to ``parts`` contiguous ranges of about
-    equal work: a step costs about its prefix length, so the work up to a
-    time grows with its square, and the cuts go at sqrt(j / parts) of the way."""
+    equal work: a step's slope costs about its prefix length, so the work up
+    to a time grows with its square, and the cuts go at sqrt(j / parts) of
+    the way."""
     lo = t0 + 1
     cuts = [lo + round(max(n - lo, 0) * math.sqrt(j / parts)) for j in range(parts + 1)]
     return [range(a, b) for a, b in zip(cuts, cuts[1:]) if a < b]
@@ -171,8 +178,8 @@ def _ranges(t0: int, n: int, parts: int) -> list[range]:
 def _online_range(terms, t0: int, steps: range):
     """At every i of ``steps``, lam_hat(i + 1) from the fit on (t0, i + 1],
     None where that fit does not exist, and the last fit: one `_fit_step`
-    per time, on work rows of this range's own."""
-    work = _work_rows(steps[-1] + 1 - t0)
+    per time, on a work row of this range's own."""
+    work = np.empty(steps[-1] + 1 - t0)
     lam, last = [], None
     for i in steps:
         try:
@@ -234,20 +241,21 @@ class OnlineStandardizer:
 
     Re-estimates the trend from all data seen so far at each step, with the
     online mode's fit, and scores the count by `_score`, the one rule of
-    every path, so scores and flags are the online mode's bit for bit (nu
-    changes every step, so the sums cannot be carried over and a step is
-    linear in the history).  A push appends its time's `_trend_terms` with
-    the same operations, so it rebuilds no prefix, and reuses its work rows.
+    every path, so scores and flags are the online mode's bit for bit.  A
+    push appends its time's `_trend_terms`, its co-moments by the same
+    `_comoment_step`, so it rebuilds no prefix: the exponent is O(1) and
+    the slope, over a reused work row, linear in the history.
     """
 
     def __init__(self, t0: int = 0):
         if t0 < 0:
             raise ValueError("t0 must be non-negative")
         self.t0, self._n = t0, 0
-        # `_trend_terms`' seven arrays as rows, one column per time past t0:
-        # x, ln s, n_kept, kept ln s, kept ln L and their running sums
-        self._terms, self._work = np.empty((7, 64)), _work_rows(64)
+        # `_trend_terms`' five arrays as rows, one column per time past t0:
+        # x, ln s, n_kept and the kept times' co-moments C_xx and C_xy
+        self._terms, self._work = np.empty((5, 64)), np.empty(64)
         self._cum, self._k = 0.0, 0  # L and n_kept at the newest time
+        self._moments = (0.0, 0.0, 0.0, 0.0)  # `_comoment_step`'s state
         self.fit: TrendFit | None = None
         self.flagged: list[int] = []
 
@@ -258,15 +266,15 @@ class OnlineStandardizer:
         self._n += 1
         if m > self._terms.shape[1]:
             self._terms = np.concatenate([self._terms, self._terms], axis=1)
-            self._work = _work_rows(self._terms.shape[1])
+            self._work = np.empty(self._terms.shape[1])
         terms, k = self._terms, self._k
-        if m > 0:  # time i + 1's terms; running sums add left to right, as np.cumsum
+        if m > 0:  # time i + 1's terms; L adds left to right, as np.cumsum
             terms[0, m - 1], terms[1, m - 1], terms[2, m - 1] = x, np.log(float(i + 1)), k
             self._cum += x
             if self._cum > 0:
-                terms[3, k], terms[4, k] = terms[1, m - 1], np.log(self._cum)
-                terms[5, k] = terms[3, k] + (terms[5, k - 1] if k else 0.0)
-                terms[6, k] = terms[4, k] + (terms[6, k - 1] if k else 0.0)
+                self._moments = _comoment_step(self._moments, k + 1, float(terms[1, m - 1]),
+                                               float(np.log(self._cum)))
+                terms[3, k], terms[4, k] = self._moments[2:]
                 terms[2, m - 1] = self._k = k + 1
         lam = None
         try:

@@ -2,6 +2,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -176,9 +177,10 @@ def test_non_finite_count_rejected(mode, bad):
 
 # The per-step loop the online mode ran before its fit step wrote into
 # reused work rows: the terms built with fresh arrays, a fit at every s with
-# fresh temporaries, then one score at a time.  Its dot products follow the
-# chunk rule below.  The online mode, the streaming wrapper and the offline
-# scores must equal it bit for bit.
+# fresh temporaries, then one score at a time.  The exponent comes from
+# Welford's co-moment recursion, transcribed here in plain Python floats, and
+# the dot products follow the chunk rule below.  The online mode, the
+# streaming wrapper and the offline scores must equal it bit for bit.
 
 def _reference_dot(a: np.ndarray, b: np.ndarray) -> float:
     # np.dot on chunks of at most 8,192 elements, added left to right: no
@@ -197,21 +199,28 @@ def _reference_terms(values: np.ndarray, t0: int):
     log_s = np.log(np.arange(t0 + 1, t0 + len(x) + 1, dtype=float))
     cum = np.cumsum(x)
     kept = cum > 0
-    kept_log_s, kept_log_cum = log_s[kept], np.log(cum[kept])
-    return (x, log_s, np.cumsum(kept), kept_log_s, kept_log_cum,
-            np.cumsum(kept_log_s), np.cumsum(kept_log_cum))
+    c_xx, c_xy = [], []
+    mx = my = sxx = sxy = 0.0
+    for j, (a, b) in enumerate(zip(log_s[kept].tolist(), np.log(cum[kept]).tolist()), 1):
+        da = a - mx
+        mx += da / j
+        my += (b - my) / j
+        sxx += da * (a - mx)
+        sxy += da * (b - my)
+        c_xx.append(sxx)
+        c_xy.append(sxy)
+    return x, log_s, np.cumsum(kept), c_xx, c_xy
 
 
 def _reference_fit(terms, t0: int, t: int) -> TrendFit | None:
     if t <= t0 + 1 or t < 2:
         return None
-    x, log_s, n_kept, kept_log_s, kept_log_cum, sum_log_s, sum_log_cum = terms
+    x, log_s, n_kept, c_xx, c_xy = terms
     m = t - t0
     k = int(n_kept[m - 1])
     if k < 2:
         return None
-    dx = kept_log_s[:k] - sum_log_s[k - 1] / k
-    nu = _reference_dot(dx, kept_log_cum[:k] - sum_log_cum[k - 1] / k) / _reference_dot(dx, dx) - 1.0
+    nu = c_xy[k - 1] / c_xx[k - 1] - 1.0
     u = np.exp(nu * log_s[:m])
     denom = _reference_dot(u, u)
     if denom <= 0 or not np.isfinite(denom):
@@ -320,6 +329,7 @@ def test_streaming_wrapper_appends_its_terms(monkeypatch):
             assert np.array_equal([st.push(v) for v in x], on.scores.values)
         assert st.flagged == on.flagged
         assert st.fit == on.fit
+        assert len(st._terms) == len(want)  # x, ln s, n_kept, C_xx and C_xy
         for row, terms in zip(st._terms, want):
             assert np.array_equal(row[:len(terms)], terms)
 
@@ -347,6 +357,92 @@ def test_reference_streams_reach_their_cases():
     kept = np.cumsum(STREAMS["negative-counts"][0]) > 0
     assert kept[0] and not kept[1] and kept[-1]
     assert len(STREAMS["long"][0]) > 10_000
+
+
+def _step_exponents(x: np.ndarray, t0: int) -> dict:
+    """nu_hat of every fit of the streaming wrapper, by its end time."""
+    st, nus = OnlineStandardizer(t0=t0), {}
+    for i, v in enumerate(x):
+        st.push(v)
+        if st.fit is not None and st.fit.t == i + 1:
+            nus[i + 1] = st.fit.nu
+    return nus
+
+
+@pytest.mark.parametrize("name", ["t0", "leading-zeros", "t0-leading-zeros"])
+def test_exponent_is_the_exact_ols_slope(name):
+    """At every 7th step, nu_hat + 1 is within 1e-12 of the OLS slope of
+    ln L on ln s over the kept times, computed exactly in rationals from the
+    same floats."""
+    x, t0 = STREAMS[name]
+    nus = _step_exponents(x, t0)
+    log_s = np.log(np.arange(t0 + 1, len(x) + 1, dtype=float))
+    cum = np.cumsum(x[t0:])
+    k = sa = sb = saa = sab = Fraction(0)
+    checked = 0
+    for t, (a, c) in enumerate(zip(log_s.tolist(), cum.tolist()), t0 + 1):
+        if c > 0:
+            a, b = Fraction(a), Fraction(float(np.log(c)))
+            k, sa, sb, saa, sab = k + 1, sa + a, sb + b, saa + a * a, sab + a * b
+        if t % 7 == 0 and t in nus:
+            exact = (k * sab - sa * sb) / (k * saa - sa * sa)
+            assert abs(Fraction(nus[t]) + 1 - exact) <= 1e-12
+            checked += 1
+    assert checked > 50
+
+
+def _centred_exponent(kept_log_s: np.ndarray, kept_log_cum: np.ndarray, k: int) -> float:
+    # the exponent the fit step computed before the co-moments: both
+    # coordinates centred on running-sum means, then two dot products
+    dx = kept_log_s[:k] - np.cumsum(kept_log_s[:k])[-1] / k
+    dy = kept_log_cum[:k] - np.cumsum(kept_log_cum[:k])[-1] / k
+    return _reference_dot(dx, dy) / _reference_dot(dx, dx) - 1.0
+
+
+@pytest.mark.parametrize("name", list(STREAMS))
+def test_exponent_stays_within_the_centred_formula(name):
+    """Every step's nu_hat is within 1e-11 of the centred formula's, and a
+    constant L still gives exactly -1."""
+    x, t0 = STREAMS[name]
+    nus = _step_exponents(x, t0)
+    log_s = np.log(np.arange(t0 + 1, len(x) + 1, dtype=float))
+    cum = np.cumsum(x[t0:])
+    kept = cum > 0
+    kept_log_s, kept_log_cum, n_kept = log_s[kept], np.log(cum[kept]), np.cumsum(kept)
+    assert nus
+    for t, nu in nus.items():
+        k = int(n_kept[t - t0 - 1])
+        assert abs(nu - _centred_exponent(kept_log_s, kept_log_cum, k)) <= 1e-11
+        if name == "lone-count":
+            assert nu == -1.0
+
+
+def test_a_fit_step_makes_two_dot_products(monkeypatch):
+    """The exponent is read from the co-moments, so a fit makes only the
+    slope's two dot products: in `estimate_trend`, at every online step and
+    at every push that fits."""
+    module = sys.modules["predcomp.standardize"]
+    calls, dot = [], module.chunked_dot
+
+    def counted(a, b):
+        calls.append(len(a))
+        return dot(a, b)
+
+    monkeypatch.setattr(module, "chunked_dot", counted)
+    x, t0 = STREAMS["t0"]
+    estimate_trend(x, t0=t0)
+    assert len(calls) == 2
+    st, fitted = OnlineStandardizer(t0=t0), 0
+    for i, v in enumerate(x):
+        before = len(calls)
+        st.push(v)
+        fits = st.fit is not None and st.fit.t == i + 1
+        fitted += fits
+        assert len(calls) - before == 2 * fits
+    assert fitted == len(x) - t0 - 1
+    calls.clear()
+    standardize(x, t0=t0, mode="online")
+    assert len(calls) == 2 * fitted
 
 
 @pytest.mark.parametrize("name", list(STREAMS))
