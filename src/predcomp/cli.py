@@ -14,8 +14,8 @@ import sys
 import yaml
 
 from . import lstm as lstm_mod
-from .config import (EVALUATION, KINDS, SOURCES, STANDARDIZE, TRAIN, ConfigError, kind_of,
-                     load_config, run_unit, typed)
+from .config import (EVALUATION, SOURCES, STANDARDIZE, TRAIN, ConfigError, check_detector,
+                     kind_of, load_config, run_unit, typed)
 from .evaluate import (DetectorGrid, EvalRecord, average_max_fpc, find_target, params_id,
                        render_report, run_grid, select_best)
 from .io import (DataError, check_output, make_dir, read_metrics_csv as _read_metrics,
@@ -52,7 +52,6 @@ def prepare_series(doc: dict, series: LabeledSeries) -> LabeledSeries:
 
 
 def build_detector(det_cfg: dict, doc: dict) -> DetectorGrid:
-    KINDS[det_cfg["kind"]].check(det_cfg)  # before any unit runs
     return DetectorGrid(det_cfg["id"], grid=dict(det_cfg["grid"]), unit=lambda series, points: [
         detections for detections, _ in run_unit(det_cfg, doc, series, points)])
 
@@ -123,9 +122,10 @@ def cmd_detect(args) -> int:
     if (args.trace or args.svg) and det_cfg["kind"] != "pnc":
         raise UsageError(f"--trace/--svg: {det_cfg['kind']} detectors have no chart trace")
     params = _fixed_params(det_cfg, args.set)
+    pinned = dict(det_cfg, params=params, grid={})
+    check_detector(pinned, f"detector {det_cfg['id']!r}")  # before the dataset is built
     series = prepare_series(doc, build_dataset(ds_cfg, doc["seed"]))
-    ((detections, trace),) = run_unit(dict(det_cfg, params=params, grid={}), doc, series, [params],
-                                      bool(args.trace or args.svg))
+    ((detections, trace),) = run_unit(pinned, doc, series, [params], bool(args.trace or args.svg))
     if args.svg and not trace:  # refused before anything is written
         raise DataError(f"--svg: detector {det_cfg['id']!r} charted no step (empty trace)")
     rows = [(series.name, det_cfg["id"], params_id(params), d) for d in detections]

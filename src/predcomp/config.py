@@ -10,23 +10,24 @@ naming ``where.key``.
 
 ``SOURCES``, ``PREDICTORS`` and ``KINDS`` (detectors) map each kind to a
 :class:`Kind`: its key table, its build and its check of what the types
-cannot rule out, of a source's keys (:func:`kind_of` runs it) or of a
-detector's config.  :func:`run_unit` is the one unit path of every detector
-kind: it runs the check, then ``KINDS[kind].build(det_cfg, doc, series)``,
-and calls the runner ``runs(thresholds, p, keep_trace)`` this returns once
-per setting ``p`` of the keys other than the kind's ``threshold``; each run
-gives ``(detections, trace)``, with the chart as the trace of ``pnc`` and
-None for the reference kinds (cusum, bocpd, ocd, mosum).  These sweep the
-thresholds in one ``*_sweep``, sharing each segment the runs have in common
-(:mod:`predcomp.refdet.sweep`).  A ``pnc`` runner fits its predictor once,
-checks that it forecasts each (l, b) of the grid from zeros, and runs each
-threshold.
+cannot rule out, of a source's or predictor's keys (:func:`kind_of` runs it)
+or of a detector's typed grid points (:func:`check_detector` runs it).
+:func:`run_unit` is the one unit path of every detector kind: it calls
+``KINDS[kind].build(det_cfg, doc, series)`` and the runner ``runs(thresholds,
+p, keep_trace)`` this returns once per setting ``p`` of the keys other than
+the kind's ``threshold``; each run gives ``(detections, trace)``, with the
+chart as the trace of ``pnc`` and None for the reference kinds (cusum, bocpd,
+ocd, mosum).  These sweep the thresholds in one ``*_sweep``, sharing each
+segment the runs have in common (:mod:`predcomp.refdet.sweep`).  A ``pnc``
+runner fits its predictor once and, for each setting, checks that it
+forecasts ``b`` values from ``l`` zeros before it runs each threshold.
 
-:func:`load_config` returns each section typed with defaults filled in, but
-keeps as written a dataset's ``source`` (``simulate`` copies it into its
-manifest; ``cli.build_dataset`` types it) and a detector's ``params`` and
-``grid`` (their values name each run in ``metrics.csv``;
-:func:`param_values` types them).  ``PREDCOMP_SEED`` overrides ``seed``.
+:func:`load_config` returns each section typed with defaults filled in,
+after the check of every source, predictor and detector.  It keeps as
+written a dataset's ``source`` (``simulate`` copies it into its manifest;
+``cli.build_dataset`` types it) and a detector's ``params`` and ``grid``
+(their values name each run in ``metrics.csv``; :func:`resolve_params` types
+a point of them).  ``PREDCOMP_SEED`` overrides ``seed``.
 The README lists every key with its default and range.
 """
 
@@ -249,15 +250,13 @@ def _pnc(det_cfg: dict, doc: dict, series):
         predictor = fit_predictor(spec, series.values[:doc["train_prefix"]])
     except PredictorError as exc:
         raise ConfigError(f"{where}: train_prefix: {exc}") from None
-    # zeros: a check of the window sizes the model takes, not of the data
-    for l, b in product(param_values(det_cfg, "l"), param_values(det_cfg, "b")):
-        try:
-            predictor.forecast(np.zeros(l), b)
-        except PredictorError as exc:
-            raise ConfigError(f"{where}: the model cannot forecast b={b} from l={l}: "
-                              f"{exc}") from None
 
     def runs(thresholds, p, keep_trace):
+        try:  # zeros: a check of the window sizes the model takes, not of the data
+            predictor.forecast(np.zeros(p["l"]), p["b"])
+        except PredictorError as exc:
+            raise ConfigError(f"{where}: the model cannot forecast b={p['b']} from l={p['l']}: "
+                              f"{exc}") from None
         out = []
         for threshold in thresholds:
             cfg = PncConfig(p["l"], p["b"], threshold, p["k"], p["direction"], p["refit"],
@@ -269,24 +268,20 @@ def _pnc(det_cfg: dict, doc: dict, series):
     return runs
 
 
-def _check_mosum(det_cfg: dict) -> None:
+def _check_mosum(points: list[dict]) -> None:
     """Every level must be calibrated, harmonic terms need a period > 0, and
     monitoring cannot start before ``minHist`` points to fit."""
-    where = f"detector {det_cfg['id']!r}"
-    harmonics, periods = param_values(det_cfg, "harmonics"), param_values(det_cfg, "period")
+    harmonics, periods, hists = ({p[key] for p in points}
+                                 for key in ("harmonics", "period", "minHist"))
     if max(harmonics) > 0 and min(periods) <= 0:
-        raise ConfigError(f"{where}: harmonics > 0 need a period > 0, got harmonics "
-                          f"{sorted(set(harmonics))}, period {sorted(set(periods))}")
-    starts = [v for v in param_values(det_cfg, "monitor_from") if v is not None]
-    hists = param_values(det_cfg, "minHist")
+        raise ValueError(f"harmonics > 0 need a period > 0, got harmonics {sorted(harmonics)}, "
+                         f"period {sorted(periods)}")
+    starts = {p["monitor_from"] for p in points} - {None}
     if starts and min(starts) < max(hists):
-        raise ConfigError(f"{where}: monitor_from must be at least minHist, got monitor_from "
-                          f"{sorted(set(starts))}, minHist {sorted(set(hists))}")
-    for h, level in product(param_values(det_cfg, "h"), param_values(det_cfg, "level")):
-        try:
-            boundary_constant(h, level)
-        except ValueError as exc:
-            raise ConfigError(f"{where}: {exc}") from None
+        raise ValueError(f"monitor_from must be at least minHist, got monitor_from "
+                         f"{sorted(starts)}, minHist {sorted(hists)}")
+    for p in points:
+        boundary_constant(p["h"], p["level"])
 
 
 def _reference(sweep):
@@ -362,8 +357,12 @@ DETECTOR = {"id": (_id, REQUIRED), "kind": (_choice(*KINDS), REQUIRED),
             "predictor": (_of(dict), None), "params": (_of(dict), {}), "grid": (_of(dict), {})}
 
 
-def _check_detector(det: dict, where: str) -> None:
-    for key, vals in det["grid"].items():
+def check_detector(det: dict, where: str) -> None:
+    """The grid lists and predictor of the detector entry ``det`` (the predictor
+    typed in place), and every point of its grid, typed and run through its
+    kind's check; what the check rejects is a ConfigError too."""
+    grid = det["grid"]
+    for key, vals in grid.items():
         _require(isinstance(vals, list) and vals, f"{where}.grid.{key}: expected a non-empty list")
     pred = det["predictor"]
     _require((pred is None) == (det["kind"] != "pnc"), f"{where}: " + (
@@ -373,19 +372,11 @@ def _check_detector(det: dict, where: str) -> None:
                  f"{where}.predictor: an lstm predictor needs a model_path")
         pred_kind, keys = kind_of(pred, PREDICTORS, f"{where}.predictor")
         det["predictor"] = {"kind": pred_kind, **keys}
-    resolve_params(det, {key: vals[0] for key, vals in det["grid"].items()})
-    for key in det["grid"]:
-        param_values(det, key)
-
-
-def param_values(det_cfg: dict, key: str) -> list:
-    """Every value of a detector parameter over the grid, typed: its grid
-    list, else its ``params`` value, else its default."""
-    grid, params = det_cfg.get("grid", {}), det_cfg.get("params", {})
-    points = ([{key: v} for v in grid[key]] if key in grid
-              else [{key: params[key]}] if key in params else [{}])
-    table = {key: KINDS[det_cfg["kind"]].params[key]}
-    return [typed(point, table, f"detector {det_cfg['id']!r}", ": ")[key] for point in points]
+    points = [resolve_params(det, dict(zip(grid, vals))) for vals in product(*grid.values())]
+    try:
+        KINDS[det["kind"]].check(points)
+    except ValueError as exc:
+        raise ConfigError(f"detector {det['id']!r}: {exc}") from None
 
 
 def resolve_params(det_cfg: dict, point: dict) -> dict:
@@ -399,7 +390,6 @@ def run_unit(det_cfg: dict, doc: dict, series, points, keep_trace: bool = False)
     """One ``(detections, trace)`` per point, in the order of ``points``
     (repeats included), of the detector run on ``series`` at that point."""
     kind = KINDS[det_cfg["kind"]]
-    kind.check(det_cfg)
     resolved = [resolve_params(det_cfg, point) for point in points]
     runs = kind.build(det_cfg, doc, series)
     groups = {}  # the other keys' values -> the indices of the points with them
@@ -418,6 +408,9 @@ def load_config(path) -> dict:
         doc = typed(yaml.safe_load(path.read_text()), TOP, str(path), ": ")
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
+    except (OSError, UnicodeDecodeError) as exc:  # a directory, no permission, not text
+        raise ConfigError(f"{path}: cannot read the config: "
+                          f"{getattr(exc, 'strerror', None) or exc}") from None
     except yaml.YAMLError as exc:
         raise ConfigError(f"{path}: not valid YAML: {exc}") from None
     if SEED_ENV in os.environ:
@@ -440,7 +433,7 @@ def load_config(path) -> dict:
             if section == "datasets":
                 kind_of(entry["source"], SOURCES, f"{where}.source")
             else:
-                _check_detector(entry, where)
+                check_detector(entry, where)
     if ev["subset"] is not None:
         # as text, as the ids of metrics.csv read back: an id may be an int
         subset = ev["subset"] = [str(ds) for ds in ev["subset"]]

@@ -100,10 +100,16 @@ def replacing(path, newline: str | None = None):
 
 def check_output(*paths, directory: bool = False) -> None:
     """A :class:`DataError` for the first of ``paths`` that cannot be written; None
-    stands for no output.  A file needs a writable directory as its parent and must
-    not be a directory itself; a ``directory`` needs a writable directory as its
-    nearest existing ancestor, or itself."""
-    for path in map(Path, filter(None, paths)):
+    stands for no output.  No two of ``paths`` may name one file.  A file needs a
+    writable directory as its parent and must not be a directory itself; a
+    ``directory`` needs a writable directory as its nearest existing ancestor, or
+    itself."""
+    paths = [Path(path) for path in paths if path]
+    resolved = [os.path.realpath(path) for path in paths]  # no error on a symlink loop
+    for path, real in zip(paths, resolved):
+        if resolved.count(real) > 1:
+            raise DataError(f"{path}: given for two outputs of one command")
+    for path in paths:
         near = path if directory else path.parent
         while directory and not near.exists() and near != near.parent:
             near = near.parent  # make_dir makes the missing parents
@@ -302,7 +308,7 @@ def write_trace_svg(path, rows) -> None:
     stat, thr = [r[3] for r in rows], [r[4] for r in rows]
     alarms = [(x, s) for x, s, r in zip(xs, stat, rows) if r[5]]
     lo = min(0.0, min(stat), min(thr))  # a downward chart's bound is below zero
-    hi = max(max(stat), max(thr)) * 1.05 or 1.0
+    hi = max(0.0, max(stat), max(thr)) * 1.05 or 1.0
     sx = lambda x: 40 + (x - xs[0]) / max(xs[-1] - xs[0], 1) * (width - 60)
     sy = lambda y: height - 25 - (y - lo) / (hi - lo) * (height - 50)
     pts = lambda ys: " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in zip(xs, ys))

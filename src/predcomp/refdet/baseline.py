@@ -29,7 +29,6 @@ from ..evaluate import attribute
 class BaselineResult:
     fpc_mean: float
     arlp_mean: float
-    found_rate: float
 
 
 def random_baseline(series: LabeledSeries, target: CpLabel, n_fp: int,
@@ -41,17 +40,14 @@ def random_baseline(series: LabeledSeries, target: CpLabel, n_fp: int,
     lo, hi = series.phase_bounds(target)
     pre = np.arange(0, lo)
     phase = np.arange(lo, hi)
-    fpcs, arlps, founds = [], [], []
+    fpcs, arlps = [], []
     for rep in range(repetitions):
         rng = spawn_rng(seed, "baseline", rep)
         m = min(n_fp, len(pre))
         times = sorted(rng.choice(pre, size=m, replace=False).tolist()
                        + [int(rng.choice(phase))])
         dets = [Detection(detect_time=int(t), detector="random") for t in times]
-        att = attribute(dets, series, target)
+        att = attribute(dets, series, target)  # the last draw, inside the phase, finds it
         fpcs.append(att.fpc)
-        founds.append(att.target_found)
-        if att.target_found:
-            arlps.append(att.arlp)
-    return BaselineResult(float(np.mean(fpcs)), float(np.mean(arlps)) if arlps else float("nan"),
-                          float(np.mean(founds)))
+        arlps.append(att.arlp)
+    return BaselineResult(float(np.mean(fpcs)), float(np.mean(arlps)))

@@ -705,23 +705,66 @@ def test_detect_chart_of_a_kind_without_a_trace_is_refused_before_any_work(tmp_p
     assert not any(path.exists() for path in paths)
 
 
-@pytest.mark.parametrize("detector, pin, code", [("pnc_ar", ["--set", "nokey"], 1),
-                                                  ("bocpd", [], 2)],
-                         ids=["malformed-set", "unpinned-grid"])
+@pytest.mark.parametrize("detector, pin, code, message", [
+    ("pnc_ar", ["--set", "nokey"], 1, "--set expects key=value, got 'nokey'"),
+    ("bocpd", [], 2, "`detect` needs a single value for cpthreshold"),
+    ("mosum", ["--set", "level=0.07"], 2, "detector 'mosum': level 0.07 not calibrated")],
+    ids=["malformed-set", "unpinned-grid", "uncalibrated-level"])
 def test_detect_refuses_its_parameter_point_before_any_work(tmp_path, capsys, monkeypatch,
-                                                            detector, pin, code):
+                                                            detector, pin, code, message):
     import predcomp.cli as cli
 
     def no_build(*args, **kwargs):
         raise RuntimeError("a dataset was built")
 
     monkeypatch.setattr(cli, "build_dataset", no_build)
+    cfg = tmp_path / "demo.yaml"  # the demo, with a mosum grid whose levels are calibrated
+    cfg.write_text((ROOT / "configs" / "demo.yaml").read_text().replace(
+        "grid: {h: [0.25, 0.5], level: [0.01, 0.05, 0.1, 0.2]}", "grid: {level: [0.05, 0.1]}"))
     out = tmp_path / "d.csv"
-    assert main(["detect", "-c", str(ROOT / "configs" / "demo.yaml"), "--dataset", "wear_mild",
+    assert main(["detect", "-c", str(cfg), "--dataset", "wear_mild",
                  "--detector", detector, "--out", str(out), *pin]) == code
-    err = capsys.readouterr().err
-    assert ("--set expects key=value, got 'nokey'" if code == 1
-            else "`detect` needs a single value for cpthreshold") in err
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("detect", ["--out", "same.csv", "--trace", "same.csv"]),
+    ("detect", ["--out", "d.csv", "--trace", "t.csv", "--svg", "sub/../t.csv"]),
+    ("train-lstm", ["--out", "m", "--loss", "m"])], ids=["detect-out-trace", "detect-trace-svg",
+                                                         "train-lstm-out-loss"])
+def test_a_path_given_for_two_outputs_exits_2_before_any_work(tmp_path, capsys, monkeypatch,
+                                                              command, flags):
+    """Two outputs written to one file would leave only the second: the
+    paths are compared resolved, before the dataset is built."""
+    import predcomp.cli as cli
+
+    def no_build(*args, **kwargs):
+        raise RuntimeError("a dataset was built")
+
+    monkeypatch.setattr(cli, "build_dataset", no_build)
+    (tmp_path / "sub").mkdir()
+    flags = [str(tmp_path / flag) if i % 2 else flag for i, flag in enumerate(flags)]
+    which = ["--detector", "pnc_ar", "--set", "desInt=10"] if command == "detect" else []
+    assert main([command, "-c", str(ROOT / "configs" / "demo.yaml"), "--dataset", "wear_mild",
+                 *which, *flags]) == 2
+    assert "given for two outputs of one command" in capsys.readouterr().err
+    assert [f.name for f in tmp_path.iterdir()] == ["sub"]
+
+
+@pytest.mark.parametrize("bad", ["directory", "not-utf8"])
+def test_a_config_that_cannot_be_read_exits_2_and_writes_nothing(tmp_path, capsys, bad):
+    from predcomp.config import ConfigError, load_config
+    cfg = tmp_path / "c.yaml"
+    if bad == "directory":
+        cfg.mkdir()
+    else:
+        cfg.write_bytes(b"\xff\xfe")
+    with pytest.raises(ConfigError, match=f"^{re.escape(str(cfg))}: cannot read the config: "):
+        load_config(cfg)
+    out = tmp_path / "out"
+    assert main(["grid", "-c", str(cfg), "--out", str(out)]) == 2
+    assert f"error: {cfg}: cannot read the config: " in capsys.readouterr().err
     assert not out.exists()
 
 

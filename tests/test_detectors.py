@@ -327,14 +327,16 @@ def test_missing_or_unreadable_parameter_exits_2(tmp_path, capsys, detector, mes
 def test_mosum_setting_the_table_cannot_check_exits_2(tmp_path, capsys, detector, pins, message):
     """A level missing from the calibration table, harmonic terms without a
     period, or monitoring from before the first history could be fitted,
-    fail when the detector is built, before any run."""
+    fail when the config loads, over the grid, or at the point `detect` pins."""
     cfg = tmp_path / "c.yaml"
     cfg.write_text(BAD_CONFIG.format(out=tmp_path / "out", detector=detector))
-    load_config(cfg)  # each value on its own is in range
     if pins is None:
+        with pytest.raises(ConfigError, match=re.escape(f"detector 'c': {message}")):
+            load_config(cfg)
         assert main(["grid", "-c", str(cfg)]) == 2
         assert not (tmp_path / "out").exists()
     else:
+        load_config(cfg)  # the grid's own points are in range
         out = tmp_path / "dets.csv"
         sets = [arg for pin in pins for arg in ("--set", pin)]
         assert main(["detect", "-c", str(cfg), "--dataset", "s", "--detector", "c", *sets,

@@ -205,6 +205,19 @@ def test_trace_csv_and_svg(tmp_path):
         write_trace_svg(tmp_path / "empty.svg", [])
 
 
+def test_svg_of_a_downward_chart_stays_on_the_canvas(tmp_path):
+    rows = [(i, 0.0, 0.0, -4.0 - 0.1 * i, -5.0, i == 8) for i in range(9)]
+    p = tmp_path / "down.svg"
+    write_trace_svg(p, rows)
+    svg = p.read_text()
+    width, height = map(int, re.search(r'width="(\d+)" height="(\d+)"', svg).groups())
+    xy = [tuple(map(float, pt.split(","))) for pts in re.findall(r'points="([^"]*)"', svg)
+          for pt in pts.split()]
+    xy += [tuple(map(float, c)) for c in re.findall(r'cx="([^"]+)" cy="([^"]+)"', svg)]
+    assert len(xy) == 2 * len(rows) + 1
+    assert all(0 <= x <= width and 0 <= y <= height for x, y in xy)
+
+
 def _write_config(tmp_path, text):
     p = tmp_path / "c.yaml"
     p.write_text(text)
@@ -372,6 +385,15 @@ def test_check_output_takes_what_a_write_can_make_and_nothing_else(tmp_path):
         with pytest.raises(DataError, match=f"^{tmp_path / path}: {reason}$"):
             check_output(tmp_path / path, directory=directory)
     assert sorted(f.name for f in tmp_path.iterdir()) == ["adir", "afile"]
+
+
+def test_check_output_compares_the_paths_it_is_given_resolved(tmp_path):
+    (tmp_path / "a").symlink_to(tmp_path / "b")
+    (tmp_path / "b").symlink_to(tmp_path / "a")
+    check_output(tmp_path / "a", tmp_path / "c")  # a symlink loop is replaced, as a file is
+    with pytest.raises(DataError, match=f"^{re.escape(str(tmp_path / 'c'))}: given for two "
+                                        "outputs of one command$"):
+        check_output(tmp_path / "c", tmp_path / "sub" / ".." / "c")
 
 
 def test_readme_tables_list_each_config_key():

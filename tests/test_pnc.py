@@ -144,6 +144,32 @@ def test_failed_window_is_skipped_and_chart_survives():
     assert at_100 == pytest.approx(max(0.0, at_74 + (x[100] - 0.0 - 0.4)), abs=1e-12)
 
 
+class BadOnSecondCall:
+    """Forecasts NaN, or one value too few, on the second window; zeros otherwise."""
+
+    kind = "bad"
+
+    def __init__(self, how):
+        self.how = how
+        self.calls = 0
+
+    def forecast(self, window, steps):
+        self.calls += 1
+        if self.calls != 2:
+            return np.zeros(steps)
+        return np.full(steps, np.nan) if self.how == "nan" else np.zeros(steps - 1)
+
+
+@pytest.mark.parametrize("how", ["nan", "short"])
+def test_forecast_that_is_not_a_finite_horizon_vector_skips_its_window(how):
+    x = spawn_rng(4, "bad-forecast").normal(0.0, 0.1, size=40)
+    dets, stream = run_stream(BadOnSecondCall(how), PncConfig(10, 5, 1e9, 0.5), x,
+                              keep_trace=True)
+    assert dets == []
+    assert stream.diagnostics.skipped_windows == [15]
+    assert [r.index for r in stream.trace] == list(range(10, 15)) + list(range(20, 40))
+
+
 def test_location_counts_the_steps_of_a_window_skipped_before_the_alarm():
     # l=10, b=5: anchors 10, 15, 20; the forecast at 15 fails, so 15-19 are not charted
     x = np.zeros(30)

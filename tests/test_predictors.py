@@ -463,6 +463,35 @@ def test_refit_after_detection_keeps_short_history():
     assert refitted and new is not m
 
 
+@pytest.mark.parametrize("tail", range(MIN_FIT, 12))
+def test_refit_after_detection_keeps_the_predictor_whose_refit_fails(tail):
+    """AR(5) needs 12 points: a tail of MIN_FIT to 11 points passes the
+    history check at min_history 0, and the refit raises."""
+    x = ar1(300, 0.5, 0.0, seed=9)
+    m = ArPredictor.fit(x, 5)
+    with pytest.raises(PredictorError, match="too short"):
+        m.refit(x[-tail:])
+    kept, replaced = refit_after_detection(m, x, located=len(x) - tail, min_history=0)
+    assert kept is m and not replaced
+
+
+def test_arima_refit_at_a_fixed_order_is_a_fit_of_the_tail():
+    x = ar1(300, 0.5, 1.0, seed=10)
+    tail = x[120:]
+    assert ArimaPredictor.fit(x, (1, 0, 1)).refit(tail) == ArimaPredictor.fit(tail, (1, 0, 1))
+
+
+def test_arima_refit_of_a_searched_model_searches_again(monkeypatch):
+    for name, most in (("MAX_P", 2), ("MAX_D", 1), ("MAX_Q", 1)):  # the benchmark's small search
+        monkeypatch.setattr(predictors, name, most)
+    x = ar1(300, 0.5, 1.0, seed=11)
+    tail = x[150:]
+    refitted, fresh = ArimaPredictor.fit(x, auto=True).refit(tail), ArimaPredictor.fit(tail, auto=True)
+    assert refitted.auto
+    for name, value in vars(fresh).items():
+        assert np.array_equal(getattr(refitted, name), value), name
+
+
 def _pacf_to_coef_numpy(pacf):
     """The Durbin-Levinson map on numpy slices; reference for the float version."""
     p = len(pacf)
