@@ -76,9 +76,9 @@ def _fixed_params(det_cfg: dict, overrides: list[str] | None = None) -> dict:
 
 
 def _entry(doc: dict, section: str, entry_id: str) -> dict:
-    """The entry of ``datasets`` or ``detectors`` whose id reads as this text."""
+    """The entry of ``datasets`` or ``detectors`` whose id is ``entry_id``."""
     for entry in doc[section]:
-        if str(entry["id"]) == entry_id:
+        if entry["id"] == entry_id:
             return entry
     raise UsageError(f"unknown {section[:-1]} id {entry_id!r}")
 
@@ -205,8 +205,7 @@ def _baseline_section(doc: dict, records: list[EvalRecord], base_cfg: dict, metr
         target = find_target(series, doc["evaluation"]["target"])
         if target is None:
             continue
-        # metrics.csv gives every dataset id back as text
-        own = [r for r in records if r.dataset_id == str(series.name)]
+        own = [r for r in records if r.dataset_id == series.name]
         if not own and "avg_max" in base_cfg["n_fp"]:
             raise DataError(f"{metrics}: no rows for dataset {series.name!r}, whose avg_max "
                             "baseline budget reads them")

@@ -27,7 +27,10 @@ after the check of every source, predictor and detector.  It keeps as
 written a dataset's ``source`` (``simulate`` copies it into its manifest;
 ``cli.build_dataset`` types it) and a detector's ``params`` and ``grid``
 (their values name each run in ``metrics.csv``; :func:`resolve_params` types
-a point of them).  ``PREDCOMP_SEED`` overrides ``seed``.
+a point of them).  A dataset's or detector's ``id`` is text from here on, an
+int id the text of its digits: it selects the entry on the command line,
+names its RNG stream, its rows of ``metrics.csv`` and its output files, so it
+must be a plain file name.  ``PREDCOMP_SEED`` overrides ``seed``.
 The README lists every key with its default and range.
 """
 
@@ -137,6 +140,11 @@ _order = _range(_type("auto or [p, d, q]",
                 f"in [0, {MAX_P}] x [0, {MAX_D}] x [0, {MAX_Q}]",
                 lambda o: o != "auto" and not all(0 <= v <= most for v, most in
                                                    zip(o, (MAX_P, MAX_D, MAX_Q))))
+# an id is text, an int id its digits, not YAML's yes or true; outputs are named after it
+_id = _range(_type("str", lambda v: isinstance(v, bool) or not isinstance(v, (str, int)), str),
+             "naming a file: not empty, . or .., and without / or NUL",
+             lambda v: v in ("", ".", "..") or "/" in v or "\0" in v)
+_ids = _type("a list of ids", lambda v: not isinstance(v, list), lambda v: [_id(x) for x in v])
 
 
 def typed(d, table: dict, where: str, sep: str = ".") -> dict:
@@ -338,7 +346,7 @@ STANDARDIZE = {"enabled": (_of(bool), False), "t0": (_NON_NEGATIVE_INT, 0),
                "mode": (_choice("offline", "online"), "offline")}
 # the Fpc caps stay unset by default, so select_best applies its own
 EVALUATION = {"target": (_target, "K>A"), "fpc_cap": (_NUMBER, None),
-              "overall_cap": (_NUMBER, None), "subset": (_of(list), None),
+              "overall_cap": (_NUMBER, None), "subset": (_ids, None),
               "subset_cap": (_NUMBER, None), "baseline": (_of(dict), None)}
 BASELINE = {"n_fp": (_budgets, (0,)), "repetitions": (_POSITIVE_INT, 100)}
 TRAIN = {"hidden": (_POSITIVE_INT, TrainConfig.hidden),
@@ -350,8 +358,6 @@ TRAIN = {"hidden": (_POSITIVE_INT, TrainConfig.hidden),
                                  TrainConfig.validation_fraction)}
 LSTM = {"nh": (_POSITIVE_INT, REQUIRED), "nz": (_POSITIVE_INT, REQUIRED), **TRAIN,
         "max_windows": (_range(_int, ">= 2", lambda v: v < 2), 500)}
-# an id is text or an integer, not YAML's yes or true
-_id = _type("str", lambda v: isinstance(v, bool) or not isinstance(v, (str, int)))
 DATASET = {"id": (_id, REQUIRED), "source": (_of(dict), REQUIRED)}
 DETECTOR = {"id": (_id, REQUIRED), "kind": (_choice(*KINDS), REQUIRED),
             "predictor": (_of(dict), None), "params": (_of(dict), {}), "grid": (_of(dict), {})}
@@ -373,6 +379,9 @@ def check_detector(det: dict, where: str) -> None:
         pred_kind, keys = kind_of(pred, PREDICTORS, f"{where}.predictor")
         det["predictor"] = {"kind": pred_kind, **keys}
     points = [resolve_params(det, dict(zip(grid, vals))) for vals in product(*grid.values())]
+    for key, vals in grid.items():  # 5 and 5.0 are one float point
+        _require(len({p[key] for p in points}) == len(vals),
+                 f"{where}.grid.{key}: expected distinct values, got {vals!r}")
     try:
         KINDS[det["kind"]].check(points)
     except ValueError as exc:
@@ -428,16 +437,14 @@ def load_config(path) -> dict:
         for i, entry in enumerate(doc[section]):
             where = f"{section}[{i}]"
             entry = doc[section][i] = typed(entry, table, where)
-            _require(str(entry["id"]) not in [str(e["id"]) for e in doc[section][:i]],
+            _require(entry["id"] not in [e["id"] for e in doc[section][:i]],
                      f"{where}: duplicate id {entry['id']!r} (ids compare as text)")
             if section == "datasets":
                 kind_of(entry["source"], SOURCES, f"{where}.source")
             else:
                 check_detector(entry, where)
-    if ev["subset"] is not None:
-        # as text, as the ids of metrics.csv read back: an id may be an int
-        subset = ev["subset"] = [str(ds) for ds in ev["subset"]]
-        unknown = [ds for ds in subset if ds not in [str(e["id"]) for e in doc["datasets"]]]
+    if (subset := ev["subset"]) is not None:
+        unknown = [ds for ds in subset if ds not in [e["id"] for e in doc["datasets"]]]
         _require(subset and not unknown, "evaluation.subset must be a non-empty list of "
                  f"dataset ids, got {subset!r}" + (f"; unknown {unknown}" if unknown else ""))
     return doc

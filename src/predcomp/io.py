@@ -245,8 +245,14 @@ def _metrics_record(ds, det, pid, n_det, fpc, found, arlp, dt, loc, valid) -> Ev
 
 
 def read_metrics_csv(path) -> list[EvalRecord]:
-    return [_parse(where, lambda: _metrics_record(*row))
-            for where, row in _read_rows(path, METRICS_HEADER)]
+    """Each run of ``path``; a second row of one (dataset, detector, params) is a DataError."""
+    records, runs = [], set()
+    for where, row in _read_rows(path, METRICS_HEADER):
+        if (run := tuple(row[:3])) in runs:
+            raise DataError(f"{where}: a second row of the run {','.join(run)}")
+        runs.add(run)
+        records.append(_parse(where, lambda: _metrics_record(*row)))
+    return records
 
 
 def write_loss_csv(path, train_loss: list[float], val_loss: list[float]) -> None:

@@ -64,14 +64,6 @@ class WearIntensity:
             return 0
         return math.ceil(math.log(1.0 / self.decay_cutoff) / self.lam - 1e-12)
 
-    def rate(self, t):
-        """f(t), vectorized over t."""
-        t = np.asarray(t, dtype=float)
-        out = self.a * self.lam * np.exp(-self.lam * t) + self.c
-        if self.d > 0:
-            out = out + self.d * np.where(t >= self.t2, t - self.t2, 0.0)
-        return out
-
     def bin_means(self, n: int) -> np.ndarray:
         """Exact integral of f over [i, i+1) for i = 0..n-1."""
         i = np.arange(n, dtype=float)

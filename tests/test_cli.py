@@ -217,8 +217,12 @@ METRICS_HEADER = ("dataset,detector,params,n_detections,fpc,target_found,arlp,de
     (METRICS_HEADER + "a,d,h=1,2,1,1,8.7,301,,2\n", "metrics.csv:2: valid must be 0 or 1, got '2'"),
     (METRICS_HEADER + "a,d,h=1,2,1,0,,,,1\na,d,h=2,2,1,1,,301,,1\n",
      "metrics.csv:3: a found target needs an arlp"),
+    # a hand-merged file would count this run's Fpc twice in the overall scope
+    (METRICS_HEADER + "s,c,desInt=2.0,1,9,1,8.7,301,,1\ns,c,desInt=2.0,1,9,1,8.7,301,,1\n",
+     "metrics.csv:3: a second row of the run s,c,desInt=2.0"),
 ], ids=["missing", "header", "short-row", "count", "undecodable", "arlp-nan", "arlp-inf",
-        "n_detections-negative", "fpc-negative", "target_found-2", "valid-2", "found-no-arlp"])
+        "n_detections-negative", "fpc-negative", "target_found-2", "valid-2", "found-no-arlp",
+        "repeated-run"])
 def test_bad_metrics_file_exits_2_and_writes_nothing(config_path, tmp_path, capsys, contents,
                                                      message):
     metrics = tmp_path / "metrics.csv"
@@ -355,6 +359,48 @@ def test_ids_equal_as_text_are_duplicates(config_path, tmp_path, capsys, first, 
     assert not (tmp_path / "out").exists()
 
 
+def test_an_int_id_is_the_text_of_its_digits(config_path, tmp_path, capsys):
+    """`id: 5` names, seeds and records the dataset that `id: "5"` does."""
+    base, outs = config_path.read_text(), []
+    for written in ("5", '"5"'):
+        config_path.write_text(base.replace("id: step1", f"id: {written}")
+                               .replace("subset: [step1]", f"subset: [{written}]"))
+        outs.append(tmp_path / f"out-{len(outs)}")
+        assert main(["simulate", "-c", str(config_path), "--out", str(outs[-1])]) == 0
+    files = sorted(p.name for p in outs[0].iterdir())
+    assert files == ["5.csv", "manifest.json", "step2.csv"]
+    assert files == sorted(p.name for p in outs[1].iterdir())
+    for name in files:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+    capsys.readouterr()
+
+
+def test_a_negative_int_id_runs(config_path, tmp_path, capsys):
+    config_path.write_text(config_path.read_text().replace("id: step1", "id: -1")
+                           .replace("subset: [step1]", "subset: [-1]")
+                           .replace("id: cusum", "id: -1"))
+    assert main(["simulate", "-c", str(config_path)]) == 0
+    assert main(["grid", "-c", str(config_path)]) == 0
+    rows = (tmp_path / "out" / "metrics.csv").read_text().splitlines()[1:]
+    assert (tmp_path / "out" / "-1.csv").exists() and any(r.startswith("-1,-1,") for r in rows)
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("bad", ["../x", "a/b", "/tmp", "", ".", "..", "a\\0b"])
+@pytest.mark.parametrize("entry", ["step2", "cusum"], ids=["dataset", "detector"])
+def test_an_id_that_is_not_a_plain_file_name_exits_2_and_writes_nothing(
+        config_path, tmp_path, capsys, entry, bad):
+    """`simulate` and `detect` name files after ids, so an id is refused at
+    load where it would name a file outside the output directory, or none."""
+    (tmp_path / "run").mkdir()
+    config_path.write_text(config_path.read_text().replace(f"id: {entry}", f'id: "{bad}"'))
+    section = "datasets" if entry == "step2" else "detectors"
+    for command in ("simulate", "grid"):
+        assert main([command, "-c", str(config_path), "--out", str(tmp_path / "run" / "out")]) == 2
+        assert f"error: {section}[1].id must be str naming a file" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["config.yaml", "run"]
+
+
 @pytest.mark.parametrize("args, message", [
     (["--scope", "subset", "--datasets", "wear_mild,nosuch"],
      "unknown dataset id 'nosuch' in --datasets"),
@@ -465,22 +511,48 @@ def test_committed_demo_metrics_are_current(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
 
 
-def test_demo_grid_records_round_trip_through_metrics_csv(tmp_path, monkeypatch):
-    """A record read back from ``metrics.csv`` is the record ``run_grid``
-    scored, but for its arlp, which the file keeps to 6 decimals."""
-    import dataclasses
+#: the CLI tests' config with one int dataset id and one int detector id
+INT_AND_TEXT_IDS = (CONFIG.replace("id: step1", "id: 5").replace("subset: [step1]", "subset: [5]")
+                    .replace("id: pnc_ar", "id: 7"))
+
+
+def _grid_records(config: str, tmp_path):
+    """The config's ``run_grid`` records: the demo's, or INT_AND_TEXT_IDS's."""
     from predcomp.cli import build_dataset, build_detector, prepare_series
     from predcomp.config import load_config
     from predcomp.evaluate import run_grid
+    path = ROOT / "configs" / "demo.yaml"
+    if config != "demo":
+        path = tmp_path / "config.yaml"
+        path.write_text(INT_AND_TEXT_IDS.format(out=tmp_path / "out"))
+    doc = load_config(path)
+    datasets = [prepare_series(doc, build_dataset(ds, doc["seed"])) for ds in doc["datasets"]]
+    return run_grid(datasets, [build_detector(det, doc) for det in doc["detectors"]])
+
+
+@pytest.mark.parametrize("config", ["demo", "int-and-text-ids"])
+def test_demo_grid_records_round_trip_through_metrics_csv(tmp_path, monkeypatch, config):
+    """A record read back from ``metrics.csv`` is the record ``run_grid``
+    scored, but for its arlp, which the file keeps to 6 decimals."""
+    import dataclasses
     from predcomp.io import read_metrics_csv, write_metrics_csv
     monkeypatch.delenv("PREDCOMP_SEED", raising=False)
-    doc = load_config(ROOT / "configs" / "demo.yaml")
-    datasets = [prepare_series(doc, build_dataset(ds, doc["seed"])) for ds in doc["datasets"]]
-    records = run_grid(datasets, [build_detector(det, doc) for det in doc["detectors"]])
+    records = _grid_records(config, tmp_path)
     write_metrics_csv(tmp_path / "metrics.csv", records)
     assert read_metrics_csv(tmp_path / "metrics.csv") == [
         dataclasses.replace(r, arlp=None if r.arlp is None else round(r.arlp, 6))
         for r in records]
+
+
+def test_select_best_ranks_the_grid_records_of_int_and_text_ids(tmp_path, monkeypatch):
+    from predcomp.evaluate import select_best
+    monkeypatch.delenv("PREDCOMP_SEED", raising=False)
+    records = _grid_records("int-and-text-ids", tmp_path)
+    assert {(w.dataset_id, w.detector_id) for w in select_best(records)} == {
+        (ds, det) for ds in ("5", "step2") for det in ("7", "cusum")}
+    assert {w.detector_id for w in select_best(records, scope="overall")} == {"7", "cusum"}
+    assert {w.detector_id for w in select_best(records, scope="subset", datasets=["5"])} == {
+        "7", "cusum"}
 
 
 def test_per_point_runners_score_the_demo_as_the_units_do(monkeypatch):

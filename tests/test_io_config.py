@@ -307,11 +307,24 @@ def test_config_detector_validation(tmp_path):
     dup = ok + "  - id: p\n    kind: cusum\n"
     with pytest.raises(ConfigError):
         load_config(_write_config(tmp_path, dup))
-    with pytest.raises(ConfigError, match=r"detectors\[1\]: duplicate id 1 \(ids compare as text"):
+    with pytest.raises(ConfigError, match=r"detectors\[1\]: duplicate id '1' \(ids compare as text"):
         load_config(_write_config(tmp_path, ok.replace("id: p", "id: '1'")
                                   + "  - id: 1\n    kind: cusum\n"))
     with pytest.raises(ConfigError, match=r"detectors\[0\]\.id must be str, got False"):
         load_config(_write_config(tmp_path, ok.replace("id: p", "id: off")))
+
+
+@pytest.mark.parametrize("kind, grid, key", [
+    ("cusum", "{desInt: [2.0, 2.0]}", "desInt"), ("cusum", "{desInt: [5, 5.0]}", "desInt"),
+    ("mosum", "{h: [0.25, 0.5], level: [0.05, 0.1, 0.05]}", "level"),
+    ("mosum", "{monitor_from: [null, ~]}", "monitor_from"),
+], ids=["same-float", "int-and-float", "mosum-level", "null"])
+def test_a_grid_list_that_repeats_a_typed_value_is_refused(tmp_path, kind, grid, key):
+    """A repeated point would be run and scored once per copy, and the
+    overall and subset scopes would sum its Fpc over the copies."""
+    with pytest.raises(ConfigError, match=rf"^detectors\[0\]\.grid\.{key}: expected distinct "):
+        load_config(_write_config(tmp_path, "schema_version: 1\ndetectors:\n"
+                                  f"  - {{id: c, kind: {kind}, grid: {grid}}}\n"))
 
 
 def test_ocd_takes_no_off_diagonal_threshold(tmp_path):

@@ -8,6 +8,12 @@ from predcomp.simulate import WearIntensity, sample_step_series, sample_wear_ser
 W = WearIntensity(a=120.0, lam=0.01, c=3.0, d=0.02, t2=1200)
 
 
+def rate(t):
+    """W's rate f(t) as the module docstring writes it: the reference that
+    ``bin_means`` integrates exactly."""
+    return W.a * W.lam * np.exp(-W.lam * t) + W.c + W.d * (t >= W.t2) * (t - W.t2)
+
+
 def test_t1_from_decay_cutoff():
     # a*lam*exp(-lam*t) falls to 5% of a*lam at t = ln(20)/lam
     assert W.t1 == 300
@@ -16,15 +22,15 @@ def test_t1_from_decay_cutoff():
 
 
 def test_rate_components():
-    assert W.rate(0) == pytest.approx(120.0 * 0.01 + 3.0)
-    assert W.rate(1200) == pytest.approx(W.rate(1199.99), abs=1e-3)
-    assert W.rate(1300) == pytest.approx(120.0 * 0.01 * np.exp(-13.0) + 3.0 + 0.02 * 100)
+    assert rate(0) == pytest.approx(120.0 * 0.01 + 3.0)
+    assert rate(1200) == pytest.approx(rate(1199.99), abs=1e-3)
+    assert rate(1300) == pytest.approx(120.0 * 0.01 * np.exp(-13.0) + 3.0 + 0.02 * 100)
 
 
 def test_bin_means_match_quadrature():
     means = W.bin_means(2000)
     for i in [0, 1, 150, 1199, 1200, 1201, 1500, 1999]:
-        ref, _ = integrate.quad(lambda u: float(W.rate(u)), i, i + 1)
+        ref, _ = integrate.quad(lambda u: float(rate(u)), i, i + 1)
         assert means[i] == pytest.approx(ref, rel=1e-9)
 
 
