@@ -4,7 +4,7 @@ The upward chart tracks S_j = max(0, S_{j-1} + x_j - target_j - k) and
 alarms when S_j exceeds the decision interval.  The located change point
 is the index after the last zero of S, as the caller numbers the steps.
 The downward chart (min form, allowance added) runs for a ``pnc`` detector
-with ``direction: down`` and for ``run_chart(direction="down")``.
+with ``direction: down``.  After an alarm a caller starts a fresh chart.
 """
 
 from __future__ import annotations
@@ -58,22 +58,3 @@ class CusumChart:
         """Estimated first out-of-control index (last zero + 1)."""
         return self._last_zero + 1
 
-
-def run_chart(values, targets, threshold: float, allowance: float = 0.5,
-              direction: str = "up", start: int = 0):
-    """Run a chart over aligned value/target arrays.
-
-    Returns (detections, trajectory) where detections are (detect_index,
-    located_index) pairs and trajectory is the list of S_j values.  After
-    each alarm a fresh chart starts at the next index.
-    """
-    chart = CusumChart(threshold, allowance, direction, start=start)
-    detections = []
-    path = []
-    for i, (x, tgt) in enumerate(zip(values, targets), start):
-        alarm = chart.step(i, float(x), float(tgt))
-        path.append(chart.value)
-        if alarm:
-            detections.append((i, chart.located()))
-            chart = CusumChart(threshold, allowance, direction, start=i + 1)
-    return detections, path

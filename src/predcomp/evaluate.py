@@ -153,9 +153,10 @@ def run_grid(datasets: list[LabeledSeries], detectors: list[DetectorGrid],
              target_key: str = "K>A") -> list[EvalRecord]:
     """Score every (dataset, detector, grid point); deterministic order.
 
-    Every dataset must carry the target label, checked before any detector
-    runs.  Each detector's unit runs once per dataset over all its points;
-    the grid maps these units over up to one forked worker per CPU
+    Every dataset must carry the target label, and no detector's points may
+    repeat a ``params_id``: both are checked before any detector runs.  Each
+    detector's unit runs once per dataset over all its points; the grid maps
+    these units over up to one forked worker per CPU
     (:func:`predcomp.pool.pool_map`), so the records are the serial ones bit
     for bit.  The first unit to fail in the serial order raises as soon as
     every unit before it is done, and no later unit is waited for.  The
@@ -169,6 +170,12 @@ def run_grid(datasets: list[LabeledSeries], detectors: list[DetectorGrid],
         if target is None:
             raise ValueError(f"dataset {series.name!r} lacks a {target_key} label")
     points = [list(det.points()) for det in detectors]
+    for det, pts in zip(detectors, points):
+        seen = set()
+        for pid in map(params_id, pts):
+            if pid in seen:
+                raise ValueError(f"detector {det.detector_id!r} repeats grid point {pid!r}")
+            seen.add(pid)
     jobs = [(det.unit, series, pts) for det, pts in zip(detectors, points) for series in datasets]
     done = iter(pool_map(lambda job: job[0](job[1], job[2]), jobs))
     records = []

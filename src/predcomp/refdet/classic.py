@@ -5,7 +5,7 @@ observations (strictly causal).  Decisions start once a full target
 window is available; the chart resets after each alarm and monitoring
 continues.  The chart is upward: run it on the negated stream for a
 downward one.  A chart in either direction against explicit per-index
-targets is :func:`predcomp.cusum.run_chart`.
+targets is :class:`predcomp.cusum.CusumChart`.
 
 A sweep over decision intervals (:func:`classic_cusum_sweep`) runs the
 chart once per segment start for the intervals that restart there, in
@@ -35,7 +35,7 @@ def classic_cusum_detect(series, threshold: float, allowance: float = 0.5,
         allowance: slack k.
         target_window: width of the running-mean target, and the warm-up:
             monitoring starts at that index.  For explicit targets use
-            :func:`predcomp.cusum.run_chart`.
+            :class:`predcomp.cusum.CusumChart`.
 
     Raises ``ValueError`` on a NaN or infinite observation.
     """

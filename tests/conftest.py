@@ -11,7 +11,28 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from predcomp.cusum import CusumChart
 from predcomp.lstm import LstmNet, loss_and_grads, lstm_forward, mse_loss
+
+
+def _run_chart(values, targets, threshold: float, allowance: float = 0.5,
+               direction: str = "up", start: int = 0):
+    """Run a chart over aligned value/target arrays.
+
+    Returns (detections, trajectory) where detections are (detect_index,
+    located_index) pairs and trajectory is the list of S_j values.  After
+    each alarm a fresh chart starts at the next index.
+    """
+    chart = CusumChart(threshold, allowance, direction, start=start)
+    detections = []
+    path = []
+    for i, (x, tgt) in enumerate(zip(values, targets), start):
+        alarm = chart.step(i, float(x), float(tgt))
+        path.append(chart.value)
+        if alarm:
+            detections.append((i, chart.located()))
+            chart = CusumChart(threshold, allowance, direction, start=i + 1)
+    return detections, path
 
 
 def _gradient_check(net: LstmNet, X: np.ndarray, target: np.ndarray,
@@ -65,6 +86,11 @@ def _outputs_per_blas_thread_count(code: str, *args: str) -> list[str]:
         assert out.returncode == 0, out.stderr
         outs.append(out.stdout)
     return outs
+
+
+@pytest.fixture()
+def run_chart():
+    return _run_chart
 
 
 @pytest.fixture()

@@ -9,6 +9,7 @@ is kept failing rather than weakened.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 import multiprocessing
@@ -272,7 +273,7 @@ def test_criterion_06_false_positive_advantage_over_classic():
     assert passed
 
 
-def test_global_mean_target_creates_false_positives():
+def test_global_mean_target_creates_false_positives(run_chart):
     """Companion to criterion 6: the mechanism behind the expected contrast.
 
     Centering the chart on the global series mean (a non-causal target
@@ -281,8 +282,6 @@ def test_global_mean_target_creates_false_positives():
     before the step the observations sit below the inflated target by a
     near-constant margin, which a two-sided chart accumulates steadily.
     """
-    from predcomp.cusum import run_chart
-
     hits_a = 0
     cp = 100
     for seed in range(20):
@@ -452,9 +451,28 @@ lstm: {{nh: 12, nz: 4, hidden: 6, epochs: 3, batch_size: 16, learning_rate: 0.01
 """
 
 
-def test_criterion_10_determinism(tmp_path, capsys):
+#: sha256 of each criterion-10 output as this code writes it; a change that
+#: moves the bits of both runs the same way fails here, not in the re-run check
+CRITERION_10_SHA256 = {
+    "series": "2953fff68105bed7f44be47fe3119785bb6479909149459c4ad11af1b682e875",
+    "manifest": "9aa4408d8e624f56d2161638f424471b95f786d0cfadf88d87da1b34bd4217f5",
+    "detections": "4daa8b6ab8c8120195977b28feb058adb87b1949748689dd3e9c56c8537e3a8d",
+    "trace": "413658debf96985bccf961d47f3821093c2a8651765a032629f13a663cea3cef",
+    "svg": "6565058d67433d7c61f042ff9f2cd9e1e4bab488818b9001505991e59ec2a7a8",
+    "metrics": "5997f86e980af571f5bafc4c0dab3787b652e5d03fc8e84d2fd6562b5c49f723",
+    "model": "d01eca04893964268b15fab6687f540a5d06950d81918d879108355a9d4649be",
+    "loss": "8da40ab563bea42d9fd54bb60c33378357e2a802688ec6654f32eedac3c5d986",
+    "scores": "91fd901e258d46156c04a756d01a934816f8ad0635bd0c32fb4f38254db309fe",
+    "eval": "35707aa64df2e764a89dd9cc8c7a6dc57cb41d20f28068f9e87d7c1c5aac164e",
+    "report": "c1a1d66c628ea9672f1f48671d8ba14f7f68fa567311879d19f1e952c108d272",
+}
+
+
+def test_criterion_10_determinism(tmp_path, capsys, monkeypatch):
     """Re-running every command with the same config and seed reproduces
-    every output byte for byte."""
+    every output byte for byte, and each output is the committed one
+    (CRITERION_10_SHA256)."""
+    monkeypatch.delenv("PREDCOMP_SEED", raising=False)
     t0 = time.time()
     out = tmp_path / "out"
     cfg = tmp_path / "c.yaml"
@@ -500,6 +518,8 @@ def test_criterion_10_determinism(tmp_path, capsys):
             f"{len(first)} outputs byte-identical across re-runs in {dt:.1f}s"
             + (f"; differing: {differing}" if differing else ""))
     assert passed
+    assert {key: hashlib.sha256(data).hexdigest() for key, data in first.items()} == \
+        CRITERION_10_SHA256
 
 
 @pytest.mark.parametrize("config", ["demo", "criterion_10"])

@@ -574,10 +574,46 @@ def test_committed_demo_series_are_current(tmp_path, capsys, monkeypatch):
     monkeypatch.delenv("PREDCOMP_SEED", raising=False)
     assert main(["simulate", "-c", str(ROOT / "configs" / "demo.yaml"),
                  "--out", str(tmp_path)]) == 0
-    committed = sorted(p.name for p in (ROOT / "out" / "demo").iterdir() if p.name != "metrics.csv")
+    committed = sorted(p.name for p in (ROOT / "out" / "demo").iterdir()
+                       if p.name not in ("metrics.csv", "eval.txt", "detect"))
     assert committed == sorted(p.name for p in tmp_path.iterdir())
     for name in committed:
         assert (tmp_path / name).read_bytes() == (ROOT / "out" / "demo" / name).read_bytes(), name
+    capsys.readouterr()
+
+
+def test_committed_demo_eval_is_current(tmp_path, capsys, monkeypatch):
+    # out/demo/eval.txt must be what `eval` writes for the committed metrics.csv
+    monkeypatch.delenv("PREDCOMP_SEED", raising=False)
+    assert main(["eval", "-c", str(ROOT / "configs" / "demo.yaml"), "--metrics",
+                 str(ROOT / "out" / "demo" / "metrics.csv"), "--out", str(tmp_path / "eval.txt")]) == 0
+    assert (tmp_path / "eval.txt").read_bytes() == (ROOT / "out" / "demo" / "eval.txt").read_bytes()
+    capsys.readouterr()
+
+
+#: the point each demo detector is pinned to in out/demo/detect/<id>.csv
+DEMO_DETECT = {"pnc_ar": ["desInt=10"], "cusum": ["desInt=10"], "bocpd": ["cpthreshold=0.5"],
+               "ocd": ["diag=16"], "mosum": ["h=0.25", "level=0.05"]}
+DEMO_DETECT_FILES = [*(f"{det}.csv" for det in DEMO_DETECT), "pnc_ar_trace.csv", "pnc_ar.svg"]
+
+
+@pytest.mark.parametrize("name", DEMO_DETECT_FILES)
+def test_committed_demo_detect_outputs_are_current(tmp_path, capsys, monkeypatch, name):
+    """Each file under out/demo/detect is what `detect` writes for it on
+    wear_mild: a detector's detections at its DEMO_DETECT point, and pnc_ar's
+    `--trace` CSV and `--svg` chart."""
+    monkeypatch.delenv("PREDCOMP_SEED", raising=False)
+    committed = ROOT / "out" / "demo" / "detect"
+    assert sorted(p.name for p in committed.iterdir()) == sorted(DEMO_DETECT_FILES)
+    det = name.split(".")[0].removesuffix("_trace")
+    args = ["detect", "-c", str(ROOT / "configs" / "demo.yaml"), "--dataset", "wear_mild",
+            "--detector", det, "--out", str(tmp_path / f"{det}.csv")]
+    for point in DEMO_DETECT[det]:
+        args += ["--set", point]
+    if det == "pnc_ar":
+        args += ["--trace", str(tmp_path / "pnc_ar_trace.csv"), "--svg", str(tmp_path / "pnc_ar.svg")]
+    assert main(args) == 0
+    assert (tmp_path / name).read_bytes() == (committed / name).read_bytes()
     capsys.readouterr()
 
 
@@ -634,10 +670,20 @@ CLI_MODULES = ["predcomp", "predcomp.cli", "predcomp.config", "predcomp.cusum",
      "numpy.arange(100.0) % 7)", None),
     ("import predcomp.refdet", None),
     ("import predcomp.cli", CLI_MODULES),
-], ids=["config", "predictors", "refdet", "cli"])
+    ("import predcomp", ["predcomp"]),
+    ("import predcomp.evaluate", None),
+    ("import predcomp.io", None),
+    ("import predcomp.lstm", None),
+    ("import predcomp.pnc", None),
+    ("import predcomp.simulate", None),
+    ("import predcomp.standardize", None),
+    ("import predcomp.refdet.baseline", None),
+], ids=["config", "predictors", "refdet", "cli", "package", "evaluate", "io", "lstm", "pnc",
+        "simulate", "standardize", "refdet.baseline"])
 def test_each_module_imports_first_without_a_cycle(code, loads):
     """In a fresh interpreter each module can be the first one imported;
-    `predcomp.cli` then loads exactly CLI_MODULES."""
+    `predcomp.cli` then loads exactly CLI_MODULES, and the package root,
+    a namespace, loads no module of its own."""
     code += ("; import sys; print(sorted(m for m in sys.modules "
              "if m.split('.')[0] in ('predcomp', 'scipy')))")
     path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]

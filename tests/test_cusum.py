@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from predcomp.cusum import CusumChart, run_chart
+from predcomp.cusum import CusumChart
 from predcomp.seeding import spawn_rng
 
 
-def test_hand_worked_chart():
+def test_hand_worked_chart(run_chart):
     # x = (1, 2, 5, 5), target 1, k = 0.5, threshold 3:
     # S = (0, 0.5, 4) -> alarm at index 2, change located at index 1
     dets, traj = run_chart(np.array([1.0, 2.0, 5.0, 5.0]), np.full(4, 1.0),
@@ -47,7 +47,7 @@ def test_downward_variant():
     assert chart.located() == 2
 
 
-def test_run_chart_resets_after_alarm():
+def test_run_chart_resets_after_alarm(run_chart):
     x = np.array([1.0, 2.0, 5.0, 5.0])
     dets, traj = run_chart(x, np.full(4, 1.0), threshold=3.0, allowance=0.5)
     # after the alarm at 2 the chart restarts from zero; x=5 vs target 1
@@ -77,7 +77,7 @@ def test_threshold_validation():
         CusumChart(threshold=1.0, direction="sideways")
 
 
-def test_first_alarm_monotone_in_threshold():
+def test_first_alarm_monotone_in_threshold(run_chart):
     rng = spawn_rng(3, "mono")
     x = rng.normal(0.5, 1.0, 400)
     first = []

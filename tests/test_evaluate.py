@@ -246,6 +246,22 @@ def test_run_grid_runs_one_unit_per_dataset_and_scores_it_as_per_point_runs(monk
     assert calls == []
 
 
+def test_run_grid_refuses_a_repeated_grid_point_before_any_unit_runs(monkeypatch):
+    # one CPU: the units would run in this process, where ``calls`` can count them
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    calls = []
+
+    def unit(series, points):
+        calls.append((series.name, points))
+        return [[Detection(detect_time=150, detector="toy")] for _ in points]
+
+    units = [DetectorGrid("ok", grid={"desInt": [1.0, 2.0]}, unit=unit),
+             DetectorGrid("c", grid={"desInt": [2.0, 2.0]}, unit=unit)]
+    with pytest.raises(ValueError, match="detector 'c' repeats grid point 'desInt=2.0'"):
+        run_grid(_two_datasets(), units)
+    assert calls == []
+
+
 @pytest.mark.parametrize("cpus", [{0}, {0, 1}], ids=["serial", "pooled"])
 def test_run_grid_raises_the_first_failing_unit_in_input_order(monkeypatch, cpus):
     """Units run detector-major: (u1, a), (u1, b), (u2, a), (u2, b).  The

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from predcomp.cusum import CusumChart, run_chart
+from predcomp.cusum import CusumChart
 from predcomp.pnc import PncConfig, PncStream, TraceRow, run_stream
 from predcomp.predictors import PredictorError, fit_predictor, refit_after_detection
 from predcomp.seeding import spawn_rng
@@ -115,7 +115,7 @@ def test_step_change_detected_quickly_with_ar_predictor():
         assert abs(first.located_time - 150) <= 25
 
 
-def test_matches_fixed_target_cusum_up_to_first_alarm():
+def test_matches_fixed_target_cusum_up_to_first_alarm(run_chart):
     # with a constant target vector the stream degenerates to the classic
     # chart, so the first alarms must agree exactly
     rng = spawn_rng(7, "equiv")
