@@ -51,8 +51,10 @@ from .lstm import LstmPredictor, TrainConfig
 from .pnc import PncConfig, run_stream
 from .predictors import (MAX_D, MAX_P, MAX_Q, ArimaPredictor, ArPredictor, MeanPredictor,
                          NaivePredictor, PredictorError, fit_predictor)
-from .refdet import NigPrior, bocpd_sweep, classic_cusum_sweep, mosum_sweep, ocd_sweep
-from .refdet.mosum import boundary_constant
+from .refdet.bocpd import NigPrior, bocpd_sweep
+from .refdet.classic import classic_cusum_sweep
+from .refdet.mosum import boundary_constant, mosum_sweep
+from .refdet.ocd import ocd_sweep
 from .series import PHASES
 from .simulate import WearIntensity, sample_step_series, sample_wear_series
 

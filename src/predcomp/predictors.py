@@ -20,11 +20,11 @@ the chosen model is the serial one bit for bit.
 The search is :func:`_nelder_mead`, an in-repo transcription of scipy's
 ``minimize(method="Nelder-Mead")``.  It keeps scipy's arithmetic
 expressions, its argsort reorders (so ties fall as numpy's sort puts them)
-and its maxiter/maxfev accounting, but runs them on array methods with the
-step coefficients hoisted, and calls the objective directly, without
-scipy's per-call wrapper; the innovations come from the compiled filter
-behind ``scipy.signal.lfilter``.  Fits are bit for bit those of the scipy
-calls.
+and its maxiter/maxfev accounting, but runs them on array methods with
+scipy's step coefficients written as the numbers they are, and calls the
+objective directly, without scipy's per-call wrapper; the innovations come
+from the compiled filter behind ``scipy.signal.lfilter``.  Fits are bit for
+bit those of the scipy calls.
 """
 
 from __future__ import annotations
@@ -233,31 +233,27 @@ def _nelder_mead(func, x0: np.ndarray, xatol: float, fatol: float, maxiter: int,
 
     A transcription of scipy 1.17's ``minimize(func, x0,
     method="Nelder-Mead", options={...})`` for the non-adaptive, unbounded
-    case: the same initial simplex, step expressions, argsort/take
-    reorders and maxiter/maxfev accounting (a limit hit inside a step
-    stores nothing of it), so x and the evaluation count are bit for bit
-    scipy's.  What differs is call overhead only: array methods in place of
-    the ``np.take``/``np.argsort``/``np.max`` wrappers, and the convergence
-    test asks first whether the sorted values span at most ``fatol``, which
-    is scipy's value test (rounding is monotone, NaN sorts last), before it
+    case: the same initial simplex, step expressions (scipy's coefficients
+    come to 2, 3, 1.5 and 0.5), argsort/take reorders and maxiter/maxfev
+    accounting, so x and the evaluation count are bit for bit scipy's.  A
+    limit hit inside a step stores nothing of it, except that a shrink
+    writes ``sim[j]`` before ``f(sim[j])`` raises: the rows it moved stay
+    moved, as in scipy.  Both initial sorts stay, as numpy's default argsort
+    is not stable on ties, so the second need not be the identity.  What
+    differs is call overhead only: array methods in place of the
+    ``np.take``/``np.argsort``/``np.max`` wrappers, and the convergence test
+    asks first whether the sorted values span at most ``fatol``, which is
+    scipy's value test (rounding is monotone, NaN sorts last), before it
     builds the simplex's spread.  ``func`` is called directly on a row or a
     fresh point, without scipy's per-call copy and result checks; it must
     return a float and must not modify its argument.
     """
-    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
     nonzdelt, zdelt = 0.05, 0.00025
     x0 = np.asarray(x0, dtype=float).flatten()
     N = len(x0)
-    sim = np.empty((N + 1, N), dtype=x0.dtype)
-    sim[0] = x0
+    sim = np.tile(x0, (N + 1, 1))
     for k in range(N):
-        y = np.array(x0, copy=True)
-        if y[k] != 0:
-            y[k] = (1 + nonzdelt) * y[k]
-        else:
-            y[k] = zdelt
-        sim[k + 1] = y
-    one2np1 = list(range(1, N + 1))
+        sim[k + 1, k] = (1 + nonzdelt) * x0[k] if x0[k] != 0 else zdelt
     fsim = np.full((N + 1,), np.inf, dtype=float)
     nfev = 0
 
@@ -282,9 +278,6 @@ def _nelder_mead(func, x0: np.ndarray, xatol: float, fatol: float, maxiter: int,
     fsim = fsim.take(ind, 0)
     sim = sim.take(ind, 0)
 
-    # scipy's step coefficients, computed once
-    reflect, expand, contract = 1 + rho, 1 + rho * chi, 1 + psi * rho
-    rho_chi, psi_rho, inside = rho * chi, psi * rho, 1 - psi
     iterations = 1
     while nfev < maxfev and iterations < maxiter:
         try:
@@ -295,11 +288,11 @@ def _nelder_mead(func, x0: np.ndarray, xatol: float, fatol: float, maxiter: int,
                     abs(sim[1:] - best).max() <= xatol):
                 break
             xbar = np.add.reduce(sim[:-1], 0) / N
-            xr = reflect * xbar - rho * worst
+            xr = 2 * xbar - worst
             fxr = f(xr)
             doshrink = 0
             if fxr < fsim[0]:
-                xe = expand * xbar - rho_chi * worst
+                xe = 3 * xbar - 2 * worst
                 fxe = f(xe)
                 if fxe < fxr:
                     sim[-1] = xe
@@ -312,7 +305,7 @@ def _nelder_mead(func, x0: np.ndarray, xatol: float, fatol: float, maxiter: int,
                 fsim[-1] = fxr
             else:
                 if fxr < fsim[-1]:
-                    xc = contract * xbar - psi_rho * worst
+                    xc = 1.5 * xbar - 0.5 * worst
                     fxc = f(xc)
                     if fxc <= fxr:
                         sim[-1] = xc
@@ -320,7 +313,7 @@ def _nelder_mead(func, x0: np.ndarray, xatol: float, fatol: float, maxiter: int,
                     else:
                         doshrink = 1
                 else:
-                    xcc = inside * xbar + psi * worst
+                    xcc = 0.5 * xbar + 0.5 * worst
                     fxcc = f(xcc)
                     if fxcc < fsim[-1]:
                         sim[-1] = xcc
@@ -328,8 +321,8 @@ def _nelder_mead(func, x0: np.ndarray, xatol: float, fatol: float, maxiter: int,
                     else:
                         doshrink = 1
                 if doshrink:
-                    for j in one2np1:
-                        sim[j] = best + sigma * (sim[j] - best)
+                    for j in range(1, N + 1):
+                        sim[j] = best + 0.5 * (sim[j] - best)
                         fsim[j] = f(sim[j])
             iterations += 1
         except _MaxFevReached:

@@ -94,10 +94,8 @@ def _logsumexp(a: np.ndarray):
             shifted[i_max] = 0.0
         else:
             shifted[is_max] = 0.0
-        s = shifted.sum()
-        if s != 0:
-            s = s / m
-        out = np.log1p(s) + np.log(m) + a_max
+        # scipy divides only a nonzero sum; 0.0 / m is 0.0 all the same
+        out = np.log1p(shifted.sum() / m) + np.log(m) + a_max
         if np.isfinite(out):
             return out
     # scipy falls back to the direct sum wherever its result is not finite
@@ -237,7 +235,9 @@ class BocpdState:
         norm = _logsumexp(new)
         self.log_evidence += norm
         new -= norm
-        # grown entries absorb x, the r = 0 entry restarts from the prior
+        # grown entries absorb x; the r = 0 entry restarts from the prior in scalars of its own:
+        # sq0 is Python's ** (libm pow), which differs from numpy's square in the last bit on
+        # some x, and its mean is the prior's own expression, so a fold into the vectors moves bits
         k = tab.kappa[s]
         beta += k * sq / tab.two_kappa1[s]
         mu *= k

@@ -694,6 +694,13 @@ def test_each_module_imports_first_without_a_cycle(code, loads):
         assert out.stdout.strip() == str(loads)
 
 
+def test_refdet_reexports_only_the_names_the_benchmark_imports():
+    """Every other reference-detector name has one import path, its module."""
+    import predcomp.refdet as refdet
+    assert sorted(refdet.__all__) == ["NigPrior", "bocpd_detect", "classic_cusum_detect",
+                                      "mosum_detect", "ocd_detect"]
+
+
 DOWN_CONFIG = """\
 schema_version: 1
 seed: 4

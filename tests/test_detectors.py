@@ -18,8 +18,10 @@ from predcomp.io import write_lstm
 from predcomp.lstm import init_lstm
 from predcomp.pnc import PncConfig, run_stream
 from predcomp.predictors import fit_predictor
-from predcomp.refdet import (NigPrior, bocpd_detect, classic_cusum_detect, classic_cusum_sweep,
-                             mosum_detect, mosum_sweep, ocd_detect, ocd_sweep)
+from predcomp.refdet import NigPrior, bocpd_detect, classic_cusum_detect, mosum_detect, ocd_detect
+from predcomp.refdet.classic import classic_cusum_sweep
+from predcomp.refdet.mosum import mosum_sweep
+from predcomp.refdet.ocd import ocd_sweep
 from predcomp.seeding import spawn_rng
 from predcomp.series import LabeledSeries
 

@@ -1,6 +1,8 @@
+import hashlib
 import multiprocessing
 import os
 import re
+import struct
 import subprocess
 import sys
 import time
@@ -201,11 +203,25 @@ def _fit_bits(m):
     return (m.p, m.d, m.q), m.phi.tobytes(), m.theta.tobytes(), m.intercept, m.sigma2, m.aicc
 
 
-@pytest.mark.parametrize("history", [
-    lambda: spawn_rng(5, "det").normal(0.0, 1.0, 200),
-    lambda: 0.5 * np.arange(400) + spawn_rng(0, "ramp").normal(0.0, 0.5, 400),
+def _fits_sha256(fits):
+    h = hashlib.sha256()
+    for order, phi, theta, *scalars in map(_fit_bits, fits):
+        h.update(repr(order).encode() + phi + theta + struct.pack("<3d", *scalars))
+    return h.hexdigest()
+
+
+# the serial search's fits on each fixture below; a change to any bit of any fit fails
+ORDER_SEARCH_SHA256 = {
+    "det": "9f50300594c54c93202c9c35ed2f65c3be29ab0fbae615e13805787e74c253ea",
+    "ramp": "bbd7452c9500fa1fd379b3e653c948425f58c57fdd84bbfeef671d0d507f392b",
+}
+
+
+@pytest.mark.parametrize("name, history", [
+    ("det", lambda: spawn_rng(5, "det").normal(0.0, 1.0, 200)),
+    ("ramp", lambda: 0.5 * np.arange(400) + spawn_rng(0, "ramp").normal(0.0, 0.5, 400)),
 ], ids=["det", "ramp"])
-def test_pooled_order_search_equals_the_serial_one(monkeypatch, history):
+def test_pooled_order_search_equals_the_serial_one(monkeypatch, name, history):
     """The fixtures of the two tests above; every order of the search."""
     items = _auto_items(history())
     serial = [ArimaPredictor._fit_order(item) for item in items]
@@ -213,6 +229,7 @@ def test_pooled_order_search_equals_the_serial_one(monkeypatch, history):
     pooled = pool_map(ArimaPredictor._fit_order, items)
     assert multiprocessing.active_children() == []
     assert [_fit_bits(m) for m in pooled] == [_fit_bits(m) for m in serial]
+    assert _fits_sha256(serial) == ORDER_SEARCH_SHA256[name]
 
 
 def test_pool_map_runs_serially_on_one_cpu_and_in_a_daemonic_worker(monkeypatch):

@@ -17,12 +17,13 @@ import numpy as np
 import pytest
 
 from predcomp.cusum import CusumChart
-from predcomp.refdet import (NigPrior, bocpd_detect, bocpd_sweep, classic_cusum_detect,
-                             classic_cusum_sweep, mosum_detect, mosum_sweep, ocd_detect,
-                             ocd_sweep)
+from predcomp.refdet import (NigPrior, bocpd_detect, classic_cusum_detect, mosum_detect,
+                             ocd_detect)
 from predcomp.refdet import bocpd, classic, mosum, ocd
-from predcomp.refdet.bocpd import BocpdState
-from predcomp.refdet.mosum import _design, boundary_constant
+from predcomp.refdet.bocpd import BocpdState, bocpd_sweep
+from predcomp.refdet.classic import classic_cusum_sweep
+from predcomp.refdet.mosum import _design, boundary_constant, mosum_sweep
+from predcomp.refdet.ocd import ocd_sweep
 from predcomp.refdet.sweep import sweep
 from predcomp.seeding import spawn_rng
 from predcomp.series import Detection
