@@ -14,8 +14,8 @@ import sys
 import yaml
 
 from . import lstm as lstm_mod
-from .config import (EVALUATION, SOURCES, STANDARDIZE, TRAIN, ConfigError, check_detector,
-                     kind_of, load_config, run_unit, typed)
+from .config import (EVALUATION, SOURCES, STANDARDIZE, TRAIN, ConfigError, kind_of, load_config,
+                     read_yaml, resolve_params, run_unit, typed)
 from .evaluate import (DetectorGrid, EvalRecord, average_max_fpc, find_target, params_id,
                        render_report, run_grid, select_best)
 from .io import (DataError, check_output, make_dir, read_metrics_csv as _read_metrics,
@@ -59,20 +59,23 @@ def build_detector(det_cfg: dict, doc: dict) -> DetectorGrid:
 def _fixed_params(det_cfg: dict, overrides: list[str] | None = None) -> dict:
     """Single parameter point for `detect`.
 
-    Grid lists must be singletons unless pinned with --set key=value.
+    Grid lists must be singletons unless set with --set key=value.
     """
-    pinned = {}
+    sets = {}
     for item in overrides or []:
         key, sep, raw = item.partition("=")
         if not sep or not key:
             raise UsageError(f"--set expects key=value, got {item!r}")
-        pinned[key] = yaml.safe_load(raw)
+        try:
+            sets[key] = read_yaml(raw)
+        except yaml.YAMLError as exc:
+            raise UsageError(f"--set {item!r}: not YAML: {exc}") from None
     grid = det_cfg["grid"]
     for key, vals in grid.items():
-        if len(vals) != 1 and key not in pinned:
+        if len(vals) != 1 and key not in sets:
             raise ConfigError(f"detector {det_cfg['id']!r}: `detect` needs a single value "
                               f"for {key}, got {len(vals)}; pin it with --set {key}=...")
-    return {**det_cfg["params"], **{k: v[0] for k, v in grid.items()}, **pinned}
+    return {**det_cfg["params"], **{k: v[0] for k, v in grid.items()}, **sets}
 
 
 def _entry(doc: dict, section: str, entry_id: str) -> dict:
@@ -122,10 +125,9 @@ def cmd_detect(args) -> int:
     if (args.trace or args.svg) and det_cfg["kind"] != "pnc":
         raise UsageError(f"--trace/--svg: {det_cfg['kind']} detectors have no chart trace")
     params = _fixed_params(det_cfg, args.set)
-    pinned = dict(det_cfg, params=params, grid={})
-    check_detector(pinned, f"detector {det_cfg['id']!r}")  # before the dataset is built
+    resolve_params(det_cfg, params)  # checked before the dataset is built
     series = prepare_series(doc, build_dataset(ds_cfg, doc["seed"]))
-    ((detections, trace),) = run_unit(pinned, doc, series, [params], bool(args.trace or args.svg))
+    ((detections, trace),) = run_unit(det_cfg, doc, series, [params], bool(args.trace or args.svg))
     if args.svg and not trace:  # refused before anything is written
         raise DataError(f"--svg: detector {det_cfg['id']!r} charted no step (empty trace)")
     rows = [(series.name, det_cfg["id"], params_id(params), d) for d in detections]

@@ -1,18 +1,24 @@
 """Experiment configuration file (YAML, ``schema_version: 1``): its schema and loader.
 
-Every section is a table mapping each key to ``(type, default)``, with
-``REQUIRED`` where there is none.  A type rejects the values its consumer
-raises ValueError on, and an :class:`OutOfRange` names the rule a value of
-the right type breaks (an infinite alarm threshold, which never alarms, is
-one).  :func:`typed` applies a table; an unknown key, a missing required key,
-a wrong type and a value out of range are each a :class:`ConfigError`
-naming ``where.key``.
+:func:`read_yaml` reads configs and ``--set`` values: a key given twice in
+one mapping is an error, and a number in exponent form (``1e-3``) is a
+float, as in YAML 1.2.  Every section is a table mapping each key to
+``(type, default)``, with ``REQUIRED`` where there is none.  A type rejects
+the values its consumer raises ValueError on, and an :class:`OutOfRange`
+names the rule a value of the right type breaks (an infinite alarm
+threshold, which never alarms, is one).  :func:`typed` applies a table; an
+unknown key, a missing required key, a wrong type and a value out of range
+are each a :class:`ConfigError` naming ``where.key``.
 
 ``SOURCES``, ``PREDICTORS`` and ``KINDS`` (detectors) map each kind to a
-:class:`Kind`: its key table, its build and its check of what the types
-cannot rule out, of a source's or predictor's keys (:func:`kind_of` runs it)
-or of a detector's typed grid points (:func:`check_detector` runs it).
-:func:`run_unit` is the one unit path of every detector kind: it calls
+:class:`Kind`: its key table, its build and its ``check`` of what the types
+cannot rule out of one typed entry.  :meth:`Kind.entry` types and checks a
+source's or predictor's keys (:func:`kind_of`) and a detector's point
+(:func:`resolve_params`).  The check of a reference kind (:func:`_reference`)
+runs its sweep on an empty series at the point, so a point fails at load, in
+the sweep's words, where its run would.
+:func:`run_unit` is the one unit path of every detector kind: it resolves
+each point, so it refuses what the load refuses, and calls
 ``KINDS[kind].build(det_cfg, doc, series)`` and the runner ``runs(thresholds,
 p, keep_trace)`` this returns once per setting ``p`` of the keys other than
 the kind's ``threshold``; each run gives ``(detections, trace)``, with the
@@ -38,6 +44,7 @@ from __future__ import annotations
 
 import math
 import os
+import re
 from contextlib import suppress
 from itertools import product
 from pathlib import Path
@@ -53,7 +60,7 @@ from .predictors import (MAX_D, MAX_P, MAX_Q, ArimaPredictor, ArPredictor, MeanP
                          NaivePredictor, PredictorError, fit_predictor)
 from .refdet.bocpd import NigPrior, bocpd_sweep
 from .refdet.classic import classic_cusum_sweep
-from .refdet.mosum import boundary_constant, mosum_sweep
+from .refdet.mosum import mosum_sweep
 from .refdet.ocd import ocd_sweep
 from .series import PHASES
 from .simulate import WearIntensity, sample_step_series, sample_wear_series
@@ -74,6 +81,35 @@ class OutOfRange(ValueError):
 def _require(cond: bool, msg: str) -> None:
     if not cond:
         raise ConfigError(msg)
+
+
+class _Loader(yaml.SafeLoader):
+    """``yaml.safe_load``'s reader, but a key given twice in one mapping is an
+    error, and a number in exponent form such as ``1e-3`` is a float (YAML 1.2)."""
+
+    def construct_mapping(self, node, deep=False):
+        own = [key for key, _ in node.value if key.tag != "tag:yaml.org,2002:merge"]
+        mapping = super().construct_mapping(node, deep)
+        seen = set()
+        for key_node in own:  # the keys are built already; a merged one may be overridden
+            if (key := self.construct_object(key_node)) in seen:
+                raise yaml.constructor.ConstructorError("while constructing a mapping",
+                                                        node.start_mark, f"found key {key!r} again",
+                                                        key_node.start_mark)
+            seen.add(key)
+        return mapping
+
+
+#: YAML 1.2's float in exponent form, tried after YAML 1.1's int and float: so it
+#: reads what 1.1 leaves as text for want of a dot or a sign, such as 1e-3 and 1.0e3
+#: (the exponent is required, so the text 08, which 1.1 does not read as octal, stays text)
+_FLOAT_1_2 = re.compile(r"^[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)[eE][-+]?[0-9]+$")
+_Loader.add_implicit_resolver("tag:yaml.org,2002:float", _FLOAT_1_2, list("-+.0123456789"))
+
+
+def read_yaml(text: str):
+    """The YAML document ``text``, as configs and ``--set`` values are read."""
+    return yaml.load(text, Loader=_Loader)
 
 
 # ---------------------------------------------------------------------------
@@ -169,20 +205,25 @@ class Kind(NamedTuple):
     """A dataset source, predictor or detector kind."""
     params: dict[str, tuple[Callable, object]]
     build: Callable  # (keys, dataset id, seed), (keys, history) or (det_cfg, doc, series) -> runs
-    check: Callable = lambda keys: None  # a ValueError on what the types cannot rule out
+    check: Callable = lambda keys: None  # a ValueError on a typed entry the types let pass
     threshold: str | None = None
+
+    def entry(self, d, where: str, sep: str = ".") -> dict:
+        """The mapping ``d`` typed against ``params``; what ``check`` refuses of
+        the typed entry is a ConfigError too."""
+        keys = typed(d, self.params, where, sep)
+        try:
+            self.check(keys)
+        except (ValueError, OverflowError) as exc:
+            raise ConfigError(f"{where}: {exc}") from None
+        return keys
 
 
 def kind_of(d, kinds: dict, where: str) -> tuple[str, dict]:
-    """The ``kind`` of the mapping ``d``, and its other keys typed against
-    ``kinds[kind].params``; what the kind's check rejects is a ConfigError too."""
+    """The ``kind`` of the mapping ``d``, and its other keys typed and checked
+    as an entry of ``kinds[kind]``."""
     kind = typed({"kind": d.get("kind")}, {"kind": (_choice(*kinds), REQUIRED)}, where)["kind"]
-    keys = typed({k: v for k, v in d.items() if k != "kind"}, kinds[kind].params, where)
-    try:
-        kinds[kind].check(keys)
-    except (ValueError, OverflowError) as exc:
-        raise ConfigError(f"{where}: {exc}") from None
-    return kind, keys
+    return kind, kinds[kind].entry({k: v for k, v in d.items() if k != "kind"}, where)
 
 
 # ---------------------------------------------------------------------------
@@ -278,27 +319,13 @@ def _pnc(det_cfg: dict, doc: dict, series):
     return runs
 
 
-def _check_mosum(points: list[dict]) -> None:
-    """Every level must be calibrated, harmonic terms need a period > 0, and
-    monitoring cannot start before ``minHist`` points to fit."""
-    harmonics, periods, hists = ({p[key] for p in points}
-                                 for key in ("harmonics", "period", "minHist"))
-    if max(harmonics) > 0 and min(periods) <= 0:
-        raise ValueError(f"harmonics > 0 need a period > 0, got harmonics {sorted(harmonics)}, "
-                         f"period {sorted(periods)}")
-    starts = {p["monitor_from"] for p in points} - {None}
-    if starts and min(starts) < max(hists):
-        raise ValueError(f"monitor_from must be at least minHist, got monitor_from "
-                         f"{sorted(starts)}, minHist {sorted(hists)}")
-    for p in points:
-        boundary_constant(p["h"], p["level"])
-
-
-def _reference(sweep):
-    """The build of a kind whose runner is ``sweep(series, thresholds, p)``,
-    which shares the segments its runs have in common; it has no trace."""
-    return lambda det_cfg, doc, series: lambda thresholds, p, keep_trace: [
-        (detections, None) for detections in sweep(series, thresholds, p)]
+def _reference(params: dict, threshold: str, sweep) -> Kind:
+    """A kind whose runner is ``sweep(series, thresholds, p)``, which shares the
+    segments its runs have in common, with no trace; its check runs the sweep on
+    an empty series at the point, so it refuses exactly what a run would."""
+    return Kind(params, lambda det_cfg, doc, series: lambda thresholds, p, keep_trace: [
+        (detections, None) for detections in sweep(series, thresholds, p)],
+        lambda p: sweep(np.empty(0), [p[threshold]], p), threshold)
 
 
 KINDS: dict[str, Kind] = {
@@ -307,31 +334,30 @@ KINDS: dict[str, Kind] = {
                  "direction": (_choice("up", "down"), "up"),
                  "refit": (_choice("never", "on_detection"), "never"),
                  "min_refit_history": (_NON_NEGATIVE_INT, 50)}, _pnc, threshold="desInt"),
-    "cusum": Kind({"desInt": (_threshold, REQUIRED), "k": (_FINITE_NON_NEGATIVE, 0.5),
-                   "window": (_POSITIVE_INT, 50)},
-                  _reference(lambda x, ts, p: classic_cusum_sweep(
-                      x, ts, allowance=p["k"], target_window=p["window"])), threshold="desInt"),
-    "bocpd": Kind({"hazard": (_UNIT, REQUIRED),
-                   "cpthreshold": (_OPEN_UNIT, 0.5), "r_min": (_NON_NEGATIVE_INT, 5),
-                   "mu0": (_finite, 0.0), "kappa0": (_FINITE_POSITIVE, 1.0),
-                   "alpha0": (_FINITE_POSITIVE, 1.0), "beta0": (_FINITE_POSITIVE, 1.0)},
-                  _reference(lambda x, ts, p: bocpd_sweep(
-                      x, p["hazard"], ts, r_min=p["r_min"],
-                      prior=NigPrior(p["mu0"], p["kappa0"], p["alpha0"], p["beta0"]))),
-                  threshold="cpthreshold"),
-    "ocd": Kind({"diag": (_threshold, REQUIRED),
-                 "h_tail": (_range(_int, ">= 1", lambda v: v < 1), 50),
-                 "baseline_window": (_range(_int, ">= 2", lambda v: v < 2), 100)},
-                _reference(lambda x, ts, p: ocd_sweep(
-                    x, ts, h_tail=p["h_tail"], baseline_window=p["baseline_window"])),
-                threshold="diag"),
-    "mosum": Kind({"minHist": (_POSITIVE_INT, 100), "histFact": (_UNIT, 0.5), "h": (_UNIT, 0.25),
-                   "level": (_float, 0.05), "harmonics": (_NON_NEGATIVE_INT, 0),
-                   "period": (_finite, 0.0), "monitor_from": (_NON_NEGATIVE_INT, None)},
-                  _reference(lambda x, ts, p: mosum_sweep(
-                      x, ts, min_hist=p["minHist"], hist_fact=p["histFact"], h_band=p["h"],
-                      harmonics=p["harmonics"], period=p["period"],
-                      monitor_from=p["monitor_from"])), _check_mosum, "level"),
+    "cusum": _reference({"desInt": (_threshold, REQUIRED), "k": (_FINITE_NON_NEGATIVE, 0.5),
+                         "window": (_POSITIVE_INT, 50)}, "desInt",
+                        lambda x, ts, p: classic_cusum_sweep(x, ts, allowance=p["k"],
+                                                             target_window=p["window"])),
+    "bocpd": _reference({"hazard": (_UNIT, REQUIRED),
+                         "cpthreshold": (_OPEN_UNIT, 0.5), "r_min": (_NON_NEGATIVE_INT, 5),
+                         "mu0": (_finite, 0.0), "kappa0": (_FINITE_POSITIVE, 1.0),
+                         "alpha0": (_FINITE_POSITIVE, 1.0), "beta0": (_FINITE_POSITIVE, 1.0)},
+                        "cpthreshold", lambda x, ts, p: bocpd_sweep(
+                            x, p["hazard"], ts, r_min=p["r_min"],
+                            prior=NigPrior(p["mu0"], p["kappa0"], p["alpha0"], p["beta0"]))),
+    "ocd": _reference({"diag": (_threshold, REQUIRED),
+                       "h_tail": (_range(_int, ">= 1", lambda v: v < 1), 50),
+                       "baseline_window": (_range(_int, ">= 2", lambda v: v < 2), 100)},
+                      "diag", lambda x, ts, p: ocd_sweep(
+                          x, ts, h_tail=p["h_tail"], baseline_window=p["baseline_window"])),
+    "mosum": _reference({"minHist": (_POSITIVE_INT, 100), "histFact": (_UNIT, 0.5),
+                         "h": (_UNIT, 0.25), "level": (_float, 0.05),
+                         "harmonics": (_NON_NEGATIVE_INT, 0), "period": (_finite, 0.0),
+                         "monitor_from": (_NON_NEGATIVE_INT, None)},
+                        "level", lambda x, ts, p: mosum_sweep(
+                            x, ts, min_hist=p["minHist"], hist_fact=p["histFact"], h_band=p["h"],
+                            harmonics=p["harmonics"], period=p["period"],
+                            monitor_from=p["monitor_from"])),
 }
 
 
@@ -367,8 +393,7 @@ DETECTOR = {"id": (_id, REQUIRED), "kind": (_choice(*KINDS), REQUIRED),
 
 def check_detector(det: dict, where: str) -> None:
     """The grid lists and predictor of the detector entry ``det`` (the predictor
-    typed in place), and every point of its grid, typed and run through its
-    kind's check; what the check rejects is a ConfigError too."""
+    typed in place), and every point of its grid (:func:`resolve_params`)."""
     grid = det["grid"]
     for key, vals in grid.items():
         _require(isinstance(vals, list) and vals, f"{where}.grid.{key}: expected a non-empty list")
@@ -376,30 +401,25 @@ def check_detector(det: dict, where: str) -> None:
     _require((pred is None) == (det["kind"] != "pnc"), f"{where}: " + (
         "a pnc detector needs a predictor" if pred is None else "only pnc detectors take one"))
     if pred is not None:
-        _require(pred.get("kind") != "lstm" or "model_path" in pred,
-                 f"{where}.predictor: an lstm predictor needs a model_path")
         pred_kind, keys = kind_of(pred, PREDICTORS, f"{where}.predictor")
         det["predictor"] = {"kind": pred_kind, **keys}
     points = [resolve_params(det, dict(zip(grid, vals))) for vals in product(*grid.values())]
     for key, vals in grid.items():  # 5 and 5.0 are one float point
         _require(len({p[key] for p in points}) == len(vals),
                  f"{where}.grid.{key}: expected distinct values, got {vals!r}")
-    try:
-        KINDS[det["kind"]].check(points)
-    except ValueError as exc:
-        raise ConfigError(f"detector {det['id']!r}: {exc}") from None
 
 
 def resolve_params(det_cfg: dict, point: dict) -> dict:
-    """A detector's typed parameters at one point: ``point`` over its
-    ``params``, with every other key at its table default."""
-    return typed({**det_cfg.get("params", {}), **point}, KINDS[det_cfg["kind"]].params,
-                 f"detector {det_cfg['id']!r}", ": ")
+    """A detector's typed and checked parameters at one point: ``point`` over
+    its ``params``, with every other key at its table default."""
+    return KINDS[det_cfg["kind"]].entry({**det_cfg.get("params", {}), **point},
+                                        f"detector {det_cfg['id']!r}", ": ")
 
 
 def run_unit(det_cfg: dict, doc: dict, series, points, keep_trace: bool = False) -> list:
     """One ``(detections, trace)`` per point, in the order of ``points``
-    (repeats included), of the detector run on ``series`` at that point."""
+    (repeats included), of the detector run on ``series`` at that point.
+    A point the config's load would refuse is a ConfigError, before any run."""
     kind = KINDS[det_cfg["kind"]]
     resolved = [resolve_params(det_cfg, point) for point in points]
     runs = kind.build(det_cfg, doc, series)
@@ -416,7 +436,7 @@ def run_unit(det_cfg: dict, doc: dict, series, points, keep_trace: bool = False)
 def load_config(path) -> dict:
     path = Path(path)
     try:
-        doc = typed(yaml.safe_load(path.read_text()), TOP, str(path), ": ")
+        doc = typed(read_yaml(path.read_text()), TOP, str(path), ": ")
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
     except (OSError, UnicodeDecodeError) as exc:  # a directory, no permission, not text

@@ -102,13 +102,13 @@ def mosum_sweep(series, levels, min_hist: int = 100, hist_fact: float = 0.5,
     if not 0 < h_band <= 1:
         raise ValueError("h_band must be in (0, 1]")
     if harmonics > 0 and period <= 0:
-        raise ValueError("harmonic terms need a positive period")
+        raise ValueError(f"harmonics {harmonics} need a period > 0, got period {period}")
     values = finite_values(series)
     n = len(values)
     if monitor_from is None:
         monitor_from = 2 * min_hist
     elif monitor_from < min_hist:
-        raise ValueError("monitor_from must be at least min_hist, or nothing is monitored")
+        raise ValueError(f"monitor_from must be at least min_hist, got {monitor_from} < {min_hist}")
 
     def scan(seg_start: int, cs: list) -> list[Detection]:
         found = []

@@ -13,8 +13,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from predcomp.cli import main
+from predcomp.config import _Loader
 from predcomp.io import read_series_csv
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -833,8 +835,9 @@ def test_detect_chart_of_a_kind_without_a_trace_is_refused_before_any_work(tmp_p
 @pytest.mark.parametrize("detector, pin, code, message", [
     ("pnc_ar", ["--set", "nokey"], 1, "--set expects key=value, got 'nokey'"),
     ("bocpd", [], 2, "`detect` needs a single value for cpthreshold"),
-    ("mosum", ["--set", "level=0.07"], 2, "detector 'mosum': level 0.07 not calibrated")],
-    ids=["malformed-set", "unpinned-grid", "uncalibrated-level"])
+    ("mosum", ["--set", "level=0.07"], 2, "detector 'mosum': level 0.07 not calibrated"),
+    ("pnc_ar", ["--set", "desInt=["], 1, "usage error: --set 'desInt=[': not YAML: ")],
+    ids=["malformed-set", "unpinned-grid", "uncalibrated-level", "not-yaml-set"])
 def test_detect_refuses_its_parameter_point_before_any_work(tmp_path, capsys, monkeypatch,
                                                             detector, pin, code, message):
     import predcomp.cli as cli
@@ -964,7 +967,6 @@ STEP, WEAR, DET = ("datasets", 0, "source"), ("datasets", 1, "source"), ("detect
 
 def _bound_config(tmp_path, path, update):
     import copy
-    import yaml
     doc = copy.deepcopy(BOUND_CONFIG)
     doc["output_dir"] = str(tmp_path / "out")
     node = doc
@@ -976,8 +978,14 @@ def _bound_config(tmp_path, path, update):
         else:
             node[key] = value
     cfg = tmp_path / "c.yaml"
-    cfg.write_text(yaml.safe_dump(doc))
+    cfg.write_text(yaml.dump(doc, Dumper=_Dumper))
     return cfg
+
+
+class _Dumper(yaml.SafeDumper):
+    """Quotes each string that the config reader would read as another type,
+    such as '1e3', which YAML 1.1 leaves as text."""
+    yaml_implicit_resolvers = _Loader.yaml_implicit_resolvers
 
 
 BAD_VALUES = [
@@ -1102,7 +1110,9 @@ def test_grid_exits_with_the_first_failing_unit_and_writes_nothing(config_path, 
     import predcomp.config as config
     from predcomp.predictors import PredictorError
 
-    def failing(series, *args, **kwargs):
+    def failing(series, thresholds, *args, **kwargs):
+        if not len(series):  # the check of each point, on an empty series
+            return [[] for _ in thresholds]
         if series.name == "step1":
             time.sleep(0.5)
             raise RuntimeError("slow")
@@ -1157,3 +1167,12 @@ def test_lstm_that_cannot_be_trained_on_the_prefix_exits_2(tmp_path, capsys):
     assert main(["train-lstm", "-c", str(cfg), "--dataset", "s", "--out", str(model)]) == 2
     assert "error: history too short for the requested windows" in capsys.readouterr().err
     assert not model.exists()
+
+
+def test_detect_reads_a_set_value_in_exponent_form_as_a_number(tmp_path, capsys):
+    outs = [tmp_path / "exponent.csv", tmp_path / "decimal.csv"]
+    for value, out in zip(["1e1", "10.0"], outs):
+        assert main(["detect", "-c", str(ROOT / "configs" / "demo.yaml"), "--dataset", "wear_mild",
+                     "--detector", "cusum", "--set", f"desInt={value}", "--out", str(out)]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+    capsys.readouterr()

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import csv
 import inspect
+import json
 import re
 from pathlib import Path
 
@@ -19,6 +20,7 @@ from predcomp.lstm import init_lstm
 from predcomp.pnc import PncConfig, run_stream
 from predcomp.predictors import fit_predictor
 from predcomp.refdet import NigPrior, bocpd_detect, classic_cusum_detect, mosum_detect, ocd_detect
+from predcomp.refdet.bocpd import bocpd_sweep
 from predcomp.refdet.classic import classic_cusum_sweep
 from predcomp.refdet.mosum import mosum_sweep
 from predcomp.refdet.ocd import ocd_sweep
@@ -312,18 +314,17 @@ def test_missing_or_unreadable_parameter_exits_2(tmp_path, capsys, detector, mes
     ("{id: c, kind: mosum, grid: {level: [0.05, 0.3]}}", None,
      "level 0.3 not calibrated; available: [0.01, 0.05, 0.1, 0.2]"),
     ("{id: c, kind: mosum, params: {harmonics: 1}}", None,
-     "harmonics > 0 need a period > 0, got harmonics [1], period [0.0]"),
+     "harmonics 1 need a period > 0, got period 0.0"),
     ("{id: c, kind: mosum, grid: {level: [0.05, 0.1]}}", ["level=0.07"],
      "level 0.07 not calibrated"),
     ("{id: c, kind: mosum, params: {period: 50.0}, grid: {harmonics: [0, 2]}}",
      ["harmonics=2", "period=-1"],
-     "harmonics > 0 need a period > 0, got harmonics [2], period [-1.0]"),
+     "harmonics 2 need a period > 0, got period -1.0"),
     ("{id: c, kind: mosum, params: {minHist: 100}, grid: {monitor_from: [0, 99, 100, 200]}}",
-     None, "monitor_from must be at least minHist, got monitor_from [0, 99, 100, 200], "
-           "minHist [100]"),
+     None, "monitor_from must be at least min_hist, got 0 < 100"),
     ("{id: c, kind: mosum, grid: {minHist: [50, 100], monitor_from: [100, 200]}}",
      ["minHist=100", "monitor_from=40"],
-     "monitor_from must be at least minHist, got monitor_from [40], minHist [100]"),
+     "monitor_from must be at least min_hist, got 40 < 100"),
 ], ids=["grid-level", "grid-harmonics", "detect-level", "detect-period", "grid-monitor_from",
         "detect-monitor_from"])
 def test_mosum_setting_the_table_cannot_check_exits_2(tmp_path, capsys, detector, pins, message):
@@ -345,6 +346,78 @@ def test_mosum_setting_the_table_cannot_check_exits_2(tmp_path, capsys, detector
                      "--out", str(out)]) == 2
         assert not out.exists()
     assert f"detector 'c': {message}" in capsys.readouterr().err
+
+
+#: each reference kind's sweep at one point of its config keys, every key given
+SWEEP_AT = {
+    "cusum": lambda x, p: classic_cusum_sweep(x, [p["desInt"]], p["k"], p["window"]),
+    "bocpd": lambda x, p: bocpd_sweep(x, p["hazard"], [p["cpthreshold"]], NigPrior(
+        p["mu0"], p["kappa0"], p["alpha0"], p["beta0"]), p["r_min"]),
+    "ocd": lambda x, p: ocd_sweep(x, [p["diag"]], p["h_tail"], p["baseline_window"]),
+    "mosum": lambda x, p: mosum_sweep(x, [p["level"]], p["minHist"], p["histFact"], p["h"],
+                                      p["harmonics"], p["period"], p["monitor_from"]),
+}
+SWEEP = "the sweep's own message"
+
+
+@pytest.fixture(scope="module")
+def wear_mild():
+    doc = load_config(ROOT / "configs" / "demo.yaml")
+    return doc, prepare_series(doc, build_dataset(doc["datasets"][0], doc["seed"]))
+
+
+@pytest.mark.parametrize("kind, point, message", [
+    ("cusum", {"desInt": 5.0, "k": 0.0, "window": 1}, None),
+    ("cusum", {"desInt": 0.0}, "desInt must be float > 0, got 0.0"),
+    ("cusum", {"desInt": 5.0, "k": -0.5}, "k must be float >= 0, got -0.5"),
+    ("cusum", {"desInt": 5.0, "window": 0}, "window must be int > 0, got 0"),
+    ("bocpd", {"hazard": 1.0, "cpthreshold": 0.01, "r_min": 0}, None),
+    ("bocpd", {"hazard": 1.5}, "hazard must be float in (0, 1], got 1.5"),
+    ("bocpd", {"hazard": 0.5, "cpthreshold": 1.0}, "cpthreshold must be float in (0, 1), got 1.0"),
+    ("bocpd", {"hazard": 0.5, "kappa0": 0.0}, "kappa0 must be float > 0, got 0.0"),
+    ("ocd", {"diag": 8.0, "h_tail": 1, "baseline_window": 2}, None),
+    ("ocd", {"diag": 0.0}, "diag must be float > 0, got 0.0"),
+    ("ocd", {"diag": 8.0, "h_tail": 0}, "h_tail must be int >= 1, got 0"),
+    ("ocd", {"diag": 8.0, "baseline_window": 1}, "baseline_window must be int >= 2, got 1"),
+    ("mosum", {"level": 0.2, "harmonics": 1, "period": 50.0, "monitor_from": 100}, None),
+    ("mosum", {"harmonics": 0, "period": -1.0}, None),
+    ("mosum", {"level": 0.07}, SWEEP),
+    ("mosum", {"harmonics": 1, "period": 0.0}, SWEEP),
+    ("mosum", {"minHist": 100, "monitor_from": 99}, SWEEP),
+    ("mosum", {"histFact": 1.5}, "histFact must be float in (0, 1], got 1.5"),
+    ("mosum", {"h": 0.0}, "h must be float in (0, 1], got 0.0"),
+], ids=["cusum-ok", "cusum-desInt", "cusum-k", "cusum-window", "bocpd-ok", "bocpd-hazard",
+        "bocpd-cpthreshold", "bocpd-prior", "ocd-ok", "ocd-diag", "ocd-h_tail",
+        "ocd-baseline_window", "mosum-ok", "mosum-period-unused", "mosum-level",
+        "mosum-period", "mosum-monitor_from", "mosum-histFact", "mosum-h"])
+def test_load_and_run_unit_refuse_a_point_where_its_sweep_raises(tmp_path, wear_mild, kind,
+                                                                 point, message):
+    """A point of a reference kind fails when the config loads, and in
+    ``run_unit``, if and only if the kind's sweep raises on the demo's
+    wear_mild at it: with the sweep's own message where the key table
+    cannot tell (MOSUM's cross-key rules and calibrated levels)."""
+    doc, series = wear_mild
+    keys = {**{name: default for name, (_, default) in KINDS[kind].params.items()}, **point}
+    try:
+        SWEEP_AT[kind](series, keys)
+        raised = None
+    except ValueError as exc:
+        raised = str(exc)
+    assert (raised is None) == (message is None)
+    message = raised if message is SWEEP else message
+    det = {"id": "d", "kind": kind, "params": {}, "grid": {}}
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text(f"schema_version: 1\ndatasets: {json.dumps(doc['datasets'][:1])}\n"
+                   f"detectors: [{json.dumps(dict(det, params=point))}]\n")
+    if message is None:
+        load_config(cfg)
+        assert len(run_unit(det, doc, series, [point])) == 1
+        return
+    with pytest.raises(ConfigError) as at_load:
+        load_config(cfg)
+    with pytest.raises(ConfigError) as in_unit:
+        run_unit(det, doc, series, [point])
+    assert str(at_load.value) == str(in_unit.value) == f"detector 'd': {message}"
 
 
 @pytest.mark.parametrize("pins, message", [
@@ -394,7 +467,8 @@ def _detect(cfg, tmp_path, *extra):
 
 def test_lstm_predictor_needs_a_model_path(tmp_path, capsys):
     cfg = _lstm_config(tmp_path, "{kind: lstm}")
-    with pytest.raises(ConfigError, match="an lstm predictor needs a model_path"):
+    with pytest.raises(ConfigError, match=re.escape(
+            "detectors[0].predictor.model_path has no default; set it")):
         load_config(cfg)
     assert _detect(cfg, tmp_path) == 2
     capsys.readouterr()

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -534,3 +535,55 @@ def test_arima_auto_refuses_an_explicit_order(tmp_path, monkeypatch):
         load_config(_write_config(tmp_path, config.format(spec=spec)))
         predictors.fit_predictor(spec, np.arange(100.0))
     assert searched == [100] * 4
+
+
+@pytest.mark.parametrize("text, key, line", [
+    ("schema_version: 1\nseed: 1\nseed: 2\n", "seed", 3),
+    ("schema_version: 1\ndatasets:\n  - id: s\n    source: {kind: step, n: 300, n: 400}\n", "n", 4),
+    ("schema_version: 1\ndetectors:\n  - id: c\n    kind: cusum\n    grid: {desInt: [5.0]}\n"
+     "    grid: {desInt: [10.0]}\n", "grid", 6),
+], ids=["seed", "source-n", "grid"])
+def test_a_key_given_twice_in_a_mapping_exits_2(tmp_path, capsys, text, key, line):
+    """YAML would keep the last value: a second seed, length or grid ran
+    in silence."""
+    from predcomp.cli import main
+    cfg = _write_config(tmp_path, text)
+    with pytest.raises(ConfigError, match=f"{cfg}: not valid YAML") as exc:
+        load_config(cfg)
+    assert f"found key {key!r} again\n  in \"<unicode string>\", line {line}," in str(exc.value)
+    assert main(["simulate", "-c", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert f"found key {key!r} again" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("text, value", [
+    ("1e-3", 0.001), ("1.0e3", 1000.0), ("1E5", 1e5), (".5e1", 5.0), ("1.e3", 1000.0),
+    ("-2e2", -200.0), ("1.0e300", 1e300), ("1e5x", "1e5x"), ("1.5", 1.5), ("15", 15), ("08", "08"),
+])
+def test_numbers_in_exponent_form_are_floats(text, value):
+    from predcomp.config import read_yaml
+    assert read_yaml(text) == value and type(read_yaml(text)) is type(value)
+
+
+def test_exponent_form_loads_in_a_config_and_an_id_so_written_is_refused(tmp_path):
+    import yaml
+    from predcomp.config import read_yaml, resolve_params
+    doc = load_config(_write_config(tmp_path, "schema_version: 1\ndetectors:\n  - {id: b, "
+                                    "kind: bocpd, params: {hazard: 1e-3, beta0: 1.0e300}}\n"))
+    point = resolve_params(doc["detectors"][0], {})
+    assert (point["hazard"], point["beta0"]) == (0.001, 1e300)
+    with pytest.raises(ConfigError, match=re.escape("detectors[0].id must be str, got 100000.0")):
+        load_config(_write_config(tmp_path, "schema_version: 1\ndetectors:\n"
+                                  "  - {id: 1e5, kind: ocd, params: {diag: 8}}\n"))
+    demo = (Path(__file__).resolve().parents[1] / "configs" / "demo.yaml").read_text()
+    assert read_yaml(demo) == yaml.safe_load(demo)
+
+
+def test_src_reads_yaml_only_through_the_config_reader():
+    """A second reader would bring back YAML 1.1's numbers and its silence on
+    a key given twice."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    calls = [(path.relative_to(src).as_posix(), line.strip())
+             for path in sorted(src.rglob("*.py")) for line in path.read_text().splitlines()
+             if re.search(r"\byaml\.\w*load\w*\(|\bfrom yaml import", line)]
+    assert calls == [("predcomp/config.py", "return yaml.load(text, Loader=_Loader)")]
