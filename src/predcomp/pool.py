@@ -4,10 +4,13 @@
 its (detector, dataset) units, the ARIMA order search
 (``ArimaPredictor._fit_auto`` in :mod:`predcomp.predictors`) its order
 fits, and online standardization (``_online`` in
-:mod:`predcomp.standardize`) its ranges of steps on a long stream.  Workers
-are forked, so they start from the parent's state at the call, its BLAS
-thread count included, and compute the serial bits.  A map gives what the
-serial loop gives: the results in input order, or its first failure.
+:mod:`predcomp.standardize`) its ranges of steps on a long stream.  It is
+the one module that reads the CPU count: each caller cuts its work into
+pieces of its own sizing, and a worker takes the next as it frees up.
+Workers are forked, so they start from the parent's state at the call,
+its BLAS thread count included, and compute the serial bits.  A map gives
+what the serial loop gives: the results in input order, or its first
+failure.
 """
 
 from __future__ import annotations

@@ -108,7 +108,8 @@ def mosum_sweep(series, levels, min_hist: int = 100, hist_fact: float = 0.5,
     if monitor_from is None:
         monitor_from = 2 * min_hist
     elif monitor_from < min_hist:
-        raise ValueError(f"monitor_from must be at least min_hist, got {monitor_from} < {min_hist}")
+        raise ValueError("monitor_from must be at least the history minimum, "
+                         f"got {monitor_from} < {min_hist}")
 
     def scan(seg_start: int, cs: list) -> list[Detection]:
         found = []

@@ -656,6 +656,16 @@ def test_cli_import_leaves_out_multiprocessing():
     assert out.stdout.strip() == "[]"
 
 
+def test_src_reads_the_cpu_count_only_in_the_pool():
+    """`pool_map` sizes its pool; a caller that sized its work by the CPU
+    count too would split it by a second rule."""
+    src = ROOT / "src"
+    calls = [(path.relative_to(src).as_posix(), line.strip())
+             for path in sorted(src.rglob("*.py")) for line in path.read_text().splitlines()
+             if re.search(r"\bsched_getaffinity\b|\bcpu_count\b", line)]
+    assert calls == [("predcomp/pool.py", "n = min(len(os.sched_getaffinity(0)), len(items))")]
+
+
 # every module `import predcomp.cli` loads: no scipy module, and nothing else
 CLI_MODULES = ["predcomp", "predcomp.cli", "predcomp.config", "predcomp.cusum",
                "predcomp.evaluate", "predcomp.io", "predcomp.lstm", "predcomp.pnc",

@@ -321,10 +321,10 @@ def test_missing_or_unreadable_parameter_exits_2(tmp_path, capsys, detector, mes
      ["harmonics=2", "period=-1"],
      "harmonics 2 need a period > 0, got period -1.0"),
     ("{id: c, kind: mosum, params: {minHist: 100}, grid: {monitor_from: [0, 99, 100, 200]}}",
-     None, "monitor_from must be at least min_hist, got 0 < 100"),
+     None, "monitor_from must be at least the history minimum, got 0 < 100"),
     ("{id: c, kind: mosum, grid: {minHist: [50, 100], monitor_from: [100, 200]}}",
      ["minHist=100", "monitor_from=40"],
-     "monitor_from must be at least min_hist, got 40 < 100"),
+     "monitor_from must be at least the history minimum, got 40 < 100"),
 ], ids=["grid-level", "grid-harmonics", "detect-level", "detect-period", "grid-monitor_from",
         "detect-monitor_from"])
 def test_mosum_setting_the_table_cannot_check_exits_2(tmp_path, capsys, detector, pins, message):

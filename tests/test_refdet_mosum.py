@@ -148,7 +148,7 @@ def test_parameter_validation():
     with pytest.raises(ValueError):
         mosum_detect(y, harmonics=1, period=0.0)
     # a first history shorter than min_hist is never fitted, so nothing is monitored
-    with pytest.raises(ValueError, match="monitor_from must be at least min_hist"):
+    with pytest.raises(ValueError, match="monitor_from must be at least the history minimum"):
         mosum_sweep(y, [0.05], min_hist=50, monitor_from=49)
 
 

@@ -465,17 +465,20 @@ def test_online_matches_offline_at_final_step_past_one_dot_chunk():
 
 def test_pooled_online_equals_the_serial_one(monkeypatch):
     """The long reference stream on one, two and four forked workers scores
-    as on one CPU, from t0 = 0 and from a later t0."""
+    as on one CPU, from t0 = 0 and from a later t0.  Its steps reach the
+    pool as the same ranges on every CPU count, latest first, covering
+    range(t0 + 1, n) once."""
     # the package's `standardize` attribute is the function, not the module
     module = sys.modules["predcomp.standardize"]
     calls, pool_map = [], module.pool_map
+    x = STREAMS["long"][0]
 
     def counted(fn, items):
         calls.append(len(items))
+        assert [i for steps in reversed(items) for i in steps] == list(range(t0 + 1, len(x)))
         return pool_map(fn, items)
 
     monkeypatch.setattr(module, "pool_map", counted)
-    x = STREAMS["long"][0]
     for t0 in (0, 40):
         runs = []
         for cpus in ({0}, {0, 1}, {0, 1, 2, 3}):
@@ -486,7 +489,7 @@ def test_pooled_online_equals_the_serial_one(monkeypatch):
             assert np.array_equal(res.scores.values, runs[0].scores.values)
             assert res.flagged == runs[0].flagged
             assert res.fit == runs[0].fit
-    assert calls == [1, 2, 4, 1, 2, 4]
+    assert calls == [12] * 6
 
 
 def test_online_scores_do_not_depend_on_the_blas_thread_count(tmp_path,
