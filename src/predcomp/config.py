@@ -303,6 +303,10 @@ def _pnc(det_cfg: dict, doc: dict, series):
         raise ConfigError(f"{where}: train_prefix: {exc}") from None
 
     def runs(thresholds, p, keep_trace):
+        for key in ("l", "b"):  # a window the series cannot fill, refused before it is allocated
+            if p[key] > len(series):
+                raise ConfigError(f"{where}: {key} must be at most the length of series "
+                                  f"{series.name!r}, {len(series)}, got {p[key]}")
         try:  # zeros: a check of the window sizes the model takes, not of the data
             predictor.forecast(np.zeros(p["l"]), p["b"])
         except PredictorError as exc:

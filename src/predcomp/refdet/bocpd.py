@@ -23,7 +23,9 @@ before them and updates the grown entries in place, because run length r
 becomes r + 1 without moving; m steps fill m(m + 1)/2 cells.  The caller
 sizes the state: it holds ``capacity`` steps from the prior, and a step
 past them raises ``ValueError``.  :func:`bocpd_sweep` sizes it to the
-series.
+series.  The state also holds its hazard: the model fixes H, so the state
+checks it once and keeps log H and log(1 - H), and a step takes only the
+observation.
 
 Tables.  Every run receives the same sequence of ``+0.5`` (alpha) and
 ``+1.0`` (kappa) increments, so alpha and kappa depend only on how many
@@ -42,9 +44,10 @@ overhead, which dominated the cost of a step.
 
 Sweeps.  The state does not depend on the threshold, and after an alarm
 the detector restarts from the prior, so :func:`bocpd_sweep` steps one
-state through each segment start once, for every threshold that restarts
-there, until the highest of them has fired; the lower ones fire on the
-way (:func:`predcomp.refdet.sweep.sweep`).  :func:`bocpd_detect` is its
+state, made for the sweep's hazard, through each segment start once, for
+every threshold that restarts there, until the highest of them has fired;
+the lower ones fire on the way (:func:`predcomp.refdet.sweep.sweep`).  It
+reads the series as Python floats, taken once.  :func:`bocpd_detect` is its
 one-threshold case.
 
 Log-gamma.  The tables' log-normaliser comes from ``_lgam``, a
@@ -86,17 +89,19 @@ def _logsumexp(a: np.ndarray):
     """log(sum(exp(a))) of a non-empty 1-D array, rounded as scipy's is."""
     i_max = a.argmax()
     a_max = a[i_max]
-    if np.isfinite(a_max):
+    if math.isfinite(a_max):
         is_max = a == a_max
         m = float(np.count_nonzero(is_max))
         shifted = np.exp(a - a_max)
         if m == 1:
+            # scipy's / 1.0 and + log(1.0) = + 0.0 change no bit of a sum >= +0.0
             shifted[i_max] = 0.0
+            out = np.log1p(shifted.sum()) + a_max
         else:
             shifted[is_max] = 0.0
-        # scipy divides only a nonzero sum; 0.0 / m is 0.0 all the same
-        out = np.log1p(shifted.sum() / m) + np.log(m) + a_max
-        if np.isfinite(out):
+            # scipy divides only a nonzero sum; 0.0 / m is 0.0 all the same
+            out = np.log1p(shifted.sum() / m) + np.log(m) + a_max
+        if math.isfinite(out):
             return out
     # scipy falls back to the direct sum wherever its result is not finite
     with np.errstate(divide="ignore", over="ignore"):
@@ -171,12 +176,20 @@ class _RunLengthTables:
 
 
 class BocpdState:
-    """Posterior over run lengths with per-run NIG sufficient statistics."""
+    """Posterior over run lengths with per-run NIG sufficient statistics.
 
-    def __init__(self, prior: NigPrior, capacity: int = 64):
+    The state is made for one hazard H, as the model fixes it: it checks H
+    and keeps its logs, so :meth:`step` takes only the observation.
+    """
+
+    def __init__(self, prior: NigPrior, hazard: float, capacity: int = 64):
+        if not 0.0 < hazard <= 1.0:
+            raise ValueError("hazard must be in (0, 1]")
         if capacity < 1:
             raise ValueError("capacity must be at least 1")
         self.prior = p = prior
+        # the break and growth weights; at H = 1 no run grows
+        self._log_h, self._log_grow = np.log(hazard), np.log1p(-hazard) if hazard < 1.0 else None
         self._lp, self._mu, self._beta = (np.empty(capacity) for _ in range(3))
         # a step reads the entries of runs with up to capacity - 1 observations
         self._tab = _RunLengthTables(prior, capacity)
@@ -200,7 +213,7 @@ class BocpdState:
         """log P(r_t = r), r = 0..steps-1 (a copy)."""
         return self._lp[-max(self.steps, 1):].copy()
 
-    def step(self, x: float, hazard: float) -> None:
+    def step(self, x: float) -> None:
         if self.steps == len(self._lp):
             raise ValueError(f"the state holds {len(self._lp)} steps from the prior")
         tab, p = self._tab, self.prior
@@ -220,17 +233,14 @@ class BocpdState:
         else:
             # a break makes x the first observation of a fresh segment, so
             # its likelihood is the prior predictive
-            log_cp = -np.inf
-            if hazard > 0:
-                prior_pred = self._log_norm0 - self._half_df0 * np.log1p(sq0 / self._scale0 / self._df0)
-                log_cp = _logsumexp(lp) + np.log(hazard) + prior_pred
-            lp += pred
-            if hazard < 1.0:
-                lp += np.log1p(-hazard)
-            else:
-                lp[:] = -np.inf
+            prior_pred = self._log_norm0 - self._half_df0 * np.log1p(sq0 / self._scale0 / self._df0)
             lo = -n - 1
-            self._lp[lo] = log_cp
+            self._lp[lo] = _logsumexp(lp) + self._log_h + prior_pred
+            lp += pred
+            if self._log_grow is None:
+                lp[:] = -np.inf
+            else:
+                lp += self._log_grow
         new = self._lp[lo:]
         norm = _logsumexp(new)
         self.log_evidence += norm
@@ -283,20 +293,17 @@ def bocpd_sweep(series, hazard: float, thresholds, prior: NigPrior | None = None
     ``posterior`` receive the ``segment_log_evidence`` and
     ``short_run_prob`` rows of :func:`bocpd_detect`.
     """
-    if not 0.0 < hazard <= 1.0:
-        raise ValueError("hazard must be in (0, 1]")
     if not all(0.0 < threshold < 1.0 for threshold in thresholds):
         raise ValueError("threshold must be in (0, 1)")
-    prior = prior or NigPrior()
-    values = finite_values(series)
+    values = finite_values(series).tolist()
     n = len(values)
-    state = BocpdState(prior, max(n, 1))
+    state = BocpdState(prior or NigPrior(), hazard, max(n, 1))
 
     def scan(start: int, levels: list) -> list[Detection]:
         found = []
         state._reset()
         for i in range(start, n):
-            state.step(float(values[i]), hazard)
+            state.step(values[i])
             p_short = state._mass_below(r_min + 1)
             if posterior is not None:
                 posterior.append((i, p_short))

@@ -65,13 +65,19 @@ class WearIntensity:
         return math.ceil(math.log(1.0 / self.decay_cutoff) / self.lam - 1e-12)
 
     def bin_means(self, n: int) -> np.ndarray:
-        """Exact integral of f over [i, i+1) for i = 0..n-1."""
+        """Exact integral of f over [i, i+1) for i = 0..n-1.
+
+        An overflow is no error: a huge ``lam`` has decayed at once, the
+        branch of a huge ``t2`` that overflows is not taken, and an infinite
+        mean is what the config refuses.
+        """
         i = np.arange(n, dtype=float)
-        means = self.a * (np.exp(-self.lam * i) - np.exp(-self.lam * (i + 1))) + self.c
-        if self.d > 0:
-            # antiderivative of the divergent component: (u - t2)^2 / 2 past t2
-            g = lambda u: np.where(u > self.t2, 0.5 * (u - self.t2) ** 2, 0.0)
-            means = means + self.d * (g(i + 1) - g(i))
+        with np.errstate(over="ignore"):
+            means = self.a * (np.exp(-self.lam * i) - np.exp(-self.lam * (i + 1))) + self.c
+            if self.d > 0:
+                # antiderivative of the divergent component: (u - t2)^2 / 2 past t2
+                g = lambda u: np.where(u > self.t2, 0.5 * (u - self.t2) ** 2, 0.0)
+                means = means + self.d * (g(i + 1) - g(i))
         return means
 
     def cp_labels(self, n: int) -> list[CpLabel]:

@@ -355,9 +355,9 @@ def test_criterion_08_bayesian_ocpd_exactness():
         for hazard in (0.15, 0.5):
             n_series += 1
             prior = NigPrior()
-            state = BocpdState(prior)
+            state = BocpdState(prior, hazard)
             for v in x:
-                state.step(float(v), hazard)
+                state.step(float(v))
                 worst_norm = max(worst_norm,
                                  abs(np.exp(state.log_post).sum() - 1.0))
             logs = []

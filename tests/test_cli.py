@@ -795,9 +795,9 @@ def test_eval_builds_its_datasets_without_standardizing_them(tmp_path, capsys, m
 
 
 def test_detect_with_no_step_to_draw_writes_nothing(tmp_path, capsys):
-    """A series shorter than l charts no step; the detections and the
+    """A series of l points charts no step; the detections and the
     trace were written before the SVG was refused."""
-    cfg = _bound_config(tmp_path, STEP, {"n": 40, "cp_at": 30})
+    cfg = _bound_config(tmp_path, STEP, {"n": 50, "cp_at": 30})
     paths = [tmp_path / name for name in ("d.csv", "t.csv", "t.svg")]
     assert main(["detect", "-c", str(cfg), "--dataset", "s", "--detector", "p",
                  "--out", str(paths[0]), "--trace", str(paths[1]), "--svg", str(paths[2])]) == 2

@@ -21,7 +21,8 @@ import numpy as np
 import pytest
 from scipy.special import gammaln, logsumexp
 
-from predcomp.refdet.bocpd import BocpdState, NigPrior, _lgam, _logsumexp, bocpd_detect
+from predcomp.refdet.bocpd import (BocpdState, NigPrior, _lgam, _logsumexp, bocpd_detect,
+                                   bocpd_sweep)
 from predcomp.seeding import spawn_rng
 from predcomp.series import Detection
 
@@ -151,9 +152,9 @@ def enumerate_evidence(x, hazard: float, p: NigPrior):
 def test_recursion_matches_enumeration(hazard, prior):
     rng = spawn_rng(5, "bocpd-enum")
     x = np.round(rng.normal(0.0, 1.0, size=8), 3)
-    state = BocpdState(prior)
+    state = BocpdState(prior, hazard)
     for v in x:
-        state.step(float(v), hazard)
+        state.step(float(v))
     lev, post = enumerate_evidence(x, hazard, prior)
     assert state.log_evidence == pytest.approx(lev, abs=1e-12)
     rl = np.exp(state.log_post)
@@ -163,9 +164,9 @@ def test_recursion_matches_enumeration(hazard, prior):
 
 def test_posterior_normalized_every_step():
     rng = spawn_rng(6, "bocpd-norm")
-    state = BocpdState(NigPrior())
+    state = BocpdState(NigPrior(), 0.1)
     for v in rng.normal(0.0, 1.0, size=40):
-        state.step(float(v), 0.1)
+        state.step(float(v))
         assert np.exp(state.log_post).sum() == pytest.approx(1.0, abs=1e-12)
     assert len(state.log_post) == 40
 
@@ -173,19 +174,28 @@ def test_posterior_normalized_every_step():
 def test_step_past_capacity_raises():
     for capacity in (3, 1):
         values = (0.1, -0.4, 0.7)[:capacity]
-        state = BocpdState(NigPrior(), capacity)
+        state = BocpdState(NigPrior(), 0.1, capacity)
         for v in values:
-            state.step(v, 0.1)
+            state.step(v)
         before = state.log_post
         with pytest.raises(ValueError, match=f"holds {capacity} steps"):
-            state.step(0.2, 0.1)
+            state.step(0.2)
         assert state.steps == capacity and np.array_equal(state.log_post, before)
         assert len(state._lp) == capacity  # nothing grew
         state._reset()
         for v in values:
-            state.step(v, 0.1)
+            state.step(v)
     with pytest.raises(ValueError, match="at least 1"):
-        BocpdState(NigPrior(), 0)
+        BocpdState(NigPrior(), 0.1, 0)
+
+
+@pytest.mark.parametrize("hazard", [0.0, 1.5, np.nan])
+def test_state_refuses_a_hazard_outside_the_unit_interval(hazard):
+    """The state checks its hazard when it is made, with the sweep's message."""
+    with pytest.raises(ValueError, match=r"^hazard must be in \(0, 1\]$"):
+        BocpdState(NigPrior(), hazard)
+    with pytest.raises(ValueError, match=r"^hazard must be in \(0, 1\]$"):
+        bocpd_sweep(np.zeros(3), hazard, [0.5])
 
 
 def test_student_t_reduces_to_cauchy():
@@ -307,9 +317,9 @@ def test_state_equals_reference_over_a_long_stream():
     y[1800:] += 2.0
     y[3500:] -= 3.0
     prior = NigPrior(0.5, 2.0, 1.5, 0.7)
-    state, ref = BocpdState(prior, 5000), ReferenceState(prior)
+    state, ref = BocpdState(prior, 0.01, 5000), ReferenceState(prior)
     for v in y:
-        state.step(float(v), 0.01)
+        state.step(float(v))
         ref.step(float(v), 0.01)
         assert np.array_equal(state.log_post, ref.log_post)
         assert state.log_evidence == ref.log_evidence

@@ -46,10 +46,10 @@ def loop_cusum(values, threshold, allowance, window, direction):
 def loop_bocpd(values, hazard, prior, r_min, threshold):
     detections = []
     info = {"segment_log_evidence": [], "short_run_prob": []}
-    state = BocpdState(prior, len(values))
+    state = BocpdState(prior, hazard, len(values))
     seg_start = 0
     for i, x in enumerate(values):
-        state.step(float(x), hazard)
+        state.step(float(x))
         p_short = state._mass_below(r_min + 1)
         info["short_run_prob"].append((i, p_short))
         if state.steps <= r_min + 1:

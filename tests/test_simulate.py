@@ -34,6 +34,16 @@ def test_bin_means_match_quadrature():
         assert means[i] == pytest.approx(ref, rel=1e-9)
 
 
+def test_bin_means_of_a_huge_lam_or_t2_are_their_limits_without_a_warning():
+    """The suite makes a RuntimeWarning an error: an overflow in bin_means is
+    none, since a huge lam has decayed after the first bin and a huge t2
+    never arrives."""
+    fast = WearIntensity(a=120.0, lam=1e308, c=3.0, d=0.02, t2=5).bin_means(10)
+    assert fast[0] == 123.0 and np.all(fast[1:5] == 3.0)
+    late = WearIntensity(a=0.0, lam=1.0, c=3.0, d=0.02, t2=1e308).bin_means(10)
+    assert np.all(late == 3.0)
+
+
 def test_labels_at_analytic_times():
     labs = W.cp_labels(2000)
     assert [(l.time, l.key()) for l in labs] == [(300, "E>K"), (1200, "K>A")]
