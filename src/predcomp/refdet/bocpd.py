@@ -94,13 +94,11 @@ def _logsumexp(a: np.ndarray):
         m = float(np.count_nonzero(is_max))
         shifted = np.exp(a - a_max)
         if m == 1:
-            # scipy's / 1.0 and + log(1.0) = + 0.0 change no bit of a sum >= +0.0
             shifted[i_max] = 0.0
-            out = np.log1p(shifted.sum()) + a_max
         else:
             shifted[is_max] = 0.0
-            # scipy divides only a nonzero sum; 0.0 / m is 0.0 all the same
-            out = np.log1p(shifted.sum() / m) + np.log(m) + a_max
+        # scipy divides only a nonzero sum; 0.0 / m is 0.0 all the same
+        out = np.log1p(shifted.sum() / m) + np.log(m) + a_max
         if math.isfinite(out):
             return out
     # scipy falls back to the direct sum wherever its result is not finite
