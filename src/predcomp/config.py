@@ -53,7 +53,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 import yaml
 
-from .io import read_lstm, read_series_csv
+from .io import read_lstm, read_series_csv, time_field
 from .lstm import LstmPredictor, TrainConfig
 from .pnc import PncConfig, run_stream
 from .predictors import (MAX_D, MAX_P, MAX_Q, ArimaPredictor, ArPredictor, MeanPredictor,
@@ -231,6 +231,10 @@ def kind_of(d, kinds: dict, where: str) -> tuple[str, dict]:
 
 #: numpy's Poisson sampler refuses a larger mean ("lam value too large")
 _POISSON_MAX = np.iinfo(np.int64).max - 10 * np.sqrt(np.iinfo(np.int64).max)
+#: the longest simulated series, 80 MB of float64 values: a longer one is refused
+#: at load, before the wear check's few n-length arrays or a draw are allocated
+MAX_N = 10**7
+_N = _range(_POSITIVE_INT, f"<= {MAX_N}", lambda v: v > MAX_N)
 
 
 def _intensity(src: dict) -> WearIntensity:
@@ -248,12 +252,23 @@ def _check_wear(src: dict) -> None:
                          f"{_POISSON_MAX:.4g}")
 
 
+def _step_series(src: dict, name: str, seed):
+    """The step source's draw, refused where a value overflows to inf."""
+    series = sample_step_series(**src, seed=seed, stream=name, name=name)
+    bad = np.flatnonzero(~np.isfinite(series.values))
+    if bad.size:
+        raise ConfigError(f"dataset {name!r}: source: the draw overflows to "
+                          f"{series.values[bad[0]]} at time {time_field(bad[0])}; sigma, "
+                          "pre_mean and post_mean must keep every value finite")
+    return series
+
+
 SOURCES: dict[str, Kind] = {
     "wear": Kind({"a": (_FINITE_NON_NEGATIVE, WearIntensity.a),
                   "lam": (_FINITE_POSITIVE, WearIntensity.lam),
                   "c": (_FINITE_NON_NEGATIVE, WearIntensity.c),
                   "d": (_FINITE_NON_NEGATIVE, WearIntensity.d), "t2": (_int, WearIntensity.t2),
-                  "n": (_POSITIVE_INT, REQUIRED),
+                  "n": (_N, REQUIRED),
                   "decay_cutoff": (_OPEN_UNIT, WearIntensity.decay_cutoff),
                   "scale": (_FINITE_NON_NEGATIVE, 1.0)},
                  lambda src, name, seed: sample_wear_series(
@@ -261,9 +276,8 @@ SOURCES: dict[str, Kind] = {
                  _check_wear),
     "step": Kind({"pre_mean": (_finite, 0.0), "post_mean": (_finite, 1.0),
                   "sigma": (_FINITE_NON_NEGATIVE, 1.0), "cp_at": (_POSITIVE_INT, 1),
-                  "n": (_POSITIVE_INT, REQUIRED)},
-                 lambda src, name, seed: sample_step_series(**src, seed=seed, stream=name,
-                                                            name=name),
+                  "n": (_N, REQUIRED)},
+                 _step_series,
                  lambda src: _require(src["cp_at"] <= src["n"], f"cp_at must be <= n, got "
                                       f"cp_at {src['cp_at']} and n {src['n']}")),
     "csv": Kind({"path": (_of(str), REQUIRED), "labels": (_of(str), None)},

@@ -47,7 +47,9 @@ the detector restarts from the prior, so :func:`bocpd_sweep` steps one
 state, made for the sweep's hazard, through each segment start once, for
 every threshold that restarts there, until the highest of them has fired;
 the lower ones fire on the way (:func:`predcomp.refdet.sweep.sweep`).  It
-reads the series as Python floats, taken once.  :func:`bocpd_detect` is its
+reads the series as Python floats, taken once.  Its one per-step record,
+``trace``, takes the short-run probability rows of a single threshold, as
+the other kinds' sweeps take theirs.  :func:`bocpd_detect` is its
 one-threshold case.
 
 Log-gamma.  The tables' log-normaliser comes from ``_lgam``, a
@@ -178,6 +180,9 @@ class BocpdState:
 
     The state is made for one hazard H, as the model fixes it: it checks H
     and keeps its logs, so :meth:`step` takes only the observation.
+    ``log_evidence``, log p(x_1..x_t) since the prior, drives no alarm: it is
+    the model evidence that acceptance criterion 8 and
+    ``test_state_equals_reference_over_a_long_stream`` check.
     """
 
     def __init__(self, prior: NigPrior, hazard: float, capacity: int = 64):
@@ -267,29 +272,26 @@ class BocpdState:
 def bocpd_detect(series, hazard: float, prior: NigPrior | None = None,
                  r_min: int = 5, threshold: float = 0.5,
                  keep_posterior: bool = False):
-    """Detections plus per-step diagnostics.
+    """Detections plus, when requested, the short-run probability path.
 
-    Returns (detections, info) where info holds the cumulative log
-    evidence per segment and, when requested, the short-run probability
-    path.  ``located_time`` of a detection is the start of the MAP run.
-    Raises ``ValueError`` on a NaN or infinite value.
+    Returns (detections, info) where ``info["short_run_prob"]`` holds the
+    ``(index, P(r_t <= r_min))`` rows of :func:`bocpd_sweep`'s ``trace``,
+    empty unless ``keep_posterior``.  ``located_time`` of a detection is the
+    start of the MAP run.  Raises ``ValueError`` on a NaN or infinite value.
     """
-    info = {"segment_log_evidence": [], "short_run_prob": []}
+    info = {"short_run_prob": []}
     (detections,) = bocpd_sweep(series, hazard, [threshold], prior, r_min,
-                                evidence=info["segment_log_evidence"],
-                                posterior=info["short_run_prob"] if keep_posterior else None)
+                                trace=info["short_run_prob"] if keep_posterior else None)
     return detections, info
 
 
 def bocpd_sweep(series, hazard: float, thresholds, prior: NigPrior | None = None,
-                r_min: int = 5, evidence: list | None = None,
-                posterior: list | None = None) -> list[list[Detection]]:
+                r_min: int = 5, trace: list | None = None) -> list[list[Detection]]:
     """The detections of :func:`bocpd_detect` at each threshold.
 
     One state steps through each segment until the highest threshold that
-    restarts there has fired.  With a single threshold, ``evidence`` and
-    ``posterior`` receive the ``segment_log_evidence`` and
-    ``short_run_prob`` rows of :func:`bocpd_detect`.
+    restarts there has fired.  ``trace``, with a single threshold, receives
+    its rows (index, short-run probability P(r_t <= r_min)).
     """
     if not all(0.0 < threshold < 1.0 for threshold in thresholds):
         raise ValueError("threshold must be in (0, 1)")
@@ -303,8 +305,8 @@ def bocpd_sweep(series, hazard: float, thresholds, prior: NigPrior | None = None
         for i in range(start, n):
             state.step(values[i])
             p_short = state._mass_below(r_min + 1)
-            if posterior is not None:
-                posterior.append((i, p_short))
+            if trace is not None:
+                trace.append((i, p_short))
             if state.steps <= r_min + 1:
                 continue  # all mass is on short runs this early, by construction
             fired = bisect_left(levels, p_short, len(found))  # thresholds below p_short
@@ -312,14 +314,8 @@ def bocpd_sweep(series, hazard: float, thresholds, prior: NigPrior | None = None
                 det = Detection(detect_time=i, located_time=max(i - state.map_run_length(), start),
                                 detector="bocpd", stat_value=p_short)
                 found += [det] * (fired - len(found))
-                if evidence is not None:
-                    evidence.append((start, i, state.log_evidence))
                 if fired == len(levels):
                     break
-        else:
-            if evidence is not None:
-                evidence.append((start, n - 1, state.log_evidence))
         return found
 
-    # a record of either kind needs a single threshold
-    return sweep(scan, thresholds, record=posterior if evidence is None else evidence)
+    return sweep(scan, thresholds, record=trace)

@@ -120,15 +120,17 @@ def sample_step_series(pre_mean: float, post_mean: float, sigma: float,
 
     ``cp_at`` is the 1-based time of the first shifted observation, so the
     stored label index is ``cp_at - 1`` and a written CSV shows the change
-    at time ``cp_at``.
+    at time ``cp_at``.  An overflow is no error: it reads inf, which the
+    config refuses.
     """
     if not 1 <= cp_at <= n:
         raise ValueError("cp_at must lie inside the series (1-based)")
     if sigma < 0:
         raise ValueError("sigma must be non-negative")
     rng = spawn_rng(seed, "step", stream)
-    values = rng.normal(0.0, 1.0, size=n) * sigma
-    values[:cp_at - 1] += pre_mean
-    values[cp_at - 1:] += post_mean
+    with np.errstate(over="ignore"):
+        values = rng.normal(0.0, 1.0, size=n) * sigma
+        values[:cp_at - 1] += pre_mean
+        values[cp_at - 1:] += post_mean
     return LabeledSeries(values, [CpLabel(cp_at - 1, "K", "A")], name=name)
 

@@ -8,7 +8,9 @@ leaf in turn to each of ``VALUES``.  A fixed seeded sample of these runs
 through ``detect`` and a few through ``grid``, in-process, each in a
 directory of its own that holds only its config.  The pnc ``l`` and ``b`` at
 1e308 and 10**30 are always in the sample: they are above numpy's dimension
-limit, so a run that allocated a window of that size would exit 3.
+limit, so a run that allocated a window of that size would exit 3.  The
+source ``n`` at those values, and a ``step`` source whose draw overflows,
+run through ``simulate``, ``detect`` and ``grid`` on their own.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import pytest
 import yaml
 
 from predcomp.cli import main
-from predcomp.config import _Loader
+from predcomp.config import MAX_N, SOURCES, ConfigError, _Loader, kind_of
 from predcomp.seeding import spawn_rng
 
 SMALL = {
@@ -145,3 +147,39 @@ def test_a_pnc_window_longer_than_the_series_exits_2_naming_its_key(tmp_path, ca
     assert run_mutation(tmp_path / "run", path, value, args) == (2, [])
     assert (f"error: detector 'pnc_ar': {path[-1]} must be at most the length of series "
             f"'mild', 400, got {int(value)}") in capsys.readouterr().err
+
+
+STEP = {"kind": "step", "n": 400, "cp_at": 250}
+COMMANDS = {"simulate": ["simulate", "-c", "c.yaml", "--out", "out"],
+            "detect": ["detect", "-c", "c.yaml", "--dataset", "mild", "--detector", "cusum",
+                       "--out", "out.csv"],
+            "grid": ["grid", "-c", "c.yaml", "--out", "out"]}
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+@pytest.mark.parametrize("n", [1e308, 10**30])
+@pytest.mark.parametrize("kind", ["wear", "step"])
+def test_a_source_n_too_long_to_allocate_exits_2_naming_n(tmp_path, capsys, kind, n, name):
+    source = {**(SMALL["datasets"][0]["source"] if kind == "wear" else STEP), "n": n}
+    assert run_mutation(tmp_path / "run", ("datasets", 0, "source"), source,
+                        COMMANDS[name]) == (2, [])
+    assert (f"error: datasets[0].source.n must be int <= {MAX_N}, got {n!r}"
+            in capsys.readouterr().err)
+
+
+def test_the_source_n_ceiling_is_checked_before_the_source():
+    # the wear check would evaluate bin_means(n); no array of MAX_N values is made here
+    assert kind_of({**STEP, "n": MAX_N}, SOURCES, "s")[1]["n"] == MAX_N
+    for kind in ("wear", "step"):
+        with pytest.raises(ConfigError, match=rf"s\.n must be int <= {MAX_N}, got {MAX_N + 1}"):
+            kind_of({"kind": kind, "n": MAX_N + 1}, SOURCES, "s")
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_a_step_draw_that_overflows_exits_2_naming_the_dataset(tmp_path, capsys, name):
+    source = {**STEP, "sigma": 1e308}
+    result = run_mutation(tmp_path / "run", ("datasets", 0, "source"), source, COMMANDS[name])
+    err = capsys.readouterr().err
+    assert result == (2, []), err
+    assert "error: dataset 'mild': source: the draw overflows to " in err
+    assert "Warning" not in err

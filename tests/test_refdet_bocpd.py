@@ -83,7 +83,7 @@ class ReferenceState:
 
 def reference_detect(values, hazard, prior, r_min, threshold):
     detections = []
-    info = {"segment_log_evidence": [], "short_run_prob": []}
+    info = {"short_run_prob": []}
     state = ReferenceState(prior)
     seg_start = 0
     for i, x in enumerate(values):
@@ -96,10 +96,8 @@ def reference_detect(values, hazard, prior, r_min, threshold):
             located = i - int(np.argmax(state.log_post))
             detections.append(Detection(detect_time=i, located_time=max(located, seg_start),
                                         detector="bocpd", stat_value=p_short))
-            info["segment_log_evidence"].append((seg_start, i, state.log_evidence))
             state = ReferenceState(prior)
             seg_start = i + 1
-    info["segment_log_evidence"].append((seg_start, len(values) - 1, state.log_evidence))
     return detections, info
 
 
@@ -213,10 +211,6 @@ def test_detects_mean_shift_and_resets():
                               keep_posterior=True)
     assert [(d.detect_time, d.located_time) for d in dets] == [(150, 150)]
     assert dets[0].stat_value > 0.9
-    # one closed segment plus the open tail
-    segs = info["segment_log_evidence"]
-    assert segs[0][:2] == (0, 150)
-    assert segs[1][:2] == (151, 299)
     probs = [p for _, p in info["short_run_prob"]]
     assert len(probs) == 300
     assert all(0.0 <= p <= 1.0 + 1e-12 for p in probs)
@@ -307,7 +301,6 @@ def test_detect_equals_reference_recursion(seed, hazard):
     assert len(ref_dets) >= 5
     assert dets == ref_dets
     assert info["short_run_prob"] == ref_info["short_run_prob"]
-    assert info["segment_log_evidence"] == ref_info["segment_log_evidence"]
 
 
 def test_state_equals_reference_over_a_long_stream():

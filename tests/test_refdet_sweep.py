@@ -45,7 +45,7 @@ def loop_cusum(values, threshold, allowance, window, direction):
 
 def loop_bocpd(values, hazard, prior, r_min, threshold):
     detections = []
-    info = {"segment_log_evidence": [], "short_run_prob": []}
+    info = {"short_run_prob": []}
     state = BocpdState(prior, hazard, len(values))
     seg_start = 0
     for i, x in enumerate(values):
@@ -57,10 +57,8 @@ def loop_bocpd(values, hazard, prior, r_min, threshold):
         if p_short > threshold:
             located = i - state.map_run_length()
             detections.append(Detection(i, max(located, seg_start), "bocpd", p_short))
-            info["segment_log_evidence"].append((seg_start, i, state.log_evidence))
             state._reset()
             seg_start = i + 1
-    info["segment_log_evidence"].append((seg_start, len(values) - 1, state.log_evidence))
     return detections, info
 
 
@@ -235,11 +233,10 @@ def test_sweep_merges_thresholds_that_alarm_together():
 
 @pytest.mark.parametrize("call", [
     lambda x: classic_cusum_sweep(x, [1.0, 2.0], trace=[]),
-    lambda x: bocpd_sweep(x, 0.01, [0.5, 0.6], evidence=[]),
-    lambda x: bocpd_sweep(x, 0.01, [0.5, 0.6], posterior=[]),
+    lambda x: bocpd_sweep(x, 0.01, [0.5, 0.6], trace=[]),
     lambda x: ocd_sweep(x, [1.0, 2.0], trace=[]),
     lambda x: mosum_sweep(x, [0.05, 0.1], trace=[]),
-], ids=["cusum", "bocpd-evidence", "bocpd-posterior", "ocd", "mosum"])
+], ids=["cusum", "bocpd", "ocd", "mosum"])
 def test_a_trace_needs_a_single_threshold(call):
     with pytest.raises(ValueError, match="a trace needs a single threshold"):
         call(np.zeros(10))
