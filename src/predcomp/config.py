@@ -298,7 +298,7 @@ PREDICTORS: dict[str, Kind] = {
     "ar": Kind({"p": (_POSITIVE_INT, 1)}, lambda keys, history: ArPredictor.fit(history, keys["p"])),
     "arima": Kind({"order": (_order, "auto"), "auto": (_of(bool), False)},
                   lambda keys, history: ArimaPredictor.fit(
-                      history, keys["order"], keys["auto"] or keys["order"] == "auto"),
+                      history, "auto" if keys["auto"] else keys["order"]),
                   _check_arima),
     # the LSTM trains on windows (``train-lstm``), not on ``history``
     "lstm": Kind({"model_path": (_of(str), REQUIRED)},

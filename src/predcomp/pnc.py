@@ -151,8 +151,7 @@ class PncStream:
             self.trace.append(TraceRow(i, x, target, self._chart.value, self._bound, alarm))
         if not alarm:
             return None
-        det = Detection(detect_time=i, located_time=self._chart.located(),
-                        detector=self.name, stat_value=self._chart.value)
+        det = Detection(detect_time=i, located_time=self._chart.located(), detector=self.name)
         if cfg.refit == "on_detection":
             self._pending_refit_from = det.located_time
         self._targets = None

@@ -358,11 +358,12 @@ class ArimaPredictor:
     kind = "arima"
 
     @classmethod
-    def fit(cls, history, order=(1, 0, 0), auto: bool = False) -> "ArimaPredictor | ConstantPredictor":
-        """CSS fit at a fixed order, or an AICc scan when ``auto`` is True.
+    def fit(cls, history, order) -> "ArimaPredictor | ConstantPredictor":
+        """CSS fit at the order (p, d, q), or the AICc scan when it is ``"auto"``.
         An order needs max(MIN_FIT, d + p + q + 4) points, a constant history
         too; the scan needs as many as its smallest order, (0, 0, 0)."""
         history = _as_history(history)
+        auto = order == "auto"
         p, d, q = (0, 0, 0) if auto else order
         if not (0 <= p <= MAX_P and 0 <= d <= MAX_D and 0 <= q <= MAX_Q):
             raise PredictorError(f"order {order} outside the supported grid")
@@ -370,7 +371,7 @@ class ArimaPredictor:
             raise PredictorError("history too short for "
                                  + ("the ARIMA order search" if auto else f"ARIMA{order}"))
         if np.ptp(history) == 0:
-            return ConstantPredictor(float(history[0]), partial(cls.fit, order=order, auto=auto))
+            return ConstantPredictor(float(history[0]), partial(cls.fit, order=order))
         if auto:
             return cls._fit_auto(history)
         return cls._fit_order((_differenced(history, d), p, d, q))
@@ -439,9 +440,7 @@ class ArimaPredictor:
         return fc
 
     def refit(self, history):
-        if self.auto:
-            return ArimaPredictor.fit(history, auto=True)
-        return ArimaPredictor.fit(history, (self.p, self.d, self.q))
+        return ArimaPredictor.fit(history, "auto" if self.auto else (self.p, self.d, self.q))
 
 
 def _auto_items(history: np.ndarray) -> list[tuple]:

@@ -312,7 +312,7 @@ def bocpd_sweep(series, hazard: float, thresholds, prior: NigPrior | None = None
             fired = bisect_left(levels, p_short, len(found))  # thresholds below p_short
             if fired > len(found):
                 det = Detection(detect_time=i, located_time=max(i - state.map_run_length(), start),
-                                detector="bocpd", stat_value=p_short)
+                                detector="bocpd")
                 found += [det] * (fired - len(found))
                 if fired == len(levels):
                     break

@@ -72,8 +72,7 @@ def classic_cusum_sweep(series, thresholds, allowance: float = 0.5, target_windo
             if trace is not None:
                 trace.append((i, float(values[i]), tgt, chart.value, fired > len(found)))
             if fired > len(found):
-                det = Detection(detect_time=i, located_time=chart.located(),
-                                detector="cusum", stat_value=chart.value)
+                det = Detection(detect_time=i, located_time=chart.located(), detector="cusum")
                 found += [det] * (fired - len(found))
                 if fired == len(levels):
                     break

@@ -144,7 +144,7 @@ def mosum_sweep(series, levels, min_hist: int = 100, hist_fact: float = 0.5,
                     break  # nor does any larger c hit in this block
                 k = int(hits[0])
                 found.append(Detection(detect_time=mon_start + j0 + k, located_time=None,
-                                       detector="mosum", stat_value=float(mosum[k])))
+                                       detector="mosum"))
                 end = k + 1
             if trace is not None:
                 bound = cs[0] * sd * np.sqrt(length) * growth

@@ -99,7 +99,7 @@ def ocd_sweep(series, diags, h_tail: int = 50, baseline_window: int = 100,
                 k = int(hits[0])
                 idx = base_end + j0 + k
                 found.append(Detection(detect_time=idx, located_time=idx - int(best[k]),
-                                       detector="ocd", stat_value=float(stat[k])))
+                                       detector="ocd"))
                 end = k + 1
             if trace is not None:
                 trace.extend((base_end + j0 + k, float(stat[k]), int(best[k]) + 1)

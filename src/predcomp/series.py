@@ -48,7 +48,6 @@ class Detection:
     detect_time: int
     located_time: int | None = None
     detector: str = ""
-    stat_value: float = 0.0
 
     @property
     def attribution_time(self) -> int:

@@ -204,7 +204,7 @@ def test_criterion_05_arima_recovery():
         ok += abs(model.phi[0] - 0.5) <= 0.1
     ramp = np.arange(2000, dtype=float) * 0.3 + 5.0
     ramp += spawn_rng(99, "accept5-ramp").normal(0.0, 0.1, size=2000)
-    auto = ArimaPredictor.fit(ramp, auto=True)
+    auto = ArimaPredictor.fit(ramp, "auto")
     dt = time.time() - t0
     passed = ok >= 9 and auto.d >= 1 and dt < 60.0
     _report(5, "arima recovery", passed,

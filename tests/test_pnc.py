@@ -257,10 +257,11 @@ def test_detection_fields():
     rng = spawn_rng(4, "pushes")
     x = rng.normal(0.0, 1.0, size=400)
     x[200:] += 3.0
-    dets, _ = run_stream(ZeroOracle(), PncConfig(50, 25, 6.0, 0.5), x, name="pnc-ar")
+    dets, stream = run_stream(ZeroOracle(), PncConfig(50, 25, 6.0, 0.5), x, name="pnc-ar",
+                              keep_trace=True)
     assert dets
     assert dets[0].detector == "pnc-ar"
-    assert dets[0].stat_value > 6.0
+    assert next(row.stat for row in stream.trace if row.index == dets[0].detect_time) > 6.0
 
 
 @pytest.mark.parametrize("chart, message", [
@@ -355,8 +356,7 @@ class ListStream(PncStream):
             self.trace.append(TraceRow(i, float(x), target, self._chart.value, bound, alarm))
         if not alarm:
             return None
-        det = Detection(detect_time=i, located_time=self._chart.located(),
-                        detector=self.name, stat_value=self._chart.value)
+        det = Detection(detect_time=i, located_time=self._chart.located(), detector=self.name)
         if cfg.refit == "on_detection":
             self._pending_refit_from = det.located_time
         self._origin = i + 1

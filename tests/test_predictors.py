@@ -182,7 +182,7 @@ def test_arima_intercept_only_is_mean():
 def test_arima_auto_prefers_differencing_on_ramp():
     rng = spawn_rng(0, "ramp")
     x = 0.5 * np.arange(400) + rng.normal(0.0, 0.5, 400)
-    m = ArimaPredictor.fit(x, auto=True)
+    m = ArimaPredictor.fit(x, "auto")
     assert m.auto
     assert m.d >= 1
 
@@ -190,8 +190,8 @@ def test_arima_auto_prefers_differencing_on_ramp():
 def test_arima_auto_deterministic():
     rng = spawn_rng(5, "det")
     x = rng.normal(0.0, 1.0, 200)
-    a = ArimaPredictor.fit(x, auto=True)
-    b = ArimaPredictor.fit(x, auto=True)
+    a = ArimaPredictor.fit(x, "auto")
+    b = ArimaPredictor.fit(x, "auto")
     assert (a.p, a.d, a.q) == (b.p, b.d, b.q)
     assert np.array_equal(a.phi, b.phi)
     assert np.array_equal(a.theta, b.theta)
@@ -312,6 +312,18 @@ def test_pool_map_raises_its_first_failure_without_waiting_for_later_items(monke
     assert raised == [(KeyError, "'first'")] * 2
 
 
+def test_arima_fit_auto_is_the_configs_search(monkeypatch):
+    """``"auto"`` as the order asks for the search that the config's default
+    arima spec makes, and gives its model."""
+    for name, most in (("MAX_P", 2), ("MAX_D", 1), ("MAX_Q", 1)):  # the benchmark's small search
+        monkeypatch.setattr(predictors, name, most)
+    x = ar1(200, 0.6, 1.0, seed=13)
+    a, b = ArimaPredictor.fit(x, "auto"), fit_predictor({"kind": "arima"}, x)
+    assert (a.p, a.d, a.q) == (b.p, b.d, b.q)
+    assert np.array_equal(a.phi, b.phi) and np.array_equal(a.theta, b.theta)
+    assert (a.intercept, a.sigma2, a.aicc) == (b.intercept, b.sigma2, b.aicc)
+
+
 def test_order_search_errors_reach_the_caller_and_leave_no_worker(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
 
@@ -320,7 +332,7 @@ def test_order_search_errors_reach_the_caller_and_leave_no_worker(monkeypatch):
 
     monkeypatch.setattr(predictors, "css_innovations", broken)
     with pytest.raises(RuntimeError, match="filter failed"):
-        ArimaPredictor.fit(ar1(30, 0.5, 0.0, seed=2), auto=True)
+        ArimaPredictor.fit(ar1(30, 0.5, 0.0, seed=2), "auto")
     assert multiprocessing.active_children() == []
 
 
@@ -420,10 +432,10 @@ def test_each_order_is_admitted_from_its_minimum_length():
 
 
 @pytest.mark.parametrize("history", [np.empty(0), np.full(5, 3.0)], ids=["empty", "constant-5"])
-@pytest.mark.parametrize("kwargs", [{"order": (1, 0, 0)}, {"auto": True}], ids=["order", "auto"])
-def test_arima_checks_the_length_before_the_zero_variance_fallback(history, kwargs):
+@pytest.mark.parametrize("order", [(1, 0, 0), "auto"], ids=["order", "auto"])
+def test_arima_checks_the_length_before_the_zero_variance_fallback(history, order):
     with pytest.raises(PredictorError, match="^history too short for"):
-        ArimaPredictor.fit(history, **kwargs)
+        ArimaPredictor.fit(history, order)
 
 
 def test_arima_order_validation():
@@ -503,7 +515,7 @@ def test_arima_refit_of_a_searched_model_searches_again(monkeypatch):
         monkeypatch.setattr(predictors, name, most)
     x = ar1(300, 0.5, 1.0, seed=11)
     tail = x[150:]
-    refitted, fresh = ArimaPredictor.fit(x, auto=True).refit(tail), ArimaPredictor.fit(tail, auto=True)
+    refitted, fresh = ArimaPredictor.fit(x, "auto").refit(tail), ArimaPredictor.fit(tail, "auto")
     assert refitted.auto
     for name, value in vars(fresh).items():
         assert np.array_equal(getattr(refitted, name), value), name

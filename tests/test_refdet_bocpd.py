@@ -95,7 +95,7 @@ def reference_detect(values, hazard, prior, r_min, threshold):
         if p_short > threshold:
             located = i - int(np.argmax(state.log_post))
             detections.append(Detection(detect_time=i, located_time=max(located, seg_start),
-                                        detector="bocpd", stat_value=p_short))
+                                        detector="bocpd"))
             state = ReferenceState(prior)
             seg_start = i + 1
     return detections, info
@@ -210,7 +210,7 @@ def test_detects_mean_shift_and_resets():
     dets, info = bocpd_detect(y, hazard=0.01, r_min=5, threshold=0.5,
                               keep_posterior=True)
     assert [(d.detect_time, d.located_time) for d in dets] == [(150, 150)]
-    assert dets[0].stat_value > 0.9
+    assert dict(info["short_run_prob"])[dets[0].detect_time] > 0.9
     probs = [p for _, p in info["short_run_prob"]]
     assert len(probs) == 300
     assert all(0.0 <= p <= 1.0 + 1e-12 for p in probs)

@@ -18,9 +18,10 @@ def _shifted(seed=0, n=600, cp=300, delta=2.0):
 
 def test_detects_step_and_resets():
     x = _shifted()
-    dets, _ = classic_cusum_detect(x, threshold=5.0, allowance=0.5, target_window=50)
+    dets, trace = classic_cusum_detect(x, threshold=5.0, allowance=0.5, target_window=50,
+                                       keep_trace=True)
     assert [(d.detect_time, d.located_time) for d in dets[:2]] == [(303, 292), (307, 304)]
-    assert dets[0].stat_value > 5.0
+    assert next(row[3] for row in trace if row[0] == dets[0].detect_time) > 5.0
     # the chart resets after each alarm and keeps monitoring
     times = [d.detect_time for d in dets]
     assert times == sorted(times) and len(set(times)) == len(times)

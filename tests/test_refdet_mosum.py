@@ -57,10 +57,10 @@ def test_detects_slope_break():
     t = np.arange(1200, dtype=float)
     y = 5.0 + 0.01 * t + rng.normal(0.0, 1.0, size=1200)
     y[700:] += 0.04 * (t[700:] - 700)
-    dets, _ = mosum_detect(y, min_hist=250, level=0.05)
+    dets, trace = mosum_detect(y, min_hist=250, level=0.05, keep_trace=True)
     assert [d.detect_time for d in dets] == [757]
     assert dets[0].located_time is None
-    assert abs(dets[0].stat_value) > 0
+    assert abs(next(row[1] for row in trace if row[0] == dets[0].detect_time)) > 0
 
 
 def test_trace_reproduces_boundary_formula():

@@ -21,7 +21,7 @@ def test_detects_shift_and_locates_it():
     dets, trace = ocd_detect(x, diag=6.0, h_tail=50, baseline_window=100,
                              keep_trace=True)
     assert [(d.detect_time, d.located_time) for d in dets] == [(303, 300)]
-    assert dets[0].stat_value > 6.0
+    assert next(row[1] for row in trace if row[0] == dets[0].detect_time) > 6.0
     # monitoring starts right after the baseline window
     assert trace[0][0] == 100
 

@@ -38,7 +38,7 @@ def loop_cusum(values, threshold, allowance, window, direction):
         alarm = chart.step(i, float(values[i]), tgt)
         trace.append((i, float(values[i]), tgt, chart.value, alarm))
         if alarm:
-            detections.append(Detection(i, chart.located(), "cusum", chart.value))
+            detections.append(Detection(i, chart.located(), "cusum"))
             chart = CusumChart(threshold, allowance, direction, start=i + 1)
     return detections, trace
 
@@ -56,7 +56,7 @@ def loop_bocpd(values, hazard, prior, r_min, threshold):
             continue
         if p_short > threshold:
             located = i - state.map_run_length()
-            detections.append(Detection(i, max(located, seg_start), "bocpd", p_short))
+            detections.append(Detection(i, max(located, seg_start), "bocpd"))
             state._reset()
             seg_start = i + 1
     return detections, info
@@ -88,7 +88,7 @@ def loop_ocd(values, diag, h_tail, baseline_window):
             stat, idx = float(stats[best]), base_end + j
             trace.append((idx, stat, int(taus[best])))
             if stat > diag:
-                detections.append(Detection(idx, idx - int(taus[best]) + 1, "ocd", stat))
+                detections.append(Detection(idx, idx - int(taus[best]) + 1, "ocd"))
                 alarm_at = idx
                 break
         if alarm_at < 0:
@@ -124,7 +124,7 @@ def loop_mosum(values, level, min_hist, h_band, harmonics=0, period=0.0, hist_fa
             idx = mon_start + j
             trace.append((idx, float(mosum_), float(bound)))
             if abs(mosum_) > bound:
-                detections.append(Detection(idx, None, "mosum", float(mosum_)))
+                detections.append(Detection(idx, None, "mosum"))
                 alarm_at = idx
                 break
         if alarm_at < 0:

@@ -40,9 +40,9 @@ def test_phase_bounds():
 
 
 def test_detection_attribution_time():
-    d = Detection(detect_time=40, located_time=33, detector="x", stat_value=1.0)
+    d = Detection(detect_time=40, located_time=33, detector="x")
     assert d.attribution_time == 33
-    d2 = Detection(detect_time=40, located_time=None, detector="x", stat_value=1.0)
+    d2 = Detection(detect_time=40, located_time=None, detector="x")
     assert d2.attribution_time == 40
 
 
