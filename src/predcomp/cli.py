@@ -24,7 +24,7 @@ from .io import (DataError, check_output, make_dir, read_metrics_csv as _read_me
                  write_trace_svg)
 from .predictors import PredictorError
 from .refdet.baseline import random_baseline
-from .series import LabeledSeries
+from .series import MAX_ABS, LabeledSeries, first_out_of_bound
 from .standardize import standardize
 
 
@@ -46,9 +46,26 @@ def build_dataset(ds_cfg: dict, seed: int) -> LabeledSeries:
     return SOURCES[kind].build(src, ds_cfg["id"], seed)
 
 
+def _within_bound(series: LabeledSeries, where: str, what: str) -> LabeledSeries:
+    """``series``, whose values must each be finite and of magnitude at most
+    `MAX_ABS`, the values standardization and the detectors take."""
+    i = first_out_of_bound(series.values)
+    if i is not None:
+        raise DataError(f"{where}: the {what} at time {time_field(i)} is {series.values[i]}; "
+                        f"standardization and the detectors take values of magnitude at most "
+                        f"{MAX_ABS:g}")
+    return series
+
+
 def prepare_series(doc: dict, series: LabeledSeries) -> LabeledSeries:
-    std = doc["standardize"]
-    return standardize(series, t0=std["t0"], mode=std["mode"]).scores if std["enabled"] else series
+    """The dataset's series as the detectors take it, standardized when the
+    config asks; the series and its scores are each checked by `_within_bound`."""
+    std, where = doc["standardize"], f"dataset {series.name!r}"
+    _within_bound(series, where, "value")
+    if not std["enabled"]:
+        return series
+    scores = standardize(series, t0=std["t0"], mode=std["mode"]).scores
+    return _within_bound(scores, where, "standardized score")
 
 
 def build_detector(det_cfg: dict, doc: dict) -> DetectorGrid:
@@ -107,9 +124,9 @@ def cmd_simulate(args) -> int:
 def cmd_standardize(args) -> int:
     t0 = typed({"--t0": args.t0}, {"--t0": STANDARDIZE["t0"]}, "", "")["--t0"]
     check_output(args.output)
-    series = read_series_csv(args.input)
+    series = _within_bound(read_series_csv(args.input), args.input, "value")
     res = standardize(series, t0=t0, mode=args.mode)
-    write_series_csv(args.output, res.scores)
+    write_series_csv(args.output, _within_bound(res.scores, args.input, "standardized score"))
     fit = res.fit
     print(f"wrote {args.output}; flagged {len(res.flagged)} of {len(series)} scores"
           + (f"; nu_hat={fit.nu:.6f} slope={fit.slope:.6f}" if fit else "; trend not estimable"))

@@ -31,7 +31,7 @@ import numpy as np
 
 from .cusum import CusumChart
 from .predictors import PredictorError, refit_after_detection
-from .series import Detection, LabeledSeries, non_finite_error
+from .series import Detection, finite_values, non_finite_error
 
 
 @dataclass(frozen=True)
@@ -164,9 +164,10 @@ def run_stream(predictor, cfg: PncConfig, series, name: str = "pnc",
     """Run the engine over a whole series.
 
     Returns (detections, stream) where ``stream`` carries diagnostics and,
-    when requested, the per-step trace of :class:`TraceRow`.
+    when requested, the per-step trace of :class:`TraceRow`.  The series is
+    checked once, by :func:`predcomp.series.finite_values`.
     """
-    values = series.values if isinstance(series, LabeledSeries) else np.asarray(series, dtype=float)
+    values = finite_values(series)
     stream = PncStream(predictor, cfg, name=name, keep_trace=keep_trace)
     detections = []
     for x in values:

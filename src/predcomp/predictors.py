@@ -363,7 +363,7 @@ class ArimaPredictor:
         An order needs max(MIN_FIT, d + p + q + 4) points, a constant history
         too; the scan needs as many as its smallest order, (0, 0, 0)."""
         history = _as_history(history)
-        auto = order == "auto"
+        auto = isinstance(order, str) and order == "auto"  # an array order compares by element
         p, d, q = (0, 0, 0) if auto else order
         if not (0 <= p <= MAX_P and 0 <= d <= MAX_D and 0 <= q <= MAX_Q):
             raise PredictorError(f"order {order} outside the supported grid")

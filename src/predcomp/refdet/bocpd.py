@@ -69,22 +69,26 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..series import Detection, finite_values
+from ..series import MAX_ABS, Detection, finite_values
 from .sweep import sweep
 
 
 @dataclass(frozen=True)
 class NigPrior:
+    """The Normal-Inverse-Gamma prior.  Its bounds keep the predictive's
+    constants and every step on values within `MAX_ABS` finite: |mu0| at most
+    `MAX_ABS`, and kappa0, alpha0 and beta0 in [1 / `MAX_ABS`, `MAX_ABS`]."""
+
     mu0: float = 0.0
     kappa0: float = 1.0
     alpha0: float = 1.0
     beta0: float = 1.0
 
     def __post_init__(self) -> None:
-        if not all(0 < v < np.inf for v in (self.kappa0, self.alpha0, self.beta0)):
-            raise ValueError("kappa0, alpha0, beta0 must be finite and positive")
-        if not np.isfinite(self.mu0):
-            raise ValueError("mu0 must be finite")
+        for name, value in vars(self).items():
+            low = -MAX_ABS if name == "mu0" else 1 / MAX_ABS
+            if not low <= value <= MAX_ABS:  # NaN included
+                raise ValueError(f"{name} must be in [{low:g}, {MAX_ABS:g}], got {value}")
 
 
 def _logsumexp(a: np.ndarray):

@@ -117,15 +117,34 @@ def non_finite_error(index: int, value: float) -> ValueError:
     return ValueError(f"series value at index {index} is not finite ({value})")
 
 
-def finite_values(series) -> np.ndarray:
-    """Observations of a LabeledSeries or array as float64, all finite.
+#: the largest magnitude of a value that standardization and the detectors
+#: take, so that every sum and square they form over up to
+#: `predcomp.config.MAX_N` values stays finite: a sum of squares or a square of
+#: a sum is at most (MAX_N * MAX_ABS)**2 = 1e114.  ``tests/test_detectors.py``
+#: runs each of them on values at MAX_ABS * MAX_N.
+MAX_ABS = 1e50
 
-    Raises the :func:`non_finite_error` of the first NaN or infinite value.
+
+def first_out_of_bound(values: np.ndarray) -> int | None:
+    """The index of the first value that is NaN, infinite or of magnitude
+    above `MAX_ABS`, or None."""
+    bad = np.flatnonzero(~(np.abs(values) <= MAX_ABS))
+    return int(bad[0]) if bad.size else None
+
+
+def finite_values(series) -> np.ndarray:
+    """Observations of a LabeledSeries or array as float64, each finite and of
+    magnitude at most `MAX_ABS`.
+
+    Raises the :func:`non_finite_error` of the first NaN or infinite value, or
+    a ValueError naming the first value beyond `MAX_ABS`.
     """
     values = series.values if isinstance(series, LabeledSeries) else np.asarray(series, dtype=float)
-    bad = np.flatnonzero(~np.isfinite(values))
-    if bad.size:
-        raise non_finite_error(int(bad[0]), values[bad[0]])
+    i = first_out_of_bound(values)
+    if i is not None:
+        if not np.isfinite(values[i]):
+            raise non_finite_error(i, values[i])
+        raise ValueError(f"series value at index {i} is {values[i]}, of magnitude above {MAX_ABS:g}")
     return values
 
 

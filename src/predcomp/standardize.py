@@ -125,7 +125,9 @@ def _fit_step(terms, m: int, work: np.ndarray) -> tuple[float, float]:
 
     nu_hat + 1 = C_xy / C_xx is O(1).  The slope's regressor u = s^nu_hat
     goes into ``work`` (at least m long), so a step allocates no array of
-    its length, and its two dot products are `chunked_dot`s.
+    its length, and its two dot products are `chunked_dot`s.  A regressor
+    or dot that overflows reads inf and is refused as degenerate: callers
+    run their steps under ``np.errstate(over="ignore")``.
     """
     x, log_s, n_kept, c_xx, c_xy = terms
     k = int(n_kept[m - 1])
@@ -158,7 +160,8 @@ def estimate_trend(values, t0: int = 0, t: int | None = None) -> TrendFit:
     terms = _trend_terms(values[:t], t0)
     if t <= t0 + 1 or t < 2:
         raise TrendNotEstimable(f"need at least two observations past t0, got (t0={t0}, t={t})")
-    return TrendFit(*_fit_step(terms, t - t0, np.empty(t - t0)), t0, t)
+    with np.errstate(over="ignore"):
+        return TrendFit(*_fit_step(terms, t - t0, np.empty(t - t0)), t0, t)
 
 
 def _score(x: float, lam: float | None) -> tuple[float, bool]:
@@ -176,13 +179,14 @@ def _online_range(terms, t0: int, steps: range):
     per time, on a work row of this range's own."""
     work = np.empty(steps[-1] + 1 - t0)
     lam, last = [], None
-    for i in steps:
-        try:
-            last = (*_fit_step(terms, i + 1 - t0, work), i + 1)
-        except TrendNotEstimable:
-            lam.append(None)
-            continue
-        lam.append(float(_lam(*last)))
+    with np.errstate(over="ignore"):
+        for i in steps:
+            try:
+                last = (*_fit_step(terms, i + 1 - t0, work), i + 1)
+            except TrendNotEstimable:
+                lam.append(None)
+                continue
+            lam.append(float(_lam(*last)))
     return lam, last
 
 
@@ -210,8 +214,9 @@ def standardize(series: LabeledSeries | np.ndarray, t0: int = 0,
 
     Indices where no trend is estimable keep the raw value (identity
     fallback) and are flagged; indices with lam_hat below the floor get a
-    zero score and are flagged.  A NaN or infinite count raises its
-    :func:`~predcomp.series.non_finite_error`.
+    zero score and are flagged.  A count that is NaN, infinite or beyond
+    `~predcomp.series.MAX_ABS` raises the ValueError of
+    :func:`~predcomp.series.finite_values`.
     """
     if mode not in ("offline", "online"):
         raise ValueError("mode must be 'offline' or 'online'")
@@ -275,7 +280,8 @@ class OnlineStandardizer:
         lam = None
         try:
             if m >= 2:
-                self.fit = TrendFit(*_fit_step(terms, m, self._work), self.t0, i + 1)
+                with np.errstate(over="ignore"):
+                    self.fit = TrendFit(*_fit_step(terms, m, self._work), self.t0, i + 1)
                 lam = float(self.fit.lam(i + 1))
         except TrendNotEstimable:
             pass

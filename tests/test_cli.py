@@ -1071,7 +1071,7 @@ def test_bad_config_value_exits_2_and_writes_nothing(tmp_path, capsys, path, upd
 
 @pytest.mark.parametrize("path, update", [
     (STEP, {"n": 300.0}), (STEP, {"cp_at": 400}), (STEP, {"cp_at": 1}), (STEP, {"sigma": 0}),
-    (STEP, {"sigma": 1e200}),
+    (STEP, {"sigma": 1e45}),
     (WEAR, {"scale": 0}), (WEAR, {"lam": 1e300}), (WEAR, {"a": 0}), (WEAR, {"decay_cutoff": 0.5}),
     (WEAR, {"c": 1e18}),
     (DET, {"predictor": {"kind": "ar", "p": 2.0}}),

@@ -1,8 +1,9 @@
 """Every one-leaf change to a small config exits 0, 1 or 2, and a run that
 fails writes nothing.
 
-``SMALL`` is the demo config on two 400-point datasets, with one value per
-grid list, so that ``detect`` takes each detector as it stands.  A leaf is a
+``SMALL`` is the demo config on two 400-point wear datasets and a 400-point
+step, with one value per grid list, and every step and BOCPD prior key given
+at its default, so that ``detect`` takes each detector as it stands.  A leaf is a
 value reached through mappings and non-empty lists; ``mutations`` sets each
 leaf in turn to each of ``VALUES``.  A fixed seeded sample of these runs
 through ``detect`` and a few through ``grid``, in-process, each in a
@@ -10,7 +11,9 @@ directory of its own that holds only its config.  The pnc ``l`` and ``b`` at
 1e308 and 10**30 are always in the sample: they are above numpy's dimension
 limit, so a run that allocated a window of that size would exit 3.  The
 source ``n`` at those values, and a ``step`` source whose draw overflows,
-run through ``simulate``, ``detect`` and ``grid`` on their own.
+run through ``simulate``, ``detect`` and ``grid`` on their own, as do a
+step whose values are beyond the bound that standardization and the
+detectors take, a subnormal step and a BOCPD prior beyond its bounds.
 """
 
 from __future__ import annotations
@@ -24,7 +27,9 @@ import yaml
 from predcomp.cli import main
 from predcomp.config import MAX_N, SOURCES, ConfigError, _Loader, kind_of
 from predcomp.seeding import spawn_rng
+from predcomp.series import MAX_ABS
 
+STEP = {"kind": "step", "pre_mean": 0.0, "post_mean": 1.0, "sigma": 1.0, "cp_at": 250, "n": 400}
 SMALL = {
     "schema_version": 1, "seed": 0, "output_dir": "out", "train_prefix": 200,
     "standardize": {"enabled": True, "t0": 0, "mode": "offline"},
@@ -33,13 +38,15 @@ SMALL = {
                                   "t2": 250, "n": 400}},
         {"id": "noisy", "source": {"kind": "wear", "a": 100.0, "lam": 0.015, "c": 6.0, "d": 0.03,
                                    "t2": 220, "n": 400, "scale": 2.0}},
+        {"id": "step", "source": STEP},
     ],
     "detectors": [
         {"id": "pnc_ar", "kind": "pnc", "predictor": {"kind": "ar", "p": 5},
          "params": {"l": 100, "b": 25, "k": 0.5}, "grid": {"desInt": [10.0]}},
         {"id": "cusum", "kind": "cusum", "params": {"k": 0.5, "window": 50},
          "grid": {"desInt": [10.0]}},
-        {"id": "bocpd", "kind": "bocpd", "params": {"hazard": 0.005, "r_min": 5},
+        {"id": "bocpd", "kind": "bocpd", "params": {"hazard": 0.005, "r_min": 5, "mu0": 0.0,
+                                                    "kappa0": 1.0, "alpha0": 1.0, "beta0": 1.0},
          "grid": {"cpthreshold": [0.5]}},
         {"id": "ocd", "kind": "ocd", "params": {"baseline_window": 100, "h_tail": 50},
          "grid": {"diag": [16.0]}},
@@ -149,7 +156,6 @@ def test_a_pnc_window_longer_than_the_series_exits_2_naming_its_key(tmp_path, ca
             f"'mild', 400, got {int(value)}") in capsys.readouterr().err
 
 
-STEP = {"kind": "step", "n": 400, "cp_at": 250}
 COMMANDS = {"simulate": ["simulate", "-c", "c.yaml", "--out", "out"],
             "detect": ["detect", "-c", "c.yaml", "--dataset", "mild", "--detector", "cusum",
                        "--out", "out.csv"],
@@ -183,3 +189,37 @@ def test_a_step_draw_that_overflows_exits_2_naming_the_dataset(tmp_path, capsys,
     assert result == (2, []), err
     assert "error: dataset 'mild': source: the draw overflows to " in err
     assert "Warning" not in err
+
+
+@pytest.mark.parametrize("args", [
+    *(["detect", "-c", "c.yaml", "--dataset", "step", "--detector", det["id"], "--out", "out.csv"]
+      for det in SMALL["detectors"]),
+    COMMANDS["grid"]], ids=[*(f"detect-{det['id']}" for det in SMALL["detectors"]), "grid"])
+def test_a_series_beyond_the_value_bound_exits_2_naming_the_dataset(tmp_path, capsys, args):
+    source = {**STEP, "pre_mean": 1e308}
+    result = run_mutation(tmp_path / "run", ("datasets", 2, "source"), source, args)
+    err = capsys.readouterr().err
+    assert result == (2, []), err
+    assert (f"error: dataset 'step': the value at time 1 is 1e+308; standardization and the "
+            f"detectors take values of magnitude at most {MAX_ABS:g}") in err
+
+
+def test_a_subnormal_step_standardizes_and_runs_without_a_warning(tmp_path, capsys):
+    """Its trend fit overflows a regressor, which is refused as degenerate."""
+    source = {**STEP, "sigma": 1e-320}
+    result = run_mutation(tmp_path / "run", ("datasets", 2, "source"), source, COMMANDS["grid"])
+    err = capsys.readouterr().err
+    assert result == (0, ["out", "out/metrics.csv"]), err
+    assert "Warning" not in err
+
+
+@pytest.mark.parametrize("key, value, bounds", [
+    ("mu0", 1e308, "[-1e+50, 1e+50]"), ("beta0", 1e308, "[1e-50, 1e+50]"),
+    ("kappa0", 1e-308, "[1e-50, 1e+50]")])
+def test_a_bocpd_prior_beyond_its_bounds_exits_2_naming_the_key(tmp_path, capsys, key, value,
+                                                                 bounds):
+    result = run_mutation(tmp_path / "run", ("detectors", 2, "params", key), value,
+                          COMMANDS["grid"])
+    err = capsys.readouterr().err
+    assert result == (2, []), err
+    assert f"error: detector 'bocpd': {key} must be in {bounds}, got {value!r}" in err

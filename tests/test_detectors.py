@@ -7,16 +7,19 @@ import csv
 import inspect
 import json
 import re
+from itertools import product
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import predcomp.series as series_module
 from predcomp.cli import build_dataset, build_detector, main, prepare_series
 from predcomp.config import ConfigError, load_config
-from predcomp.config import KINDS, REQUIRED, run_unit
+from predcomp.config import KINDS, MAX_N, REQUIRED, run_unit
 from predcomp.evaluate import params_id
 from predcomp.io import write_lstm
-from predcomp.lstm import init_lstm
+from predcomp.lstm import LstmPredictor, init_lstm
 from predcomp.pnc import PncConfig, run_stream
 from predcomp.predictors import fit_predictor
 from predcomp.refdet import NigPrior, bocpd_detect, classic_cusum_detect, mosum_detect, ocd_detect
@@ -25,7 +28,8 @@ from predcomp.refdet.classic import classic_cusum_sweep
 from predcomp.refdet.mosum import mosum_sweep
 from predcomp.refdet.ocd import ocd_sweep
 from predcomp.seeding import spawn_rng
-from predcomp.series import LabeledSeries
+from predcomp.series import MAX_ABS, LabeledSeries
+from predcomp.standardize import standardize
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -527,3 +531,46 @@ def test_window_the_predictor_cannot_forecast_from_exits_2(tmp_path, capsys, pre
     err = capsys.readouterr().err
     assert ok or err.count(f"error: detector 'c': the model cannot forecast b=6 from l={l}: ") == 2
     assert out.exists() == ok and (tmp_path / "out").exists() == ok
+
+
+#: 300-point series of magnitude at most 1: the shapes with the largest sums,
+#: squares, spreads and jumps
+_T = np.arange(300)
+EXTREMES = {"constant": np.ones(300), "alternating": (-1.0) ** _T,
+            "step": np.where(_T < 150, -1.0, 1.0), "ramp": np.linspace(0.0, 1.0, 300),
+            "noise": spawn_rng(0, "extremes").uniform(-1.0, 1.0, 300)}
+#: each corner of the BOCPD prior's bounds
+PRIOR_CORNERS = [NigPrior(mu0, *rest) for mu0 in (-MAX_ABS, MAX_ABS)
+                 for rest in product((1 / MAX_ABS, MAX_ABS), repeat=3)]
+
+
+def _all_finite(rows) -> bool:
+    return bool(np.all(np.isfinite(np.asarray(rows, dtype=float))))
+
+
+@pytest.mark.parametrize("shape", sorted(EXTREMES))
+def test_values_at_the_bound_overflow_nowhere_up_to_max_n_points(monkeypatch, shape):
+    """Standardization, each detector and each model a pnc detector fits
+    overflow nowhere on 300 values at MAX_ABS * MAX_N, and their traces and
+    scores stay finite; the BOCPD prior takes each corner of its bounds.  A
+    sum over MAX_N values at MAX_ABS whose degree in the length is at most its
+    degree in the values, such as a sum of squares or a square of a sum, is
+    at most such a sum over these values."""
+    monkeypatch.setattr(series_module, "MAX_ABS", MAX_ABS * MAX_N)  # lets these values in
+    x = EXTREMES[shape] * (MAX_ABS * MAX_N)
+    with np.errstate(all="raise", under="ignore"):
+        for counts, mode in product((x, np.abs(x)), ("offline", "online")):
+            assert _all_finite(standardize(counts, mode=mode).scores.values)
+        traces = [classic_cusum_detect(x, 1.0, keep_trace=True)[1],
+                  ocd_detect(x, 1.0, keep_trace=True)[1],
+                  mosum_detect(x, min_hist=50, keep_trace=True)[1]]
+        for prior in PRIOR_CORNERS:
+            traces.append(bocpd_detect(x, 0.01, prior, keep_posterior=True)[1]["short_run_prob"])
+        models = [fit_predictor(spec, x[:100]) for spec in (
+            {"kind": "naive"}, {"kind": "mean"}, {"kind": "ar", "p": 5},
+            {"kind": "arima", "order": [1, 1, 1]}, {"kind": "arima", "order": [2, 0, 2]})]
+        for model, direction in product(models + [LstmPredictor(init_lstm(12, 4, 8))],
+                                        ("up", "down")):
+            cfg = PncConfig(50, 4, 1.0, 0.5, direction, "on_detection", 20)
+            traces.append(run_stream(model, cfg, x, keep_trace=True)[1].trace)
+    assert all(trace and _all_finite(trace) for trace in traces)

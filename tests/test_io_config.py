@@ -569,9 +569,9 @@ def test_exponent_form_loads_in_a_config_and_an_id_so_written_is_refused(tmp_pat
     import yaml
     from predcomp.config import read_yaml, resolve_params
     doc = load_config(_write_config(tmp_path, "schema_version: 1\ndetectors:\n  - {id: b, "
-                                    "kind: bocpd, params: {hazard: 1e-3, beta0: 1.0e300}}\n"))
+                                    "kind: bocpd, params: {hazard: 1e-3, beta0: 1.0e30}}\n"))
     point = resolve_params(doc["detectors"][0], {})
-    assert (point["hazard"], point["beta0"]) == (0.001, 1e300)
+    assert (point["hazard"], point["beta0"]) == (0.001, 1e30)
     with pytest.raises(ConfigError, match=re.escape("detectors[0].id must be str, got 100000.0")):
         load_config(_write_config(tmp_path, "schema_version: 1\ndetectors:\n"
                                   "  - {id: 1e5, kind: ocd, params: {diag: 8}}\n"))

@@ -450,6 +450,7 @@ def test_arima_stationarity_of_fit():
     x = np.cumsum(spawn_rng(7, "rw").normal(0.0, 1.0, 800))
     m = ArimaPredictor.fit(x, order=(1, 0, 0))
     assert abs(m.phi[0]) < 1.0
+    assert np.array_equal(ArimaPredictor.fit(x, np.array([1, 0, 0])).phi, m.phi)
 
 
 def test_fit_predictor_builds_each_kind_from_its_spec():
