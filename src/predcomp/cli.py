@@ -49,8 +49,7 @@ def build_dataset(ds_cfg: dict, seed: int) -> LabeledSeries:
 def _within_bound(series: LabeledSeries, where: str, what: str) -> LabeledSeries:
     """``series``, whose values must each be finite and of magnitude at most
     `MAX_ABS`, the values standardization and the detectors take."""
-    i = first_out_of_bound(series.values)
-    if i is not None:
+    if (i := first_out_of_bound(series.values)) is not None:
         raise DataError(f"{where}: the {what} at time {time_field(i)} is {series.values[i]}; "
                         f"standardization and the detectors take values of magnitude at most "
                         f"{MAX_ABS:g}")

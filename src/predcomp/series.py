@@ -140,8 +140,7 @@ def finite_values(series) -> np.ndarray:
     a ValueError naming the first value beyond `MAX_ABS`.
     """
     values = series.values if isinstance(series, LabeledSeries) else np.asarray(series, dtype=float)
-    i = first_out_of_bound(values)
-    if i is not None:
+    if (i := first_out_of_bound(values)) is not None:
         if not np.isfinite(values[i]):
             raise non_finite_error(i, values[i])
         raise ValueError(f"series value at index {i} is {values[i]}, of magnitude above {MAX_ABS:g}")

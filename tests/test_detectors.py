@@ -574,3 +574,18 @@ def test_values_at_the_bound_overflow_nowhere_up_to_max_n_points(monkeypatch, sh
             cfg = PncConfig(50, 4, 1.0, 0.5, direction, "on_detection", 20)
             traces.append(run_stream(model, cfg, x, keep_trace=True)[1].trace)
     assert all(trace and _all_finite(trace) for trace in traces)
+
+
+@pytest.mark.parametrize("run", [
+    standardize, lambda x: classic_cusum_detect(x, 5.0), lambda x: bocpd_detect(x, 0.01),
+    lambda x: ocd_detect(x, 5.0), lambda x: mosum_detect(x, min_hist=50),
+    lambda x: run_stream(fit_predictor({"kind": "naive"}, x), PncConfig(50, 10, 5.0), x)],
+    ids=["standardize", "cusum", "bocpd", "ocd", "mosum", "pnc"])
+def test_each_whole_series_function_takes_values_up_to_the_bound(run):
+    x = np.zeros(200)
+    x[150] = -MAX_ABS
+    run(x)
+    x[150] = -2 * MAX_ABS
+    with pytest.raises(ValueError, match=r"^series value at index 150 is -2e\+50, of magnitude "
+                                         r"above 1e\+50$"):
+        run(x)
