@@ -23,7 +23,6 @@ the trace format that ``io.write_trace_csv`` and ``io.write_trace_svg`` write.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 from typing import Iterator, NamedTuple
 
@@ -31,7 +30,7 @@ import numpy as np
 
 from .cusum import CusumChart
 from .predictors import PredictorError, refit_after_detection
-from .series import Detection, finite_values, non_finite_error
+from .series import Detection, check_value, finite_values
 
 
 @dataclass(frozen=True)
@@ -87,8 +86,10 @@ class PncStream:
     The predictor sees read-only views into that buffer: the input window
     ``buf[t-l:t]`` at each anchor t and, for a refit, the history
     ``buf[:t]``; nothing is copied.  A window's forecast is consumed as an
-    iterator, one target per charted step.  A non-finite observation raises
-    ``ValueError`` and leaves the stream as it was.
+    iterator, one target per charted step.  An observation that is not finite
+    or of magnitude above `~predcomp.series.MAX_ABS` raises the ValueError of
+    :func:`~predcomp.series.check_value`, as :func:`run_stream` does, and
+    leaves the stream as it was.
     """
 
     def __init__(self, predictor, cfg: PncConfig, name: str = "pnc",
@@ -132,8 +133,7 @@ class PncStream:
         cfg = self.cfg
         x = float(x)
         i = self._n
-        if not math.isfinite(x):
-            raise non_finite_error(i, x)
+        check_value(i, x)
         if i == len(self._buf):
             self._buf = np.concatenate((self._buf, np.empty(i)))
         self._buf[i] = x
@@ -165,7 +165,7 @@ def run_stream(predictor, cfg: PncConfig, series, name: str = "pnc",
 
     Returns (detections, stream) where ``stream`` carries diagnostics and,
     when requested, the per-step trace of :class:`TraceRow`.  The series is
-    checked once, by :func:`predcomp.series.finite_values`.
+    checked by :func:`predcomp.series.finite_values` before the first push.
     """
     values = finite_values(series)
     stream = PncStream(predictor, cfg, name=name, keep_trace=keep_trace)

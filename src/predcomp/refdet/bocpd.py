@@ -69,7 +69,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..series import MAX_ABS, Detection, finite_values
+from ..series import MAX_ABS, Detection, check_value, finite_values
 from .sweep import sweep
 
 
@@ -183,7 +183,9 @@ class BocpdState:
     """Posterior over run lengths with per-run NIG sufficient statistics.
 
     The state is made for one hazard H, as the model fixes it: it checks H
-    and keeps its logs, so :meth:`step` takes only the observation.
+    and keeps its logs, so :meth:`step` takes only the observation.  A step
+    checks its observation by :func:`~predcomp.series.check_value`, naming it
+    by its index since the prior, before it changes the state.
     ``log_evidence``, log p(x_1..x_t) since the prior, drives no alarm: it is
     the model evidence that acceptance criterion 8 and
     ``test_state_equals_reference_over_a_long_stream`` check.
@@ -223,6 +225,7 @@ class BocpdState:
     def step(self, x: float) -> None:
         if self.steps == len(self._lp):
             raise ValueError(f"the state holds {len(self._lp)} steps from the prior")
+        check_value(self.steps, x)
         tab, p = self._tab, self.prior
         # the live runs; run length r has absorbed t0 + r observations, t0 = 0 only before any step
         n, t0 = max(self.steps, 1), min(self.steps, 1)
@@ -315,7 +318,8 @@ def bocpd_sweep(series, hazard: float, thresholds, prior: NigPrior | None = None
                 continue  # all mass is on short runs this early, by construction
             fired = bisect_left(levels, p_short, len(found))  # thresholds below p_short
             if fired > len(found):
-                det = Detection(detect_time=i, located_time=max(i - state.map_run_length(), start),
+                # the state holds i - start + 1 steps, so the MAP run starts at start or later
+                det = Detection(detect_time=i, located_time=i - state.map_run_length(),
                                 detector="bocpd")
                 found += [det] * (fired - len(found))
                 if fired == len(levels):

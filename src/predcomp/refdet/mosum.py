@@ -25,12 +25,12 @@ The residual variance is a :func:`predcomp.series.chunked_dot`, so it does
 not depend on the BLAS thread count.
 
 The moving sums and their bounds are computed as array operations over
-blocks of ``_ROWS`` steps, each entry by the same expression as the
-step-by-step definition, so every value keeps its bits.  A sweep over
-levels (:func:`mosum_sweep`) sweeps their critical values c(level)
-(:func:`predcomp.refdet.sweep.sweep`): it fits and sums each segment once
-for the values that restart there, and since a smaller c is crossed first,
-in each block they fire in increasing order, up to the first with no hit.
+the whole monitored remainder of a segment, each entry by the same
+expression as the step-by-step definition, so every value keeps its bits.
+A sweep over levels (:func:`mosum_sweep`) sweeps their critical values
+c(level) (:func:`predcomp.refdet.sweep.sweep`): it fits and sums each
+segment once for the values that restart there, and since a smaller c is
+crossed first, they fire in increasing order, up to the first with no hit.
 """
 
 from __future__ import annotations
@@ -46,8 +46,6 @@ from .sweep import sweep
 
 _TABLE = None
 
-#: steps of one block of the monitoring statistic
-_ROWS = 512
 #: the fitted history holds at most this many times ``min_hist`` points
 _CAP_FACTOR = 4
 
@@ -130,27 +128,21 @@ def mosum_sweep(series, levels, min_hist: int = 100, hist_fact: float = 0.5,
         resid_mon = values[mon_start:] - _design(t_mon, harmonics, period) @ beta
         resid = np.concatenate((resid_hist, resid_mon))
         csum = np.concatenate(([0.0], np.cumsum(resid)))
-        j0 = 0
-        while len(found) < len(cs) and j0 < len(t_mon):
-            js = np.arange(j0, min(j0 + _ROWS, len(t_mon)))  # steps into monitoring
-            pos = length + js  # positions in the residual vector
-            mosum = csum[pos + 1] - csum[np.maximum(pos + 1 - band, 0)]
-            size = np.abs(mosum)
-            growth = 1.0 + (js + 1) / length
-            end = len(js)
-            for c in cs[len(found):]:
-                hits = np.flatnonzero(size > c * sd * np.sqrt(length) * growth)
-                if not hits.size:
-                    break  # nor does any larger c hit in this block
-                k = int(hits[0])
-                found.append(Detection(detect_time=mon_start + j0 + k, located_time=None,
-                                       detector="mosum"))
-                end = k + 1
-            if trace is not None:
-                bound = cs[0] * sd * np.sqrt(length) * growth
-                trace.extend((mon_start + j0 + k, float(mosum[k]), float(bound[k]))
-                             for k in range(end))
-            j0 += len(js)
+        # entry j is step j into monitoring; band <= length, as h_band <= 1
+        mosum = csum[length + 1:] - csum[length + 1 - band:len(csum) - band]
+        size = np.abs(mosum)
+        growth = 1.0 + np.arange(1, len(mosum) + 1) / length
+        end = len(mosum)
+        for c in cs:
+            hits = np.flatnonzero(size > c * sd * np.sqrt(length) * growth)
+            if not hits.size:
+                break  # nor does any larger c hit
+            k = int(hits[0])
+            found.append(Detection(detect_time=mon_start + k, located_time=None, detector="mosum"))
+            end = k + 1
+        if trace is not None:
+            bound = cs[0] * sd * np.sqrt(length) * growth
+            trace.extend((mon_start + k, float(mosum[k]), float(bound[k])) for k in range(end))
         return found
 
     return sweep(scan, [boundary_constant(h_band, level) for level in levels], record=trace)

@@ -8,6 +8,7 @@ nowhere else.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -112,17 +113,22 @@ class LabeledSeries:
         return LabeledSeries(np.asarray(values, dtype=float), list(self.cp_labels), self.name)
 
 
-def non_finite_error(index: int, value: float) -> ValueError:
-    """The error a detector raises on the first NaN or infinite observation."""
-    return ValueError(f"series value at index {index} is not finite ({value})")
-
-
 #: the largest magnitude of a value that standardization and the detectors
 #: take, so that every sum and square they form over up to
 #: `predcomp.config.MAX_N` values stays finite: a sum of squares or a square of
 #: a sum is at most (MAX_N * MAX_ABS)**2 = 1e114.  ``tests/test_detectors.py``
 #: runs each of them on values at MAX_ABS * MAX_N.
 MAX_ABS = 1e50
+
+
+def check_value(index: int, value: float) -> None:
+    """The rule for one observation, the one at ``index``: a ValueError unless
+    it is finite and of magnitude at most `MAX_ABS`.  It reads `MAX_ABS` when
+    called, as :func:`first_out_of_bound` does."""
+    if not abs(value) <= MAX_ABS:  # NaN included
+        if not math.isfinite(value):
+            raise ValueError(f"series value at index {index} is not finite ({value})")
+        raise ValueError(f"series value at index {index} is {value}, of magnitude above {MAX_ABS:g}")
 
 
 def first_out_of_bound(values: np.ndarray) -> int | None:
@@ -133,17 +139,11 @@ def first_out_of_bound(values: np.ndarray) -> int | None:
 
 
 def finite_values(series) -> np.ndarray:
-    """Observations of a LabeledSeries or array as float64, each finite and of
-    magnitude at most `MAX_ABS`.
-
-    Raises the :func:`non_finite_error` of the first NaN or infinite value, or
-    a ValueError naming the first value beyond `MAX_ABS`.
-    """
+    """Observations of a LabeledSeries or array as float64, each taking the
+    rule of :func:`check_value`, which raises for the first that does not."""
     values = series.values if isinstance(series, LabeledSeries) else np.asarray(series, dtype=float)
     if (i := first_out_of_bound(values)) is not None:
-        if not np.isfinite(values[i]):
-            raise non_finite_error(i, values[i])
-        raise ValueError(f"series value at index {i} is {values[i]}, of magnitude above {MAX_ABS:g}")
+        check_value(i, values[i])  # raises
     return values
 
 

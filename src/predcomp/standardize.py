@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .pool import pool_map
-from .series import DOT_CHUNK, LabeledSeries, chunked_dot, finite_values, non_finite_error
+from .series import DOT_CHUNK, LabeledSeries, check_value, chunked_dot, finite_values
 
 #: lam_hat below this is treated as zero: the score is clamped to 0 and flagged.
 LAM_FLOOR = 1e-9
@@ -145,19 +145,17 @@ def _fit_step(terms, m: int, work: np.ndarray) -> tuple[float, float]:
     return nu, slope
 
 
-def estimate_trend(values, t0: int = 0, t: int | None = None) -> TrendFit:
-    """Fit (nu_hat, b_hat) on the 1-based time range (t0, t].
+def estimate_trend(values, t0: int = 0) -> TrendFit:
+    """Fit (nu_hat, b_hat) on the 1-based time range (t0, t], t the number
+    of values.
 
     Raises TrendNotEstimable when t <= max(t0, 1), when fewer than two
     times in the range have a positive cumulative count, or when the
     regressor is degenerate.
     """
     values = np.asarray(values, dtype=float)
-    if t is None:
-        t = len(values)
-    if t > len(values):
-        raise ValueError("t beyond the end of the series")
-    terms = _trend_terms(values[:t], t0)
+    t = len(values)
+    terms = _trend_terms(values, t0)
     if t <= t0 + 1 or t < 2:
         raise TrendNotEstimable(f"need at least two observations past t0, got (t0={t0}, t={t})")
     with np.errstate(over="ignore"):
@@ -227,7 +225,7 @@ def standardize(series: LabeledSeries | np.ndarray, t0: int = 0,
         fit, lam = _online(values, t0)
     else:
         try:
-            fit = estimate_trend(values, t0=t0, t=n)
+            fit = estimate_trend(values, t0=t0)
         except TrendNotEstimable:
             fit = None
         lam = fit.lam(np.arange(1, n + 1)).tolist() if fit else [None] * n
@@ -245,7 +243,9 @@ class OnlineStandardizer:
     every path, so scores and flags are the online mode's bit for bit.  A
     push appends its time's `_trend_terms`, its co-moments by the same
     `_comoment_step`, so it rebuilds no prefix: the exponent is O(1) and
-    the slope, over a reused work row, linear in the history.
+    the slope, over a reused work row, linear in the history.  A count that
+    :func:`standardize` refuses raises the ValueError of
+    :func:`~predcomp.series.check_value` and leaves the state as it was.
     """
 
     def __init__(self, t0: int = 0):
@@ -262,8 +262,7 @@ class OnlineStandardizer:
 
     def push(self, x: float) -> float:
         x, i, m = float(x), self._n, self._n + 1 - self.t0
-        if not math.isfinite(x):
-            raise non_finite_error(i, x)
+        check_value(i, x)
         self._n += 1
         if m > self._terms.shape[1]:
             self._terms = np.concatenate([self._terms, self._terms], axis=1)

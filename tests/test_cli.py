@@ -253,6 +253,22 @@ def test_eval_avg_max_budget_needs_rows_for_every_dataset(config_path, tmp_path,
     capsys.readouterr()
 
 
+def test_eval_baseline_leaves_out_a_dataset_without_the_target(config_path, tmp_path, capsys):
+    """A dataset without the target label has no baseline, and its avg_max
+    budget reads no rows."""
+    config_path.write_text(config_path.read_text().replace("\ndetectors:", (
+        "\n  - id: flat\n    source: {kind: wear, a: 20.0, lam: 0.05, c: 5.0, n: 400}"
+        "\ndetectors:")))
+    metrics = tmp_path / "metrics.csv"
+    metrics.write_text(METRICS_HEADER + "step1,cusum,desInt=5,1,0,1,12.5,530,,1\n"
+                       "step2,cusum,desInt=5,1,0,1,12.5,480,,1\n")
+    out = tmp_path / "eval.txt"
+    assert main(["eval", "-c", str(config_path), "--metrics", str(metrics), "--out", str(out)]) == 0
+    baseline = out.read_text().split("random baseline\n===============\n\n")[1]
+    assert [line.split()[0] for line in baseline.splitlines()] == ["step1"] * 2 + ["step2"] * 2
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize("command, parent", [
     ("simulate", "file"), ("grid", "file"),
     *((command, parent) for command in ("standardize", "detect", "train-lstm", "eval", "report")
@@ -470,6 +486,15 @@ lstm: {{nh: 12, nz: 4, hidden: 6, epochs: 5, batch_size: 16, learning_rate: 0.01
     assert data.count(b"\r\n") == 6  # line ends as in every other CSV
     assert [line.split(",")[2] for line in data.decode().splitlines()] == ["val_loss"] + [""] * 5
     capsys.readouterr()
+
+
+def test_train_lstm_without_an_lstm_section_exits_2_and_writes_nothing(config_path, tmp_path,
+                                                                        capsys):
+    model, loss = tmp_path / "model.json", tmp_path / "loss.csv"
+    assert main(["train-lstm", "-c", str(config_path), "--dataset", "step1",
+                 "--out", str(model), "--loss", str(loss)]) == 2
+    assert capsys.readouterr().err == "error: config lacks an lstm section\n"
+    assert not model.exists() and not loss.exists()
 
 
 def test_lstm_predictor_usable_in_detect(tmp_path, capsys, read_detections):

@@ -20,16 +20,16 @@ from predcomp.config import KINDS, MAX_N, REQUIRED, run_unit
 from predcomp.evaluate import params_id
 from predcomp.io import write_lstm
 from predcomp.lstm import LstmPredictor, init_lstm
-from predcomp.pnc import PncConfig, run_stream
+from predcomp.pnc import PncConfig, PncStream, run_stream
 from predcomp.predictors import fit_predictor
 from predcomp.refdet import NigPrior, bocpd_detect, classic_cusum_detect, mosum_detect, ocd_detect
-from predcomp.refdet.bocpd import bocpd_sweep
+from predcomp.refdet.bocpd import BocpdState, bocpd_sweep
 from predcomp.refdet.classic import classic_cusum_sweep
 from predcomp.refdet.mosum import mosum_sweep
 from predcomp.refdet.ocd import ocd_sweep
 from predcomp.seeding import spawn_rng
 from predcomp.series import MAX_ABS, LabeledSeries
-from predcomp.standardize import standardize
+from predcomp.standardize import OnlineStandardizer, standardize
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -589,3 +589,43 @@ def test_each_whole_series_function_takes_values_up_to_the_bound(run):
     with pytest.raises(ValueError, match=r"^series value at index 150 is -2e\+50, of magnitude "
                                          r"above 1e\+50$"):
         run(x)
+
+
+#: each class that takes one value at a time: a fresh instance, its step on
+#: one value, what its state shows, and the whole-series function it replays
+ONE_VALUE_CLASSES = {
+    "standardizer": (OnlineStandardizer, OnlineStandardizer.push,
+                     lambda st: (st.flagged, st.fit),
+                     lambda x: standardize(x, mode="online")),
+    "pnc": (lambda: PncStream(fit_predictor({"kind": "naive"}, []), PncConfig(20, 5, 3.0),
+                              keep_trace=True),
+            PncStream.push, lambda st: (st.trace, st.diagnostics),
+            lambda x: run_stream(fit_predictor({"kind": "naive"}, []), PncConfig(20, 5, 3.0), x)),
+    "bocpd": (lambda: BocpdState(NigPrior(), 0.05, 200), BocpdState.step,
+              lambda st: (st.steps, st.log_evidence, st.log_post.tolist()),
+              lambda x: bocpd_detect(x, 0.05)),
+}
+
+
+@pytest.mark.parametrize("bad, message", [
+    (np.nan, r"is not finite \(nan\)"), (np.inf, r"is not finite \(inf\)"),
+    (2 * MAX_ABS, r"is 2e\+50, of magnitude above 1e\+50")], ids=["nan", "inf", "2e50"])
+@pytest.mark.parametrize("kind", sorted(ONE_VALUE_CLASSES))
+def test_each_one_value_class_refuses_what_its_whole_series_function_refuses(kind, bad, message):
+    """A push or step refuses a value as the whole-series function refuses it,
+    naming its index since the start, and leaves the state as it was: the
+    instance that went on past the refusal equals one that never saw it."""
+    make, step, state, whole = ONE_VALUE_CLASSES[kind]
+    x = spawn_rng(4, "one-value").poisson(5.0, 150).astype(float)
+    x[100:] += 6.0
+    clean = make()
+    clean_out = [step(clean, v) for v in x]
+    pattern = rf"^series value at index 60 {message}$"
+    with pytest.raises(ValueError, match=pattern):
+        whole(np.concatenate((x[:60], [bad], x[60:])))
+    inst = make()
+    out = [step(inst, v) for v in x[:60]]
+    with pytest.raises(ValueError, match=pattern):
+        step(inst, bad)
+    out += [step(inst, v) for v in x[60:]]
+    assert out == clean_out and state(inst) == state(clean)

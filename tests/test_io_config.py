@@ -62,6 +62,19 @@ def test_series_file_layout(tmp_path):
     assert lines[5] == "5,3.5,A,K>A"
 
 
+@pytest.mark.parametrize("parent, reason", [("missing", "No such file or directory"),
+                                            ("file", "Not a directory")])
+def test_a_writer_on_a_path_without_a_directory_raises_and_leaves_no_file(tmp_path, parent,
+                                                                          reason):
+    if parent == "file":
+        (tmp_path / parent).write_text("")
+    before = sorted(tmp_path.rglob("*"))
+    path = tmp_path / parent / "s.csv"
+    with pytest.raises(DataError, match=f"^{re.escape(str(path))}: cannot write: {reason}$"):
+        write_series_csv(path, _series())
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 def test_series_read_errors(tmp_path):
     p = tmp_path / "bad.csv"
     p.write_text("a,b\n")

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -499,3 +501,13 @@ def test_window_whose_forecast_raises_is_not_charted_against_old_targets():
     assert not any(i in targets for i in range(16, 20))
     assert [targets[i] for i in range(10, 15)] == [1.0] * 5
     assert [targets[i] for i in range(20, 30)] == [3.0] * 5 + [4.0] * 5
+
+
+def test_readme_python_api_example_runs():
+    """The first Python block under README's "Python API" runs as printed;
+    its step at index 500 is located there."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Python API\n", 1)[1]
+    scope = {}
+    exec(section.split("```python\n", 1)[1].split("```", 1)[0], scope)
+    assert scope["detections"][0].located_time == 500

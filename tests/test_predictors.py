@@ -36,6 +36,8 @@ def test_naive_and_mean():
     assert np.array_equal(MeanPredictor().forecast(w, 2), np.full(2, 2.0))
     with pytest.raises(PredictorError):
         NaivePredictor().forecast(np.array([]), 1)
+    with pytest.raises(PredictorError, match="^empty input window$"):
+        MeanPredictor().forecast([], 3)
 
 
 def test_ar_recovers_coefficient():
@@ -83,6 +85,11 @@ def test_ar_zero_variance_falls_back():
 def test_ar_short_history_rejected():
     with pytest.raises(PredictorError):
         ArPredictor.fit(np.arange(6.0), 2)
+
+
+def test_ar_order_below_one_rejected():
+    with pytest.raises(PredictorError, match="^p must be at least 1$"):
+        ArPredictor.fit(ar1(300, 0.5, 0.0, seed=1), 0)
 
 
 def test_css_innovations_match_hand_recursion():

@@ -53,8 +53,8 @@ def test_seeded_determinism():
 def test_validation():
     series = _series()
     target = series.cp_labels[1]
-    with pytest.raises(ValueError):
-        random_baseline(series, CpLabel(5, "X", "Y"), n_fp=0)
+    with pytest.raises(ValueError, match="^target label must belong to the series$"):
+        random_baseline(series, CpLabel(5, "K", "A"), n_fp=0)
     with pytest.raises(ValueError):
         random_baseline(series, target, n_fp=-1)
     with pytest.raises(ValueError):

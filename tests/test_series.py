@@ -23,6 +23,8 @@ def test_labeled_series_validation():
         LabeledSeries(vals, [CpLabel(12, "E", "K")])  # out of range
     with pytest.raises(ValueError):
         LabeledSeries(vals, [CpLabel(7, "K", "A"), CpLabel(2, "E", "K")])  # order
+    with pytest.raises(ValueError, match="^values must be one-dimensional$"):
+        LabeledSeries(np.zeros((5, 2)))
 
 
 def test_phase_tags():
@@ -37,6 +39,8 @@ def test_phase_bounds():
     assert (lo, hi) == (6, 10)
     lo, hi = s.phase_bounds(s.cp_labels[0])
     assert (lo, hi) == (3, 6)
+    with pytest.raises(ValueError, match="^label does not belong to this series$"):
+        s.phase_bounds(CpLabel(6, "E", "K"))
 
 
 def test_detection_attribution_time():
@@ -51,3 +55,5 @@ def test_with_values_keeps_labels():
     s2 = s.with_values(np.arange(6.0) * 2)
     assert s2.cp_labels == s.cp_labels
     assert s2.values[3] == 6.0
+    with pytest.raises(ValueError, match="^replacement values must keep the series length$"):
+        s.with_values(np.arange(5.0))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from predcomp.seeding import spawn_rng
 from predcomp.simulate import WearIntensity, sample_step_series, sample_wear_series
 
 
@@ -84,6 +85,10 @@ def test_wear_rejects_bad_params():
         WearIntensity(a=1.0, lam=0.0)
     with pytest.raises(ValueError):
         WearIntensity(a=1.0, lam=0.01, d=0.1, t2=100)  # t1=300 >= t2
+    with pytest.raises(ValueError, match=r"^decay_cutoff must be in \(0, 1\)$"):
+        WearIntensity(decay_cutoff=1.0)
+    with pytest.raises(ValueError, match="^t2 must be a non-negative integer when d > 0$"):
+        WearIntensity(d=0.1, t2=-1)
     with pytest.raises(ValueError):
         sample_wear_series(W, 0, seed=0)
 
@@ -114,3 +119,14 @@ def test_wear_noise_scale_grows_the_residual_variance_and_keeps_the_trend():
         assert np.mean(r) == pytest.approx(0.0, abs=0.5)
     with pytest.raises(ValueError, match="scale must be non-negative"):
         sample_wear_series(W, 100, seed=7, scale=-1.0)
+
+
+@pytest.mark.parametrize("label, error, message", [
+    (True, TypeError, "^rng path labels must be int or str, not bool$"),
+    (-1, ValueError, "^rng path ints must be non-negative$"),
+    (1.5, TypeError, "^rng path labels must be int or str, got <class 'float'>$")],
+    ids=["bool", "negative", "float"])
+def test_spawn_rng_refuses_a_path_label_that_is_not_a_str_or_an_int_at_least_0(label, error,
+                                                                             message):
+    with pytest.raises(error, match=message):
+        spawn_rng(0, label)

@@ -73,8 +73,13 @@ def test_trend_not_estimable_cases():
         estimate_trend(np.zeros(100))  # cumulative count not positive
     with pytest.raises(TrendNotEstimable):
         estimate_trend(np.ones(100), t0=99)
-    with pytest.raises(ValueError):
-        estimate_trend(np.ones(10), t=20)
+
+
+def test_a_negative_t0_is_refused():
+    with pytest.raises(ValueError, match="^t0 must be non-negative$"):
+        estimate_trend(np.ones(10), t0=-1)
+    with pytest.raises(ValueError, match="^t0 must be non-negative$"):
+        OnlineStandardizer(t0=-1)
 
 
 def test_trend_needs_two_positive_cumulative_counts():
